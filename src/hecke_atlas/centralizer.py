@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
+from . import CheckError
 from .params import LDParameter, LDSummand, build_ld_parameter, normed_parameter, summand_type
 from .weil import (
     DualGroupDescriptor,
@@ -622,16 +623,19 @@ def realize_matrices(phi: LDParameter, q_value: Fraction = Fraction(4)) -> tuple
         s_inv[i][i] = 1 / s_mat[i][i]
     left = _mat_mul(_mat_mul(s_mat, u_mat), s_inv)
     right = _mat_pow(u_mat, q_int)
-    assert left == right, "q-scaling relation fails"
+    if left != right:
+        raise CheckError("q-scaling relation fails")
 
     for m in (s_mat, u_mat):
-        assert _mat_mul(_mat_mul(_transpose(m), g_mat), m) == g_mat, "Gram form not preserved"
+        if _mat_mul(_mat_mul(_transpose(m), g_mat), m) != g_mat:
+            raise CheckError("Gram form not preserved")
 
     gt = _transpose(g_mat)
     if phi.ambient.family is Family.ORTHOGONAL:
-        assert gt == g_mat, "expected a symmetric form"
-    else:
-        assert gt == [[-v for v in row] for row in g_mat], "expected an alternating form"
+        if gt != g_mat:
+            raise CheckError("expected a symmetric form")
+    elif gt != [[-v for v in row] for row in g_mat]:
+        raise CheckError("expected an alternating form")
     return s_mat, u_mat, g_mat
 
 

@@ -19,6 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
+from . import CheckError
 from .centralizer import parameter_to_triple, realize_matrices, triple_to_parameter
 from .hecke import (
     UNIT_KINDS,
@@ -323,7 +324,7 @@ def _suite_thm26_matrix(max_rank: int) -> list[dict]:
             round_trip = triple_to_parameter(parameter_to_triple(phi, phi0), phi0, inv) == phi
             ok = round_trip
             actual = {"matrix_checks": True, "round_trip": round_trip}
-        except (AssertionError, ValueError) as exc:
+        except (CheckError, ValueError) as exc:
             ok = False
             actual = {"error": str(exc)}
         return _case(name, {"matrix_checks": True, "round_trip": True}, actual, "pass" if ok else "fail")
@@ -354,8 +355,8 @@ SUITE_RUNNERS: dict[str, tuple[Callable[[int], list[dict]], int]] = {
     "thm32": (_suite_thm32, 6),
     "thm33": (_suite_thm33, 12),
     "thm26-matrix": (_suite_thm26_matrix, 8),
-    "lemA3": (lambda k: _wrap_weyl(verify_normalizer_equality(k)), 4),
-    "lemA4": (lambda k: _wrap_weyl(verify_decorated_equality(k)), 4),
+    "lemA3": (lambda k: _wrap_weyl(verify_normalizer_equality(k)), 5),
+    "lemA4": (lambda k: _wrap_weyl(verify_decorated_equality(k)), 5),
 }
 
 

@@ -125,7 +125,7 @@ def hecke_descriptor(phi0: LDParameter, S: SupportDatum) -> HeckeDescriptor:
         if label in seen:
             continue
         seen.add(label)
-        factors.append((label, hecke_factor(phi0, S, label if cls.is_self_dual else label)))
+        factors.append((label, hecke_factor(phi0, S, label)))
     factors.sort(key=lambda kv: kv[0])
     return HeckeDescriptor(tuple(factors))
 

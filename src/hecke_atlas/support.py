@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import CheckError
 from .params import (
     LDParameter,
     LDSummand,
@@ -232,7 +233,8 @@ def build_levi(
 def _epsilons(phi_S: LDParameter) -> list[SignCharacter]:
     if not phi_S.summands:
         return [SignCharacter(())]
-    assert is_supercuspidal_shape(phi_S)
+    if not is_supercuspidal_shape(phi_S):
+        raise CheckError("tail parameter is not of supercuspidal shape")
     return alternating_characters(phi_S)
 
 

@@ -310,7 +310,7 @@ class Inventory:
         try:
             return self.classes[label]
         except KeyError:
-            raise KeyError(f"partner class {label!r} not registered") from None
+            raise KeyError(f"class {label!r} not registered") from None
 
     def __contains__(self, label: str) -> bool:
         return label in self.classes

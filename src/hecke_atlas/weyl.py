@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from . import CheckError
+
 __all__ = [
     "SignedPermutation",
     "LeviDescriptor",
@@ -39,9 +41,11 @@ class SignedPermutation:
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         # (self*other) acts by other first
-        perm = tuple(self.perm[p] for p in other.perm)
-        signs = tuple(other.signs[i] * self.signs[other.perm[i]] for i in range(len(perm)))
-        return SignedPermutation(perm, signs)
+        perm, signs = self.perm, self.signs
+        return SignedPermutation(
+            tuple([perm[p] for p in other.perm]),
+            tuple([s * signs[p] for s, p in zip(other.signs, other.perm)]),
+        )
 
     def inverse(self) -> "SignedPermutation":
         n = len(self.perm)
@@ -61,10 +65,14 @@ class SignedPermutation:
         return SignedPermutation(tuple(range(n)), (1,) * n)
 
 
-def weyl_group(n: int, full: bool = True) -> list[SignedPermutation]:
-    """All signed permutations of n letters; W0 when ``full`` is false."""
+def _check_cap(n: int) -> None:
     if not 1 <= n <= BRUTE_FORCE_CAP:
         raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_CAP}")
+
+
+def weyl_group(n: int, full: bool = True) -> list[SignedPermutation]:
+    """All signed permutations of n letters; W0 when ``full`` is false."""
+    _check_cap(n)
     out = []
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):
@@ -114,39 +122,9 @@ class LeviDescriptor:
         return out
 
 
-def _block_move(w: SignedPermutation, levi: LeviDescriptor) -> Optional[SignedPermutation]:
-    """Induced signed permutation of the block axes, or None if w does not
-    normalize the Levi (blocks must map to equal-size blocks with uniform
-    sign, tail coordinates to tail coordinates)."""
-    n = levi.rank
-    blocks = levi.blocks()
-    tail = set(range(n - levi.tail_rank, n))
-    start_of = {}
-    for bi, blk in enumerate(blocks):
-        for c in blk:
-            start_of[c] = bi
-    perm = [0] * len(blocks)
-    signs = [1] * len(blocks)
-    for c in tail:
-        if w.perm[c] not in tail:
-            return None
-    for bi, blk in enumerate(blocks):
-        images = [w.perm[c] for c in blk]
-        blk_signs = {w.signs[c] for c in blk}
-        targets = {start_of.get(c) for c in images}
-        if None in targets or len(targets) != 1 or len(blk_signs) != 1:
-            return None
-        (bj,) = targets
-        if len(blocks[bj]) != len(blk):
-            return None
-        perm[bi] = bj
-        signs[bi] = blk_signs.pop()
-    return SignedPermutation(tuple(perm), tuple(signs))
-
-
 def _min_lift_parity(move: SignedPermutation, levi: LeviDescriptor) -> int:
     """Parity of the least number of sign changes among lifts of a move."""
-    return sum(len(levi.blocks()[i]) for i, s in enumerate(move.signs) if s == -1) % 2
+    return sum(k for k, s in zip(levi.composition, move.signs) if s == -1) % 2
 
 
 @dataclass(frozen=True)
@@ -160,22 +138,47 @@ class RelativeWeyl:
 
 
 def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
-    """Normalizer cosets of a Levi, with their even-liftable part."""
+    """Normalizer cosets of a Levi, with their even-liftable part.
+
+    Brute force over all of W: an element normalizes the Levi when it maps
+    tail coordinates to tail coordinates and each block onto an equal-size
+    block with one sign; its coset is the induced signed permutation of the
+    blocks.  The permutation part of that test does not look at signs, so a
+    permutation that fails it rejects all of its 2**n elements at once.
+    """
     if levi.rank != n:
         raise ValueError("Levi rank does not match n")
-    moves: set[SignedPermutation] = set()
-    for w in weyl_group(n, full=True):
-        move = _block_move(w, levi)
-        if move is not None:
-            moves.add(move)
-    even = {
-        m for m in moves if levi.tail_rank >= 1 or _min_lift_parity(m, levi) == 0
-    }
-    return RelativeWeyl(tuple(sorted(moves)), tuple(sorted(even)))
+    _check_cap(n)
+    blocks = [tuple(blk) for blk in levi.blocks()]
+    block_of = [-1] * n
+    for bi, blk in enumerate(blocks):
+        for c in blk:
+            block_of[c] = bi
+    tail = range(n - levi.tail_rank, n)
+    all_signs = list(itertools.product((1, -1), repeat=n))
+    moves: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    for perm in itertools.permutations(range(n)):
+        if any(block_of[perm[c]] != -1 for c in tail):
+            continue
+        targets = []
+        for blk in blocks:
+            bj = block_of[perm[blk[0]]]
+            if bj == -1 or len(blocks[bj]) != len(blk) or any(block_of[perm[c]] != bj for c in blk):
+                break
+            targets.append(bj)
+        else:
+            block_perm = tuple(targets)
+            for signs in all_signs:
+                if all(signs[c] == signs[blk[0]] for blk in blocks for c in blk):
+                    moves.add((block_perm, tuple(signs[blk[0]] for blk in blocks)))
+    cosets = tuple(SignedPermutation(perm, signs) for perm, signs in sorted(moves))
+    even = tuple(m for m in cosets if levi.tail_rank >= 1 or _min_lift_parity(m, levi) == 0)
+    return RelativeWeyl(cosets, even)
 
 
 def _stabilizes_decorations(move: SignedPermutation, levi: LeviDescriptor) -> bool:
-    assert levi.decorations is not None
+    if levi.decorations is None:
+        raise CheckError("decorations required")
     for i, (label, self_dual) in enumerate(levi.decorations):
         j = move.perm[i]
         if levi.decorations[j][0] != label:
@@ -210,13 +213,6 @@ def _apply(move: SignedPermutation, root: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _is_positive(root: Sequence[int]) -> bool:
-    for c in root:
-        if c:
-            return c > 0
-    return False
-
-
 def _reflection(root: Sequence[int], r: int) -> SignedPermutation:
     support = [i for i, c in enumerate(root) if c]
     perm = list(range(r))
@@ -232,19 +228,46 @@ def _reflection(root: Sequence[int], r: int) -> SignedPermutation:
 
 
 def _closure(generators: Iterable[SignedPermutation], r: int) -> set[SignedPermutation]:
-    group = {SignedPermutation.identity(r)}
-    frontier = set(generators)
-    group |= frontier
+    """The group generated: breadth-first over right products by a generator."""
+    gens = list(generators)
+    frontier = [SignedPermutation.identity(r)]
+    group = set(frontier)
     while frontier:
-        new = set()
+        new = []
         for g in frontier:
-            for h in list(group):
-                for x in (g * h, h * g):
-                    if x not in group:
-                        new.add(x)
-        group |= new
+            for s in gens:
+                x = g * s
+                if x not in group:
+                    group.add(x)
+                    new.append(x)
         frontier = new
     return group
+
+
+def _non_normalizing(
+    q: Iterable[SignedPermutation], gens: Sequence[SignedPermutation], group: set[SignedPermutation]
+) -> Optional[SignedPermutation]:
+    """The first m of q with m*s*m^-1 outside ``group`` for a generator s of
+    it, or None.  Generators suffice: conjugation by m is an automorphism, so
+    it maps the group generated into ``group`` once it maps each generator
+    there."""
+    for m in q:
+        mi = m.inverse()
+        if any(m * s * mi not in group for s in gens):
+            return m
+    return None
+
+
+def _factorizes(
+    target: set[SignedPermutation], w0_o: set[SignedPermutation], complement: Sequence[SignedPermutation]
+) -> tuple[bool, Optional[SignedPermutation]]:
+    """Whether ``target`` is the set of products x*rho (x in w0_o, rho in the
+    complement), each hit once; if not, an element it misses or overshoots
+    (None when only a repeated product is wrong)."""
+    products = {x * rho for x in w0_o for rho in complement}
+    if products == target and len(products) == len(w0_o) * len(complement):
+        return True, None
+    return False, min(products ^ target, default=None)
 
 
 @dataclass(frozen=True)
@@ -266,61 +289,46 @@ def orbit_stabilizers(levi: LeviDescriptor, n: int) -> OrbitStabilizers:
     """Stabilizer of the decoration data, with its semidirect splitting."""
     if levi.decorations is None:
         raise ValueError("decorations required")
-    rel = relative_weyl(levi, n)
-    q = {m for m in rel.cosets if _stabilizes_decorations(m, levi)}
-    q0 = {m for m in q if m in set(rel.even_cosets)}
+    return _orbit_stabilizers(levi, relative_weyl(levi, n))
+
+
+def _orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilizers:
+    even = set(rel.even_cosets)
+    q = sorted(m for m in rel.cosets if _stabilizes_decorations(m, levi))
+    q0 = [m for m in q if m in even]
+    q0_set = set(q0)
     r = len(levi.composition)
 
     sigma_pos = []
+    gens = []
     for root in _roots(r):
         s = _reflection(root, r)
-        if s in q0:
+        if s in q0_set:
             sigma_pos.append(root)
-    w0_o = _closure((_reflection(root, r) for root in sigma_pos), r)
+            gens.append(s)
+    w0_o = _closure(gens, r)
 
-    complement = set()
-    for m in q:
-        if all(_is_positive(_apply(m, root)) and _apply(m, root) in set(sigma_pos) for root in sigma_pos):
-            complement.add(m)
-    even_complement = complement & q0
+    # R(O): the moves sending each positive root of sigma to one (sigma_pos
+    # holds positive roots only, so membership is the positivity test too)
+    sigma = set(sigma_pos)
+    complement = [m for m in q if all(_apply(m, root) in sigma for root in sigma_pos)]
+    even_complement = [m for m in complement if m in q0_set]
 
-    ok = True
-    bad: Optional[SignedPermutation] = None
-    products: dict[SignedPermutation, int] = {}
-    for x in w0_o:
-        for rho in complement:
-            p = x * rho
-            products[p] = products.get(p, 0) + 1
-    if set(products) != q or any(c != 1 for c in products.values()):
-        ok = False
-        bad = next(iter(set(products) ^ q), None)
-    # normality of the reflection part
+    # normality of the reflection part, then unique factorization of the
+    # stabilizer and of its even part
+    bad = _non_normalizing(q, gens, w0_o)
+    ok = bad is None
     if ok:
-        for m in q:
-            mi = m.inverse()
-            for x in w0_o:
-                if m * x * mi not in w0_o:
-                    ok, bad = False, m
-                    break
-            if not ok:
-                break
-    # the even part factors through the even complement
+        ok, bad = _factorizes(set(q), w0_o, complement)
     if ok:
-        products0: dict[SignedPermutation, int] = {}
-        for x in w0_o:
-            for rho in even_complement:
-                p = x * rho
-                products0[p] = products0.get(p, 0) + 1
-        if set(products0) != q0 or any(c != 1 for c in products0.values()):
-            ok = False
-            bad = next(iter(set(products0) ^ q0), None)
+        ok, bad = _factorizes(q0_set, w0_o, even_complement)
 
     return OrbitStabilizers(
-        tuple(sorted(q)),
-        tuple(sorted(q0)),
+        tuple(q),
+        tuple(q0),
         tuple(sorted(w0_o)),
-        tuple(sorted(complement)),
-        tuple(sorted(even_complement)),
+        tuple(complement),
+        tuple(even_complement),
         ok,
         bad,
     )
@@ -419,8 +427,9 @@ def verify_decorated_equality(max_rank: int = 4, max_labels: int = 3) -> list[di
         for levi in enumerate_levis(n):
             if not levi.composition:
                 continue
+            rel = relative_weyl(levi, n)
             for dec in enumerate_decorations(levi, max_labels):
-                st = orbit_stabilizers(dec, n)
+                st = _orbit_stabilizers(dec, rel)
                 odd_self_dual = any(
                     k % 2 == 1 and sd for k, (_, sd) in zip(dec.composition, dec.decorations)
                 )

@@ -125,7 +125,7 @@ def test_descriptor_comparison_detects_type_and_minus_one():
 def test_levi_normalizer_characterizations_exhaustively():
     with Budget(30):
         for suite in ("lemA3", "lemA4"):
-            report = run_suite(suite, 4)
+            report = run_suite(suite, 5)
             assert report["failed"] == 0 and report["flagged"] == 0
             assert report["passed"] >= 30
 

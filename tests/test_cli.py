@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from hecke_atlas import centralizer
 from hecke_atlas.cli import normed_corpus, run, run_suite, standard_inventory
 
 
@@ -131,3 +136,34 @@ def test_normed_corpus_is_normed():
     for phi in corpus:
         assert all(s.point.f.is_one and s.sl2_dim == 1 for s in phi.summands)
         assert phi.total_dim == phi.ambient.ambient_dim
+
+
+def _wrong_power(a, e):
+    return [[v + 1 for v in row] for row in a]
+
+
+def test_matrix_suite_reports_a_broken_oracle(monkeypatch):
+    monkeypatch.setattr(centralizer, "_mat_pow", _wrong_power)
+    report = run_suite("thm26-matrix", 2)
+    assert report["cases"] and report["failed"] == len(report["cases"])
+    for case in report["cases"]:
+        assert case["actual"] == {"error": "q-scaling relation fails"}
+
+
+def test_matrix_oracle_survives_optimized_mode():
+    script = (
+        "import sys\n"
+        "from hecke_atlas import centralizer\n"
+        "from hecke_atlas.cli import run_suite\n"
+        "centralizer._mat_pow = lambda a, e: [[v + 1 for v in row] for row in a]\n"
+        "report = run_suite('thm26-matrix', 2)\n"
+        "print(sys.flags.optimize, report['failed'], len(report['cases']))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    optimize, failed, total = map(int, done.stdout.split())
+    assert optimize == 1
+    assert failed == total > 0

@@ -184,6 +184,13 @@ def test_inventory_detects_asymmetric_partner():
         inv.validate()
 
 
+def test_inventory_unknown_label_message():
+    inv = small_inventory()
+    with pytest.raises(KeyError) as info:
+        inv["zzz"]
+    assert info.value.args == ("class 'zzz' not registered",)
+
+
 def test_inventory_rejects_duplicates():
     inv = small_inventory()
     with pytest.raises(ValueError):

@@ -1,8 +1,16 @@
+import itertools
+
 import pytest
 
 from hecke_atlas.weyl import (
     LeviDescriptor,
+    RelativeWeyl,
     SignedPermutation,
+    _closure,
+    _non_normalizing,
+    _orbit_stabilizers,
+    _reflection,
+    _roots,
     enumerate_decorations,
     enumerate_levis,
     orbit_stabilizers,
@@ -119,3 +127,76 @@ def test_normalizer_equality_characterization():
 def test_decorated_equality_characterization():
     cases = verify_decorated_equality(3)
     assert cases and all(c["status"] == "pass" for c in cases)
+
+
+def _signed_block_permutations(composition):
+    """Closed form of the relative Weyl group: permutations of equal-size
+    blocks, each block with an arbitrary sign."""
+    r = len(composition)
+    return {
+        SignedPermutation(perm, signs)
+        for perm in itertools.permutations(range(r))
+        if all(composition[perm[i]] == composition[i] for i in range(r))
+        for signs in itertools.product((1, -1), repeat=r)
+    }
+
+
+def test_relative_weyl_matches_closed_form():
+    for n in range(1, 6):
+        for levi in enumerate_levis(n):
+            rel = relative_weyl(levi, n)
+            assert set(rel.cosets) == _signed_block_permutations(levi.composition)
+            assert list(rel.cosets) == sorted(rel.cosets)
+
+
+def _signed_images(g):
+    return tuple(s * (p + 1) for p, s in zip(g.perm, g.signs))
+
+
+def _two_sided_closure(generators, r):
+    """The earlier closure: products on both sides with every element found
+    so far, on elements written as tuples of signed images e_i -> +-e_j."""
+
+    def mul(a, b):  # a after b
+        return tuple([a[x - 1] if x > 0 else -a[-x - 1] for x in b])
+
+    group = {tuple(range(1, r + 1))}
+    frontier = {_signed_images(g) for g in generators}
+    group |= frontier
+    while frontier:
+        new = set()
+        for g in frontier:
+            for h in list(group):
+                for x in (mul(g, h), mul(h, g)):
+                    if x not in group:
+                        new.add(x)
+        group |= new
+        frontier = new
+    return group
+
+
+def test_closure_matches_two_sided_search():
+    for r in range(1, 4):
+        reflections = [_reflection(root, r) for root in _roots(r)]
+        for k in range(len(reflections) + 1):
+            for gens in itertools.combinations(reflections, k):
+                closure = {_signed_images(g) for g in _closure(gens, r)}
+                assert closure == _two_sided_closure(gens, r)
+
+
+def test_normality_check_on_generators_can_fail():
+    b2 = sorted(weyl_group(2))
+    one = SignedPermutation.identity(2)
+    # <s_{e1}> is not normal in B2: the swap conjugates it to <s_{e2}>
+    s_e1 = SignedPermutation((0, 1), (-1, 1))
+    bad = _non_normalizing(b2, [s_e1], {one, s_e1})
+    assert bad is not None and bad * s_e1 * bad.inverse() not in {one, s_e1}
+    # W(D2) = <s_{e1-e2}, s_{e1+e2}> is normal in B2
+    d2_gens = [SignedPermutation((1, 0), (1, 1)), SignedPermutation((1, 0), (-1, -1))]
+    assert _non_normalizing(b2, d2_gens, _closure(d2_gens, 2)) is None
+
+    # a hand-built relative Weyl group whose even part is only <s_{e1}>
+    levi = LeviDescriptor((1, 1), 0, (("rho", True), ("rho", True)))
+    st = _orbit_stabilizers(levi, RelativeWeyl(tuple(b2), (one, s_e1)))
+    assert st.reflection_part == tuple(sorted({one, s_e1}))
+    assert not st.semidirect_ok and st.counterexample == bad
