@@ -5,25 +5,20 @@ Subcommands: ``enumerate`` (parameter corpora from an inventory file),
 (explicit algebra tables), and ``verify`` (oracle-vs-formula suites with a
 machine-readable report).
 
-All output is canonical JSON with exact string fractions; a data-parallel
-map (degree controlled by HECKE_ATLAS_THREADS) is used for independent
-items, with results restored to deterministic order before printing.
+All output is canonical JSON with exact string fractions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from . import CheckError
 from .centralizer import parameter_to_triple, realize_matrices, triple_to_parameter
 from .hecke import (
     UNIT_KINDS,
-    derived_multiplicity,
     derived_rows,
     epsilon_multiplicity,
     factor_to_json_dict,
@@ -51,6 +46,7 @@ from .weil import (
     NotSelfDual,
     SelfDual,
     UnitMonomial,
+    json_typed,
     make_inertial_class,
     orbit_point,
 )
@@ -74,22 +70,6 @@ GROUP_AMBIENTS = {
     "o-even": lambda n: DualGroupDescriptor(Family.ORTHOGONAL, 2 * n),
     "u": lambda n: DualGroupDescriptor(Family.UNITARY_L, n),
 }
-
-
-def _threads() -> int:
-    raw = os.environ.get("HECKE_ATLAS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
-
-
-def _parallel_map(fn: Callable, items: Sequence) -> list:
-    """Order-preserving map; never affects output content."""
-    if len(items) <= 1 or _threads() == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(data, path: str | None = None) -> None:
@@ -187,7 +167,7 @@ def _suite_thm11(max_rank: int) -> list[dict]:
         )
         return _case(f"{phi.ambient.family.value}{phi.ambient.ambient_dim}:{name}", expected, actual)
 
-    return _parallel_map(check, corpus)
+    return [check(phi) for phi in corpus]
 
 
 def _structural_corpus(max_rank: int):
@@ -211,7 +191,7 @@ def _suite_thm16(max_rank: int) -> list[dict]:
         )
         return _case(name, expected, actual, status)
 
-    return _parallel_map(check, _structural_corpus(max_rank))
+    return [check(phi0) for phi0 in _structural_corpus(max_rank)]
 
 
 def _suite_thm18(max_rank: int) -> list[dict]:
@@ -228,7 +208,7 @@ def _suite_thm18(max_rank: int) -> list[dict]:
         )
         return _case(name, {"even_rank_cases": []}, {"even_rank_cases": bad})
 
-    return _parallel_map(check, _structural_corpus(max_rank))
+    return [check(phi0) for phi0 in _structural_corpus(max_rank)]
 
 
 def _suite_thm31(max_rank: int) -> list[dict]:
@@ -245,28 +225,29 @@ def _suite_thm31(max_rank: int) -> list[dict]:
             "pass" if same else "fail",
         )
 
-    return _parallel_map(check, list(range(1, max_rank + 1)))
+    return [check(d) for d in range(1, max_rank + 1)]
 
 
 def _suite_thm32(max_rank: int) -> list[dict]:
-    def check(item):
-        kind, d = item
-        cases = []
-        for pair in sorted({r.pair for r in specialize(kind, d)}):
-            name = f"{kind}:d={d}:pair={pair[0]},{pair[1]}"
-            if pair[0] * pair[1] == 0 and kind == "sp":
-                # the uniform multiplicity-2 statement does not separate the
-                # two sign buckets when one side of the support is empty
-                derived = [derived_multiplicity(kind, d, *pair, s) for s in (1, -1)]
-                cases.append(_case(name, {"documented": True}, {"derived": derived}, "flagged"))
-                continue
-            expected = {str(s): epsilon_multiplicity(*pair, s) for s in (1, -1)}
-            actual = {str(s): derived_multiplicity(kind, d, *pair, s) for s in (1, -1)}
-            cases.append(_case(name, expected, actual))
-        return cases
-
-    items = [(kind, d) for kind in ("sp", "o_even") for d in range(1, max_rank + 1)]
-    return [c for chunk in _parallel_map(check, items) for c in chunk]
+    cases = []
+    for kind in ("sp", "o_even"):
+        for d in range(1, max_rank + 1):
+            # (S, epsilon) counts per table cell (pair, eps_Z), summed over factors
+            cells: dict[tuple[tuple[int, int], int], int] = {}
+            for pair, _factor, eps_Z, n in derived_rows(kind, d):
+                cells[pair, eps_Z] = cells.get((pair, eps_Z), 0) + n
+            for pair in sorted({r.pair for r in specialize(kind, d)}):
+                name = f"{kind}:d={d}:pair={pair[0]},{pair[1]}"
+                if pair[0] * pair[1] == 0 and kind == "sp":
+                    # the uniform multiplicity-2 statement does not separate the
+                    # two sign buckets when one side of the support is empty
+                    derived = [cells.get((pair, s), 0) for s in (1, -1)]
+                    cases.append(_case(name, {"documented": True}, {"derived": derived}, "flagged"))
+                    continue
+                expected = {str(s): epsilon_multiplicity(*pair, s) for s in (1, -1)}
+                actual = {str(s): cells.get((pair, s), 0) for s in (1, -1)}
+                cases.append(_case(name, expected, actual))
+    return cases
 
 
 def _suite_thm33(max_rank: int) -> list[dict]:
@@ -302,7 +283,7 @@ def _suite_thm33(max_rank: int) -> list[dict]:
             cases.append(_case(name, expected, actual, status))
         return cases
 
-    return [c for chunk in _parallel_map(check, list(range(2, max_rank + 1))) for c in chunk]
+    return [c for m in range(2, max_rank + 1) for c in check(m)]
 
 
 def _suite_thm26_matrix(max_rank: int) -> list[dict]:
@@ -329,7 +310,7 @@ def _suite_thm26_matrix(max_rank: int) -> list[dict]:
             actual = {"error": str(exc)}
         return _case(name, {"matrix_checks": True, "round_trip": True}, actual, "pass" if ok else "fail")
 
-    return _parallel_map(check, items)
+    return [check(item) for item in items]
 
 
 def _wrap_weyl(cases: Iterable[dict]) -> list[dict]:
@@ -381,7 +362,7 @@ def run_suite(suite: str, max_rank: int | None = None) -> dict:
 
 def _load_param_file(path: str):
     with open(path) as fh:
-        data = json.load(fh)
+        data = json_typed(json.load(fh), dict, "parameter file")
     inventory = Inventory.from_json_list(data["inventory"])
     phi = parameter_from_json_dict(data["parameter"], inventory)
     # support data is attached to the base point of the orbit

@@ -24,6 +24,8 @@ from .weil import (
     UnitMonomial,
     dual_point,
     is_of_type,
+    json_number,
+    json_typed,
     orbit_point,
 )
 
@@ -483,13 +485,15 @@ def parameter_to_json_dict(phi: LDParameter) -> dict:
 
 
 def parameter_from_json_dict(data: Mapping, inventory: Inventory) -> LDParameter:
-    ambient = DualGroupDescriptor(Family(data["ambient"]["family"]), int(data["ambient"]["dim"]))
-    summands = [
-        LDSummand(
-            orbit_point(inventory[s["class"]], UnitMonomial.from_json_dict(s["f"])),
-            int(s["a"]),
-            int(s.get("mult", 1)),
-        )
-        for s in data["summands"]
-    ]
+    raw = json_typed(json_typed(data, dict, "parameter")["ambient"], dict, "parameter.ambient")
+    ambient = DualGroupDescriptor(
+        Family(raw["family"]), json_number(raw["dim"], int, "parameter.ambient.dim")
+    )
+    summands = []
+    for i, s in enumerate(json_typed(data["summands"], list, "parameter.summands")):
+        path = f"parameter.summands[{i}]"
+        cls = inventory[json_typed(json_typed(s, dict, path)["class"], str, f"{path}.class")]
+        point = orbit_point(cls, UnitMonomial.from_json_dict(s["f"], f"{path}.f"))
+        a = json_number(s["a"], int, f"{path}.a")
+        summands.append(LDSummand(point, a, json_number(s.get("mult", 1), int, f"{path}.mult")))
     return build_ld_parameter(summands, ambient, inventory)

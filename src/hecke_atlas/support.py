@@ -106,8 +106,7 @@ def _kappa_prime(point: InertialPoint, ambient: DualGroupDescriptor) -> int:
     return 1 if is_of_type(point, ambient) else 0
 
 
-def _staircase_cost(point: InertialPoint, depth: int, ambient: DualGroupDescriptor) -> int:
-    kp = _kappa_prime(point, ambient)
+def _staircase_cost(depth: int, kp: int) -> int:
     return depth * (depth + 1) - kp * depth
 
 
@@ -130,18 +129,13 @@ def supports(phi0: LDParameter) -> list[SupportDatum]:
     per_class: list[tuple[str, list[tuple[int, int]]]] = []
     for cls in _self_dual_classes(phi0):
         m = orbit_multiplicity(cls, phi0)
-        plus = orbit_point(cls, UnitMonomial.one())
-        minus = orbit_point(cls, UnitMonomial.minus_one())
+        kp_plus = _kappa_prime(orbit_point(cls, UnitMonomial.one()), ambient)
+        kp_minus = _kappa_prime(orbit_point(cls, UnitMonomial.minus_one()), ambient)
         pairs = []
         a_plus = 0
-        while _staircase_cost(plus, a_plus, ambient) <= m:
+        while (cost_plus := _staircase_cost(a_plus, kp_plus)) <= m:
             a_minus = 0
-            while True:
-                cost = _staircase_cost(plus, a_plus, ambient) + _staircase_cost(
-                    minus, a_minus, ambient
-                )
-                if cost > m:
-                    break
+            while (cost := cost_plus + _staircase_cost(a_minus, kp_minus)) <= m:
                 if cost % 2 == m % 2:
                     pairs.append((a_plus, a_minus))
                 a_minus += 1
@@ -175,6 +169,7 @@ def build_phi_S(
     for label, (a_plus, a_minus) in S.entries:
         cls = classes[label]
         m = orbit_multiplicity(cls, phi0)
+        cost = 0
         for point, depth in (
             (orbit_point(cls, UnitMonomial.one()), a_plus),
             (orbit_point(cls, UnitMonomial.minus_one()), a_minus),
@@ -182,8 +177,7 @@ def build_phi_S(
             kp = _kappa_prime(point, ambient)
             for k in range(1, depth + 1):
                 summands.append(LDSummand(point, 2 * k - kp))
-        cost = _staircase_cost(orbit_point(cls, UnitMonomial.one()), a_plus, ambient)
-        cost += _staircase_cost(orbit_point(cls, UnitMonomial.minus_one()), a_minus, ambient)
+            cost += _staircase_cost(depth, kp)
         if cost > m or cost % 2 != m % 2:
             raise ValueError(f"support violates the bound or parity at orbit {label!r}")
 
@@ -200,11 +194,13 @@ def build_levi(
 ) -> LeviDescriptor:
     """GL factors with multiplicities plus the classical tail descriptor."""
     phi_S, L_S, l_S, _ = build_phi_S(phi0, S, inventory)
+    return _levi(phi0, phi_S, L_S, l_S)
+
+
+def _levi(phi0: LDParameter, phi_S: LDParameter, L_S: int, l_S: int) -> LeviDescriptor:
     gl: list[tuple[int, int]] = []
-    depths = S.as_dict
     for cls in _self_dual_classes(phi0):
         m = orbit_multiplicity(cls, phi0)
-        a_plus, a_minus = depths[cls.label]
         m_pm = sum(
             s.sl2_dim * s.multiplicity
             for s in phi_S.summands
@@ -245,7 +241,7 @@ def cuspidal_pairs(
     out: list[CuspidalSupport] = []
     for S in supports(phi0):
         phi_S, L_S, l_S, d_S = build_phi_S(phi0, S, inventory)
-        levi = build_levi(phi0, S, inventory)
+        levi = _levi(phi0, phi_S, L_S, l_S)
         for eps in _epsilons(phi_S):
             out.append(CuspidalSupport(S, phi_S, L_S, l_S, d_S, levi, eps))
     return out

@@ -30,7 +30,24 @@ __all__ = [
     "orbit_point",
     "dual_point",
     "is_of_type",
+    "json_typed",
+    "json_number",
 ]
+
+
+def json_typed(value, kind: type, path: str):
+    """``value`` if it is a ``kind`` (dict, list or str), else a ValueError naming ``path``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{path} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def json_number(value, kind: type, path: str):
+    """``kind(value)`` (int or Fraction); a bad value is a ValueError naming ``path``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{path} is not a valid {kind.__name__}: {value!r}") from None
 
 
 class Family(str, Enum):
@@ -172,8 +189,10 @@ class UnitMonomial:
         }
 
     @staticmethod
-    def from_json_dict(data: Mapping) -> "UnitMonomial":
-        return UnitMonomial(Fraction(data["root"]), Fraction(data["qexp"]))
+    def from_json_dict(data: Mapping, path: str = "monomial") -> "UnitMonomial":
+        json_typed(data, dict, path)
+        root, qexp = (json_number(data[k], Fraction, f"{path}.{k}") for k in ("root", "qexp"))
+        return UnitMonomial(root, qexp)
 
     def __str__(self) -> str:
         if self.is_one:
@@ -356,22 +375,23 @@ class Inventory:
     @staticmethod
     def from_json_list(data: list) -> "Inventory":
         inv = Inventory()
-        for entry in data:
-            raw = entry["duality"]
+        for i, entry in enumerate(json_typed(data, list, "inventory")):
+            path = f"inventory[{i}]"
+            raw = json_typed(json_typed(entry, dict, path)["duality"], dict, f"{path}.duality")
             duality: Duality
             if raw["kind"] == "not_self_dual":
-                duality = NotSelfDual(raw["partner"])
+                duality = NotSelfDual(json_typed(raw["partner"], str, f"{path}.duality.partner"))
             elif raw["kind"] == "self_dual":
                 duality = SelfDual(DualityType(raw["type_plus"]), DualityType(raw["type_minus"]))
             else:
                 raise ValueError(f"unknown duality kind {raw['kind']!r}")
             inv.add(
                 make_inertial_class(
-                    entry["label"],
-                    int(entry["dim"]),
-                    int(entry["torsion"]),
+                    json_typed(entry["label"], str, f"{path}.label"),
+                    json_number(entry["dim"], int, f"{path}.dim"),
+                    json_number(entry["torsion"], int, f"{path}.torsion"),
                     duality,
-                    entry.get("det_base", ""),
+                    json_typed(entry.get("det_base", ""), str, f"{path}.det_base"),
                 )
             )
         inv.validate()

@@ -400,6 +400,7 @@ def enumerate_decorations(levi: LeviDescriptor, max_labels: int = 3) -> list[Lev
 def verify_normalizer_equality(max_rank: int = 4) -> list[dict]:
     """Equality of the two relative Weyl groups holds exactly when the Levi
     has a tail or only even blocks."""
+    _check_cap(max(max_rank, 1))  # refuse an over-cap rank before any work
     cases = []
     for n in range(1, max_rank + 1):
         for levi in enumerate_levis(n):
@@ -422,6 +423,7 @@ def verify_decorated_equality(max_rank: int = 4, max_labels: int = 3) -> list[di
     """Decorated version: equality fails exactly for tailless Levis carrying
     a self-dual orbit on an odd block; the semidirect splitting is also
     checked on every case."""
+    _check_cap(max(max_rank, 1))  # refuse an over-cap rank before any work
     cases = []
     for n in range(1, max_rank + 1):
         for levi in enumerate_levis(n):

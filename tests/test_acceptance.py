@@ -5,10 +5,14 @@ scale and enforces its wall-clock budget; everything is exact arithmetic,
 so there are no tolerances anywhere.
 """
 
+import hashlib
+import json
 import time
 
+import pytest
+
 from hecke_atlas.centralizer import centralizer_of_s, enumerate_s_classes
-from hecke_atlas.cli import run_suite, standard_inventory
+from hecke_atlas.cli import run, run_suite, standard_inventory
 from hecke_atlas.params import (
     LDSummand,
     build_ld_parameter,
@@ -140,3 +144,27 @@ def test_support_structure_and_injectivity():
                 assert case["actual"]["injective"]
         ranks = run_suite("thm18", 6)
         assert ranks["failed"] == 0 and ranks["flagged"] == 0
+
+
+def test_over_cap_rank_is_refused_before_any_work():
+    for suite in ("lemA3", "lemA4"):
+        with Budget(1):
+            assert run(["verify", "--suite", suite, "--max-rank", "6"]) == 2
+
+
+# sha256 of json.dumps(run_suite(suite), indent=2) at the default rank: a
+# refactor must leave every report byte-identical
+GOLDEN_REPORTS = {
+    "thm11": "a1f99685a5405cc93627e64b7e1cf1ddf7714fcef2a3e32d64620ea4894409f7",
+    "thm16": "d433d34a38e11603a86e9d00cc10b3eb87eb7ca88d57adac5823e8ad614429ff",
+    "thm18": "5e75491280d3e7c2bce882e905e71b83245ccbd1fe92448cb6dcf933b1004d38",
+    "thm31": "f62062c50e39092922cc98603b55734bc6a2dd891630d4011e3075005cee55f4",
+    "thm32": "6deba4a5bdf9d91de77440aa8f91c6bc6e00670a6ccf5a66fa02885c8059eec5",
+    "thm33": "ace92327d4861ade8353e4e35706f585e31f317f1cbec1674dbe096af0a8a104",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_REPORTS))
+def test_report_bytes_match_golden_digest(suite):
+    text = json.dumps(run_suite(suite), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[suite]

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from hecke_atlas import centralizer
+from hecke_atlas import centralizer, cli
 from hecke_atlas.cli import normed_corpus, run, run_suite, standard_inventory
+from hecke_atlas.hecke import derived_rows
+from hecke_atlas.params import discrete_parameters, parameter_to_json_dict
+from hecke_atlas.weil import DualGroupDescriptor, Family
 
 
 def out_json(capsys):
@@ -119,15 +122,53 @@ def test_verify_suites_small_ranks(capsys):
         assert report["failed"] == 0, report["cases"]
 
 
-def test_thread_count_does_not_change_bytes(capsys, monkeypatch):
+def test_verify_output_is_byte_identical_across_runs(capsys):
     def render():
         assert run(["verify", "--suite", "thm31", "--max-rank", "3"]) == 0
         return capsys.readouterr().out
 
-    monkeypatch.setenv("HECKE_ATLAS_THREADS", "1")
-    single = render()
-    monkeypatch.setenv("HECKE_ATLAS_THREADS", "7")
-    assert render() == single
+    assert render() == render()
+
+
+def test_thm32_enumerates_each_table_once(monkeypatch):
+    calls = []
+
+    def counted(kind, rank):
+        calls.append((kind, rank))
+        return derived_rows(kind, rank)
+
+    monkeypatch.setattr(cli, "derived_rows", counted)
+    run_suite("thm32", 4)
+    assert sorted(calls) == [(kind, d) for kind in ("o_even", "sp") for d in range(1, 5)]
+
+
+def _param_file(tmp_path, edit):
+    inv = standard_inventory()
+    ambient = DualGroupDescriptor(Family.ORTHOGONAL, 5)
+    data = {
+        "inventory": inv.to_json_list(),
+        "parameter": parameter_to_json_dict(discrete_parameters(inv, ambient)[0]),
+    }
+    edit(data)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda d: d["parameter"].update(summands={"class": "triv"}), "parameter.summands"),
+        (lambda d: d["parameter"]["summands"][0].update(a=None), "parameter.summands[0].a"),
+        (lambda d: d.update(inventory=5), "inventory"),
+        (lambda d: d["parameter"]["summands"][0]["f"].update(root="1/0"), "parameter.summands[0].f.root"),
+    ],
+    ids=["summands_dict", "a_null", "inventory_int", "root_zero_denominator"],
+)
+def test_malformed_param_file_exits_2(tmp_path, capsys, edit, field):
+    assert run(["supports", "--param", str(_param_file(tmp_path, edit))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ") and "Traceback" not in err
 
 
 def test_normed_corpus_is_normed():

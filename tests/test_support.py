@@ -1,5 +1,6 @@
 import pytest
 
+from hecke_atlas import support
 from hecke_atlas.params import LDSummand, build_ld_parameter, is_discrete
 from hecke_atlas.support import (
     SupportDatum,
@@ -177,3 +178,28 @@ def test_support_json(so7_setting, extended_inventory):
     assert set(data) == {"S", "phiS", "LS", "lS", "dS", "levi", "epsilon", "epsZ"}
     assert data["dS"] in "+-"
     assert data["levi"]["tail"]["family"] == "symplectic"
+
+
+def test_cuspidal_pairs_builds_each_tail_once(extended_inventory, monkeypatch):
+    inv = extended_inventory
+    ambient = DualGroupDescriptor(Family.ORTHOGONAL, 7)
+    phi0 = build_ld_parameter(
+        [
+            LDSummand(orbit_point(inv["triv"], UnitMonomial.one()), 1, 3),
+            LDSummand(orbit_point(inv["a"], UnitMonomial.one()), 1, 2),
+        ],
+        ambient,
+        inv,
+    )
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return build_phi_S(*args)
+
+    monkeypatch.setattr(support, "build_phi_S", counted)
+    data = supports(phi0)
+    assert len(data) > 1 and len({label for S in data for label, _ in S.entries}) == 2
+    pairs = cuspidal_pairs(phi0, inv)
+    assert calls == data
+    assert [p.levi for p in pairs] == [build_levi(phi0, p.S, inv) for p in pairs]
