@@ -18,9 +18,8 @@ from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 from . import CheckError
-from .params import LDParameter, LDSummand, build_ld_parameter, normed_parameter, summand_type
+from .params import LDParameter, LDSummand, Orbit, build_ld_parameter, normed_parameter, summand_type
 from .weil import (
-    DualGroupDescriptor,
     DualityType,
     Family,
     InertialClass,
@@ -28,7 +27,6 @@ from .weil import (
     Inventory,
     SelfDual,
     UnitMonomial,
-    is_of_type,
     orbit_point,
 )
 
@@ -75,12 +73,6 @@ class ImageCentralizer:
     has_det_restriction: bool
 
 
-def _orbit_rep_label(cls: InertialClass) -> str:
-    if cls.is_self_dual:
-        return cls.label
-    return min(cls.label, cls.duality.partner_label)
-
-
 def _canonical_value(x: UnitMonomial) -> UnitMonomial:
     return min(x, x.inverse())
 
@@ -101,7 +93,7 @@ def centralizer_of_image(phi: LDParameter) -> ImageCentralizer:
         if self_dual_pt:
             key = (cls.label, s.point.f, s.sl2_dim)
         else:
-            key = (_orbit_rep_label(cls), _canonical_value(s.point.f), s.sl2_dim)
+            key = (cls.orbit_label, _canonical_value(s.point.f), s.sl2_dim)
         if key in seen:
             continue
         seen.add(key)
@@ -145,19 +137,6 @@ class SemisimpleClassDescriptor:
         return SemisimpleClassDescriptor(tuple(blocks))
 
 
-def _orbit_blocks(phi0: LDParameter) -> list[tuple[str, InertialClass, int]]:
-    """(block label, representative class, size) per orbit of a normed parameter."""
-    out: dict[str, tuple[InertialClass, int]] = {}
-    for s in phi0.summands:
-        cls = s.point.cls
-        label = _orbit_rep_label(cls)
-        if cls.label != label:
-            continue  # only the representative side of a dual pair
-        rep, m = out.get(label, (cls, 0))
-        out[label] = (rep, m + s.sl2_dim * s.multiplicity)
-    return [(label, rep, m) for label, (rep, m) in sorted(out.items())]
-
-
 def s_phi(phi: LDParameter) -> SemisimpleClassDescriptor:
     """The semisimple class collecting the f-values of a Weil parameter."""
     raw: dict[str, list[tuple[UnitMonomial, int]]] = {}
@@ -165,16 +144,14 @@ def s_phi(phi: LDParameter) -> SemisimpleClassDescriptor:
         if s.sl2_dim != 1:
             raise ValueError("s_phi expects a parameter trivial on the SL2 side")
         cls = s.point.cls
-        label = _orbit_rep_label(cls)
-        if not cls.is_self_dual and cls.label != label:
-            continue
-        raw.setdefault(label, []).append((s.point.f, s.multiplicity))
+        if cls.label != cls.orbit_label:
+            continue  # only the representative side of a dual pair
+        raw.setdefault(cls.label, []).append((s.point.f, s.multiplicity))
     return SemisimpleClassDescriptor.build(raw)
 
 
-def _sign_families(cls: InertialClass, ambient: DualGroupDescriptor) -> tuple[str, str]:
-    plus = is_of_type(orbit_point(cls, UnitMonomial.one()), ambient)
-    minus = is_of_type(orbit_point(cls, UnitMonomial.minus_one()), ambient)
+def _sign_families(orbit: Orbit) -> tuple[str, str]:
+    plus, minus = orbit.types
     return ("O" if plus else "Sp", "O" if minus else "Sp")
 
 
@@ -203,16 +180,17 @@ def centralizer_of_s(phi0: LDParameter, s: SemisimpleClassDescriptor) -> SCentra
     hp: list[tuple[str, int, str]] = []
     mixed: list[str] = []
     m_minus_mixed = 0
-    for label, cls, m in _orbit_blocks(phi0):
+    for orbit in phi0.orbits:
+        label, m = orbit.cls.label, orbit.multiplicity
         values = dict(s.block(label))
         if sum(values.values()) != m:
             raise ValueError(f"eigenvalue multiplicities at block {label!r} do not sum to {m}")
-        if not cls.is_self_dual:
+        if orbit.types is None:
             for x, mx in sorted(values.items()):
                 h.append(("GL", mx, f"{label}@{x}"))
                 hp.append(("GL", mx, f"{label}@{x}"))
             continue
-        fam_plus, fam_minus = _sign_families(cls, phi0.ambient)
+        fam_plus, fam_minus = _sign_families(orbit)
         if fam_plus != fam_minus:
             mixed.append(label)
             m_minus_mixed += values.get(UnitMonomial.minus_one(), 0)
@@ -278,7 +256,7 @@ def enumerate_s_classes(phi0: LDParameter, max_pair_mult: int = 2) -> list[Semis
     Per orbit block the eigenvalue 1/-1 multiplicities and a few inverse
     pairs from a fixed palette are enumerated exhaustively.
     """
-    blocks = _orbit_blocks(phi0)
+    blocks = phi0.orbits
 
     def block_choices(m: int) -> list[list[tuple[UnitMonomial, int]]]:
         out = []
@@ -298,12 +276,12 @@ def enumerate_s_classes(phi0: LDParameter, max_pair_mult: int = 2) -> list[Semis
                     out.append(values)
         return out
 
-    per_block = [block_choices(m) for _, _, m in blocks]
+    per_block = [block_choices(orbit.multiplicity) for orbit in blocks]
     out = []
     for combo in itertools.product(*per_block):
         out.append(
             SemisimpleClassDescriptor.build(
-                {label: values for (label, _, _), values in zip(blocks, combo)}
+                {orbit.cls.label: values for orbit, values in zip(blocks, combo)}
             )
         )
     return out
@@ -319,7 +297,6 @@ class Triple:
     s: SemisimpleClassDescriptor
     u_by_eigenblock: tuple[tuple[tuple[str, UnitMonomial], tuple[int, ...]], ...]
     sign_families: tuple[tuple[str, str, str], ...]  # (block, family at 1, family at -1)
-    xi: tuple[tuple[str, int], ...] | None = None
 
 
 def _partition_ok(parts: Sequence[int], family: str) -> bool:
@@ -339,12 +316,12 @@ def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
     ``f*q**((a-1)/2 - j)`` and the unipotent part of the f-eigenblock a part
     ``a``; partition parities are validated against the block families.
     """
-    blocks = {label: (cls, m) for label, cls, m in _orbit_blocks(phi0)}
+    blocks = {orbit.cls.label: orbit for orbit in phi0.orbits}
     raw_s: dict[str, list[tuple[UnitMonomial, int]]] = {label: [] for label in blocks}
     raw_u: dict[tuple[str, UnitMonomial], list[int]] = {}
     for s in phi.summands:
         cls = s.point.cls
-        label = _orbit_rep_label(cls)
+        label = cls.orbit_label
         if label not in blocks:
             raise ValueError(f"summand orbit {label!r} does not occur in the base parameter")
         rep_side = cls.label == label
@@ -354,22 +331,25 @@ def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
                 step = UnitMonomial.of(0, Fraction(a - 1, 2) - j)
                 raw_s[label].append((s.point.f * step, s.multiplicity))
         x = s.point.f if rep_side else s.point.f.inverse()
-        canonical = _canonical_value(x) if blocks[label][0].is_self_dual else x
-        if (not blocks[label][0].is_self_dual and not rep_side) or (
-            blocks[label][0].is_self_dual and x != canonical and not x.is_sign
+        canonical = _canonical_value(x) if blocks[label].cls.is_self_dual else x
+        if (not blocks[label].cls.is_self_dual and not rep_side) or (
+            blocks[label].cls.is_self_dual and x != canonical and not x.is_sign
         ):
             continue  # mirrored side of the canonical key
         raw_u.setdefault((label, canonical), []).extend([a] * s.multiplicity)
 
-    for label, (cls, m) in blocks.items():
+    for label, orbit in blocks.items():
         total = sum(mult for _, mult in raw_s[label])
-        if total != m:
-            raise ValueError(f"block {label!r} has Weil multiplicity {total}, expected {m}")
+        if total != orbit.multiplicity:
+            raise ValueError(
+                f"block {label!r} has Weil multiplicity {total}, expected {orbit.multiplicity}"
+            )
 
     sign_families = []
-    for label, (cls, m) in sorted(blocks.items()):
+    for label, orbit in blocks.items():
+        cls = orbit.cls
         if cls.is_self_dual:
-            fam_plus, fam_minus = _sign_families(cls, phi0.ambient)
+            fam_plus, fam_minus = _sign_families(orbit)
         else:
             fam_plus = fam_minus = "GL"
         sign_families.append((label, fam_plus, fam_minus))
@@ -398,7 +378,7 @@ def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
 def triple_to_parameter(t: Triple, phi0: LDParameter, inventory: Inventory | None = None) -> LDParameter:
     """Rebuild the parameter from Jordan data; the semisimple part must
     match the ladders implied by the unipotent part exactly."""
-    classes = {label: cls for label, cls, _ in _orbit_blocks(phi0)}
+    classes = {orbit.cls.label: orbit.cls for orbit in phi0.orbits}
     summands: list[LDSummand] = []
     for (label, x), parts in t.u_by_eigenblock:
         cls = classes[label]
@@ -653,5 +633,4 @@ def triple_to_json_dict(t: Triple) -> dict:
         "partitions": {
             f"{label}@{x}": list(parts) for (label, x), parts in t.u_by_eigenblock
         },
-        "xi": None if t.xi is None else {g: v for g, v in t.xi},
     }

@@ -27,10 +27,14 @@ from .hecke import (
     sp_normalization,
 )
 from .params import (
+    LDSummand,
+    _bounded_choices,
     alternating_characters,
     brute_force_supercuspidals,
+    build_ld_parameter,
     count_supercuspidals,
     discrete_parameters,
+    is_supercuspidal_shape,
     normed_parameter,
     parameter_from_json_dict,
     parameter_to_json_dict,
@@ -103,37 +107,27 @@ def _classical_ambients(max_dim: int) -> list[DualGroupDescriptor]:
 def normed_corpus(inventory: Inventory, max_ambient_dim: int):
     """All base-point-only parameters (every factor at f=1, no internal
     twisting) over the inventory, for every classical ambient group."""
-    from .params import LDSummand, build_ld_parameter
-
-    self_dual = sorted(c.label for c in inventory if c.is_self_dual)
+    self_dual = sorted((c.label,) for c in inventory if c.is_self_dual)
     pairs = sorted(
         {tuple(sorted((c.label, c.duality.partner_label))) for c in inventory if not c.is_self_dual}
     )
+    orbits = [
+        [orbit_point(inventory[label], UnitMonomial.one()) for label in labels]
+        for labels in self_dual + pairs
+    ]
     out = []
     for ambient in _classical_ambients(max_ambient_dim):
         n = ambient.ambient_dim
-        slots = [(label, inventory[label].dim) for label in self_dual]
-        slots += [(pair, inventory[pair[0]].dim + inventory[pair[1]].dim) for pair in pairs]
-
-        def assign(i, remaining, chosen):
-            if i == len(slots):
-                if remaining == 0 and chosen:
-                    summands = []
-                    for key, mult in chosen:
-                        labels = [key] if isinstance(key, str) else list(key)
-                        for label in labels:
-                            summands.append(
-                                LDSummand(orbit_point(inventory[label], UnitMonomial.one()), 1, mult)
-                            )
-                    out.append(build_ld_parameter(summands, ambient, inventory))
-                return
-            key, d = slots[i]
-            m = 0
-            while m * d <= remaining:
-                assign(i + 1, remaining - m * d, chosen + ([(key, m)] if m else []))
-                m += 1
-
-        assign(0, n, [])
+        slots = []  # per orbit: (dimension, summands) for each multiplicity m
+        for points in orbits:
+            d = sum(p.cls.dim for p in points)
+            slots.append(
+                [(m * d, [LDSummand(p, 1, m) for p in points if m]) for m in range(n // d + 1)]
+            )
+        for choice in _bounded_choices(slots, n):
+            summands = [s for group in choice for s in group]
+            if summands:
+                out.append(build_ld_parameter(summands, ambient, inventory))
     return out
 
 
@@ -161,10 +155,7 @@ def _suite_thm11(max_rank: int) -> list[dict]:
             "total": len(alternating_characters(phi)),
         }
         actual = {"plus": plus, "minus": minus, "total": 2 ** (n_odd + n_even)}
-        name = "+".join(
-            f"{s.point.cls.label}{'+' if s.point.f.is_one else '-'}:sp{s.sl2_dim}"
-            for s in phi.summands
-        )
+        name = "+".join(phi.generator_labels())
         return _case(f"{phi.ambient.family.value}{phi.ambient.ambient_dim}:{name}", expected, actual)
 
     return [check(phi) for phi in corpus]
@@ -172,6 +163,12 @@ def _suite_thm11(max_rank: int) -> list[dict]:
 
 def _structural_corpus(max_rank: int):
     return normed_corpus(standard_inventory(), max_rank)
+
+
+def _orbit_case_name(phi0) -> str:
+    return f"{phi0.ambient.family.value}{phi0.ambient.ambient_dim}:" + ",".join(
+        f"{s.point.cls.label}^{s.multiplicity}" for s in phi0.summands
+    )
 
 
 def _suite_thm16(max_rank: int) -> list[dict]:
@@ -186,10 +183,7 @@ def _suite_thm16(max_rank: int) -> list[dict]:
         status = "flagged" if ok and report["flagged"] else ("pass" if ok else "fail")
         expected = {"tail_parity": [n % 2] if pairs else [], "injective": True}
         actual = {"tail_parity": parities, "injective": report["injective_outside_flagged"]}
-        name = f"{phi0.ambient.family.value}{n}:" + ",".join(
-            f"{s.point.cls.label}^{s.multiplicity}" for s in phi0.summands
-        )
-        return _case(name, expected, actual, status)
+        return _case(_orbit_case_name(phi0), expected, actual, status)
 
     return [check(phi0) for phi0 in _structural_corpus(max_rank)]
 
@@ -203,10 +197,7 @@ def _suite_thm18(max_rank: int) -> list[dict]:
             for label, f in hecke_descriptor(phi0, S).factors:
                 if f.family == "SO" and not f.extended and f.size % 2 == 0:
                     bad.append([label, f.size])
-        name = f"{phi0.ambient.family.value}{phi0.ambient.ambient_dim}:" + ",".join(
-            f"{s.point.cls.label}^{s.multiplicity}" for s in phi0.summands
-        )
-        return _case(name, {"even_rank_cases": []}, {"even_rank_cases": bad})
+        return _case(_orbit_case_name(phi0), {"even_rank_cases": []}, {"even_rank_cases": bad})
 
     return [check(phi0) for phi0 in _structural_corpus(max_rank)]
 
@@ -295,10 +286,7 @@ def _suite_thm26_matrix(max_rank: int) -> list[dict]:
 
     def check(item):
         ambient, phi = item
-        name = f"{ambient.family.value}{ambient.ambient_dim}:" + "+".join(
-            f"{s.point.cls.label}{'+' if s.point.f.is_one else '-'}:sp{s.sl2_dim}"
-            for s in phi.summands
-        )
+        name = f"{ambient.family.value}{ambient.ambient_dim}:" + "+".join(phi.generator_labels())
         try:
             realize_matrices(phi, 4)
             phi0 = normed_parameter(phi, inv)
@@ -375,16 +363,9 @@ def _cmd_enumerate(args) -> int:
         return 2
     inventory = Inventory.load(args.classes)
     ambient = GROUP_AMBIENTS[args.group](args.rank)
+    params = discrete_parameters(inventory, ambient)
     if args.cuspidal:
-        from .params import is_supercuspidal_shape
-
-        params = [
-            phi
-            for phi in discrete_parameters(inventory, ambient)
-            if is_supercuspidal_shape(phi)
-        ]
-    else:
-        params = discrete_parameters(inventory, ambient)
+        params = [phi for phi in params if is_supercuspidal_shape(phi)]
     payload = {
         "group": args.group,
         "rank": args.rank,
@@ -462,9 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=sorted(GROUP_AMBIENTS), required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--classes", required=True, help="inventory JSON file")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--discrete", action="store_true")
-    mode.add_argument("--cuspidal", action="store_true")
+    p.add_argument("--cuspidal", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_enumerate)
 

@@ -14,23 +14,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .params import LDParameter, LDSummand, build_ld_parameter
-from .support import (
-    SupportDatum,
-    build_phi_S,
-    cuspidal_pairs,
-    orbit_multiplicity,
-    supports,
-)
+from .params import LDParameter, LDSummand, build_ld_parameter, staircase
+from .support import SupportDatum, cuspidal_pairs
 from .weil import (
     DualGroupDescriptor,
     DualityType,
     Family,
-    InertialClass,
     Inventory,
     SelfDual,
     UnitMonomial,
-    is_of_type,
+    half_integer_str,
     make_inertial_class,
     orbit_point,
 )
@@ -84,27 +77,22 @@ def _equal(family: str, size: int, t: int, extended: bool = False) -> HeckeFacto
     return HeckeFactor(family, size, extended, t, e, e, e)
 
 
-def _depth_cost(depth: int, of_type: bool) -> int:
-    return depth * depth if of_type else depth * (depth + 1)
-
-
 def hecke_factor(phi0: LDParameter, S: SupportDatum, orbit_label: str) -> HeckeFactor:
     """The algebra factor contributed by one orbit for one support."""
-    cls = next(s.point.cls for s in phi0.summands if s.point.cls.label == orbit_label)
-    m = orbit_multiplicity(cls, phi0)
-    t = cls.torsion
-    if not cls.is_self_dual:
+    orbit = next(o for o in phi0.orbits if o.cls.label == orbit_label)
+    m = orbit.multiplicity
+    t = orbit.cls.torsion
+    if orbit.types is None:
         return _equal("GL", m, t)
 
     a_plus, a_minus = S.as_dict[orbit_label]
-    plus_type = is_of_type(orbit_point(cls, UnitMonomial.one()), phi0.ambient)
-    minus_type = is_of_type(orbit_point(cls, UnitMonomial.minus_one()), phi0.ambient)
+    plus_type, minus_type = orbit.types
     if plus_type and minus_type and a_plus == 0 and a_minus == 0:
         return _equal("SO", m, t, extended=True)
 
     kappa_plus = 0 if plus_type else 1
     kappa_minus = 0 if minus_type else 1
-    m_pm = _depth_cost(a_plus, plus_type) + _depth_cost(a_minus, minus_type)
+    m_pm = staircase(a_plus, plus_type)[1] + staircase(a_minus, minus_type)[1]
     size = m - m_pm + 1
     if size % 2 != 1:
         raise ValueError("odd-rank invariant violated in the unequal-parameter case")
@@ -115,19 +103,9 @@ def hecke_factor(phi0: LDParameter, S: SupportDatum, orbit_label: str) -> HeckeF
 
 def hecke_descriptor(phi0: LDParameter, S: SupportDatum) -> HeckeDescriptor:
     """One factor per orbit of the parameter (dual pairs count once)."""
-    factors = []
-    seen: set[str] = set()
-    for s in phi0.summands:
-        cls = s.point.cls
-        label = cls.label
-        if not cls.is_self_dual:
-            label = min(label, cls.duality.partner_label)
-        if label in seen:
-            continue
-        seen.add(label)
-        factors.append((label, hecke_factor(phi0, S, label)))
-    factors.sort(key=lambda kv: kv[0])
-    return HeckeDescriptor(tuple(factors))
+    return HeckeDescriptor(
+        tuple((o.cls.label, hecke_factor(phi0, S, o.cls.label)) for o in phi0.orbits)
+    )
 
 
 def sp_normalization(f: HeckeFactor) -> HeckeFactor:
@@ -327,11 +305,10 @@ def unit_setting(kind: str, rank: int) -> tuple[Inventory, LDParameter]:
 
 
 def _support_pair(phi0: LDParameter, S: SupportDatum) -> tuple[int, int]:
-    cls = phi0.summands[0].point.cls
-    a_plus, a_minus = S.as_dict[cls.label]
-    plus_type = is_of_type(orbit_point(cls, UnitMonomial.one()), phi0.ambient)
-    minus_type = is_of_type(orbit_point(cls, UnitMonomial.minus_one()), phi0.ambient)
-    return _depth_cost(a_plus, plus_type), _depth_cost(a_minus, minus_type)
+    (orbit,) = phi0.orbits
+    a_plus, a_minus = S.as_dict[orbit.cls.label]
+    plus_type, minus_type = orbit.types
+    return staircase(a_plus, plus_type)[1], staircase(a_minus, minus_type)[1]
 
 
 def derived_rows(kind: str, rank: int) -> list[tuple[tuple[int, int], HeckeFactor, int, int]]:
@@ -373,20 +350,13 @@ def unipotent_reduction(phi0: LDParameter) -> list[tuple[str, int, int]]:
     and unramified quasi-split unitary in the mixed-type case.
     """
     out: list[tuple[str, int, int]] = []
-    seen: set[str] = set()
-    for s in phi0.summands:
-        cls = s.point.cls
-        label = cls.label if cls.is_self_dual else min(cls.label, cls.duality.partner_label)
-        if label in seen:
-            continue
-        seen.add(label)
-        m = orbit_multiplicity(cls, phi0)
-        t = cls.torsion
-        if not cls.is_self_dual:
+    for orbit in phi0.orbits:
+        m = orbit.multiplicity
+        t = orbit.cls.torsion
+        if orbit.types is None:
             out.append(("GL", m, t))
             continue
-        plus_type = is_of_type(orbit_point(cls, UnitMonomial.one()), phi0.ambient)
-        minus_type = is_of_type(orbit_point(cls, UnitMonomial.minus_one()), phi0.ambient)
+        plus_type, minus_type = orbit.types
         if plus_type and minus_type:
             out.append(("Sp", m - 1, t) if m % 2 == 1 else ("O", m, t))
         elif not plus_type and not minus_type:
@@ -401,18 +371,13 @@ def unipotent_reduction(phi0: LDParameter) -> list[tuple[str, int, int]]:
 # serialization
 
 
-def _expo_str(e: Fraction) -> str:
-    e = Fraction(e)
-    return f"{2 * e.numerator // e.denominator}/2"
-
-
 def factor_to_json_dict(f: HeckeFactor) -> dict:
     return {
         "family": f.family,
         "size": f.size,
         "extended": f.extended,
         "t": f.t,
-        "internal": _expo_str(f.internal),
-        "endLong": _expo_str(f.end_long),
-        "endShort": _expo_str(f.end_short),
+        "internal": half_integer_str(f.internal),
+        "endLong": half_integer_str(f.end_long),
+        "endShort": half_integer_str(f.end_short),
     }

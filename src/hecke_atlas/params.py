@@ -13,6 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .weil import (
@@ -27,11 +28,14 @@ from .weil import (
     json_number,
     json_typed,
     orbit_point,
+    sign_types,
 )
 
 __all__ = [
     "LDSummand",
     "LDParameter",
+    "Orbit",
+    "staircase",
     "ComponentGroup",
     "SignCharacter",
     "summand_type",
@@ -76,6 +80,20 @@ class LDSummand:
 
 
 @dataclass(frozen=True)
+class Orbit:
+    """One orbit of a parameter, a dual pair counting once.
+
+    ``cls`` is the representative class, ``multiplicity`` the summed
+    ``sl2_dim * multiplicity`` of its summands, and ``types`` says whether
+    the +1 and -1 points have the ambient's type (``None`` for a dual pair).
+    """
+
+    cls: InertialClass
+    multiplicity: int
+    types: tuple[bool, bool] | None
+
+
+@dataclass(frozen=True)
 class LDParameter:
     """Canonicalized parameter: ambient group plus sorted summand tuple."""
 
@@ -89,6 +107,22 @@ class LDParameter:
     def generator_labels(self) -> list[str]:
         return [_summand_label(s) for s in self.summands]
 
+    @cached_property
+    def orbits(self) -> tuple[Orbit, ...]:
+        """The orbits of the summands, sorted by representative label;
+        worked out once per parameter."""
+        classes: dict[str, InertialClass] = {}
+        mult: dict[str, int] = {}
+        for s in self.summands:
+            cls = s.point.cls
+            if cls.label == cls.orbit_label:
+                classes[cls.label] = cls
+                mult[cls.label] = mult.get(cls.label, 0) + s.sl2_dim * s.multiplicity
+        return tuple(
+            Orbit(cls, mult[label], sign_types(cls, self.ambient) if cls.is_self_dual else None)
+            for label, cls in sorted(classes.items())
+        )
+
 
 def _summand_label(s: LDSummand) -> str:
     f = s.point.f
@@ -97,6 +131,13 @@ def _summand_label(s: LDSummand) -> str:
     else:
         tag = f"({f})"
     return f"{s.point.cls.label}{tag}:sp{s.sl2_dim}"
+
+
+def staircase(depth: int, of_type: bool) -> tuple[range, int]:
+    """SL2 dimensions ``2k - kappa'`` (k = 1..depth) of a staircase, and their
+    sum ``depth * (depth + 1) - kappa' * depth``; ``kappa'`` is 1 when the
+    point has the ambient's type."""
+    return range(2 - of_type, 2 * depth + 1 - of_type, 2), depth * (depth + 1 - of_type)
 
 
 def summand_type(p: InertialPoint, a: int, g: DualGroupDescriptor) -> bool:
@@ -166,12 +207,7 @@ def is_supercuspidal_shape(phi: LDParameter) -> bool:
         if any(s.multiplicity != 1 for s in group):
             return False
         dims = sorted(s.sl2_dim for s in group)
-        depth = len(dims)
-        if is_of_type(point, phi.ambient):
-            expected = [2 * k - 1 for k in range(1, depth + 1)]
-        else:
-            expected = [2 * k for k in range(1, depth + 1)]
-        if dims != expected:
+        if dims != list(staircase(len(dims), is_of_type(point, phi.ambient))[0]):
             return False
     return True
 
@@ -261,12 +297,8 @@ def alternating_characters(phi: LDParameter) -> list[SignCharacter]:
     return out
 
 
-def t_invariants(phi: LDParameter, counting_convention: bool = False) -> tuple[int, int]:
-    """Counts of ambient-type points with odd / even staircase depth.
-
-    With ``counting_convention`` the odd count is bumped to 1 when it is
-    zero, as used by the closed-form supercuspidal count.
-    """
+def t_invariants(phi: LDParameter) -> tuple[int, int]:
+    """Counts of ambient-type points with odd / even staircase depth."""
     n_odd = n_even = 0
     for point, group in _blocks(phi):
         if is_of_type(point, phi.ambient):
@@ -274,8 +306,6 @@ def t_invariants(phi: LDParameter, counting_convention: bool = False) -> tuple[i
                 n_odd += 1
             else:
                 n_even += 1
-    if counting_convention and n_odd == 0:
-        n_odd = 1
     return n_odd, n_even
 
 
@@ -340,9 +370,8 @@ def det_discrepancy(phi: LDParameter, phi0: LDParameter) -> int:
                 key = (cls.label, True)
                 orient = 1
             else:
-                partner = cls.duality.partner_label
-                key = (min(cls.label, partner), False)
-                orient = 1 if cls.label < partner else -1
+                key = (cls.orbit_label, False)
+                orient = 1 if cls.label < cls.duality.partner_label else -1
             ram[key] = ram.get(key, 0) + orient * expo_sign * e
     for (label, self_dual), e in ram.items():
         bad = (e % 2 != 0) if self_dual else (e != 0)
@@ -357,18 +386,21 @@ def det_discrepancy(phi: LDParameter, phi0: LDParameter) -> int:
 # corpus generation
 
 
-def _staircase_summands(point: InertialPoint, depth: int, ambient: DualGroupDescriptor) -> list[LDSummand]:
-    if is_of_type(point, ambient):
-        dims = [2 * k - 1 for k in range(1, depth + 1)]
-    else:
-        dims = [2 * k for k in range(1, depth + 1)]
-    return [LDSummand(point, a) for a in dims]
+def _bounded_choices(slots: Sequence[Sequence[tuple[int, object]]], total: int) -> Iterator[tuple]:
+    """Depth first, every choice of one option per slot whose costs add up to
+    exactly ``total``; each slot lists its ``(cost, value)`` options in order
+    and costs are non-negative."""
 
+    def walk(i: int, remaining: int, chosen: tuple) -> Iterator[tuple]:
+        if i == len(slots):
+            if remaining == 0:
+                yield chosen
+            return
+        for cost, value in slots[i]:
+            if cost <= remaining:
+                yield from walk(i + 1, remaining - cost, chosen + (value,))
 
-def _staircase_cost(point: InertialPoint, depth: int, ambient: DualGroupDescriptor) -> int:
-    if is_of_type(point, ambient):
-        return point.cls.dim * depth * depth
-    return point.cls.dim * depth * (depth + 1)
+    return walk(0, total, ())
 
 
 def supercuspidal_shapes(
@@ -376,36 +408,26 @@ def supercuspidal_shapes(
 ) -> Iterator[LDParameter]:
     """All cuspidal-shape parameters in ``ambient`` over ``inventory``."""
     conjugate = ambient.family is Family.UNITARY_L
-    points = []
+    target = ambient.ambient_dim
+    slots = []  # per sign point: (cost, staircase summands) by depth
     for cls in sorted(inventory, key=lambda c: c.label):
         if not cls.is_self_dual:
             continue
         if cls.duality.type_at_plus.conjugate_flavour != conjugate:
             continue
-        points.append(orbit_point(cls, UnitMonomial.one()))
-        points.append(orbit_point(cls, UnitMonomial.minus_one()))
-
-    target = ambient.ambient_dim
-
-    def assign(i: int, remaining: int, chosen: list[tuple[InertialPoint, int]]):
-        if i == len(points):
-            if remaining == 0 and chosen:
-                summands: list[LDSummand] = []
-                for point, depth in chosen:
-                    summands.extend(_staircase_summands(point, depth, ambient))
-                yield build_ld_parameter(summands, ambient, inventory)
-            return
-        point = points[i]
-        depth = 0
-        while True:
-            cost = _staircase_cost(point, depth, ambient)
-            if cost > remaining:
-                break
-            extra = [(point, depth)] if depth else []
-            yield from assign(i + 1, remaining - cost, chosen + extra)
-            depth += 1
-
-    yield from assign(0, target, [])
+        for f, of_type in zip((UnitMonomial.one(), UnitMonomial.minus_one()), sign_types(cls, ambient)):
+            point = orbit_point(cls, f)
+            options = []
+            for depth in itertools.count():
+                dims, cost = staircase(depth, of_type)
+                if cls.dim * cost > target:
+                    break
+                options.append((cls.dim * cost, [LDSummand(point, a) for a in dims]))
+            slots.append(options)
+    for choice in _bounded_choices(slots, target):
+        summands = [s for group in choice for s in group]
+        if summands:
+            yield build_ld_parameter(summands, ambient, inventory)
 
 
 def supercuspidal_corpus(inventory: Inventory, max_ambient_dim: int) -> list[LDParameter]:
@@ -422,7 +444,7 @@ def discrete_parameters(inventory: Inventory, ambient: DualGroupDescriptor) -> l
     """All discrete parameters in ``ambient``: multiplicity-free sums of
     self-dual sign points tensored with SL2 factors of the ambient type."""
     conjugate = ambient.family is Family.UNITARY_L
-    choices: list[LDSummand] = []
+    slots = []  # per admissible summand: take it, or leave it out
     for cls in sorted(inventory, key=lambda c: c.label):
         if not cls.is_self_dual:
             continue
@@ -433,22 +455,15 @@ def discrete_parameters(inventory: Inventory, ambient: DualGroupDescriptor) -> l
             a = 1
             while cls.dim * a <= ambient.ambient_dim:
                 if summand_type(point, a, ambient):
-                    choices.append(LDSummand(point, a))
+                    s = LDSummand(point, a)
+                    slots.append(((s.dim, s), (0, None)))
                 a += 1
 
     out: list[LDParameter] = []
-
-    def pick(i: int, remaining: int, chosen: list[LDSummand]) -> None:
-        if remaining == 0 and chosen:
+    for choice in _bounded_choices(slots, ambient.ambient_dim):
+        chosen = [s for s in choice if s is not None]
+        if chosen:
             out.append(build_ld_parameter(chosen, ambient, inventory))
-        if i == len(choices) or remaining <= 0:
-            return
-        s = choices[i]
-        if s.dim <= remaining:
-            pick(i + 1, remaining - s.dim, chosen + [s])
-        pick(i + 1, remaining, chosen)
-
-    pick(0, ambient.ambient_dim, [])
     return out
 
 

@@ -21,15 +21,13 @@ from .params import (
     build_ld_parameter,
     det_discrepancy,
     is_supercuspidal_shape,
+    staircase,
 )
 from .weil import (
     DualGroupDescriptor,
     Family,
-    InertialClass,
-    InertialPoint,
     Inventory,
     UnitMonomial,
-    is_of_type,
     orbit_point,
 )
 
@@ -37,7 +35,6 @@ __all__ = [
     "SupportDatum",
     "LeviDescriptor",
     "CuspidalSupport",
-    "orbit_multiplicity",
     "supports",
     "build_phi_S",
     "build_levi",
@@ -58,9 +55,6 @@ class SupportDatum:
     @property
     def as_dict(self) -> dict[str, tuple[int, int]]:
         return dict(self.entries)
-
-    def sort_key(self):
-        return tuple((label, pair) for label, pair in self.entries)
 
 
 @dataclass(frozen=True)
@@ -95,29 +89,6 @@ def _check_normed(phi0: LDParameter) -> None:
             raise ValueError("parameter has a nontrivial SL2 side")
 
 
-def orbit_multiplicity(cls: InertialClass, phi: LDParameter) -> int:
-    """Number of copies of the orbit of ``cls`` on the Weil side of ``phi``."""
-    return sum(
-        s.sl2_dim * s.multiplicity for s in phi.summands if s.point.cls.label == cls.label
-    )
-
-
-def _kappa_prime(point: InertialPoint, ambient: DualGroupDescriptor) -> int:
-    return 1 if is_of_type(point, ambient) else 0
-
-
-def _staircase_cost(depth: int, kp: int) -> int:
-    return depth * (depth + 1) - kp * depth
-
-
-def _self_dual_classes(phi0: LDParameter) -> list[InertialClass]:
-    seen: dict[str, InertialClass] = {}
-    for s in phi0.summands:
-        if s.point.cls.is_self_dual:
-            seen.setdefault(s.point.cls.label, s.point.cls)
-    return [seen[label] for label in sorted(seen)]
-
-
 def supports(phi0: LDParameter) -> list[SupportDatum]:
     """All admissible depth data, ordered lexicographically.
 
@@ -125,28 +96,28 @@ def supports(phi0: LDParameter) -> list[SupportDatum]:
     and must match its parity.
     """
     _check_normed(phi0)
-    ambient = phi0.ambient
     per_class: list[tuple[str, list[tuple[int, int]]]] = []
-    for cls in _self_dual_classes(phi0):
-        m = orbit_multiplicity(cls, phi0)
-        kp_plus = _kappa_prime(orbit_point(cls, UnitMonomial.one()), ambient)
-        kp_minus = _kappa_prime(orbit_point(cls, UnitMonomial.minus_one()), ambient)
+    for orbit in phi0.orbits:
+        if orbit.types is None:
+            continue
+        m = orbit.multiplicity
+        plus_type, minus_type = orbit.types
         pairs = []
         a_plus = 0
-        while (cost_plus := _staircase_cost(a_plus, kp_plus)) <= m:
+        while (cost_plus := staircase(a_plus, plus_type)[1]) <= m:
             a_minus = 0
-            while (cost := cost_plus + _staircase_cost(a_minus, kp_minus)) <= m:
+            while (cost := cost_plus + staircase(a_minus, minus_type)[1]) <= m:
                 if cost % 2 == m % 2:
                     pairs.append((a_plus, a_minus))
                 a_minus += 1
             a_plus += 1
-        per_class.append((cls.label, sorted(pairs)))
+        per_class.append((orbit.cls.label, sorted(pairs)))
 
+    # the product of the sorted per-orbit lists, in label order, is lexicographic
     out = []
     labels = [label for label, _ in per_class]
     for combo in itertools.product(*(pairs for _, pairs in per_class)):
         out.append(SupportDatum(tuple(zip(labels, combo))))
-    out.sort(key=SupportDatum.sort_key)
     return out
 
 
@@ -164,20 +135,19 @@ def build_phi_S(
     """The discrete tail parameter of a support, with (L_S, l_S, d_S)."""
     _check_normed(phi0)
     ambient = phi0.ambient
-    classes = {cls.label: cls for cls in _self_dual_classes(phi0)}
+    orbits = {orbit.cls.label: orbit for orbit in phi0.orbits if orbit.types is not None}
     summands: list[LDSummand] = []
     for label, (a_plus, a_minus) in S.entries:
-        cls = classes[label]
-        m = orbit_multiplicity(cls, phi0)
+        orbit = orbits[label]
+        m = orbit.multiplicity
         cost = 0
-        for point, depth in (
-            (orbit_point(cls, UnitMonomial.one()), a_plus),
-            (orbit_point(cls, UnitMonomial.minus_one()), a_minus),
+        for f, depth, of_type in zip(
+            (UnitMonomial.one(), UnitMonomial.minus_one()), (a_plus, a_minus), orbit.types
         ):
-            kp = _kappa_prime(point, ambient)
-            for k in range(1, depth + 1):
-                summands.append(LDSummand(point, 2 * k - kp))
-            cost += _staircase_cost(depth, kp)
+            point = orbit_point(orbit.cls, f)
+            dims, step_cost = staircase(depth, of_type)
+            summands.extend(LDSummand(point, a) for a in dims)
+            cost += step_cost
         if cost > m or cost % 2 != m % 2:
             raise ValueError(f"support violates the bound or parity at orbit {label!r}")
 
@@ -199,8 +169,11 @@ def build_levi(
 
 def _levi(phi0: LDParameter, phi_S: LDParameter, L_S: int, l_S: int) -> LeviDescriptor:
     gl: list[tuple[int, int]] = []
-    for cls in _self_dual_classes(phi0):
-        m = orbit_multiplicity(cls, phi0)
+    for orbit in phi0.orbits:
+        cls, m = orbit.cls, orbit.multiplicity
+        if orbit.types is None:
+            gl.append((cls.dim, m))
+            continue
         m_pm = sum(
             s.sl2_dim * s.multiplicity
             for s in phi_S.summands
@@ -210,17 +183,6 @@ def _levi(phi0: LDParameter, phi_S: LDParameter, L_S: int, l_S: int) -> LeviDesc
             raise ValueError(f"non-integral GL multiplicity at orbit {cls.label!r}")
         if m > m_pm:
             gl.append((cls.dim, (m - m_pm) // 2))
-    seen_pairs = set()
-    for s in phi0.summands:
-        cls = s.point.cls
-        if cls.is_self_dual:
-            continue
-        rep = min(cls.label, cls.duality.partner_label)
-        if rep in seen_pairs:
-            continue
-        seen_pairs.add(rep)
-        m = orbit_multiplicity(cls, phi0)
-        gl.append((cls.dim, m))
     gl.sort()
     tail = DualGroupDescriptor(phi0.ambient.family, L_S, phi0.ambient.quasi_split_twist)
     return LeviDescriptor(tuple(gl), tail, l_S)
@@ -259,11 +221,10 @@ def injectivity_report(pairs: Sequence[CuspidalSupport]) -> dict:
     for i, p in enumerate(pairs):
         key = (p.levi, p.phi_S, p.epsilon)
         by_key.setdefault(key, []).append(i)
-        skey = p.S.sort_key()
-        eps_count[skey] = eps_count.get(skey, 0) + 1
+        eps_count[p.S.entries] = eps_count.get(p.S.entries, 0) + 1
     duplicates = [idx for idx in by_key.values() if len(idx) > 1]
     flagged = [
-        i for i, p in enumerate(pairs) if p.l_S == 0 and eps_count[p.S.sort_key()] > 1
+        i for i, p in enumerate(pairs) if p.l_S == 0 and eps_count[p.S.entries] > 1
     ]
     return {
         "total": len(pairs),

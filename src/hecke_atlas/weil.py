@@ -30,6 +30,8 @@ __all__ = [
     "orbit_point",
     "dual_point",
     "is_of_type",
+    "sign_types",
+    "half_integer_str",
     "json_typed",
     "json_number",
 ]
@@ -43,8 +45,13 @@ def json_typed(value, kind: type, path: str):
 
 
 def json_number(value, kind: type, path: str):
-    """``kind(value)`` (int or Fraction); a bad value is a ValueError naming ``path``."""
+    """``kind(value)`` (int or Fraction); a bad value is a ValueError naming ``path``.
+
+    An int field takes only a JSON integer: a bool, float or string is refused.
+    """
     try:
+        if kind is int and type(value) is not int:
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"{path} is not a valid {kind.__name__}: {value!r}") from None
@@ -185,7 +192,7 @@ class UnitMonomial:
     def to_json_dict(self) -> dict:
         return {
             "root": f"{self.root.numerator}/{self.root.denominator}",
-            "qexp": f"{2 * self.q_exponent.numerator // self.q_exponent.denominator}/2",
+            "qexp": half_integer_str(self.q_exponent),
         }
 
     @staticmethod
@@ -221,6 +228,14 @@ class InertialClass:
     @property
     def is_self_dual(self) -> bool:
         return isinstance(self.duality, SelfDual)
+
+    @property
+    def orbit_label(self) -> str:
+        """Label of the orbit's representative: the class itself, or the
+        smaller label of a dual pair."""
+        if self.is_self_dual:
+            return self.label
+        return min(self.label, self.duality.partner_label)
 
 
 def make_inertial_class(
@@ -311,6 +326,19 @@ def is_of_type(p: InertialPoint, g: DualGroupDescriptor) -> bool:
     if g.family is Family.ORTHOGONAL:
         return tag is DualityType.ORTHOGONAL
     return tag is DualityType.SYMPLECTIC
+
+
+def sign_types(cls: InertialClass, g: DualGroupDescriptor) -> tuple[bool, bool]:
+    """Whether the +1 and the -1 point of a self-dual class have the ambient's type."""
+    return (
+        is_of_type(orbit_point(cls, UnitMonomial.one()), g),
+        is_of_type(orbit_point(cls, UnitMonomial.minus_one()), g),
+    )
+
+
+def half_integer_str(e: Fraction) -> str:
+    """A half-integer as the string ``"n/2"``."""
+    return f"{2 * e.numerator // e.denominator}/2"
 
 
 @dataclass

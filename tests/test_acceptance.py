@@ -16,6 +16,7 @@ from hecke_atlas.cli import run, run_suite, standard_inventory
 from hecke_atlas.params import (
     LDSummand,
     build_ld_parameter,
+    parameter_to_json_dict,
     supercuspidal_corpus,
 )
 from hecke_atlas.weil import DualGroupDescriptor, Family, UnitMonomial, orbit_point
@@ -152,19 +153,63 @@ def test_over_cap_rank_is_refused_before_any_work():
             assert run(["verify", "--suite", suite, "--max-rank", "6"]) == 2
 
 
-# sha256 of json.dumps(run_suite(suite), indent=2) at the default rank: a
-# refactor must leave every report byte-identical
+# sha256 of each output, captured before a refactor that must leave every
+# output byte-identical: json.dumps(run_suite(suite), indent=2) at the default
+# rank; "enumerate:GROUP[:cuspidal]", the --out files of ranks 1-4 in order;
+# "supports:..." and "hecke:...", stdout on a two-orbit parameter in SO7
 GOLDEN_REPORTS = {
+    "enumerate:o-even": "27e5acdbcb08117cbc468caf553ed6ab970cdbc4a44dddf672da0aeb173e414c",
+    "enumerate:o-even:cuspidal": "a49afe9af60f30edd7c6641c18126c2508d337f6eb45216c74254bd8c067a5e0",
+    "enumerate:so-odd": "accba0eee2061573c119988a9954a9992fae18a968b391813948cb63ab5dae16",
+    "enumerate:so-odd:cuspidal": "fef04ba58bb2d308649ede2c8255df976be9182d1e7599168cd4cc9ba89a3570",
+    "enumerate:sp": "eda2d7769c3f259577f6ec17e7b960a104c17dcea1ee2c523b1d2d2cf6bead58",
+    "enumerate:sp:cuspidal": "a5c59a54004376badb56adbd08939f08f0a405d9a8cf71a2c688d4ddcae5f6fd",
+    "enumerate:u": "4a2e4a1ac9ba898692976407d94639ae1f6f836f04f65b476e8d5a47332bb2c7",
+    "enumerate:u:cuspidal": "4a2e4a1ac9ba898692976407d94639ae1f6f836f04f65b476e8d5a47332bb2c7",
+    "hecke:so7-two-orbit": "e8aa75b496cb2802426d7d1e4063725c850bd26205c5c76d56a0a373fdce1557",
+    "supports:so7-two-orbit": "ca96ff703d33fe57b63550aac17010438d493f514ff4c6a3f1aae567b1b9aeda",
     "thm11": "a1f99685a5405cc93627e64b7e1cf1ddf7714fcef2a3e32d64620ea4894409f7",
     "thm16": "d433d34a38e11603a86e9d00cc10b3eb87eb7ca88d57adac5823e8ad614429ff",
     "thm18": "5e75491280d3e7c2bce882e905e71b83245ccbd1fe92448cb6dcf933b1004d38",
+    "thm26-matrix": "94ad827b00482dc6a208bf41825853449c361e2bd34d924e250f3682b318c47f",
     "thm31": "f62062c50e39092922cc98603b55734bc6a2dd891630d4011e3075005cee55f4",
     "thm32": "6deba4a5bdf9d91de77440aa8f91c6bc6e00670a6ccf5a66fa02885c8059eec5",
     "thm33": "ace92327d4861ade8353e4e35706f585e31f317f1cbec1674dbe096af0a8a104",
 }
 
 
-@pytest.mark.parametrize("suite", sorted(GOLDEN_REPORTS))
-def test_report_bytes_match_golden_digest(suite):
-    text = json.dumps(run_suite(suite), indent=2)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[suite]
+def _golden_output(key, tmp_path, capsys, inv) -> str:
+    command, _, arg = key.partition(":")
+    if command == "enumerate":
+        group, _, flag = arg.partition(":")
+        classes, out = tmp_path / "inv.json", tmp_path / "out.json"
+        standard_inventory().dump(classes)
+        texts = []
+        for rank in range(1, 5):
+            argv = ["enumerate", "--group", group, "--rank", str(rank), "--classes", str(classes)]
+            assert run(argv + ["--out", str(out)] + ([f"--{flag}"] if flag else [])) == 0
+            texts.append(out.read_text())
+        return "".join(texts)
+    if command in ("supports", "hecke"):
+        phi0 = build_ld_parameter(
+            [
+                LDSummand(orbit_point(inv["triv"], UnitMonomial.one()), 1, 3),
+                LDSummand(orbit_point(inv["a"], UnitMonomial.one()), 1, 2),
+            ],
+            DualGroupDescriptor(Family.ORTHOGONAL, 7),
+            inv,
+        )
+        param = tmp_path / "p.json"
+        param.write_text(
+            json.dumps({"inventory": inv.to_json_list(), "parameter": parameter_to_json_dict(phi0)})
+        )
+        capsys.readouterr()
+        assert run([command, "--param", str(param)]) == 0
+        return capsys.readouterr().out
+    return json.dumps(run_suite(key), indent=2)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_REPORTS))
+def test_report_bytes_match_golden_digest(key, tmp_path, capsys, extended_inventory):
+    text = _golden_output(key, tmp_path, capsys, extended_inventory)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[key]

@@ -292,5 +292,5 @@ def test_triple_json(extended_inventory):
     )
     phi0 = normed_parameter(phi, inv)
     data = triple_to_json_dict(parameter_to_triple(phi, phi0))
-    assert set(data) == {"group", "eigenvalues", "partitions", "xi"}
+    assert set(data) == {"group", "eigenvalues", "partitions"}
     assert data["partitions"] == {"triv@1": [4]}

@@ -162,8 +162,11 @@ def _param_file(tmp_path, edit):
         (lambda d: d["parameter"]["summands"][0].update(a=None), "parameter.summands[0].a"),
         (lambda d: d.update(inventory=5), "inventory"),
         (lambda d: d["parameter"]["summands"][0]["f"].update(root="1/0"), "parameter.summands[0].f.root"),
+        (lambda d: d["parameter"]["summands"][0].update(a=2.5), "parameter.summands[0].a"),
+        (lambda d: d["parameter"]["summands"][0].update(mult=True), "parameter.summands[0].mult"),
+        (lambda d: d["inventory"][0].update(dim="2"), "inventory[0].dim"),
     ],
-    ids=["summands_dict", "a_null", "inventory_int", "root_zero_denominator"],
+    ids=["summands_dict", "a_null", "inventory_int", "root_zero_denominator", "a_float", "mult_bool", "dim_string"],
 )
 def test_malformed_param_file_exits_2(tmp_path, capsys, edit, field):
     assert run(["supports", "--param", str(_param_file(tmp_path, edit))]) == 2

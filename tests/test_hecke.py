@@ -1,8 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from hecke_atlas import params
 from hecke_atlas.hecke import (
+    UNIT_KINDS,
     HeckeFactor,
     derived_multiplicity,
     derived_rows,
@@ -224,3 +227,25 @@ def test_descriptor_and_json(extended_inventory):
         "endLong": "4/2",
         "endShort": "2/2",
     }
+
+
+def test_closed_form_road_does_not_use_the_staircase(monkeypatch):
+    # thm31-33 compare specialize against derived_rows, so only the derived
+    # road may build staircases
+    tables = {(kind, r): specialize(kind, r) for kind in UNIT_KINDS for r in range(1, 7)}
+
+    def broken(depth, of_type):
+        raise RuntimeError("staircase called")
+
+    patched = []
+    original = params.staircase
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hecke_atlas") and getattr(module, "staircase", None) is original:
+            monkeypatch.setattr(module, "staircase", broken)
+            patched.append(name)
+    assert {"hecke_atlas.params", "hecke_atlas.support", "hecke_atlas.hecke"} <= set(patched)
+    for (kind, r), rows in tables.items():
+        assert specialize(kind, r) == rows
+    for kind in UNIT_KINDS:
+        with pytest.raises(RuntimeError, match="staircase called"):
+            derived_rows(kind, 2)
