@@ -167,6 +167,8 @@ GOLDEN_REPORTS = {
     "enumerate:u": "4a2e4a1ac9ba898692976407d94639ae1f6f836f04f65b476e8d5a47332bb2c7",
     "enumerate:u:cuspidal": "4a2e4a1ac9ba898692976407d94639ae1f6f836f04f65b476e8d5a47332bb2c7",
     "hecke:so7-two-orbit": "e8aa75b496cb2802426d7d1e4063725c850bd26205c5c76d56a0a373fdce1557",
+    "lemA3": "80098633480119fb759cb7703f55692054ac50627818b2a08042005ccaede9bd",
+    "lemA4": "bbda5d413aa03c98a7ff2b44a994ca75306a6fbd32073b68e1fb0e6d5b0cc8c8",
     "supports:so7-two-orbit": "ca96ff703d33fe57b63550aac17010438d493f514ff4c6a3f1aae567b1b9aeda",
     "thm11": "a1f99685a5405cc93627e64b7e1cf1ddf7714fcef2a3e32d64620ea4894409f7",
     "thm16": "d433d34a38e11603a86e9d00cc10b3eb87eb7ca88d57adac5823e8ad614429ff",
