@@ -14,7 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 from . import CheckError
@@ -59,9 +58,6 @@ class ClassicalGroupDescriptor:
     """Product of classical factors, each tagged by an eigenvalue block."""
 
     factors: tuple[tuple[str, int, str], ...]  # (family, size, block label)
-
-    def sorted(self) -> "ClassicalGroupDescriptor":
-        return ClassicalGroupDescriptor(tuple(sorted(self.factors)))
 
 
 @dataclass(frozen=True)
@@ -518,27 +514,21 @@ def _exp_nilpotent(n_mat: Matrix) -> Matrix:
     return out
 
 
-def _exact_sqrt(x: Fraction) -> Fraction:
-    num, den = isqrt(x.numerator), isqrt(x.denominator)
-    if num * num != x.numerator or den * den != x.denominator:
-        raise ValueError(f"{x} has no exact rational square root")
-    return Fraction(num, den)
+# the matrix oracle's value of q: a square, so half-integral q-powers stay rational
+SQRT_Q = 2
+Q = SQRT_Q * SQRT_Q
 
 
-def _monomial_value(f: UnitMonomial, q: Fraction, sqrt_q: Fraction) -> Fraction:
+def _monomial_value(f: UnitMonomial) -> Fraction:
     if not f.root in (Fraction(0), Fraction(1, 2)):
         raise ValueError("matrix oracle needs sign points")
     sign = 1 if f.root == 0 else -1
-    e = f.q_exponent
-    whole = e.numerator // e.denominator if e.denominator == 1 else None
-    if whole is not None:
-        return Fraction(sign) * q**whole
-    half = 2 * e  # odd integer
-    return Fraction(sign) * sqrt_q ** int(half)
+    return sign * Fraction(SQRT_Q) ** int(2 * f.q_exponent)
 
 
-def realize_matrices(phi: LDParameter, q_value: Fraction = Fraction(4)) -> tuple[Matrix, Matrix, Matrix]:
-    """Exact block matrices (s, u, gram) witnessing the q-scaling relation.
+def realize_matrices(phi: LDParameter) -> tuple[Matrix, Matrix, Matrix]:
+    """Exact block matrices (s, u, gram) witnessing the q-scaling relation
+    at q = ``Q``.
 
     Asserts s u s^-1 = u**q and that both matrices preserve the block Gram
     form, whose symmetry type must match the ambient family (this is the
@@ -548,8 +538,6 @@ def realize_matrices(phi: LDParameter, q_value: Fraction = Fraction(4)) -> tuple
         raise ValueError("matrix oracle capped at ambient dimension 12")
     if phi.ambient.family is Family.UNITARY_L:
         raise ValueError("matrix oracle covers the classical ambients only")
-    q = Fraction(q_value)
-    sqrt_q = _exact_sqrt(q)
     if not phi.summands:
         return [], [], []
 
@@ -568,7 +556,7 @@ def realize_matrices(phi: LDParameter, q_value: Fraction = Fraction(4)) -> tuple
         )
         k = cls.dim * summand.multiplicity
         f_val = Fraction(summand.point.f.sign)
-        ladder = [f_val * _monomial_value(UnitMonomial.of(0, Fraction(a - 1, 2) - j), q, sqrt_q) for j in range(a)]
+        ladder = [f_val * _monomial_value(UnitMonomial.of(0, Fraction(a - 1, 2) - j)) for j in range(a)]
         s_a = [[ladder[i] if i == j else Fraction(0) for j in range(a)] for i in range(a)]
         n_a = [[Fraction(int(j == i + 1)) for j in range(a)] for i in range(a)]
         u_a = _exp_nilpotent(n_a)
@@ -594,15 +582,11 @@ def realize_matrices(phi: LDParameter, q_value: Fraction = Fraction(4)) -> tuple
     u_mat = _block_diag(u_blocks)
     g_mat = _block_diag(g_blocks)
 
-    if q.denominator == 1:
-        q_int = q.numerator
-    else:  # pragma: no cover - integral q in practice
-        raise ValueError("q must be a positive integer for the power check")
     s_inv = [[Fraction(0)] * len(s_mat) for _ in range(len(s_mat))]
     for i in range(len(s_mat)):
         s_inv[i][i] = 1 / s_mat[i][i]
     left = _mat_mul(_mat_mul(s_mat, u_mat), s_inv)
-    right = _mat_pow(u_mat, q_int)
+    right = _mat_pow(u_mat, Q)
     if left != right:
         raise CheckError("q-scaling relation fails")
 

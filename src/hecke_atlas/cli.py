@@ -1,11 +1,14 @@
-"""Command-line front end and verification harness.
+"""Command-line front end: parses arguments, reads input files and writes
+canonical JSON.
 
 Subcommands: ``enumerate`` (parameter corpora from an inventory file),
 ``supports`` / ``hecke`` (inspect a single parameter), ``specialize``
-(explicit algebra tables), and ``verify`` (oracle-vs-formula suites with a
-machine-readable report).
+(explicit algebra tables), and ``verify`` (run one suite of
+``hecke_atlas.verify`` and print its report).
 
-All output is canonical JSON with exact string fractions.
+All output is canonical JSON with exact string fractions.  Exit codes: 0 on
+success, 1 when a verify report has a failed case (or a flagged one without
+``--allow-flagged``), 2 on malformed input.
 """
 
 from __future__ import annotations
@@ -13,60 +16,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from . import CheckError
-from .centralizer import parameter_to_triple, realize_matrices, triple_to_parameter
-from .hecke import (
-    UNIT_KINDS,
-    derived_rows,
-    epsilon_multiplicity,
-    factor_to_json_dict,
-    hecke_descriptor,
-    specialize,
-    sp_normalization,
-)
+from .hecke import factor_to_json_dict, hecke_descriptor, specialize, sp_normalization
 from .params import (
-    LDSummand,
-    _bounded_choices,
-    alternating_characters,
-    brute_force_supercuspidals,
-    build_ld_parameter,
-    count_supercuspidals,
     discrete_parameters,
     is_supercuspidal_shape,
     normed_parameter,
     parameter_from_json_dict,
     parameter_to_json_dict,
-    supercuspidal_corpus,
-    t_invariants,
 )
-from .support import cuspidal_pairs, injectivity_report, support_to_json_dict, supports
-from .weil import (
-    DualGroupDescriptor,
-    DualityType,
-    Family,
-    Inventory,
-    NotSelfDual,
-    SelfDual,
-    UnitMonomial,
-    json_typed,
-    make_inertial_class,
-    orbit_point,
-)
-from .weyl import verify_normalizer_equality, verify_decorated_equality
-
-SUITES = (
-    "thm11",
-    "thm16",
-    "thm18",
-    "thm31",
-    "thm32",
-    "thm33",
-    "thm26-matrix",
-    "lemA3",
-    "lemA4",
-)
+from .support import cuspidal_pairs, support_to_json_dict, supports
+from .verify import SUITES, run_suite, standard_inventory  # standard_inventory: re-exported
+from .weil import DualGroupDescriptor, Family, Inventory, json_typed
 
 GROUP_AMBIENTS = {
     "sp": lambda n: DualGroupDescriptor(Family.ORTHOGONAL, 2 * n + 1),
@@ -83,265 +45,6 @@ def _emit(data, path: str | None = None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def standard_inventory() -> Inventory:
-    """Six classes covering every duality-type combination."""
-    inv = Inventory()
-    inv.add(make_inertial_class("triv", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1"))
-    inv.add(make_inertial_class("a", 2, 1, SelfDual(DualityType.SYMPLECTIC, DualityType.SYMPLECTIC), "1"))
-    inv.add(make_inertial_class("rho_mix", 2, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.SYMPLECTIC), "eta"))
-    inv.add(make_inertial_class("rho_mix2", 2, 2, SelfDual(DualityType.SYMPLECTIC, DualityType.ORTHOGONAL), "eta2"))
-    inv.add(make_inertial_class("alpha", 1, 1, NotSelfDual("beta"), "alpha"))
-    inv.add(make_inertial_class("beta", 1, 1, NotSelfDual("alpha"), "beta"))
-    inv.validate()
-    return inv
-
-
-def _classical_ambients(max_dim: int) -> list[DualGroupDescriptor]:
-    out = [DualGroupDescriptor(Family.ORTHOGONAL, n) for n in range(1, max_dim + 1)]
-    out += [DualGroupDescriptor(Family.SYMPLECTIC, n) for n in range(2, max_dim + 1, 2)]
-    return out
-
-
-def normed_corpus(inventory: Inventory, max_ambient_dim: int):
-    """All base-point-only parameters (every factor at f=1, no internal
-    twisting) over the inventory, for every classical ambient group."""
-    self_dual = sorted((c.label,) for c in inventory if c.is_self_dual)
-    pairs = sorted(
-        {tuple(sorted((c.label, c.duality.partner_label))) for c in inventory if not c.is_self_dual}
-    )
-    orbits = [
-        [orbit_point(inventory[label], UnitMonomial.one()) for label in labels]
-        for labels in self_dual + pairs
-    ]
-    out = []
-    for ambient in _classical_ambients(max_ambient_dim):
-        n = ambient.ambient_dim
-        slots = []  # per orbit: (dimension, summands) for each multiplicity m
-        for points in orbits:
-            d = sum(p.cls.dim for p in points)
-            slots.append(
-                [(m * d, [LDSummand(p, 1, m) for p in points if m]) for m in range(n // d + 1)]
-            )
-        for choice in _bounded_choices(slots, n):
-            summands = [s for group in choice for s in group]
-            if summands:
-                out.append(build_ld_parameter(summands, ambient, inventory))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _case(name: str, expected, actual, status: str | None = None) -> dict:
-    if status is None:
-        status = "pass" if expected == actual else "fail"
-    return {"input": name, "expected": expected, "actual": actual, "status": status}
-
-
-def _suite_thm11(max_rank: int) -> list[dict]:
-    inv = standard_inventory()
-    corpus = supercuspidal_corpus(inv, max_rank)
-
-    def check(phi):
-        plus = count_supercuspidals(phi, 1)
-        minus = count_supercuspidals(phi, -1)
-        n_odd, n_even = t_invariants(phi)
-        expected = {
-            "plus": brute_force_supercuspidals(phi, 1),
-            "minus": brute_force_supercuspidals(phi, -1),
-            "total": len(alternating_characters(phi)),
-        }
-        actual = {"plus": plus, "minus": minus, "total": 2 ** (n_odd + n_even)}
-        name = "+".join(phi.generator_labels())
-        return _case(f"{phi.ambient.family.value}{phi.ambient.ambient_dim}:{name}", expected, actual)
-
-    return [check(phi) for phi in corpus]
-
-
-def _structural_corpus(max_rank: int):
-    return normed_corpus(standard_inventory(), max_rank)
-
-
-def _orbit_case_name(phi0) -> str:
-    return f"{phi0.ambient.family.value}{phi0.ambient.ambient_dim}:" + ",".join(
-        f"{s.point.cls.label}^{s.multiplicity}" for s in phi0.summands
-    )
-
-
-def _suite_thm16(max_rank: int) -> list[dict]:
-    inv = standard_inventory()
-
-    def check(phi0):
-        n = phi0.ambient.ambient_dim
-        pairs = cuspidal_pairs(phi0, inv)
-        parities = sorted({p.L_S % 2 for p in pairs})
-        report = injectivity_report(pairs)
-        ok = parities in ([], [n % 2]) and report["injective_outside_flagged"]
-        status = "flagged" if ok and report["flagged"] else ("pass" if ok else "fail")
-        expected = {"tail_parity": [n % 2] if pairs else [], "injective": True}
-        actual = {"tail_parity": parities, "injective": report["injective_outside_flagged"]}
-        return _case(_orbit_case_name(phi0), expected, actual, status)
-
-    return [check(phi0) for phi0 in _structural_corpus(max_rank)]
-
-
-def _suite_thm18(max_rank: int) -> list[dict]:
-    inv = standard_inventory()
-
-    def check(phi0):
-        bad = []
-        for S in supports(phi0):
-            for label, f in hecke_descriptor(phi0, S).factors:
-                if f.family == "SO" and not f.extended and f.size % 2 == 0:
-                    bad.append([label, f.size])
-        return _case(_orbit_case_name(phi0), {"even_rank_cases": []}, {"even_rank_cases": bad})
-
-    return [check(phi0) for phi0 in _structural_corpus(max_rank)]
-
-
-def _suite_thm31(max_rank: int) -> list[dict]:
-    def check(d):
-        table = {
-            (r.pair, r.factor, r.bucket): r.multiplicity for r in specialize("so_odd", d)
-        }
-        derived = {(pair, f, sign): n for pair, f, sign, n in derived_rows("so_odd", d)}
-        same = table == derived
-        return _case(
-            f"so-odd:d={d}",
-            {"rows": len(table)},
-            {"rows": len(derived), "match": same},
-            "pass" if same else "fail",
-        )
-
-    return [check(d) for d in range(1, max_rank + 1)]
-
-
-def _suite_thm32(max_rank: int) -> list[dict]:
-    cases = []
-    for kind in ("sp", "o_even"):
-        for d in range(1, max_rank + 1):
-            # (S, epsilon) counts per table cell (pair, eps_Z), summed over factors
-            cells: dict[tuple[tuple[int, int], int], int] = {}
-            for pair, _factor, eps_Z, n in derived_rows(kind, d):
-                cells[pair, eps_Z] = cells.get((pair, eps_Z), 0) + n
-            for pair in sorted({r.pair for r in specialize(kind, d)}):
-                name = f"{kind}:d={d}:pair={pair[0]},{pair[1]}"
-                if pair[0] * pair[1] == 0 and kind == "sp":
-                    # the uniform multiplicity-2 statement does not separate the
-                    # two sign buckets when one side of the support is empty
-                    derived = [cells.get((pair, s), 0) for s in (1, -1)]
-                    cases.append(_case(name, {"documented": True}, {"derived": derived}, "flagged"))
-                    continue
-                expected = {str(s): epsilon_multiplicity(*pair, s) for s in (1, -1)}
-                actual = {str(s): cells.get((pair, s), 0) for s in (1, -1)}
-                cases.append(_case(name, expected, actual))
-    return cases
-
-
-def _suite_thm33(max_rank: int) -> list[dict]:
-    def check(m):
-        table = specialize("unitary", m)
-        derived = derived_rows("unitary", m)
-        cases = []
-        for pair in sorted({r.pair for r in table} | {p for p, _, _, _ in derived}):
-            name = f"u:m={m}:pair={pair[0]},{pair[1]}"
-            t_rows = [r for r in table if r.pair == pair]
-            d_rows = [r for r in derived if r[0] == pair]
-            expected = {
-                "factors": sorted(str(r.factor) for r in t_rows),
-                "total": sum(r.multiplicity for r in t_rows),
-                "buckets": sorted((r.bucket, r.multiplicity) for r in t_rows),
-            }
-            actual = {
-                "factors": sorted(str(f) for _, f, _, _ in d_rows),
-                "total": sum(n for _, _, _, n in d_rows),
-                "buckets": sorted((s, n) for _, _, s, n in d_rows),
-            }
-            if expected == actual:
-                status = "pass"
-            elif (
-                expected["factors"] == actual["factors"]
-                and expected["total"] == actual["total"]
-            ):
-                # bucket routing of the stated table disagrees on pairs with
-                # an empty side; the index set and sizes still match
-                status = "flagged"
-            else:
-                status = "fail"
-            cases.append(_case(name, expected, actual, status))
-        return cases
-
-    return [c for m in range(2, max_rank + 1) for c in check(m)]
-
-
-def _suite_thm26_matrix(max_rank: int) -> list[dict]:
-    inv = standard_inventory()
-    items = []
-    for ambient in _classical_ambients(max_rank):
-        for phi in discrete_parameters(inv, ambient):
-            items.append((ambient, phi))
-
-    def check(item):
-        ambient, phi = item
-        name = f"{ambient.family.value}{ambient.ambient_dim}:" + "+".join(phi.generator_labels())
-        try:
-            realize_matrices(phi, 4)
-            phi0 = normed_parameter(phi, inv)
-            round_trip = triple_to_parameter(parameter_to_triple(phi, phi0), phi0, inv) == phi
-            ok = round_trip
-            actual = {"matrix_checks": True, "round_trip": round_trip}
-        except (CheckError, ValueError) as exc:
-            ok = False
-            actual = {"error": str(exc)}
-        return _case(name, {"matrix_checks": True, "round_trip": True}, actual, "pass" if ok else "fail")
-
-    return [check(item) for item in items]
-
-
-def _wrap_weyl(cases: Iterable[dict]) -> list[dict]:
-    out = []
-    for c in cases:
-        name = f"n={c['n']}:blocks={','.join(map(str, c['composition'])) or '-'}:tail={c['tail']}"
-        if "decorations" in c:
-            name += ":dec=" + ";".join(f"{l}{'*' if sd else ''}" for l, sd in c["decorations"])
-        expected = {"equal": c["expected"]}
-        actual = {"equal": c["actual"]}
-        if "semidirect" in c:
-            expected["semidirect"] = True
-            actual["semidirect"] = c["semidirect"]
-        out.append(_case(name, expected, actual, c["status"]))
-    return out
-
-
-SUITE_RUNNERS: dict[str, tuple[Callable[[int], list[dict]], int]] = {
-    "thm11": (_suite_thm11, 9),
-    "thm16": (_suite_thm16, 6),
-    "thm18": (_suite_thm18, 6),
-    "thm31": (_suite_thm31, 6),
-    "thm32": (_suite_thm32, 6),
-    "thm33": (_suite_thm33, 12),
-    "thm26-matrix": (_suite_thm26_matrix, 8),
-    "lemA3": (lambda k: _wrap_weyl(verify_normalizer_equality(k)), 5),
-    "lemA4": (lambda k: _wrap_weyl(verify_decorated_equality(k)), 5),
-}
-
-
-def run_suite(suite: str, max_rank: int | None = None) -> dict:
-    runner, default_rank = SUITE_RUNNERS[suite]
-    cases = runner(max_rank if max_rank is not None else default_rank)
-    counts = {"pass": 0, "fail": 0, "flagged": 0}
-    for c in cases:
-        counts[c["status"]] += 1
-    return {
-        "suite": suite,
-        "cases": cases,
-        "passed": counts["pass"],
-        "failed": counts["fail"],
-        "flagged": counts["flagged"],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +104,7 @@ def _cmd_hecke(args) -> int:
 
 
 def _cmd_specialize(args) -> int:
-    if args.rank <= 0:
-        print("rank must be positive", file=sys.stderr)
-        return 2
-    kind = args.kind.replace("-", "_")
-    if kind not in UNIT_KINDS:
-        print(f"unknown kind {args.kind}", file=sys.stderr)
-        return 2
-    rows = specialize(kind, args.rank)
+    rows = specialize(args.kind.replace("-", "_"), args.rank)
     _emit(
         [
             {

@@ -231,10 +231,6 @@ class ComponentGroup:
     generators: tuple[str, ...]
 
     @property
-    def minus_element(self) -> tuple[int, ...]:
-        return (1,) * len(self.generators)
-
-    @property
     def order(self) -> int:
         return 2 ** len(self.generators)
 

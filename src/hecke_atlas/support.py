@@ -33,7 +33,7 @@ from .weil import (
 
 __all__ = [
     "SupportDatum",
-    "LeviDescriptor",
+    "SupportLevi",
     "CuspidalSupport",
     "supports",
     "build_phi_S",
@@ -58,7 +58,7 @@ class SupportDatum:
 
 
 @dataclass(frozen=True)
-class LeviDescriptor:
+class SupportLevi:
     """GL block sizes with multiplicities, plus the classical tail."""
 
     gl_factors: tuple[tuple[int, int], ...]
@@ -73,7 +73,7 @@ class CuspidalSupport:
     L_S: int
     l_S: int
     d_S: int
-    levi: LeviDescriptor
+    levi: SupportLevi
     epsilon: SignCharacter
 
     @property
@@ -152,7 +152,7 @@ def build_phi_S(
             raise ValueError(f"support violates the bound or parity at orbit {label!r}")
 
     L_S = sum(s.dim for s in summands)
-    tail_ambient = DualGroupDescriptor(ambient.family, L_S, ambient.quasi_split_twist)
+    tail_ambient = DualGroupDescriptor(ambient.family, L_S)
     phi_S = build_ld_parameter(summands, tail_ambient, inventory)
     l_S = _tail_rank(ambient.family, L_S)
     d_S = det_discrepancy(phi_S, phi0)
@@ -161,13 +161,13 @@ def build_phi_S(
 
 def build_levi(
     phi0: LDParameter, S: SupportDatum, inventory: Inventory | None = None
-) -> LeviDescriptor:
+) -> SupportLevi:
     """GL factors with multiplicities plus the classical tail descriptor."""
     phi_S, L_S, l_S, _ = build_phi_S(phi0, S, inventory)
     return _levi(phi0, phi_S, L_S, l_S)
 
 
-def _levi(phi0: LDParameter, phi_S: LDParameter, L_S: int, l_S: int) -> LeviDescriptor:
+def _levi(phi0: LDParameter, phi_S: LDParameter, L_S: int, l_S: int) -> SupportLevi:
     gl: list[tuple[int, int]] = []
     for orbit in phi0.orbits:
         cls, m = orbit.cls, orbit.multiplicity
@@ -184,8 +184,8 @@ def _levi(phi0: LDParameter, phi_S: LDParameter, L_S: int, l_S: int) -> LeviDesc
         if m > m_pm:
             gl.append((cls.dim, (m - m_pm) // 2))
     gl.sort()
-    tail = DualGroupDescriptor(phi0.ambient.family, L_S, phi0.ambient.quasi_split_twist)
-    return LeviDescriptor(tuple(gl), tail, l_S)
+    tail = DualGroupDescriptor(phi0.ambient.family, L_S)
+    return SupportLevi(tuple(gl), tail, l_S)
 
 
 def _epsilons(phi_S: LDParameter) -> list[SignCharacter]:

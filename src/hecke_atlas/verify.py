@@ -1,0 +1,334 @@
+"""Verification suites: each compares a closed form with an independent
+oracle over an exhaustive corpus, one report case per input.
+
+``run_suite(suite, max_rank)`` runs one suite of ``SUITES`` at a rank (the
+suite's default rank when None).  The report lists the cases, each with its
+input, expected and actual values and a status (pass, fail or flagged),
+followed by the count of each status.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+from . import CheckError
+from .centralizer import parameter_to_triple, realize_matrices, triple_to_parameter
+from .hecke import derived_rows, epsilon_multiplicity, hecke_descriptor, specialize
+from .params import (
+    LDSummand,
+    _bounded_choices,
+    alternating_characters,
+    brute_force_supercuspidals,
+    build_ld_parameter,
+    count_supercuspidals,
+    discrete_parameters,
+    normed_parameter,
+    supercuspidal_corpus,
+    t_invariants,
+)
+from .support import cuspidal_pairs, injectivity_report, supports
+from .weil import (
+    DualGroupDescriptor,
+    DualityType,
+    Family,
+    Inventory,
+    NotSelfDual,
+    SelfDual,
+    UnitMonomial,
+    make_inertial_class,
+    orbit_point,
+)
+from .weyl import (
+    BRUTE_FORCE_CAP,
+    enumerate_decorations,
+    enumerate_levis,
+    orbit_stabilizers,
+    relative_weyl,
+)
+
+
+def standard_inventory() -> Inventory:
+    """Six classes covering every duality-type combination."""
+    inv = Inventory()
+    inv.add(make_inertial_class("triv", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1"))
+    inv.add(make_inertial_class("a", 2, 1, SelfDual(DualityType.SYMPLECTIC, DualityType.SYMPLECTIC), "1"))
+    inv.add(make_inertial_class("rho_mix", 2, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.SYMPLECTIC), "eta"))
+    inv.add(make_inertial_class("rho_mix2", 2, 2, SelfDual(DualityType.SYMPLECTIC, DualityType.ORTHOGONAL), "eta2"))
+    inv.add(make_inertial_class("alpha", 1, 1, NotSelfDual("beta"), "alpha"))
+    inv.add(make_inertial_class("beta", 1, 1, NotSelfDual("alpha"), "beta"))
+    inv.validate()
+    return inv
+
+
+def _classical_ambients(max_dim: int) -> list[DualGroupDescriptor]:
+    out = [DualGroupDescriptor(Family.ORTHOGONAL, n) for n in range(1, max_dim + 1)]
+    out += [DualGroupDescriptor(Family.SYMPLECTIC, n) for n in range(2, max_dim + 1, 2)]
+    return out
+
+
+def normed_corpus(inventory: Inventory, max_ambient_dim: int):
+    """All base-point-only parameters (every factor at f=1, no internal
+    twisting) over the inventory, for every classical ambient group."""
+    self_dual = sorted((c.label,) for c in inventory if c.is_self_dual)
+    pairs = sorted(
+        {tuple(sorted((c.label, c.duality.partner_label))) for c in inventory if not c.is_self_dual}
+    )
+    orbits = [
+        [orbit_point(inventory[label], UnitMonomial.one()) for label in labels]
+        for labels in self_dual + pairs
+    ]
+    out = []
+    for ambient in _classical_ambients(max_ambient_dim):
+        n = ambient.ambient_dim
+        slots = []  # per orbit: (dimension, summands) for each multiplicity m
+        for points in orbits:
+            d = sum(p.cls.dim for p in points)
+            slots.append(
+                [(m * d, [LDSummand(p, 1, m) for p in points if m]) for m in range(n // d + 1)]
+            )
+        for choice in _bounded_choices(slots, n):
+            summands = [s for group in choice for s in group]
+            if summands:
+                out.append(build_ld_parameter(summands, ambient, inventory))
+    return out
+
+
+def _case(name: str, expected, actual, status: str | None = None) -> dict:
+    if status is None:
+        status = "pass" if expected == actual else "fail"
+    return {"input": name, "expected": expected, "actual": actual, "status": status}
+
+
+def _suite_thm11(max_rank: int) -> list[dict]:
+    inv = standard_inventory()
+    corpus = supercuspidal_corpus(inv, max_rank)
+
+    def check(phi):
+        plus = count_supercuspidals(phi, 1)
+        minus = count_supercuspidals(phi, -1)
+        n_odd, n_even = t_invariants(phi)
+        expected = {
+            "plus": brute_force_supercuspidals(phi, 1),
+            "minus": brute_force_supercuspidals(phi, -1),
+            "total": len(alternating_characters(phi)),
+        }
+        actual = {"plus": plus, "minus": minus, "total": 2 ** (n_odd + n_even)}
+        name = "+".join(phi.generator_labels())
+        return _case(f"{phi.ambient.family.value}{phi.ambient.ambient_dim}:{name}", expected, actual)
+
+    return [check(phi) for phi in corpus]
+
+
+def _orbit_case_name(phi0) -> str:
+    return f"{phi0.ambient.family.value}{phi0.ambient.ambient_dim}:" + ",".join(
+        f"{s.point.cls.label}^{s.multiplicity}" for s in phi0.summands
+    )
+
+
+def _suite_thm16(max_rank: int) -> list[dict]:
+    inv = standard_inventory()
+
+    def check(phi0):
+        n = phi0.ambient.ambient_dim
+        pairs = cuspidal_pairs(phi0, inv)
+        parities = sorted({p.L_S % 2 for p in pairs})
+        report = injectivity_report(pairs)
+        ok = parities in ([], [n % 2]) and report["injective_outside_flagged"]
+        status = "flagged" if ok and report["flagged"] else ("pass" if ok else "fail")
+        expected = {"tail_parity": [n % 2] if pairs else [], "injective": True}
+        actual = {"tail_parity": parities, "injective": report["injective_outside_flagged"]}
+        return _case(_orbit_case_name(phi0), expected, actual, status)
+
+    return [check(phi0) for phi0 in normed_corpus(inv, max_rank)]
+
+
+def _suite_thm18(max_rank: int) -> list[dict]:
+    def check(phi0):
+        bad = []
+        for S in supports(phi0):
+            for label, f in hecke_descriptor(phi0, S).factors:
+                if f.family == "SO" and not f.extended and f.size % 2 == 0:
+                    bad.append([label, f.size])
+        return _case(_orbit_case_name(phi0), {"even_rank_cases": []}, {"even_rank_cases": bad})
+
+    return [check(phi0) for phi0 in normed_corpus(standard_inventory(), max_rank)]
+
+
+def _suite_thm31(max_rank: int) -> list[dict]:
+    def check(d):
+        table = {
+            (r.pair, r.factor, r.bucket): r.multiplicity for r in specialize("so_odd", d)
+        }
+        derived = {(pair, f, sign): n for pair, f, sign, n in derived_rows("so_odd", d)}
+        same = table == derived
+        return _case(
+            f"so-odd:d={d}",
+            {"rows": len(table)},
+            {"rows": len(derived), "match": same},
+            "pass" if same else "fail",
+        )
+
+    return [check(d) for d in range(1, max_rank + 1)]
+
+
+def _suite_thm32(max_rank: int) -> list[dict]:
+    cases = []
+    for kind in ("sp", "o_even"):
+        for d in range(1, max_rank + 1):
+            # (S, epsilon) counts per table cell (pair, eps_Z), summed over factors
+            cells: dict[tuple[tuple[int, int], int], int] = {}
+            for pair, _factor, eps_Z, n in derived_rows(kind, d):
+                cells[pair, eps_Z] = cells.get((pair, eps_Z), 0) + n
+            for pair in sorted({r.pair for r in specialize(kind, d)}):
+                name = f"{kind}:d={d}:pair={pair[0]},{pair[1]}"
+                if pair[0] * pair[1] == 0 and kind == "sp":
+                    # the uniform multiplicity-2 statement does not separate the
+                    # two sign buckets when one side of the support is empty
+                    derived = [cells.get((pair, s), 0) for s in (1, -1)]
+                    cases.append(_case(name, {"documented": True}, {"derived": derived}, "flagged"))
+                    continue
+                expected = {str(s): epsilon_multiplicity(*pair, s) for s in (1, -1)}
+                actual = {str(s): cells.get((pair, s), 0) for s in (1, -1)}
+                cases.append(_case(name, expected, actual))
+    return cases
+
+
+def _suite_thm33(max_rank: int) -> list[dict]:
+    def check(m):
+        table = specialize("unitary", m)
+        derived = derived_rows("unitary", m)
+        cases = []
+        for pair in sorted({r.pair for r in table} | {p for p, _, _, _ in derived}):
+            name = f"u:m={m}:pair={pair[0]},{pair[1]}"
+            t_rows = [r for r in table if r.pair == pair]
+            d_rows = [r for r in derived if r[0] == pair]
+            expected = {
+                "factors": sorted(str(r.factor) for r in t_rows),
+                "total": sum(r.multiplicity for r in t_rows),
+                "buckets": sorted((r.bucket, r.multiplicity) for r in t_rows),
+            }
+            actual = {
+                "factors": sorted(str(f) for _, f, _, _ in d_rows),
+                "total": sum(n for _, _, _, n in d_rows),
+                "buckets": sorted((s, n) for _, _, s, n in d_rows),
+            }
+            if expected == actual:
+                status = "pass"
+            elif (
+                expected["factors"] == actual["factors"]
+                and expected["total"] == actual["total"]
+            ):
+                # bucket routing of the stated table disagrees on pairs with
+                # an empty side; the index set and sizes still match
+                status = "flagged"
+            else:
+                status = "fail"
+            cases.append(_case(name, expected, actual, status))
+        return cases
+
+    return [c for m in range(2, max_rank + 1) for c in check(m)]
+
+
+def _suite_thm26_matrix(max_rank: int) -> list[dict]:
+    inv = standard_inventory()
+    items = []
+    for ambient in _classical_ambients(max_rank):
+        for phi in discrete_parameters(inv, ambient):
+            items.append((ambient, phi))
+
+    def check(item):
+        ambient, phi = item
+        name = f"{ambient.family.value}{ambient.ambient_dim}:" + "+".join(phi.generator_labels())
+        try:
+            realize_matrices(phi)
+            phi0 = normed_parameter(phi, inv)
+            round_trip = triple_to_parameter(parameter_to_triple(phi, phi0), phi0, inv) == phi
+            ok = round_trip
+            actual = {"matrix_checks": True, "round_trip": round_trip}
+        except (CheckError, ValueError) as exc:
+            ok = False
+            actual = {"error": str(exc)}
+        return _case(name, {"matrix_checks": True, "round_trip": True}, actual, "pass" if ok else "fail")
+
+    return [check(item) for item in items]
+
+
+def _weyl_ranks(max_rank: int) -> range:
+    """Ranks 1..max_rank, refusing an over-cap rank before any work."""
+    if max_rank > BRUTE_FORCE_CAP:
+        raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_CAP}")
+    return range(1, max_rank + 1)
+
+
+def _levi_case_name(n: int, levi) -> str:
+    return f"n={n}:blocks={','.join(map(str, levi.composition)) or '-'}:tail={levi.tail_rank}"
+
+
+def _suite_lemA3(max_rank: int) -> list[dict]:
+    """Equality of the two relative Weyl groups holds exactly when the Levi
+    has a tail or only even blocks."""
+    cases = []
+    for n in _weyl_ranks(max_rank):
+        for levi in enumerate_levis(n):
+            predicted = levi.tail_rank >= 1 or all(k % 2 == 0 for k in levi.composition)
+            equal = relative_weyl(levi, n).equal
+            cases.append(_case(_levi_case_name(n, levi), {"equal": predicted}, {"equal": equal}))
+    return cases
+
+
+def _suite_lemA4(max_rank: int) -> list[dict]:
+    """Decorated version: equality fails exactly for tailless Levis carrying
+    a self-dual orbit on an odd block; the semidirect splitting is also
+    checked on every case."""
+    cases = []
+    for n in _weyl_ranks(max_rank):
+        for levi in enumerate_levis(n):
+            if not levi.composition:
+                continue
+            rel = relative_weyl(levi, n)
+            for dec in enumerate_decorations(levi):
+                st = orbit_stabilizers(dec, rel)
+                odd_self_dual = any(
+                    k % 2 == 1 and sd for k, (_, sd) in zip(dec.composition, dec.decorations)
+                )
+                predicted = dec.tail_rank >= 1 or not odd_self_dual
+                name = _levi_case_name(n, dec) + ":dec=" + ";".join(
+                    f"{label}{'*' if sd else ''}" for label, sd in dec.decorations
+                )
+                cases.append(
+                    _case(
+                        name,
+                        {"equal": predicted, "semidirect": True},
+                        {"equal": st.equal, "semidirect": st.semidirect_ok},
+                    )
+                )
+    return cases
+
+
+# suite name -> (runner over ranks 1..max_rank, default rank)
+SUITES: dict[str, tuple[Callable[[int], list[dict]], int]] = {
+    "thm11": (_suite_thm11, 9),
+    "thm16": (_suite_thm16, 6),
+    "thm18": (_suite_thm18, 6),
+    "thm31": (_suite_thm31, 6),
+    "thm32": (_suite_thm32, 6),
+    "thm33": (_suite_thm33, 12),
+    "thm26-matrix": (_suite_thm26_matrix, 8),
+    "lemA3": (_suite_lemA3, 5),
+    "lemA4": (_suite_lemA4, 5),
+}
+
+
+def run_suite(suite: str, max_rank: int | None = None) -> dict:
+    runner, default_rank = SUITES[suite]
+    cases = runner(max_rank if max_rank is not None else default_rank)
+    counts = {"pass": 0, "fail": 0, "flagged": 0}
+    for c in cases:
+        counts[c["status"]] += 1
+    return {
+        "suite": suite,
+        "cases": cases,
+        "passed": counts["pass"],
+        "failed": counts["fail"],
+        "flagged": counts["flagged"],
+    }

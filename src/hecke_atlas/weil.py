@@ -87,22 +87,17 @@ class DualGroupDescriptor:
 
     ``ambient_dim`` is the size N of the standard representation.  For the
     symplectic family N must be even; the orthogonal family covers both the
-    odd case (dual of a symplectic group) and the even case.  The
-    ``quasi_split_twist`` sign distinguishes the two quasi-split forms where
-    meaningful.
+    odd case (dual of a symplectic group) and the even case.
     """
 
     family: Family
     ambient_dim: int
-    quasi_split_twist: int = 1
 
     def __post_init__(self) -> None:
         if self.ambient_dim < 0:
             raise ValueError("ambient_dim must be >= 0")
         if self.family is Family.SYMPLECTIC and self.ambient_dim % 2 != 0:
             raise ValueError("symplectic ambient dimension must be even")
-        if self.quasi_split_twist not in (1, -1):
-            raise ValueError("quasi_split_twist must be +1 or -1")
 
     @property
     def is_symplectic_base_group(self) -> bool:

@@ -25,8 +25,6 @@ __all__ = [
     "orbit_stabilizers",
     "enumerate_levis",
     "enumerate_decorations",
-    "verify_normalizer_equality",
-    "verify_decorated_equality",
 ]
 
 BRUTE_FORCE_CAP = 5
@@ -285,14 +283,14 @@ class OrbitStabilizers:
         return set(self.group) == set(self.even_group)
 
 
-def orbit_stabilizers(levi: LeviDescriptor, n: int) -> OrbitStabilizers:
-    """Stabilizer of the decoration data, with its semidirect splitting."""
+def orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilizers:
+    """Stabilizer of the decoration data, with its semidirect splitting.
+
+    ``rel`` is the relative Weyl group of the undecorated Levi, so one
+    ``relative_weyl`` scan serves every decoration of it.
+    """
     if levi.decorations is None:
         raise ValueError("decorations required")
-    return _orbit_stabilizers(levi, relative_weyl(levi, n))
-
-
-def _orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilizers:
     even = set(rel.even_cosets)
     q = sorted(m for m in rel.cosets if _stabilizes_decorations(m, levi))
     q0 = [m for m in q if m in even]
@@ -335,7 +333,7 @@ def _orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabiliz
 
 
 # ---------------------------------------------------------------------------
-# exhaustive verification harnesses
+# enumeration of Levis and decorations
 
 
 def enumerate_levis(n: int) -> list[LeviDescriptor]:
@@ -395,58 +393,3 @@ def enumerate_decorations(levi: LeviDescriptor, max_labels: int = 3) -> list[Lev
             seen.add(key)
             out.append(LeviDescriptor(levi.composition, levi.tail_rank, dec))
     return out
-
-
-def verify_normalizer_equality(max_rank: int = 4) -> list[dict]:
-    """Equality of the two relative Weyl groups holds exactly when the Levi
-    has a tail or only even blocks."""
-    _check_cap(max(max_rank, 1))  # refuse an over-cap rank before any work
-    cases = []
-    for n in range(1, max_rank + 1):
-        for levi in enumerate_levis(n):
-            rel = relative_weyl(levi, n)
-            predicted = levi.tail_rank >= 1 or all(k % 2 == 0 for k in levi.composition)
-            cases.append(
-                {
-                    "n": n,
-                    "composition": list(levi.composition),
-                    "tail": levi.tail_rank,
-                    "expected": predicted,
-                    "actual": rel.equal,
-                    "status": "pass" if predicted == rel.equal else "fail",
-                }
-            )
-    return cases
-
-
-def verify_decorated_equality(max_rank: int = 4, max_labels: int = 3) -> list[dict]:
-    """Decorated version: equality fails exactly for tailless Levis carrying
-    a self-dual orbit on an odd block; the semidirect splitting is also
-    checked on every case."""
-    _check_cap(max(max_rank, 1))  # refuse an over-cap rank before any work
-    cases = []
-    for n in range(1, max_rank + 1):
-        for levi in enumerate_levis(n):
-            if not levi.composition:
-                continue
-            rel = relative_weyl(levi, n)
-            for dec in enumerate_decorations(levi, max_labels):
-                st = _orbit_stabilizers(dec, rel)
-                odd_self_dual = any(
-                    k % 2 == 1 and sd for k, (_, sd) in zip(dec.composition, dec.decorations)
-                )
-                predicted = dec.tail_rank >= 1 or not odd_self_dual
-                good = predicted == st.equal and st.semidirect_ok
-                cases.append(
-                    {
-                        "n": n,
-                        "composition": list(dec.composition),
-                        "tail": dec.tail_rank,
-                        "decorations": [[label, sd] for label, sd in dec.decorations],
-                        "expected": predicted,
-                        "actual": st.equal,
-                        "semidirect": st.semidirect_ok,
-                        "status": "pass" if good else "fail",
-                    }
-                )
-    return cases

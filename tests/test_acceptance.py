@@ -12,13 +12,14 @@ import time
 import pytest
 
 from hecke_atlas.centralizer import centralizer_of_s, enumerate_s_classes
-from hecke_atlas.cli import run, run_suite, standard_inventory
+from hecke_atlas.cli import run
 from hecke_atlas.params import (
     LDSummand,
     build_ld_parameter,
     parameter_to_json_dict,
     supercuspidal_corpus,
 )
+from hecke_atlas.verify import run_suite, standard_inventory
 from hecke_atlas.weil import DualGroupDescriptor, Family, UnitMonomial, orbit_point
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,11 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hecke_atlas import centralizer, cli
-from hecke_atlas.cli import normed_corpus, run, run_suite, standard_inventory
+from hecke_atlas import centralizer, verify
+from hecke_atlas.cli import run
 from hecke_atlas.hecke import derived_rows
 from hecke_atlas.params import discrete_parameters, parameter_to_json_dict
+from hecke_atlas.verify import normed_corpus, run_suite, standard_inventory
 from hecke_atlas.weil import DualGroupDescriptor, Family
 
 
@@ -137,7 +141,7 @@ def test_thm32_enumerates_each_table_once(monkeypatch):
         calls.append((kind, rank))
         return derived_rows(kind, rank)
 
-    monkeypatch.setattr(cli, "derived_rows", counted)
+    monkeypatch.setattr(verify, "derived_rows", counted)
     run_suite("thm32", 4)
     assert sorted(calls) == [(kind, d) for kind in ("o_even", "sp") for d in range(1, 5)]
 
@@ -174,6 +178,37 @@ def test_malformed_param_file_exits_2(tmp_path, capsys, edit, field):
     assert err.startswith(f"error: {field} ") and "Traceback" not in err
 
 
+def _json_nodes(tree):
+    """(container, key, value) for every node below the root of a JSON tree."""
+    keys = tree.keys() if isinstance(tree, dict) else range(len(tree)) if isinstance(tree, list) else ()
+    for key in keys:
+        yield tree, key, tree[key]
+        yield from _json_nodes(tree[key])
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["supports", "hecke"]), data=st.data())
+def test_any_one_node_edit_of_a_param_file_exits_0_or_2(tmp_path, command, data):
+    def edit(tree):
+        nodes = list(_json_nodes(tree))
+        container, key, _ = data.draw(st.sampled_from(nodes), label="node")
+        if data.draw(st.booleans(), label="delete"):
+            del container[key]
+        else:
+            # an arbitrary JSON value, or a copy of any node of the file
+            others = st.sampled_from([v for _, _, v in nodes]).map(copy.deepcopy)
+            container[key] = data.draw(_JSON_VALUES | others, label="value")
+
+    assert run([command, "--param", str(_param_file(tmp_path, edit))]) in (0, 2)
+
+
 def test_normed_corpus_is_normed():
     corpus = normed_corpus(standard_inventory(), 4)
     assert len(corpus) > 20
@@ -186,19 +221,30 @@ def _wrong_power(a, e):
     return [[v + 1 for v in row] for row in a]
 
 
-def test_matrix_suite_reports_a_broken_oracle(monkeypatch):
-    monkeypatch.setattr(centralizer, "_mat_pow", _wrong_power)
-    report = run_suite("thm26-matrix", 2)
-    assert report["cases"] and report["failed"] == len(report["cases"])
-    for case in report["cases"]:
-        assert case["actual"] == {"error": "q-scaling relation fails"}
+def _wrong_transpose(a):
+    return [[v + 1 for v in row] for row in zip(*a)]
+
+
+def test_matrix_suite_reports_a_broken_oracle(monkeypatch, capsys):
+    for helper, broken, error in (
+        ("_mat_pow", _wrong_power, "q-scaling relation fails"),
+        ("_transpose", _wrong_transpose, "Gram form not preserved"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(centralizer, helper, broken)
+            report = run_suite("thm26-matrix", 2)
+            assert report["cases"] and report["failed"] == len(report["cases"])
+            for case in report["cases"]:
+                assert case["actual"] == {"error": error}
+            assert run(["verify", "--suite", "thm26-matrix", "--max-rank", "2"]) == 1
+            assert json.loads(capsys.readouterr().out) == report
 
 
 def test_matrix_oracle_survives_optimized_mode():
     script = (
         "import sys\n"
         "from hecke_atlas import centralizer\n"
-        "from hecke_atlas.cli import run_suite\n"
+        "from hecke_atlas.verify import run_suite\n"
         "centralizer._mat_pow = lambda a, e: [[v + 1 for v in row] for row in a]\n"
         "report = run_suite('thm26-matrix', 2)\n"
         "print(sys.flags.optimize, report['failed'], len(report['cases']))\n"

@@ -2,21 +2,19 @@ import itertools
 
 import pytest
 
+from hecke_atlas.verify import run_suite
 from hecke_atlas.weyl import (
     LeviDescriptor,
     RelativeWeyl,
     SignedPermutation,
     _closure,
     _non_normalizing,
-    _orbit_stabilizers,
     _reflection,
     _roots,
     enumerate_decorations,
     enumerate_levis,
     orbit_stabilizers,
     relative_weyl,
-    verify_normalizer_equality,
-    verify_decorated_equality,
     weyl_group,
 )
 
@@ -80,7 +78,7 @@ def test_relative_weyl_single_block_moves():
 
 def test_orbit_stabilizer_self_dual_odd_block():
     levi = LeviDescriptor((1,), 0, (("rho", True),))
-    st = orbit_stabilizers(levi, 1)
+    st = orbit_stabilizers(levi, relative_weyl(levi, 1))
     assert not st.equal
     assert len(st.group) == 2 and len(st.even_group) == 1
     assert st.semidirect_ok and st.counterexample is None
@@ -89,16 +87,16 @@ def test_orbit_stabilizer_self_dual_odd_block():
 def test_orbit_stabilizer_labels_split_blocks():
     # distinct labels forbid swapping the two blocks
     levi = LeviDescriptor((1, 1), 0, (("a", False), ("b", False)))
-    st = orbit_stabilizers(levi, 2)
+    st = orbit_stabilizers(levi, relative_weyl(levi, 2))
     assert len(st.group) == 1
     levi2 = LeviDescriptor((1, 1), 0, (("a", False), ("a", False)))
-    st2 = orbit_stabilizers(levi2, 2)
+    st2 = orbit_stabilizers(levi2, relative_weyl(levi2, 2))
     assert len(st2.group) == 2 and st2.equal  # swap is even-liftable
 
 
 def test_orbit_stabilizer_semidirect_structure():
     levi = LeviDescriptor((1, 1), 1, (("rho", True), ("rho", True)))
-    st = orbit_stabilizers(levi, 3)
+    st = orbit_stabilizers(levi, relative_weyl(levi, 3))
     # full signed group on two axes, all even-liftable thanks to the tail
     assert len(st.group) == 8 and st.equal
     assert len(st.reflection_part) * len(st.complement) == len(st.group)
@@ -120,12 +118,12 @@ def test_enumerate_decorations_consistency():
 
 
 def test_normalizer_equality_characterization():
-    cases = verify_normalizer_equality(4)
+    cases = run_suite("lemA3", 4)["cases"]
     assert cases and all(c["status"] == "pass" for c in cases)
 
 
 def test_decorated_equality_characterization():
-    cases = verify_decorated_equality(3)
+    cases = run_suite("lemA4", 3)["cases"]
     assert cases and all(c["status"] == "pass" for c in cases)
 
 
@@ -197,6 +195,6 @@ def test_normality_check_on_generators_can_fail():
 
     # a hand-built relative Weyl group whose even part is only <s_{e1}>
     levi = LeviDescriptor((1, 1), 0, (("rho", True), ("rho", True)))
-    st = _orbit_stabilizers(levi, RelativeWeyl(tuple(b2), (one, s_e1)))
+    st = orbit_stabilizers(levi, RelativeWeyl(tuple(b2), (one, s_e1)))
     assert st.reflection_part == tuple(sorted({one, s_e1}))
     assert not st.semidirect_ok and st.counterexample == bad
