@@ -1,7 +1,7 @@
 """Centralizer calculus in products of complex classical groups.
 
 Everything is decided on canonical combinatorial forms — eigenvalue
-multisets and partitions — with an exact rational matrix oracle on the
+multisets and partitions — with an exact integer matrix oracle on the
 side.  The two descriptors H and H' of a semisimple element (differing at
 eigenvalue -1 on orbits whose two sign points have different types) are
 both computed, together with the modified centralizer C' and component
@@ -445,12 +445,23 @@ def component_group_of_triple(t: Triple, classes: Mapping[str, InertialClass] | 
 # exact matrix oracle
 
 
-Matrix = list[list[Fraction]]
+# an integer matrix; the oracle's rational matrices are integer matrices M
+# over one common denominator d, with value M / d
+Matrix = list[list[int]]
+
+
+def _diagonal(values: Sequence[int]) -> Matrix:
+    n = len(values)
+    return [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _scaled(a: Matrix, c: int) -> Matrix:
+    return [[c * v for v in row] for row in a]
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         for t in range(k):
             if a[i][t]:
@@ -461,8 +472,7 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _mat_pow(a: Matrix, e: int) -> Matrix:
-    n = len(a)
-    out: Matrix = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    out = _diagonal([1] * len(a))
     base = a
     while e:
         if e % 2:
@@ -474,7 +484,7 @@ def _mat_pow(a: Matrix, e: int) -> Matrix:
 
 def _kron(a: Matrix, b: Matrix) -> Matrix:
     na, nb = len(a), len(b)
-    out = [[Fraction(0)] * (na * nb) for _ in range(na * nb)]
+    out = [[0] * (na * nb) for _ in range(na * nb)]
     for i in range(na):
         for j in range(len(a[0])):
             if a[i][j]:
@@ -490,7 +500,7 @@ def _transpose(a: Matrix) -> Matrix:
 
 def _block_diag(blocks: Sequence[Matrix]) -> Matrix:
     n = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     off = 0
     for b in blocks:
         for i, row in enumerate(b):
@@ -500,47 +510,50 @@ def _block_diag(blocks: Sequence[Matrix]) -> Matrix:
     return out
 
 
-def _exp_nilpotent(n_mat: Matrix) -> Matrix:
+def _exp_nilpotent(n_mat: Matrix, t: int) -> Matrix:
+    """t! exp(N) for a nilpotent N of size at most t + 1: the series of
+    (t!/k!) N**k, integral because N**k vanishes for k > t."""
     n = len(n_mat)
-    out: Matrix = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    term: Matrix = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    out = _diagonal([math.factorial(t)] * n)
+    term = _diagonal([1] * n)
     for k in range(1, n):
         term = _mat_mul(term, n_mat)
         if all(all(v == 0 for v in row) for row in term):
             break
+        c = math.factorial(t) // math.factorial(k)
         for i in range(n):
             for j in range(n):
-                out[i][j] += term[i][j] / Fraction(math.factorial(k))
+                out[i][j] += c * term[i][j]
     return out
 
 
 # the matrix oracle's value of q: a square, so half-integral q-powers stay rational
 SQRT_Q = 2
 Q = SQRT_Q * SQRT_Q
+MATRIX_DIM_CAP = 12  # largest ambient dimension the matrix oracle takes
 
 
-def _monomial_value(f: UnitMonomial) -> Fraction:
-    if not f.root in (Fraction(0), Fraction(1, 2)):
-        raise ValueError("matrix oracle needs sign points")
-    sign = 1 if f.root == 0 else -1
-    return sign * Fraction(SQRT_Q) ** int(2 * f.q_exponent)
-
-
-def realize_matrices(phi: LDParameter) -> tuple[Matrix, Matrix, Matrix]:
+def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]:
     """Exact block matrices (s, u, gram) witnessing the q-scaling relation
     at q = ``Q``.
 
-    Asserts s u s^-1 = u**q and that both matrices preserve the block Gram
-    form, whose symmetry type must match the ambient family (this is the
-    independent check of the tensor type rule).
+    With t the largest SL2 dimension minus one, s = S / SQRT_Q**t,
+    s**-1 = T / SQRT_Q**t and u = U / t! for integer matrices S, T and U;
+    the Gram matrix G is integral.  Raises ``CheckError`` unless
+    s u s**-1 = u**q and both s and u preserve G, and unless G is symmetric
+    or alternating as the ambient family requires (the independent check of
+    the tensor type rule); each check is a dense integer product of the
+    block-diagonal matrices, cross-multiplied by the denominators.  The
+    returned entries are ``Fraction``s, with ``0`` for zero.
     """
-    if phi.ambient.ambient_dim > 12:
-        raise ValueError("matrix oracle capped at ambient dimension 12")
+    if phi.ambient.ambient_dim > MATRIX_DIM_CAP:
+        raise ValueError(f"matrix oracle capped at ambient dimension {MATRIX_DIM_CAP}")
     if phi.ambient.family is Family.UNITARY_L:
         raise ValueError("matrix oracle covers the classical ambients only")
     if not phi.summands:
         return [], [], []
 
+    t = max(summand.sl2_dim for summand in phi.summands) - 1
     s_blocks: list[Matrix] = []
     u_blocks: list[Matrix] = []
     g_blocks: list[Matrix] = []
@@ -551,29 +564,27 @@ def realize_matrices(phi: LDParameter) -> tuple[Matrix, Matrix, Matrix]:
             raise ValueError("matrix oracle needs self-dual sign points")
         if not isinstance(cls.duality, SelfDual):  # pragma: no cover - guarded above
             raise ValueError("self-dual class required")
-        tag = (
-            cls.duality.type_at_plus if summand.point.f.sign == 1 else cls.duality.type_at_minus
-        )
+        f = summand.point.f.sign
+        tag = cls.duality.type_at_plus if f == 1 else cls.duality.type_at_minus
         k = cls.dim * summand.multiplicity
-        f_val = Fraction(summand.point.f.sign)
-        ladder = [f_val * _monomial_value(UnitMonomial.of(0, Fraction(a - 1, 2) - j)) for j in range(a)]
-        s_a = [[ladder[i] if i == j else Fraction(0) for j in range(a)] for i in range(a)]
-        n_a = [[Fraction(int(j == i + 1)) for j in range(a)] for i in range(a)]
-        u_a = _exp_nilpotent(n_a)
-        g_a = [[Fraction(0)] * a for _ in range(a)]
+        # the ladder f q**((a-1)/2 - j), times SQRT_Q**t
+        s_a = _diagonal([f * SQRT_Q ** (t + a - 1 - 2 * j) for j in range(a)])
+        n_a = [[int(j == i + 1) for j in range(a)] for i in range(a)]
+        u_a = _exp_nilpotent(n_a, t)
+        g_a = [[0] * a for _ in range(a)]
         for i in range(a):
-            g_a[i][a - 1 - i] = Fraction((-1) ** i)
+            g_a[i][a - 1 - i] = (-1) ** i
+        ident_k = _diagonal([1] * k)
         if tag is DualityType.ORTHOGONAL:
-            g_k = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+            g_k = ident_k
         elif tag is DualityType.SYMPLECTIC:
             if k % 2 != 0:
                 raise ValueError("symplectic representation dimension must be even")
-            g_k = [[Fraction(0)] * k for _ in range(k)]
+            g_k = [[0] * k for _ in range(k)]
             for i in range(k):
-                g_k[i][k - 1 - i] = Fraction(1 if i < k // 2 else -1)
+                g_k[i][k - 1 - i] = 1 if i < k // 2 else -1
         else:  # pragma: no cover - unitary ambients rejected earlier
             raise ValueError("conjugate-dual tags have no classical Gram form")
-        ident_k = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
         s_blocks.append(_kron(s_a, ident_k))
         u_blocks.append(_kron(u_a, ident_k))
         g_blocks.append(_kron(g_a, g_k))
@@ -581,26 +592,28 @@ def realize_matrices(phi: LDParameter) -> tuple[Matrix, Matrix, Matrix]:
     s_mat = _block_diag(s_blocks)
     u_mat = _block_diag(u_blocks)
     g_mat = _block_diag(g_blocks)
+    s_den, u_den = SQRT_Q**t, math.factorial(t)
 
-    s_inv = [[Fraction(0)] * len(s_mat) for _ in range(len(s_mat))]
-    for i in range(len(s_mat)):
-        s_inv[i][i] = 1 / s_mat[i][i]
-    left = _mat_mul(_mat_mul(s_mat, u_mat), s_inv)
-    right = _mat_pow(u_mat, Q)
+    t_mat = _diagonal([s_den * s_den // s_mat[i][i] for i in range(len(s_mat))])
+    left = _scaled(_mat_mul(_mat_mul(s_mat, u_mat), t_mat), u_den**Q)
+    right = _scaled(_mat_pow(u_mat, Q), s_den * s_den * u_den)
     if left != right:
         raise CheckError("q-scaling relation fails")
 
-    for m in (s_mat, u_mat):
-        if _mat_mul(_mat_mul(_transpose(m), g_mat), m) != g_mat:
+    for m, den in ((s_mat, s_den), (u_mat, u_den)):
+        if _mat_mul(_mat_mul(_transpose(m), g_mat), m) != _scaled(g_mat, den * den):
             raise CheckError("Gram form not preserved")
 
     gt = _transpose(g_mat)
     if phi.ambient.family is Family.ORTHOGONAL:
         if gt != g_mat:
             raise CheckError("expected a symmetric form")
-    elif gt != [[-v for v in row] for row in g_mat]:
+    elif gt != _scaled(g_mat, -1):
         raise CheckError("expected an alternating form")
-    return s_mat, u_mat, g_mat
+    return tuple(
+        [[Fraction(v, den) if v else 0 for v in row] for row in m]
+        for m, den in ((s_mat, s_den), (u_mat, u_den), (g_mat, 1))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 oracle over an exhaustive corpus, one report case per input.
 
 ``run_suite(suite, max_rank)`` runs one suite of ``SUITES`` at a rank (the
-suite's default rank when None).  The report lists the cases, each with its
+suite's default rank when None); a rank outside the suite's range raises
+``ValueError`` before any work.  The report lists the cases, each with its
 input, expected and actual values and a status (pass, fail or flagged),
 followed by the count of each status.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Callable
 
 from . import CheckError
-from .centralizer import parameter_to_triple, realize_matrices, triple_to_parameter
+from .centralizer import MATRIX_DIM_CAP, parameter_to_triple, realize_matrices, triple_to_parameter
 from .hecke import derived_rows, epsilon_multiplicity, hecke_descriptor, specialize
 from .params import (
     LDSummand,
@@ -253,13 +254,6 @@ def _suite_thm26_matrix(max_rank: int) -> list[dict]:
     return [check(item) for item in items]
 
 
-def _weyl_ranks(max_rank: int) -> range:
-    """Ranks 1..max_rank, refusing an over-cap rank before any work."""
-    if max_rank > BRUTE_FORCE_CAP:
-        raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_CAP}")
-    return range(1, max_rank + 1)
-
-
 def _levi_case_name(n: int, levi) -> str:
     return f"n={n}:blocks={','.join(map(str, levi.composition)) or '-'}:tail={levi.tail_rank}"
 
@@ -268,7 +262,7 @@ def _suite_lemA3(max_rank: int) -> list[dict]:
     """Equality of the two relative Weyl groups holds exactly when the Levi
     has a tail or only even blocks."""
     cases = []
-    for n in _weyl_ranks(max_rank):
+    for n in range(1, max_rank + 1):
         for levi in enumerate_levis(n):
             predicted = levi.tail_rank >= 1 or all(k % 2 == 0 for k in levi.composition)
             equal = relative_weyl(levi, n).equal
@@ -281,7 +275,7 @@ def _suite_lemA4(max_rank: int) -> list[dict]:
     a self-dual orbit on an odd block; the semidirect splitting is also
     checked on every case."""
     cases = []
-    for n in _weyl_ranks(max_rank):
+    for n in range(1, max_rank + 1):
         for levi in enumerate_levis(n):
             if not levi.composition:
                 continue
@@ -305,23 +299,29 @@ def _suite_lemA4(max_rank: int) -> list[dict]:
     return cases
 
 
-# suite name -> (runner over ranks 1..max_rank, default rank)
-SUITES: dict[str, tuple[Callable[[int], list[dict]], int]] = {
-    "thm11": (_suite_thm11, 9),
-    "thm16": (_suite_thm16, 6),
-    "thm18": (_suite_thm18, 6),
-    "thm31": (_suite_thm31, 6),
-    "thm32": (_suite_thm32, 6),
-    "thm33": (_suite_thm33, 12),
-    "thm26-matrix": (_suite_thm26_matrix, 8),
-    "lemA3": (_suite_lemA3, 5),
-    "lemA4": (_suite_lemA4, 5),
+# suite name -> (runner over ranks 1..max_rank, default rank, largest valid
+# rank or None when unbounded)
+SUITES: dict[str, tuple[Callable[[int], list[dict]], int, int | None]] = {
+    "thm11": (_suite_thm11, 9, None),
+    "thm16": (_suite_thm16, 6, None),
+    "thm18": (_suite_thm18, 6, None),
+    "thm31": (_suite_thm31, 6, None),
+    "thm32": (_suite_thm32, 6, None),
+    "thm33": (_suite_thm33, 12, None),
+    "thm26-matrix": (_suite_thm26_matrix, 8, MATRIX_DIM_CAP),
+    "lemA3": (_suite_lemA3, 5, BRUTE_FORCE_CAP),
+    "lemA4": (_suite_lemA4, 5, BRUTE_FORCE_CAP),
 }
 
 
 def run_suite(suite: str, max_rank: int | None = None) -> dict:
-    runner, default_rank = SUITES[suite]
-    cases = runner(max_rank if max_rank is not None else default_rank)
+    runner, default_rank, cap = SUITES[suite]
+    rank = default_rank if max_rank is None else max_rank
+    if rank < 1:
+        raise ValueError(f"{suite}: rank must be positive, got {rank}")
+    if cap is not None and rank > cap:
+        raise ValueError(f"{suite}: rank capped at {cap}, got {rank}")
+    cases = runner(rank)
     counts = {"pass": 0, "fail": 0, "flagged": 0}
     for c in cases:
         counts[c["status"]] += 1

@@ -19,7 +19,7 @@ from hecke_atlas.params import (
     parameter_to_json_dict,
     supercuspidal_corpus,
 )
-from hecke_atlas.verify import run_suite, standard_inventory
+from hecke_atlas.verify import SUITES, run_suite, standard_inventory
 from hecke_atlas.weil import DualGroupDescriptor, Family, UnitMonomial, orbit_point
 
 
@@ -149,9 +149,18 @@ def test_support_structure_and_injectivity():
 
 
 def test_over_cap_rank_is_refused_before_any_work():
-    for suite in ("lemA3", "lemA4"):
+    for suite, rank in (("lemA3", 6), ("lemA4", 6), ("thm26-matrix", 13)):
         with Budget(1):
-            assert run(["verify", "--suite", suite, "--max-rank", "6"]) == 2
+            assert run(["verify", "--suite", suite, "--max-rank", str(rank)]) == 2
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_non_positive_rank_is_refused_before_any_work(suite, capsys):
+    for rank in ("0", "-1"):
+        with Budget(1):
+            assert run(["verify", "--suite", suite, "--max-rank", rank]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {suite}: rank must be positive, got {rank}\n"
 
 
 # sha256 of each output, captured before a refactor that must leave every

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ from hecke_atlas.params import (
     is_supercuspidal_shape,
     normed_parameter,
 )
-from hecke_atlas.weil import DualGroupDescriptor, Family, UnitMonomial, orbit_point
+from hecke_atlas.verify import _classical_ambients, standard_inventory
+from hecke_atlas.weil import DualGroupDescriptor, DualityType, Family, UnitMonomial, orbit_point
 
 ONE = UnitMonomial.one()
 MINUS = UnitMonomial.minus_one()
@@ -270,6 +272,67 @@ def test_realize_matrices_sp2(extended_inventory):
     assert u == [[1, 1], [0, 1]]
     # the preserved form is alternating: orthogonal point, even SL2 factor
     assert g[0][1] == -g[1][0] and g[0][0] == g[1][1] == 0
+
+
+def _fmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _fkron(a, b):
+    nb = len(b)
+    n = len(a) * nb
+    return [[a[i // nb][j // nb] * b[i % nb][j % nb] for j in range(n)] for i in range(n)]
+
+
+def _fblock_diag(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off : off + len(b)] = row
+        off += len(b)
+    return out
+
+
+def _fraction_oracle(phi):
+    """s, u and the Gram form of ``phi`` at q = 4, built over Fraction from
+    their definitions: the ladder diagonal f q**((a-1)/2 - j), the series
+    sum N**k / k! and the block Gram form (antidiagonal signs on the SL2
+    factor, tensored with the identity or the standard alternating form)."""
+    s_blocks, u_blocks, g_blocks = [], [], []
+    for summand in phi.summands:
+        a, f = summand.sl2_dim, summand.point.f.sign
+        k = summand.point.cls.dim * summand.multiplicity
+        duality = summand.point.cls.duality
+        tag = duality.type_at_plus if f == 1 else duality.type_at_minus
+        ident = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+        ladder = [f * Fraction(2) ** (a - 1 - 2 * j) for j in range(a)]
+        s_a = [[ladder[i] if i == j else Fraction(0) for j in range(a)] for i in range(a)]
+        u_a = [[Fraction(1, math.factorial(j - i)) if j >= i else Fraction(0) for j in range(a)] for i in range(a)]
+        g_a = [[Fraction((-1) ** i) if i + j == a - 1 else Fraction(0) for j in range(a)] for i in range(a)]
+        if tag is DualityType.ORTHOGONAL:
+            g_k = ident
+        else:
+            g_k = [[Fraction(1 if i < k // 2 else -1) if i + j == k - 1 else Fraction(0) for j in range(k)] for i in range(k)]
+        s_blocks.append(_fkron(s_a, ident))
+        u_blocks.append(_fkron(u_a, ident))
+        g_blocks.append(_fkron(g_a, g_k))
+    return _fblock_diag(s_blocks), _fblock_diag(u_blocks), _fblock_diag(g_blocks)
+
+
+def test_realize_matrices_matches_a_fraction_oracle():
+    inv = standard_inventory()
+    count = 0
+    for ambient in _classical_ambients(6):
+        for phi in discrete_parameters(inv, ambient):
+            s, u, g = _fraction_oracle(phi)
+            assert realize_matrices(phi) == (s, u, g)
+            s_inv = [[1 / v if v else v for v in row] for row in s]
+            u4 = _fmul(_fmul(u, u), _fmul(u, u))
+            assert _fmul(_fmul(s, u), s_inv) == u4
+            count += 1
+    assert count > 100
 
 
 def test_realize_matrices_caps_dimension(extended_inventory):

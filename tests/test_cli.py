@@ -240,6 +240,25 @@ def test_matrix_suite_reports_a_broken_oracle(monkeypatch, capsys):
             assert json.loads(capsys.readouterr().out) == report
 
 
+def test_matrix_suite_fails_when_sqrt_q_is_not_a_root_of_q(monkeypatch):
+    # with s built from powers of 3 but u**q taken at q = 4, the relation
+    # s u s^-1 = u**q fails exactly where an SL2 block of size >= 2 occurs
+    monkeypatch.setattr(centralizer, "SQRT_Q", 3)
+    inv = standard_inventory()
+    phis = [phi for ambient in verify._classical_ambients(3) for phi in discrete_parameters(inv, ambient)]
+    report = run_suite("thm26-matrix", 3)
+    assert len(report["cases"]) == len(phis)
+    broken = 0
+    for phi, case in zip(phis, report["cases"]):
+        if max(s.sl2_dim for s in phi.summands) >= 2:
+            broken += 1
+            assert case["status"] == "fail"
+            assert case["actual"] == {"error": "q-scaling relation fails"}
+        else:
+            assert case["status"] == "pass"
+    assert broken > 0
+
+
 def test_matrix_oracle_survives_optimized_mode():
     script = (
         "import sys\n"
