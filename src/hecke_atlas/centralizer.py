@@ -2,10 +2,13 @@
 
 Everything is decided on canonical combinatorial forms — eigenvalue
 multisets and partitions — with an exact integer matrix oracle on the
-side.  The two descriptors H and H' of a semisimple element (differing at
-eigenvalue -1 on orbits whose two sign points have different types) are
-both computed, together with the modified centralizer C' and component
-groups of (s, u) triples.
+side.  One rule, ``_family_at``, names the family (O, Sp or GL) at an
+eigenvalue of an orbit block.  ``centralizer_of_s`` builds from it, in one
+pass, the two descriptors H and H' of a semisimple element (differing at
+eigenvalue -1 on orbits whose two sign points have different types) and
+the modified centralizer C'.  An (s, u) triple carries the orbit blocks of
+its base parameter, so its component group reads each block's family and
+class dimension from the triple.
 """
 
 from __future__ import annotations
@@ -17,12 +20,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import CheckError
-from .params import LDParameter, LDSummand, Orbit, build_ld_parameter, normed_parameter, summand_type
+from .params import LDParameter, LDSummand, Orbit, build_ld_parameter, summand_type
 from .weil import (
     DualityType,
     Family,
-    InertialClass,
-    InertialPoint,
     Inventory,
     SelfDual,
     UnitMonomial,
@@ -146,15 +147,20 @@ def s_phi(phi: LDParameter) -> SemisimpleClassDescriptor:
     return SemisimpleClassDescriptor.build(raw)
 
 
-def _sign_families(orbit: Orbit) -> tuple[str, str]:
-    plus, minus = orbit.types
-    return ("O" if plus else "Sp", "O" if minus else "Sp")
+def _family_at(orbit: Orbit, x: UnitMonomial) -> str:
+    """Family of the centralizer factor at eigenvalue ``x`` of an orbit block:
+    general linear on a dual pair and off the sign points, otherwise
+    orthogonal or symplectic as the sign point has the ambient's type."""
+    if orbit.types is None or not x.is_sign:
+        return "GL"
+    return "O" if orbit.types[x.sign == -1] else "Sp"
 
 
 @dataclass(frozen=True)
 class SCentralizerResult:
     h: ClassicalGroupDescriptor
     h_prime: ClassicalGroupDescriptor
+    c_prime: ClassicalGroupDescriptor
     mixed_blocks: tuple[str, ...]
     m_minus_one_mixed: int
 
@@ -170,10 +176,15 @@ def centralizer_of_s(phi0: LDParameter, s: SemisimpleClassDescriptor) -> SCentra
     (the centralizer of the twisted parameter's image); ``h_prime`` keeps
     the ambient factor's family there.  They can only differ on orbits
     whose two sign points have different types, and then exactly when -1
-    occurs as an eigenvalue.
+    occurs as an eigenvalue.  ``c_prime`` is the modified centralizer: on
+    those mixed-type orbits the unitary-dual rule is substituted
+    (orthogonal at 1, symplectic at -1, general linear elsewhere); all
+    other orbits keep the factors of ``h``.
     """
+    one, minus_one = UnitMonomial.one(), UnitMonomial.minus_one()
     h: list[tuple[str, int, str]] = []
     hp: list[tuple[str, int, str]] = []
+    cp: list[tuple[str, int, str]] = []
     mixed: list[str] = []
     m_minus_mixed = 0
     for orbit in phi0.orbits:
@@ -181,63 +192,37 @@ def centralizer_of_s(phi0: LDParameter, s: SemisimpleClassDescriptor) -> SCentra
         values = dict(s.block(label))
         if sum(values.values()) != m:
             raise ValueError(f"eigenvalue multiplicities at block {label!r} do not sum to {m}")
-        if orbit.types is None:
-            for x, mx in sorted(values.items()):
-                h.append(("GL", mx, f"{label}@{x}"))
-                hp.append(("GL", mx, f"{label}@{x}"))
-            continue
-        fam_plus, fam_minus = _sign_families(orbit)
-        if fam_plus != fam_minus:
+        is_mixed = _family_at(orbit, one) != _family_at(orbit, minus_one)
+        if is_mixed:
             mixed.append(label)
-            m_minus_mixed += values.get(UnitMonomial.minus_one(), 0)
-        seen: set[UnitMonomial] = set()
+            m_minus_mixed += values.get(minus_one, 0)
         for x, mx in sorted(values.items()):
-            if x in seen:
-                continue
-            if x.is_sign:
-                fam_true = fam_plus if x.sign == 1 else fam_minus
-                h.append((fam_true, mx, f"{label}@{x}"))
-                hp.append((fam_plus, mx, f"{label}@{x}"))
-                seen.add(x)
-            else:
-                inv = x.inverse()
-                if values.get(inv, 0) != mx:
+            if orbit.types is not None and not x.is_sign:
+                if values.get(x.inverse(), 0) != mx:
                     raise ValueError(
                         f"eigenvalues at block {label!r} are not closed under inversion"
                     )
-                rep = _canonical_value(x)
-                h.append(("GL", mx, f"{label}@{rep}"))
-                hp.append(("GL", mx, f"{label}@{rep}"))
-                seen.update({x, inv})
+                if x != _canonical_value(x):
+                    continue  # counted with its inverse
+            fam = _family_at(orbit, x)
+            at = f"{label}@{x}"
+            h.append((fam, mx, at))
+            hp.append((_family_at(orbit, one) if x.is_sign else fam, mx, at))
+            if is_mixed and x.is_sign:
+                fam = "O" if x == one else "Sp"
+            cp.append((fam, mx, at))
     return SCentralizerResult(
         ClassicalGroupDescriptor(tuple(sorted(h))),
         ClassicalGroupDescriptor(tuple(sorted(hp))),
+        ClassicalGroupDescriptor(tuple(sorted(cp))),
         tuple(mixed),
         m_minus_mixed,
     )
 
 
 def c_prime(phi0: LDParameter, s: SemisimpleClassDescriptor) -> ClassicalGroupDescriptor:
-    """The modified centralizer: on mixed-type orbits the unitary-dual rule
-    is substituted (orthogonal at 1, symplectic at -1, general linear
-    elsewhere); all other orbits keep the plain centralizer factors."""
-    base = centralizer_of_s(phi0, s)
-    if not base.mixed_blocks:
-        return base.h
-    factors = []
-    mixed = set(base.mixed_blocks)
-    for fam, size, label in base.h.factors:
-        block = label.split("@", 1)[0]
-        if block in mixed:
-            value = label.split("@", 1)[1]
-            if value == "1":
-                fam = "O"
-            elif value == "-1":
-                fam = "Sp"
-            else:
-                fam = "GL"
-        factors.append((fam, size, label))
-    return ClassicalGroupDescriptor(tuple(sorted(factors)))
+    """The modified centralizer C' of ``centralizer_of_s``."""
+    return centralizer_of_s(phi0, s).c_prime
 
 
 PAIR_PALETTE = (
@@ -292,7 +277,7 @@ class Triple:
     group: ClassicalGroupDescriptor
     s: SemisimpleClassDescriptor
     u_by_eigenblock: tuple[tuple[tuple[str, UnitMonomial], tuple[int, ...]], ...]
-    sign_families: tuple[tuple[str, str, str], ...]  # (block, family at 1, family at -1)
+    orbits: tuple[Orbit, ...]  # the base parameter's orbit blocks
 
 
 def _partition_ok(parts: Sequence[int], family: str) -> bool:
@@ -320,19 +305,15 @@ def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
         label = cls.orbit_label
         if label not in blocks:
             raise ValueError(f"summand orbit {label!r} does not occur in the base parameter")
-        rep_side = cls.label == label
-        a = s.sl2_dim
-        if rep_side:
-            for j in range(a):
-                step = UnitMonomial.of(0, Fraction(a - 1, 2) - j)
-                raw_s[label].append((s.point.f * step, s.multiplicity))
-        x = s.point.f if rep_side else s.point.f.inverse()
-        canonical = _canonical_value(x) if blocks[label].cls.is_self_dual else x
-        if (not blocks[label].cls.is_self_dual and not rep_side) or (
-            blocks[label].cls.is_self_dual and x != canonical and not x.is_sign
-        ):
-            continue  # mirrored side of the canonical key
-        raw_u.setdefault((label, canonical), []).extend([a] * s.multiplicity)
+        if cls.label != label:
+            continue  # the partner side of a dual pair mirrors the representative side
+        a, x = s.sl2_dim, s.point.f
+        for j in range(a):
+            step = UnitMonomial.of(0, Fraction(a - 1, 2) - j)
+            raw_s[label].append((x * step, s.multiplicity))
+        if cls.is_self_dual and x != _canonical_value(x):
+            continue  # the inverse value carries the same parts
+        raw_u.setdefault((label, x), []).extend([a] * s.multiplicity)
 
     for label, orbit in blocks.items():
         total = sum(mult for _, mult in raw_s[label])
@@ -341,33 +322,18 @@ def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
                 f"block {label!r} has Weil multiplicity {total}, expected {orbit.multiplicity}"
             )
 
-    sign_families = []
-    for label, orbit in blocks.items():
-        cls = orbit.cls
-        if cls.is_self_dual:
-            fam_plus, fam_minus = _sign_families(orbit)
-        else:
-            fam_plus = fam_minus = "GL"
-        sign_families.append((label, fam_plus, fam_minus))
-        for (lab, x), parts in raw_u.items():
-            if lab != label or not cls.is_self_dual:
-                continue
-            if x.is_sign:
-                fam = fam_plus if x.sign == 1 else fam_minus
-                if not _partition_ok(parts, fam):
-                    raise ValueError(
-                        f"partition parity violated at block {label!r}, eigenvalue {x}"
-                    )
-
     u = tuple(
         (key, tuple(sorted(parts, reverse=True)))
-        for key, parts in sorted(raw_u.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+        for key, parts in sorted(raw_u.items())
     )
+    for (label, x), parts in u:
+        if not _partition_ok(parts, _family_at(blocks[label], x)):
+            raise ValueError(f"partition parity violated at block {label!r}, eigenvalue {x}")
     return Triple(
         centralizer_of_image(phi0).descriptor,
         SemisimpleClassDescriptor.build(raw_s),
         u,
-        tuple(sign_families),
+        phi0.orbits,
     )
 
 
@@ -417,27 +383,27 @@ class TripleComponentGroup:
         return self.order
 
 
-def component_group_of_triple(t: Triple, classes: Mapping[str, InertialClass] | None = None) -> TripleComponentGroup:
+def component_group_of_triple(t: Triple) -> TripleComponentGroup:
     """One Z/2 per distinct part of the relevant parity in each O/Sp block.
 
     Orthogonal blocks contribute their distinct odd parts, symplectic
     blocks their distinct even parts; each generator carries the sign
-    ``(-1)**(dim * part)`` used for the determinant-one restriction.
+    ``(-1)**(dim * part)`` used for the determinant-one restriction, with
+    ``dim`` the dimension of the block's class.
     """
-    fam_by_block = {label: (fp, fm) for label, fp, fm in t.sign_families}
+    orbits = {orbit.cls.label: orbit for orbit in t.orbits}
     gens: list[str] = []
     dets: list[int] = []
     for (label, x), parts in t.u_by_eigenblock:
-        fam_plus, fam_minus = fam_by_block[label]
-        if fam_plus == "GL" or not x.is_sign:
+        orbit = orbits[label]
+        fam = _family_at(orbit, x)
+        if fam == "GL":
             continue
-        fam = fam_plus if x.sign == 1 else fam_minus
         want_parity = 1 if fam == "O" else 0
-        dim = classes[label].dim if classes else 1
         for a in sorted(set(parts)):
             if a % 2 == want_parity:
                 gens.append(f"{label}@{x}:part{a}")
-                dets.append((-1) ** (dim * a))
+                dets.append((-1) ** (orbit.cls.dim * a))
     return TripleComponentGroup(tuple(gens), tuple(dets))
 
 

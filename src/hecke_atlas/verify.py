@@ -299,26 +299,28 @@ def _suite_lemA4(max_rank: int) -> list[dict]:
     return cases
 
 
-# suite name -> (runner over ranks 1..max_rank, default rank, largest valid
-# rank or None when unbounded)
-SUITES: dict[str, tuple[Callable[[int], list[dict]], int, int | None]] = {
-    "thm11": (_suite_thm11, 9, None),
-    "thm16": (_suite_thm16, 6, None),
-    "thm18": (_suite_thm18, 6, None),
-    "thm31": (_suite_thm31, 6, None),
-    "thm32": (_suite_thm32, 6, None),
-    "thm33": (_suite_thm33, 12, None),
-    "thm26-matrix": (_suite_thm26_matrix, 8, MATRIX_DIM_CAP),
-    "lemA3": (_suite_lemA3, 5, BRUTE_FORCE_CAP),
-    "lemA4": (_suite_lemA4, 5, BRUTE_FORCE_CAP),
+# suite name -> (runner over ranks up to max_rank, default rank, lowest valid
+# rank, largest valid rank or None when unbounded)
+SUITES: dict[str, tuple[Callable[[int], list[dict]], int, int, int | None]] = {
+    "thm11": (_suite_thm11, 9, 1, None),
+    "thm16": (_suite_thm16, 6, 1, None),
+    "thm18": (_suite_thm18, 6, 1, None),
+    "thm31": (_suite_thm31, 6, 1, None),
+    "thm32": (_suite_thm32, 6, 1, None),
+    "thm33": (_suite_thm33, 12, 2, None),
+    "thm26-matrix": (_suite_thm26_matrix, 8, 1, MATRIX_DIM_CAP),
+    "lemA3": (_suite_lemA3, 5, 1, BRUTE_FORCE_CAP),
+    "lemA4": (_suite_lemA4, 5, 1, BRUTE_FORCE_CAP),
 }
 
 
 def run_suite(suite: str, max_rank: int | None = None) -> dict:
-    runner, default_rank, cap = SUITES[suite]
+    runner, default_rank, lowest, cap = SUITES[suite]
     rank = default_rank if max_rank is None else max_rank
     if rank < 1:
         raise ValueError(f"{suite}: rank must be positive, got {rank}")
+    if rank < lowest:
+        raise ValueError(f"{suite}: ranks start at {lowest}, got {rank}")
     if cap is not None and rank > cap:
         raise ValueError(f"{suite}: rank capped at {cap}, got {rank}")
     cases = runner(rank)

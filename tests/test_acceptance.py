@@ -148,10 +148,11 @@ def test_support_structure_and_injectivity():
         assert ranks["failed"] == 0 and ranks["flagged"] == 0
 
 
-def test_over_cap_rank_is_refused_before_any_work():
-    for suite, rank in (("lemA3", 6), ("lemA4", 6), ("thm26-matrix", 13)):
+def test_over_cap_rank_is_refused_before_any_work(capsys):
+    for suite, rank in (("lemA3", 6), ("lemA4", 6), ("thm26-matrix", 13), ("thm33", 1)):
         with Budget(1):
             assert run(["verify", "--suite", suite, "--max-rank", str(rank)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))

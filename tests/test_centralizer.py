@@ -9,7 +9,6 @@ from hecke_atlas.centralizer import (
     centralizer_of_image,
     centralizer_of_s,
     component_group_of_triple,
-    enumerate_s_classes,
     parameter_to_triple,
     realize_matrices,
     s_phi,
@@ -25,7 +24,16 @@ from hecke_atlas.params import (
     normed_parameter,
 )
 from hecke_atlas.verify import _classical_ambients, standard_inventory
-from hecke_atlas.weil import DualGroupDescriptor, DualityType, Family, UnitMonomial, orbit_point
+from hecke_atlas.weil import (
+    DualGroupDescriptor,
+    DualityType,
+    Family,
+    Inventory,
+    SelfDual,
+    UnitMonomial,
+    make_inertial_class,
+    orbit_point,
+)
 
 ONE = UnitMonomial.one()
 MINUS = UnitMonomial.minus_one()
@@ -146,34 +154,12 @@ def test_c_prime(extended_inventory):
     assert ("Sp", 2, "rho_mix@-1") in cp.factors
 
 
-def test_descriptor_family_properties(six_class_inventory):
-    """Descriptor isomorphism holds iff no mixed block meets eigenvalue -1."""
-    inv = six_class_inventory
-    settings = [
-        unit_phi0(inv, "triv", Family.ORTHOGONAL, 4),
-        unit_phi0(inv, "rho_mix", Family.ORTHOGONAL, 8),
-        unit_phi0(inv, "a", Family.SYMPLECTIC, 8),
-        unit_phi0(inv, "triv", Family.SYMPLECTIC, 6),
-        unit_phi0(inv, "rho_mix2", Family.ORTHOGONAL, 8),
-        build_ld_parameter(
-            [
-                LDSummand(orbit_point(inv["triv"], ONE), 1, 2),
-                LDSummand(orbit_point(inv["rho_mix"], ONE), 1, 2),
-            ],
-            DualGroupDescriptor(Family.ORTHOGONAL, 6),
-            inv,
-        ),
-    ]
-    total = 0
-    for phi0 in settings:
-        for s in enumerate_s_classes(phi0):
-            total += 1
-            res = centralizer_of_s(phi0, s)
-            if res.mixed_blocks:
-                assert res.agree == (res.m_minus_one_mixed == 0)
-            else:
-                assert res.agree
-    assert total >= 100
+def test_c_prime_on_a_label_containing_at():
+    inv = Inventory()
+    inv.add(make_inertial_class("m@x", 2, 1, SelfDual(DualityType.SYMPLECTIC, DualityType.ORTHOGONAL)))
+    phi0 = unit_phi0(inv, "m@x", Family.ORTHOGONAL, 8)
+    s = SemisimpleClassDescriptor.build({"m@x": [(ONE, 2), (MINUS, 2)]})
+    assert c_prime(phi0, s).factors == (("O", 2, "m@x@1"), ("Sp", 2, "m@x@-1"))
 
 
 def test_round_trip_examples(extended_inventory):
@@ -246,17 +232,22 @@ def test_component_group_of_triple(extended_inventory):
     assert g2.det_signs == (-1, -1)
     assert g2.plus_order == 2
 
+    # a class of dimension 2: the generator of the odd part 3 has determinant 1
+    mix3 = build_ld_parameter([LDSummand(orbit_point(inv["rho_mix"], ONE), 3)], o6, inv)
+    g3 = component_group_of_triple(parameter_to_triple(mix3, normed_parameter(mix3, inv)))
+    assert g3.det_signs == (1,)
+    assert g3.plus_order == 2
+
 
 def test_component_group_matches_summand_model(extended_inventory):
     inv = extended_inventory
-    classes = {c.label: c for c in inv}
     for dim in range(1, 7):
         for phi in discrete_parameters(inv, DualGroupDescriptor(Family.ORTHOGONAL, dim)):
             if not is_supercuspidal_shape(phi):
                 continue
             phi0 = normed_parameter(phi, inv)
             t = parameter_to_triple(phi, phi0)
-            g = component_group_of_triple(t, classes)
+            g = component_group_of_triple(t)
             assert g.order == component_group(phi).order
 
 
