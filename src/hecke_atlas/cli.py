@@ -14,6 +14,7 @@ success, 1 when a verify report has a failed case (or a flagged one without
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -28,7 +29,7 @@ from .params import (
 )
 from .support import cuspidal_pairs, support_to_json_dict, supports
 from .verify import SUITES, run_suite, standard_inventory  # standard_inventory: re-exported
-from .weil import DualGroupDescriptor, Family, Inventory, json_typed
+from .weil import DualGroupDescriptor, Family, Inventory, json_field, json_typed
 
 GROUP_AMBIENTS = {
     "sp": lambda n: DualGroupDescriptor(Family.ORTHOGONAL, 2 * n + 1),
@@ -54,16 +55,15 @@ def _emit(data, path: str | None = None) -> None:
 def _load_param_file(path: str):
     with open(path) as fh:
         data = json_typed(json.load(fh), dict, "parameter file")
-    inventory = Inventory.from_json_list(data["inventory"])
-    phi = parameter_from_json_dict(data["parameter"], inventory)
+    inventory = Inventory.from_json_list(json_field(data, "inventory", "parameter file"))
+    phi = parameter_from_json_dict(json_field(data, "parameter", "parameter file"), inventory)
     # support data is attached to the base point of the orbit
     return inventory, normed_parameter(phi, inventory)
 
 
 def _cmd_enumerate(args) -> int:
     if args.rank <= 0:
-        print("rank must be positive", file=sys.stderr)
-        return 2
+        raise ValueError(f"rank must be positive, got {args.rank}")
     inventory = Inventory.load(args.classes)
     ambient = GROUP_AMBIENTS[args.group](args.rank)
     params = discrete_parameters(inventory, ambient)
@@ -131,7 +131,9 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; each ``parse_args`` call returns a fresh namespace."""
     parser = argparse.ArgumentParser(prog="hecke-atlas")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -25,6 +25,7 @@ from .weil import (
     UnitMonomial,
     dual_point,
     is_of_type,
+    json_field,
     json_number,
     json_typed,
     orbit_point,
@@ -496,15 +497,18 @@ def parameter_to_json_dict(phi: LDParameter) -> dict:
 
 
 def parameter_from_json_dict(data: Mapping, inventory: Inventory) -> LDParameter:
-    raw = json_typed(json_typed(data, dict, "parameter")["ambient"], dict, "parameter.ambient")
+    data = json_typed(data, dict, "parameter")
+    raw = json_typed(json_field(data, "ambient", "parameter"), dict, "parameter.ambient")
     ambient = DualGroupDescriptor(
-        Family(raw["family"]), json_number(raw["dim"], int, "parameter.ambient.dim")
+        Family(json_field(raw, "family", "parameter.ambient")),
+        json_number(json_field(raw, "dim", "parameter.ambient"), int, "parameter.ambient.dim"),
     )
     summands = []
-    for i, s in enumerate(json_typed(data["summands"], list, "parameter.summands")):
+    for i, s in enumerate(json_typed(json_field(data, "summands", "parameter"), list, "parameter.summands")):
         path = f"parameter.summands[{i}]"
-        cls = inventory[json_typed(json_typed(s, dict, path)["class"], str, f"{path}.class")]
-        point = orbit_point(cls, UnitMonomial.from_json_dict(s["f"], f"{path}.f"))
-        a = json_number(s["a"], int, f"{path}.a")
+        s = json_typed(s, dict, path)
+        cls = inventory[json_typed(json_field(s, "class", path), str, f"{path}.class")]
+        point = orbit_point(cls, UnitMonomial.from_json_dict(json_field(s, "f", path), f"{path}.f"))
+        a = json_number(json_field(s, "a", path), int, f"{path}.a")
         summands.append(LDSummand(point, a, json_number(s.get("mult", 1), int, f"{path}.mult")))
     return build_ld_parameter(summands, ambient, inventory)

@@ -33,6 +33,7 @@ __all__ = [
     "sign_types",
     "half_integer_str",
     "json_typed",
+    "json_field",
     "json_number",
 ]
 
@@ -42,6 +43,14 @@ def json_typed(value, kind: type, path: str):
     if not isinstance(value, kind):
         raise ValueError(f"{path} must be a {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def json_field(data: Mapping, key: str, path: str):
+    """``data[key]``; a missing key is a ValueError naming ``path`` and ``key``."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{path}: missing key {key!r}") from None
 
 
 def json_number(value, kind: type, path: str):
@@ -131,25 +140,37 @@ class UnitMonomial:
     q_exponent: Fraction
 
     def __post_init__(self) -> None:
-        root = Fraction(self.root) % 1
-        qexp = Fraction(self.q_exponent)
+        root, qexp = self.root, self.q_exponent
+        if type(root) is not Fraction:
+            root = Fraction(root)
+        n, d = root.numerator, root.denominator
+        if not 0 <= n < d:
+            # gcd(n mod d, d) = gcd(n, d), so the residue is still reduced
+            root = Fraction(n % d, d)
+        if type(qexp) is not Fraction:
+            qexp = Fraction(qexp)
         if qexp.denominator not in (1, 2):
             raise ValueError("q_exponent must be a half-integer")
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "q_exponent", qexp)
 
+    def __hash__(self) -> int:
+        # equal reduced fractions have equal numerators and denominators
+        root, qexp = self.root, self.q_exponent
+        return hash((root.numerator, root.denominator, qexp.numerator, qexp.denominator))
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def one() -> "UnitMonomial":
-        return UnitMonomial(Fraction(0), Fraction(0))
+        return _ONE
 
     @staticmethod
     def minus_one() -> "UnitMonomial":
-        return UnitMonomial(Fraction(1, 2), Fraction(0))
+        return _MINUS_ONE
 
     @staticmethod
     def of(root: Fraction | int | str = 0, qexp: Fraction | int | str = 0) -> "UnitMonomial":
-        return UnitMonomial(Fraction(root), Fraction(qexp))
+        return UnitMonomial(root, qexp)
 
     # -- arithmetic ---------------------------------------------------
     def __mul__(self, other: "UnitMonomial") -> "UnitMonomial":
@@ -164,11 +185,12 @@ class UnitMonomial:
     # -- predicates ---------------------------------------------------
     @property
     def is_one(self) -> bool:
-        return self.root == 0 and self.q_exponent == 0
+        return not self.root and not self.q_exponent
 
     @property
     def is_minus_one(self) -> bool:
-        return self.root == Fraction(1, 2) and self.q_exponent == 0
+        # root is reduced and in [0, 1), so denominator 2 means root = 1/2
+        return self.root.denominator == 2 and not self.q_exponent
 
     @property
     def is_sign(self) -> bool:
@@ -193,7 +215,9 @@ class UnitMonomial:
     @staticmethod
     def from_json_dict(data: Mapping, path: str = "monomial") -> "UnitMonomial":
         json_typed(data, dict, path)
-        root, qexp = (json_number(data[k], Fraction, f"{path}.{k}") for k in ("root", "qexp"))
+        root, qexp = (
+            json_number(json_field(data, k, path), Fraction, f"{path}.{k}") for k in ("root", "qexp")
+        )
         return UnitMonomial(root, qexp)
 
     def __str__(self) -> str:
@@ -202,6 +226,11 @@ class UnitMonomial:
         if self.is_minus_one:
             return "-1"
         return f"zeta^({self.root})*q^({self.q_exponent})"
+
+
+# shared because the class is frozen
+_ONE = UnitMonomial(Fraction(0), Fraction(0))
+_MINUS_ONE = UnitMonomial(Fraction(1, 2), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -400,19 +429,23 @@ class Inventory:
         inv = Inventory()
         for i, entry in enumerate(json_typed(data, list, "inventory")):
             path = f"inventory[{i}]"
-            raw = json_typed(json_typed(entry, dict, path)["duality"], dict, f"{path}.duality")
+            entry = json_typed(entry, dict, path)
+            raw = json_typed(json_field(entry, "duality", path), dict, f"{path}.duality")
+            kind = json_field(raw, "kind", f"{path}.duality")
             duality: Duality
-            if raw["kind"] == "not_self_dual":
-                duality = NotSelfDual(json_typed(raw["partner"], str, f"{path}.duality.partner"))
-            elif raw["kind"] == "self_dual":
-                duality = SelfDual(DualityType(raw["type_plus"]), DualityType(raw["type_minus"]))
+            if kind == "not_self_dual":
+                partner = json_field(raw, "partner", f"{path}.duality")
+                duality = NotSelfDual(json_typed(partner, str, f"{path}.duality.partner"))
+            elif kind == "self_dual":
+                plus, minus = (json_field(raw, k, f"{path}.duality") for k in ("type_plus", "type_minus"))
+                duality = SelfDual(DualityType(plus), DualityType(minus))
             else:
-                raise ValueError(f"unknown duality kind {raw['kind']!r}")
+                raise ValueError(f"unknown duality kind {kind!r}")
             inv.add(
                 make_inertial_class(
-                    json_typed(entry["label"], str, f"{path}.label"),
-                    json_number(entry["dim"], int, f"{path}.dim"),
-                    json_number(entry["torsion"], int, f"{path}.torsion"),
+                    json_typed(json_field(entry, "label", path), str, f"{path}.label"),
+                    json_number(json_field(entry, "dim", path), int, f"{path}.dim"),
+                    json_number(json_field(entry, "torsion", path), int, f"{path}.torsion"),
                     duality,
                     json_typed(entry.get("det_base", ""), str, f"{path}.det_base"),
                 )

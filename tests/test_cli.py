@@ -25,7 +25,21 @@ def test_rank_must_be_positive(tmp_path, capsys):
     inv = tmp_path / "inv.json"
     standard_inventory().dump(inv)
     assert run(["enumerate", "--group", "sp", "--rank", "0", "--classes", str(inv)]) == 2
+    assert capsys.readouterr() == ("", "error: rank must be positive, got 0\n")
     assert run(["specialize", "--kind", "sp", "--rank", "-1"]) == 2
+
+
+def test_one_process_serves_several_calls(tmp_path, capsys):
+    """The parser is built once per process; no call leaks state into the next."""
+    param = str(_param_file(tmp_path, lambda d: None))
+    assert run(["supports", "--param", param]) == 0
+    alone = capsys.readouterr().out
+    assert run(["supports", "--parm", param]) == 2
+    capsys.readouterr()
+    assert run(["supports", "--param", param]) == 0
+    assert capsys.readouterr().out == alone
+    assert run(["verify", "--suite", "thm33", "--max-rank", "4", "--allow-flagged"]) == 0
+    assert run(["verify", "--suite", "thm33", "--max-rank", "4"]) == 1
 
 
 def test_bad_inputs_exit_2(tmp_path):
@@ -169,13 +183,19 @@ def _param_file(tmp_path, edit):
         (lambda d: d["parameter"]["summands"][0].update(a=2.5), "parameter.summands[0].a"),
         (lambda d: d["parameter"]["summands"][0].update(mult=True), "parameter.summands[0].mult"),
         (lambda d: d["inventory"][0].update(dim="2"), "inventory[0].dim"),
+        (lambda d: d.pop("inventory"), "parameter file: missing key 'inventory'"),
+        (lambda d: d["inventory"][0].pop("duality"), "inventory[0]: missing key 'duality'"),
+        (lambda d: d["parameter"]["summands"][0]["f"].pop("root"), "parameter.summands[0].f: missing key 'root'"),
     ],
-    ids=["summands_dict", "a_null", "inventory_int", "root_zero_denominator", "a_float", "mult_bool", "dim_string"],
+    ids=[
+        "summands_dict", "a_null", "inventory_int", "root_zero_denominator", "a_float", "mult_bool", "dim_string",
+        "inventory_missing", "duality_missing", "f_root_missing",
+    ],
 )
 def test_malformed_param_file_exits_2(tmp_path, capsys, edit, field):
     assert run(["supports", "--param", str(_param_file(tmp_path, edit))]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {field} ") and "Traceback" not in err
+    assert (err.startswith(f"error: {field} ") or err == f"error: {field}\n") and "Traceback" not in err
 
 
 def _json_nodes(tree):

@@ -44,6 +44,33 @@ def test_monomial_rejects_third_of_q_power():
         UnitMonomial(Fraction(0), Fraction(1, 3))
 
 
+raw_roots = st.integers(min_value=-30, max_value=30) | st.fractions(min_value=-7, max_value=7, max_denominator=24)
+
+
+@given(raw_roots, halves, st.integers(min_value=-3, max_value=3))
+def test_monomial_kernel_matches_fraction_definition(r, e, shift):
+    """The integer kernel agrees with ``Fraction(r) % 1`` and the ``==``-based predicates."""
+    root = Fraction(r) % 1
+    first = UnitMonomial(r, e)
+    for m in (first, UnitMonomial.of(str(r), str(e)), UnitMonomial(Fraction(r) + shift, e)):
+        assert m.root == root and type(m.root) is Fraction and type(m.q_exponent) is Fraction
+        assert m == first and hash(m) == hash(first)
+    assert first.is_one == (root == 0 and e == 0)
+    assert first.is_minus_one == (root == Fraction(1, 2) and e == 0)
+    if first.is_sign:
+        assert first.sign == (1 if root == 0 else -1)
+    else:
+        with pytest.raises(ValueError):
+            first.sign
+    with pytest.raises(ValueError):
+        UnitMonomial(r, e + Fraction(1, 3))
+
+
+def test_shared_sign_constants():
+    assert UnitMonomial.one() == UnitMonomial(Fraction(0), Fraction(0))
+    assert UnitMonomial.minus_one() == UnitMonomial.of("-1/2")
+
+
 @given(monomials)
 def test_monomial_json_round_trip(m):
     assert UnitMonomial.from_json_dict(m.to_json_dict()) == m
