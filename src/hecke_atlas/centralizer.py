@@ -24,7 +24,6 @@ from .params import LDParameter, LDSummand, Orbit, build_ld_parameter, summand_t
 from .weil import (
     DualityType,
     Family,
-    Inventory,
     SelfDual,
     UnitMonomial,
     orbit_point,
@@ -337,10 +336,15 @@ def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
     )
 
 
-def triple_to_parameter(t: Triple, phi0: LDParameter, inventory: Inventory | None = None) -> LDParameter:
+def triple_to_parameter(t: Triple, phi0: LDParameter) -> LDParameter:
     """Rebuild the parameter from Jordan data; the semisimple part must
-    match the ladders implied by the unipotent part exactly."""
-    classes = {orbit.cls.label: orbit.cls for orbit in phi0.orbits}
+    match the ladders implied by the unipotent part exactly.
+
+    A part ``a`` at eigenvalue ``x`` of block ``cls`` gives the summand
+    ``(cls, x) (x) sp(a)`` and, unless ``x`` is a sign of a self-dual class,
+    its contragredient at ``x**-1``: on ``cls`` itself, or on the partner
+    class of a dual pair, read from the summands of ``phi0``."""
+    classes = {s.point.cls.label: s.point.cls for s in phi0.summands}
     summands: list[LDSummand] = []
     for (label, x), parts in t.u_by_eigenblock:
         cls = classes[label]
@@ -353,11 +357,9 @@ def triple_to_parameter(t: Triple, phi0: LDParameter, inventory: Inventory | Non
                 if not x.is_sign:
                     summands.append(LDSummand(orbit_point(cls, x.inverse()), a, mult))
             else:
-                partner_label = cls.duality.partner_label
-                if inventory is None:
-                    raise ValueError("an inventory is required to rebuild dual-pair orbits")
-                summands.append(LDSummand(orbit_point(inventory[partner_label], x.inverse()), a, mult))
-    phi = build_ld_parameter(summands, phi0.ambient, inventory)
+                partner = classes[cls.duality.partner_label]
+                summands.append(LDSummand(orbit_point(partner, x.inverse()), a, mult))
+    phi = build_ld_parameter(summands, phi0.ambient)
     rebuilt = parameter_to_triple(phi, phi0)
     if rebuilt.s != t.s:
         raise ValueError("semisimple part violates the q-scaling relation of the Jordan data")

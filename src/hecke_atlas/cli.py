@@ -58,7 +58,7 @@ def _load_param_file(path: str):
     inventory = Inventory.from_json_list(json_field(data, "inventory", "parameter file"))
     phi = parameter_from_json_dict(json_field(data, "parameter", "parameter file"), inventory)
     # support data is attached to the base point of the orbit
-    return inventory, normed_parameter(phi, inventory)
+    return normed_parameter(phi)
 
 
 def _cmd_enumerate(args) -> int:
@@ -80,13 +80,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_supports(args) -> int:
-    inventory, phi0 = _load_param_file(args.param)
-    _emit([support_to_json_dict(p) for p in cuspidal_pairs(phi0, inventory)])
+    phi0 = _load_param_file(args.param)
+    _emit([support_to_json_dict(p) for p in cuspidal_pairs(phi0)])
     return 0
 
 
 def _cmd_hecke(args) -> int:
-    inventory, phi0 = _load_param_file(args.param)
+    phi0 = _load_param_file(args.param)
     out = []
     for S in supports(phi0):
         desc = hecke_descriptor(phi0, S)

@@ -20,7 +20,6 @@ from .weil import (
     DualGroupDescriptor,
     DualityType,
     Family,
-    Inventory,
     SelfDual,
     UnitMonomial,
     half_integer_str,
@@ -37,7 +36,6 @@ __all__ = [
     "sp_normalization",
     "specialize",
     "epsilon_multiplicity",
-    "derived_multiplicity",
     "derived_rows",
     "unit_setting",
     "unipotent_reduction",
@@ -79,7 +77,9 @@ def _equal(family: str, size: int, t: int, extended: bool = False) -> HeckeFacto
 
 def hecke_factor(phi0: LDParameter, S: SupportDatum, orbit_label: str) -> HeckeFactor:
     """The algebra factor contributed by one orbit for one support."""
-    orbit = next(o for o in phi0.orbits if o.cls.label == orbit_label)
+    orbit = next((o for o in phi0.orbits if o.cls.label == orbit_label), None)
+    if orbit is None:
+        raise ValueError(f"{orbit_label!r} labels no orbit representative of the parameter")
     m = orbit.multiplicity
     t = orbit.cls.torsion
     if orbit.types is None:
@@ -273,13 +273,12 @@ def specialize(kind: str, rank: int) -> list[SpecialRow]:
 # derived side: the unit settings built from first principles
 
 
-def unit_setting(kind: str, rank: int) -> tuple[Inventory, LDParameter]:
-    """Inventory and normed parameter of a unit (trivial-class) setting."""
+def unit_setting(kind: str, rank: int) -> LDParameter:
+    """Normed parameter of a unit (trivial-class) setting."""
     if kind not in UNIT_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    inv = Inventory()
     if kind == "unitary":
         m = rank
         if m % 2 == 0:
@@ -295,13 +294,8 @@ def unit_setting(kind: str, rank: int) -> tuple[Inventory, LDParameter]:
             ambient = DualGroupDescriptor(Family.ORTHOGONAL, 2 * rank + 1)
         else:
             ambient = DualGroupDescriptor(Family.ORTHOGONAL, 2 * rank)
-    cls = inv.add(make_inertial_class("1", 1, 1, duality, "1"))
-    phi0 = build_ld_parameter(
-        [LDSummand(orbit_point(cls, UnitMonomial.one()), 1, ambient.ambient_dim)],
-        ambient,
-        inv,
-    )
-    return inv, phi0
+    cls = make_inertial_class("1", 1, 1, duality, "1")
+    return build_ld_parameter([LDSummand(orbit_point(cls, UnitMonomial.one()), 1, ambient.ambient_dim)], ambient)
 
 
 def _support_pair(phi0: LDParameter, S: SupportDatum) -> tuple[int, int]:
@@ -317,24 +311,15 @@ def derived_rows(kind: str, rank: int) -> list[tuple[tuple[int, int], HeckeFacto
     Returns (pair, factor, eps_Z, count) with counts aggregated over the
     alternating characters of each support's tail parameter.
     """
-    inv, phi0 = unit_setting(kind, rank)
+    phi0 = unit_setting(kind, rank)
     label = "1"
     counts: dict[tuple, int] = {}
-    for p in cuspidal_pairs(phi0, inv):
+    for p in cuspidal_pairs(phi0):
         pair = _support_pair(phi0, p.S)
         factor = sp_normalization(hecke_factor(phi0, p.S, label))
         key = (pair, factor, p.eps_Z)
         counts[key] = counts.get(key, 0) + 1
     return sorted((pair, factor, sign, n) for (pair, factor, sign), n in counts.items())
-
-
-def derived_multiplicity(kind: str, rank: int, d_plus: int, d_minus: int, sign: int) -> int:
-    """Count of (S, epsilon) pairs hitting one table cell of a unit setting."""
-    total = 0
-    for pair, _factor, eps_Z, n in derived_rows(kind, rank):
-        if pair == (d_plus, d_minus) and eps_Z == sign:
-            total += n
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ from .weil import (
     InertialClass,
     InertialPoint,
     Inventory,
+    NotSelfDual,
     UnitMonomial,
-    dual_point,
     is_of_type,
     json_field,
-    json_number,
     json_typed,
+    json_value,
     orbit_point,
     sign_types,
 )
@@ -148,17 +148,15 @@ def summand_type(p: InertialPoint, a: int, g: DualGroupDescriptor) -> bool:
     return is_of_type(p, g) != (a % 2 == 0)
 
 
-def build_ld_parameter(
-    summands: Iterable[LDSummand],
-    ambient: DualGroupDescriptor,
-    inventory: Inventory | None = None,
-) -> LDParameter:
+def build_ld_parameter(summands: Iterable[LDSummand], ambient: DualGroupDescriptor) -> LDParameter:
     """Canonicalize a summand list and validate the parameter invariants.
 
     Equal ``(point, sl2_dim)`` entries are merged by adding multiplicities.
     The total dimension must match the ambient dimension, and the multiset
-    must be stable under taking contragredients of the points (``inventory``
-    is needed to resolve partners of non-self-dual classes).
+    must be closed under contragredients.  The dual of ``(cls, f)`` is
+    ``(cls, f**-1)`` for a self-dual class; for a dual pair it is
+    ``(partner, f**-1)``, where ``partner`` is the summand class labelled
+    ``cls.duality.partner_label``, which must name ``cls`` back.
     """
     merged: dict[tuple, LDSummand] = {}
     for s in summands:
@@ -177,9 +175,13 @@ def build_ld_parameter(
         )
 
     counts = {(s.point, s.sl2_dim): s.multiplicity for s in canonical}
+    classes = {s.point.cls.label: s.point.cls for s in canonical}
     for (point, a), mult in counts.items():
-        dual = dual_point(point, inventory)
-        if counts.get((dual, a), 0) != mult:
+        cls = point.cls
+        if not cls.is_self_dual:
+            partner = classes.get(cls.duality.partner_label)
+            cls = partner if partner is not None and partner.duality == NotSelfDual(cls.label) else None
+        if cls is None or counts.get((orbit_point(cls, point.f.inverse()), a), 0) != mult:
             raise ValueError(f"multiset is not closed under duality at {_summand_label(LDSummand(point, a))}")
 
     return LDParameter(ambient, canonical)
@@ -368,7 +370,7 @@ def det_discrepancy(phi: LDParameter, phi0: LDParameter) -> int:
                 orient = 1
             else:
                 key = (cls.orbit_label, False)
-                orient = 1 if cls.label < cls.duality.partner_label else -1
+                orient = 1 if cls.label == cls.orbit_label else -1
             ram[key] = ram.get(key, 0) + orient * expo_sign * e
     for (label, self_dual), e in ram.items():
         bad = (e % 2 != 0) if self_dual else (e != 0)
@@ -424,7 +426,7 @@ def supercuspidal_shapes(
     for choice in _bounded_choices(slots, target):
         summands = [s for group in choice for s in group]
         if summands:
-            yield build_ld_parameter(summands, ambient, inventory)
+            yield build_ld_parameter(summands, ambient)
 
 
 def supercuspidal_corpus(inventory: Inventory, max_ambient_dim: int) -> list[LDParameter]:
@@ -460,11 +462,11 @@ def discrete_parameters(inventory: Inventory, ambient: DualGroupDescriptor) -> l
     for choice in _bounded_choices(slots, ambient.ambient_dim):
         chosen = [s for s in choice if s is not None]
         if chosen:
-            out.append(build_ld_parameter(chosen, ambient, inventory))
+            out.append(build_ld_parameter(chosen, ambient))
     return out
 
 
-def normed_parameter(phi: LDParameter, inventory: Inventory | None = None) -> LDParameter:
+def normed_parameter(phi: LDParameter) -> LDParameter:
     """The associated normed Weil parameter: per class, the base point with
     the dimension-weighted orbit multiplicity, trivial on the SL2 side."""
     counts: dict[str, tuple[InertialPoint, int]] = {}
@@ -474,7 +476,7 @@ def normed_parameter(phi: LDParameter, inventory: Inventory | None = None) -> LD
         prev = counts.get(label, (base, 0))[1]
         counts[label] = (base, prev + s.sl2_dim * s.multiplicity)
     summands = [LDSummand(point, 1, m) for point, m in counts.values()]
-    return build_ld_parameter(summands, phi.ambient, inventory)
+    return build_ld_parameter(summands, phi.ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +502,8 @@ def parameter_from_json_dict(data: Mapping, inventory: Inventory) -> LDParameter
     data = json_typed(data, dict, "parameter")
     raw = json_typed(json_field(data, "ambient", "parameter"), dict, "parameter.ambient")
     ambient = DualGroupDescriptor(
-        Family(json_field(raw, "family", "parameter.ambient")),
-        json_number(json_field(raw, "dim", "parameter.ambient"), int, "parameter.ambient.dim"),
+        json_value(json_field(raw, "family", "parameter.ambient"), Family, "parameter.ambient.family"),
+        json_value(json_field(raw, "dim", "parameter.ambient"), int, "parameter.ambient.dim"),
     )
     summands = []
     for i, s in enumerate(json_typed(json_field(data, "summands", "parameter"), list, "parameter.summands")):
@@ -509,6 +511,6 @@ def parameter_from_json_dict(data: Mapping, inventory: Inventory) -> LDParameter
         s = json_typed(s, dict, path)
         cls = inventory[json_typed(json_field(s, "class", path), str, f"{path}.class")]
         point = orbit_point(cls, UnitMonomial.from_json_dict(json_field(s, "f", path), f"{path}.f"))
-        a = json_number(json_field(s, "a", path), int, f"{path}.a")
-        summands.append(LDSummand(point, a, json_number(s.get("mult", 1), int, f"{path}.mult")))
-    return build_ld_parameter(summands, ambient, inventory)
+        a = json_value(json_field(s, "a", path), int, f"{path}.a")
+        summands.append(LDSummand(point, a, json_value(s.get("mult", 1), int, f"{path}.mult")))
+    return build_ld_parameter(summands, ambient)

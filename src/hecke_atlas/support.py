@@ -9,6 +9,7 @@ report.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,15 +22,10 @@ from .params import (
     build_ld_parameter,
     det_discrepancy,
     is_supercuspidal_shape,
+    parameter_to_json_dict,
     staircase,
 )
-from .weil import (
-    DualGroupDescriptor,
-    Family,
-    Inventory,
-    UnitMonomial,
-    orbit_point,
-)
+from .weil import DualGroupDescriptor, Family, UnitMonomial, orbit_point
 
 __all__ = [
     "SupportDatum",
@@ -37,13 +33,10 @@ __all__ = [
     "CuspidalSupport",
     "supports",
     "build_phi_S",
-    "build_levi",
     "cuspidal_pairs",
     "injectivity_report",
     "support_to_json_dict",
 ]
-
-import itertools
 
 
 @dataclass(frozen=True)
@@ -129,9 +122,7 @@ def _tail_rank(family: Family, L_S: int) -> int:
     return L_S // 2
 
 
-def build_phi_S(
-    phi0: LDParameter, S: SupportDatum, inventory: Inventory | None = None
-) -> tuple[LDParameter, int, int, int]:
+def build_phi_S(phi0: LDParameter, S: SupportDatum) -> tuple[LDParameter, int, int, int]:
     """The discrete tail parameter of a support, with (L_S, l_S, d_S)."""
     _check_normed(phi0)
     ambient = phi0.ambient
@@ -153,21 +144,14 @@ def build_phi_S(
 
     L_S = sum(s.dim for s in summands)
     tail_ambient = DualGroupDescriptor(ambient.family, L_S)
-    phi_S = build_ld_parameter(summands, tail_ambient, inventory)
+    phi_S = build_ld_parameter(summands, tail_ambient)
     l_S = _tail_rank(ambient.family, L_S)
     d_S = det_discrepancy(phi_S, phi0)
     return phi_S, L_S, l_S, d_S
 
 
-def build_levi(
-    phi0: LDParameter, S: SupportDatum, inventory: Inventory | None = None
-) -> SupportLevi:
-    """GL factors with multiplicities plus the classical tail descriptor."""
-    phi_S, L_S, l_S, _ = build_phi_S(phi0, S, inventory)
-    return _levi(phi0, phi_S, L_S, l_S)
-
-
 def _levi(phi0: LDParameter, phi_S: LDParameter, L_S: int, l_S: int) -> SupportLevi:
+    """GL factors with multiplicities plus the classical tail descriptor."""
     gl: list[tuple[int, int]] = []
     for orbit in phi0.orbits:
         cls, m = orbit.cls, orbit.multiplicity
@@ -196,13 +180,11 @@ def _epsilons(phi_S: LDParameter) -> list[SignCharacter]:
     return alternating_characters(phi_S)
 
 
-def cuspidal_pairs(
-    phi0: LDParameter, inventory: Inventory | None = None
-) -> list[CuspidalSupport]:
+def cuspidal_pairs(phi0: LDParameter) -> list[CuspidalSupport]:
     """All pairs (S, epsilon) with epsilon alternating on the tail parameter."""
     out: list[CuspidalSupport] = []
     for S in supports(phi0):
-        phi_S, L_S, l_S, d_S = build_phi_S(phi0, S, inventory)
+        phi_S, L_S, l_S, d_S = build_phi_S(phi0, S)
         levi = _levi(phi0, phi_S, L_S, l_S)
         for eps in _epsilons(phi_S):
             out.append(CuspidalSupport(S, phi_S, L_S, l_S, d_S, levi, eps))
@@ -237,8 +219,6 @@ def injectivity_report(pairs: Sequence[CuspidalSupport]) -> dict:
 
 
 def support_to_json_dict(p: CuspidalSupport) -> dict:
-    from .params import parameter_to_json_dict
-
     return {
         "S": {label: list(pair) for label, pair in p.S.entries},
         "phiS": parameter_to_json_dict(p.phi_S),

@@ -90,7 +90,7 @@ def normed_corpus(inventory: Inventory, max_ambient_dim: int):
         for choice in _bounded_choices(slots, n):
             summands = [s for group in choice for s in group]
             if summands:
-                out.append(build_ld_parameter(summands, ambient, inventory))
+                out.append(build_ld_parameter(summands, ambient))
     return out
 
 
@@ -127,11 +127,9 @@ def _orbit_case_name(phi0) -> str:
 
 
 def _suite_thm16(max_rank: int) -> list[dict]:
-    inv = standard_inventory()
-
     def check(phi0):
         n = phi0.ambient.ambient_dim
-        pairs = cuspidal_pairs(phi0, inv)
+        pairs = cuspidal_pairs(phi0)
         parities = sorted({p.L_S % 2 for p in pairs})
         report = injectivity_report(pairs)
         ok = parities in ([], [n % 2]) and report["injective_outside_flagged"]
@@ -140,7 +138,7 @@ def _suite_thm16(max_rank: int) -> list[dict]:
         actual = {"tail_parity": parities, "injective": report["injective_outside_flagged"]}
         return _case(_orbit_case_name(phi0), expected, actual, status)
 
-    return [check(phi0) for phi0 in normed_corpus(inv, max_rank)]
+    return [check(phi0) for phi0 in normed_corpus(standard_inventory(), max_rank)]
 
 
 def _suite_thm18(max_rank: int) -> list[dict]:
@@ -242,8 +240,8 @@ def _suite_thm26_matrix(max_rank: int) -> list[dict]:
         name = f"{ambient.family.value}{ambient.ambient_dim}:" + "+".join(phi.generator_labels())
         try:
             realize_matrices(phi)
-            phi0 = normed_parameter(phi, inv)
-            round_trip = triple_to_parameter(parameter_to_triple(phi, phi0), phi0, inv) == phi
+            phi0 = normed_parameter(phi)
+            round_trip = triple_to_parameter(parameter_to_triple(phi, phi0), phi0) == phi
             ok = round_trip
             actual = {"matrix_checks": True, "round_trip": round_trip}
         except (CheckError, ValueError) as exc:

@@ -28,13 +28,12 @@ __all__ = [
     "Inventory",
     "make_inertial_class",
     "orbit_point",
-    "dual_point",
     "is_of_type",
     "sign_types",
     "half_integer_str",
     "json_typed",
     "json_field",
-    "json_number",
+    "json_value",
 ]
 
 
@@ -53,8 +52,9 @@ def json_field(data: Mapping, key: str, path: str):
         raise ValueError(f"{path}: missing key {key!r}") from None
 
 
-def json_number(value, kind: type, path: str):
-    """``kind(value)`` (int or Fraction); a bad value is a ValueError naming ``path``.
+def json_value(value, kind: type, path: str):
+    """``kind(value)`` (int, Fraction or an Enum); a bad value is a ValueError
+    naming ``path``.
 
     An int field takes only a JSON integer: a bool, float or string is refused.
     """
@@ -216,7 +216,7 @@ class UnitMonomial:
     def from_json_dict(data: Mapping, path: str = "monomial") -> "UnitMonomial":
         json_typed(data, dict, path)
         root, qexp = (
-            json_number(json_field(data, k, path), Fraction, f"{path}.{k}") for k in ("root", "qexp")
+            json_value(json_field(data, k, path), Fraction, f"{path}.{k}") for k in ("root", "qexp")
         )
         return UnitMonomial(root, qexp)
 
@@ -311,21 +311,6 @@ class InertialPoint:
 def orbit_point(cls: InertialClass, f: UnitMonomial) -> InertialPoint:
     """The unique orbit element with twisting invariant ``f``."""
     return InertialPoint(cls, f)
-
-
-def dual_point(p: InertialPoint, inventory: "Inventory | Mapping[str, InertialClass] | None" = None) -> InertialPoint:
-    """Contragredient of an orbit point: ``f`` goes to ``f**-1``.
-
-    For a non-self-dual class the result lives on the partner class, which
-    must be resolvable through ``inventory``.
-    """
-    if isinstance(p.cls.duality, SelfDual):
-        return InertialPoint(p.cls, p.f.inverse())
-    partner_label = p.cls.duality.partner_label
-    if inventory is None:
-        raise KeyError(f"partner class {partner_label!r} not registered")
-    partner = inventory[partner_label]
-    return InertialPoint(partner, p.f.inverse())
 
 
 def _rep_type_at_sign(p: InertialPoint) -> DualityType:
@@ -437,15 +422,18 @@ class Inventory:
                 partner = json_field(raw, "partner", f"{path}.duality")
                 duality = NotSelfDual(json_typed(partner, str, f"{path}.duality.partner"))
             elif kind == "self_dual":
-                plus, minus = (json_field(raw, k, f"{path}.duality") for k in ("type_plus", "type_minus"))
-                duality = SelfDual(DualityType(plus), DualityType(minus))
+                plus, minus = (
+                    json_value(json_field(raw, k, f"{path}.duality"), DualityType, f"{path}.duality.{k}")
+                    for k in ("type_plus", "type_minus")
+                )
+                duality = SelfDual(plus, minus)
             else:
-                raise ValueError(f"unknown duality kind {kind!r}")
+                raise ValueError(f"{path}.duality.kind must be 'self_dual' or 'not_self_dual', got {kind!r}")
             inv.add(
                 make_inertial_class(
                     json_typed(json_field(entry, "label", path), str, f"{path}.label"),
-                    json_number(json_field(entry, "dim", path), int, f"{path}.dim"),
-                    json_number(json_field(entry, "torsion", path), int, f"{path}.torsion"),
+                    json_value(json_field(entry, "dim", path), int, f"{path}.dim"),
+                    json_value(json_field(entry, "torsion", path), int, f"{path}.torsion"),
                     duality,
                     json_typed(entry.get("det_base", ""), str, f"{path}.det_base"),
                 )

@@ -98,7 +98,6 @@ def test_descriptor_comparison_detects_type_and_minus_one():
                     )
                 ],
                 DualGroupDescriptor(family, dim),
-                inv,
             )
 
         settings = [
@@ -113,7 +112,6 @@ def test_descriptor_comparison_detects_type_and_minus_one():
                     LDSummand(orbit_point(inv["rho_mix"], UnitMonomial.one()), 1, 2),
                 ],
                 DualGroupDescriptor(Family.ORTHOGONAL, 6),
-                inv,
             ),
         ]
         total = 0
@@ -210,7 +208,6 @@ def _golden_output(key, tmp_path, capsys, inv) -> str:
                 LDSummand(orbit_point(inv["a"], UnitMonomial.one()), 1, 2),
             ],
             DualGroupDescriptor(Family.ORTHOGONAL, 7),
-            inv,
         )
         param = tmp_path / "p.json"
         param.write_text(

@@ -186,10 +186,15 @@ def _param_file(tmp_path, edit):
         (lambda d: d.pop("inventory"), "parameter file: missing key 'inventory'"),
         (lambda d: d["inventory"][0].pop("duality"), "inventory[0]: missing key 'duality'"),
         (lambda d: d["parameter"]["summands"][0]["f"].pop("root"), "parameter.summands[0].f: missing key 'root'"),
+        (lambda d: d["inventory"][0]["duality"].update(type_plus="zzz"), "inventory[0].duality.type_plus"),
+        (lambda d: d["inventory"][0]["duality"].update(type_minus="zzz"), "inventory[0].duality.type_minus"),
+        (lambda d: d["inventory"][0]["duality"].update(kind="zzz"), "inventory[0].duality.kind"),
+        (lambda d: d["parameter"]["ambient"].update(family="zzz"), "parameter.ambient.family"),
     ],
     ids=[
         "summands_dict", "a_null", "inventory_int", "root_zero_denominator", "a_float", "mult_bool", "dim_string",
-        "inventory_missing", "duality_missing", "f_root_missing",
+        "inventory_missing", "duality_missing", "f_root_missing", "type_plus_bad", "type_minus_bad", "kind_bad",
+        "family_bad",
     ],
 )
 def test_malformed_param_file_exits_2(tmp_path, capsys, edit, field):

@@ -7,7 +7,6 @@ from hecke_atlas import params
 from hecke_atlas.hecke import (
     UNIT_KINDS,
     HeckeFactor,
-    derived_multiplicity,
     derived_rows,
     epsilon_multiplicity,
     factor_to_json_dict,
@@ -26,30 +25,38 @@ from hecke_atlas.weil import DualGroupDescriptor, Family, UnitMonomial, orbit_po
 def so7_setting(inv):
     point = orbit_point(inv["triv"], UnitMonomial.one())
     return build_ld_parameter(
-        [LDSummand(point, 1, 6)], DualGroupDescriptor(Family.SYMPLECTIC, 6), inv
+        [LDSummand(point, 1, 6)], DualGroupDescriptor(Family.SYMPLECTIC, 6)
     )
 
 
 def sp4_setting(inv):
     point = orbit_point(inv["triv"], UnitMonomial.one())
     return build_ld_parameter(
-        [LDSummand(point, 1, 5)], DualGroupDescriptor(Family.ORTHOGONAL, 5), inv
+        [LDSummand(point, 1, 5)], DualGroupDescriptor(Family.ORTHOGONAL, 5)
     )
 
 
-def test_hecke_factor_gl(extended_inventory):
-    inv = extended_inventory
-    phi0 = build_ld_parameter(
+def gl_setting(inv):
+    return build_ld_parameter(
         [
             LDSummand(orbit_point(inv["alpha"], UnitMonomial.one()), 1, 3),
             LDSummand(orbit_point(inv["beta"], UnitMonomial.one()), 1, 3),
         ],
         DualGroupDescriptor(Family.ORTHOGONAL, 6),
-        inv,
     )
-    f = hecke_factor(phi0, SupportDatum(()), "alpha")
+
+
+def test_hecke_factor_gl(extended_inventory):
+    f = hecke_factor(gl_setting(extended_inventory), SupportDatum(()), "alpha")
     assert f.family == "GL" and f.size == 3 and f.is_equal_parameter
     assert f.internal == Fraction(1)
+
+
+def test_hecke_factor_names_a_label_that_is_no_orbit_representative(extended_inventory):
+    phi0 = gl_setting(extended_inventory)
+    for label in ("beta", "triv"):
+        with pytest.raises(ValueError, match=f"'{label}' labels no orbit representative"):
+            hecke_factor(phi0, SupportDatum(()), label)
 
 
 def test_hecke_factor_so7_case3(extended_inventory):
@@ -71,7 +78,6 @@ def test_hecke_factor_case2(extended_inventory):
     phi0 = build_ld_parameter(
         [LDSummand(orbit_point(extended_inventory["triv"], UnitMonomial.one()), 1, 4)],
         DualGroupDescriptor(Family.ORTHOGONAL, 4),
-        extended_inventory,
     )
     f = hecke_factor(phi0, SupportDatum((("triv", (0, 0)),)), "triv")
     assert (f.family, f.size, f.extended) == ("SO", 4, True)
@@ -153,23 +159,31 @@ def test_epsilon_multiplicity_table():
         epsilon_multiplicity(3, 0, 1)
 
 
+def derived_cells(kind, rank):
+    """(S, epsilon) counts per table cell (pair, eps_Z), summed over factors."""
+    cells = {}
+    for pair, _factor, eps_Z, n in derived_rows(kind, rank):
+        cells[pair, eps_Z] = cells.get((pair, eps_Z), 0) + n
+    return cells
+
+
 def test_derived_multiplicity_examples():
-    assert derived_multiplicity("so_odd", 2, 2, 0, -1) == 1
-    assert derived_multiplicity("so_odd", 2, 2, 0, 1) == 0
-    assert derived_multiplicity("sp", 2, 1, 0, 1) + derived_multiplicity("sp", 2, 1, 0, -1) == 2
-    assert derived_multiplicity("o_even", 2, 0, 0, 1) == 1
-    assert derived_multiplicity("o_even", 2, 0, 0, -1) == 0
+    so_odd, sp, o_even = (derived_cells(kind, 2) for kind in ("so_odd", "sp", "o_even"))
+    assert so_odd.get(((2, 0), -1), 0) == 1
+    assert so_odd.get(((2, 0), 1), 0) == 0
+    assert sp.get(((1, 0), 1), 0) + sp.get(((1, 0), -1), 0) == 2
+    assert o_even.get(((0, 0), 1), 0) == 1
+    assert o_even.get(((0, 0), -1), 0) == 0
 
 
 def test_derived_matches_epsilon_for_nonzero_products():
     for kind, rank in (("sp", 3), ("o_even", 3)):
+        cells = derived_cells(kind, rank)
         for pair in {r.pair for r in specialize(kind, rank)}:
             if pair[0] * pair[1] == 0:
                 continue
             for sign in (1, -1):
-                assert derived_multiplicity(kind, rank, *pair, sign) == epsilon_multiplicity(
-                    *pair, sign
-                )
+                assert cells.get((pair, sign), 0) == epsilon_multiplicity(*pair, sign)
 
 
 def test_derived_rows_match_so_odd_table():
@@ -180,7 +194,7 @@ def test_derived_rows_match_so_odd_table():
 
 
 def test_unit_setting_shapes():
-    inv, phi0 = unit_setting("unitary", 4)
+    phi0 = unit_setting("unitary", 4)
     assert phi0.ambient.family is Family.UNITARY_L
     assert phi0.total_dim == 4
     with pytest.raises(ValueError):
@@ -197,7 +211,6 @@ def test_unipotent_reduction(extended_inventory):
             LDSummand(orbit_point(inv["rho_mix"], UnitMonomial.one()), 1, 2),
         ],
         DualGroupDescriptor(Family.ORTHOGONAL, 15),
-        inv,
     )
     assert unipotent_reduction(phi0) == [("GL", 3, 1), ("Sp", 4, 1), ("U", 2, 1)]
     # not-of-type orbits give an odd orthogonal group
@@ -207,7 +220,6 @@ def test_unipotent_reduction(extended_inventory):
     phi2 = build_ld_parameter(
         [LDSummand(orbit_point(inv["triv"], UnitMonomial.one()), 1, 4)],
         DualGroupDescriptor(Family.ORTHOGONAL, 4),
-        inv,
     )
     assert unipotent_reduction(phi2) == [("O", 4, 1)]
 

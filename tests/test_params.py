@@ -1,8 +1,12 @@
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hecke_atlas
 from hecke_atlas.params import (
     LDSummand,
     alternating_characters,
@@ -51,25 +55,23 @@ def test_build_parameter_validates(extended_inventory):
             LDSummand(pt(inv, "chi"), 1),
         ],
         SO5,
-        inv,
     )
     assert phi.total_dim == 5
     with pytest.raises(ValueError):
-        build_ld_parameter([LDSummand(pt(inv, "triv"), 2)], SO5, inv)
+        build_ld_parameter([LDSummand(pt(inv, "triv"), 2)], SO5)
     with pytest.raises(ValueError):
         build_ld_parameter(
             [LDSummand(orbit_point(inv["triv"], UnitMonomial.of(Fraction(1, 4))), 1)],
             DualGroupDescriptor(Family.ORTHOGONAL, 1),
-            inv,
         )
 
 
 def test_build_parameter_merges_and_is_idempotent(extended_inventory):
     inv = extended_inventory
     s = LDSummand(pt(inv, "triv"), 1)
-    phi = build_ld_parameter([s, s, LDSummand(pt(inv, "triv"), 3)], SO5, inv)
+    phi = build_ld_parameter([s, s, LDSummand(pt(inv, "triv"), 3)], SO5)
     assert phi.summands[0].multiplicity == 2
-    again = build_ld_parameter(phi.summands, phi.ambient, inv)
+    again = build_ld_parameter(phi.summands, phi.ambient)
     assert again == phi
 
 
@@ -77,11 +79,11 @@ def test_nonselfdual_closure_needs_partner(extended_inventory):
     inv = extended_inventory
     g2 = DualGroupDescriptor(Family.ORTHOGONAL, 2)
     phi = build_ld_parameter(
-        [LDSummand(pt(inv, "alpha"), 1), LDSummand(pt(inv, "beta"), 1)], g2, inv
+        [LDSummand(pt(inv, "alpha"), 1), LDSummand(pt(inv, "beta"), 1)], g2
     )
     assert phi.total_dim == 2
     with pytest.raises(ValueError):
-        build_ld_parameter([LDSummand(pt(inv, "alpha"), 1), LDSummand(pt(inv, "alpha"), 1)], g2, inv)
+        build_ld_parameter([LDSummand(pt(inv, "alpha"), 1), LDSummand(pt(inv, "alpha"), 1)], g2)
 
 
 def so5_example(inv):
@@ -92,7 +94,6 @@ def so5_example(inv):
             LDSummand(pt(inv, "chi"), 1),
         ],
         SO5,
-        inv,
     )
 
 
@@ -101,11 +102,11 @@ def test_supercuspidal_shape_examples(extended_inventory):
     assert is_supercuspidal_shape(so5_example(inv))
     # missing sp(1) step of the staircase
     broken = build_ld_parameter(
-        [LDSummand(pt(inv, "triv"), 3)], DualGroupDescriptor(Family.ORTHOGONAL, 3), inv
+        [LDSummand(pt(inv, "triv"), 3)], DualGroupDescriptor(Family.ORTHOGONAL, 3)
     )
     assert not is_supercuspidal_shape(broken)
     single = build_ld_parameter(
-        [LDSummand(pt(inv, "triv"), 1)], DualGroupDescriptor(Family.ORTHOGONAL, 1), inv
+        [LDSummand(pt(inv, "triv"), 1)], DualGroupDescriptor(Family.ORTHOGONAL, 1)
     )
     assert is_supercuspidal_shape(single)
 
@@ -114,11 +115,11 @@ def test_component_group_orders(extended_inventory):
     inv = extended_inventory
     assert component_group(so5_example(inv)).order == 8
     single = build_ld_parameter(
-        [LDSummand(pt(inv, "triv"), 1)], DualGroupDescriptor(Family.ORTHOGONAL, 1), inv
+        [LDSummand(pt(inv, "triv"), 1)], DualGroupDescriptor(Family.ORTHOGONAL, 1)
     )
     assert component_group(single).order == 2
     doubled = build_ld_parameter(
-        [LDSummand(pt(inv, "triv"), 1, 2)], DualGroupDescriptor(Family.ORTHOGONAL, 2), inv
+        [LDSummand(pt(inv, "triv"), 1, 2)], DualGroupDescriptor(Family.ORTHOGONAL, 2)
     )
     with pytest.raises(ValueError):
         component_group(doubled)
@@ -140,7 +141,7 @@ def test_alternating_characters_so5(extended_inventory):
 
 def test_not_of_type_first_step_forced(extended_inventory):
     inv = extended_inventory
-    phi = build_ld_parameter([LDSummand(pt(inv, "triv"), 2)], SP2, inv)
+    phi = build_ld_parameter([LDSummand(pt(inv, "triv"), 2)], SP2)
     chars = alternating_characters(phi)
     assert len(chars) == 1
     assert chars[0]("triv+:sp2") == -1
@@ -148,7 +149,7 @@ def test_not_of_type_first_step_forced(extended_inventory):
 
 def test_so3_degenerate_counts(extended_inventory):
     inv = extended_inventory
-    phi = build_ld_parameter([LDSummand(pt(inv, "triv"), 2)], SP2, inv)
+    phi = build_ld_parameter([LDSummand(pt(inv, "triv"), 2)], SP2)
     assert count_supercuspidals(phi, 1) == 0
     assert count_supercuspidals(phi, -1) == 1
     assert brute_force_supercuspidals(phi, 1) == 0
@@ -164,7 +165,6 @@ def test_sp6_example_counts(extended_inventory):
             LDSummand(pt(inv, "a"), 1),
         ],
         SP6,
-        inv,
     )
     assert count_supercuspidals(phi, 1) == 1
     assert count_supercuspidals(phi, -1) == 1
@@ -205,19 +205,18 @@ def test_is_discrete(extended_inventory):
     inv = extended_inventory
     assert is_discrete(so5_example(inv))
     doubled = build_ld_parameter(
-        [LDSummand(pt(inv, "triv"), 1, 2)], DualGroupDescriptor(Family.ORTHOGONAL, 2), inv
+        [LDSummand(pt(inv, "triv"), 1, 2)], DualGroupDescriptor(Family.ORTHOGONAL, 2)
     )
     assert not is_discrete(doubled)
     mixed = build_ld_parameter(
         [LDSummand(pt(inv, "alpha"), 1), LDSummand(pt(inv, "beta"), 1)],
         DualGroupDescriptor(Family.ORTHOGONAL, 2),
-        inv,
     )
     assert not is_discrete(mixed)
     # sp(2) flips the type: of ambient type in Sp_2, not in O_2
-    assert is_discrete(build_ld_parameter([LDSummand(pt(inv, "triv"), 2)], SP2, inv))
+    assert is_discrete(build_ld_parameter([LDSummand(pt(inv, "triv"), 2)], SP2))
     assert not is_discrete(
-        build_ld_parameter([LDSummand(pt(inv, "triv"), 2)], DualGroupDescriptor(Family.ORTHOGONAL, 2), inv)
+        build_ld_parameter([LDSummand(pt(inv, "triv"), 2)], DualGroupDescriptor(Family.ORTHOGONAL, 2))
     )
 
 
@@ -233,17 +232,16 @@ def test_det_discrepancy(extended_inventory):
             LDSummand(pt(inv, "chi", MINUS), 1),
         ],
         SO5,
-        inv,
     )
     assert det_discrepancy(other, phi) == -1
     # a dim-2 class at f=-1 contributes (-1)**2 = +1
     g4 = DualGroupDescriptor(Family.ORTHOGONAL, 4)
-    base = build_ld_parameter([LDSummand(pt(inv, "a"), 2)], g4, inv)
-    twisted = build_ld_parameter([LDSummand(pt(inv, "a", MINUS), 2)], g4, inv)
+    base = build_ld_parameter([LDSummand(pt(inv, "a"), 2)], g4)
+    twisted = build_ld_parameter([LDSummand(pt(inv, "a", MINUS), 2)], g4)
     assert det_discrepancy(twisted, base) == 1
     # odd exponent difference on a ramified determinant base is an error
-    bad = build_ld_parameter([LDSummand(pt(inv, "chi"), 1), LDSummand(pt(inv, "triv"), 3)], g4, inv)
-    good = build_ld_parameter([LDSummand(pt(inv, "triv"), 2), LDSummand(pt(inv, "a"), 1)], g4, inv)
+    bad = build_ld_parameter([LDSummand(pt(inv, "chi"), 1), LDSummand(pt(inv, "triv"), 3)], g4)
+    good = build_ld_parameter([LDSummand(pt(inv, "triv"), 2), LDSummand(pt(inv, "a"), 1)], g4)
     with pytest.raises(ValueError):
         det_discrepancy(bad, good)
 
@@ -255,3 +253,21 @@ def test_parameter_json_round_trip(extended_inventory):
     assert data["ambient"] == {"family": "orthogonal", "dim": 5}
     assert data["summands"][0] == {"class": "chi", "f": {"root": "0/1", "qexp": "0/2"}, "a": 1, "mult": 1}
     assert parameter_from_json_dict(data, inv) == phi
+
+
+def test_only_enumerators_and_the_json_reader_take_an_inventory():
+    # a parameter resolves its own dual partners, so no other layer needs the registry
+    takers = set()
+    for info in pkgutil.iter_modules(hecke_atlas.__path__):
+        module = importlib.import_module(f"hecke_atlas.{info.name}")
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__ == module.__name__:
+                if "inventory" in inspect.signature(fn).parameters:
+                    takers.add(f"{info.name}.{name}")
+    assert takers == {
+        "params.parameter_from_json_dict",
+        "params.discrete_parameters",
+        "params.supercuspidal_shapes",
+        "params.supercuspidal_corpus",
+        "verify.normed_corpus",
+    }

@@ -4,7 +4,6 @@ from hecke_atlas import support
 from hecke_atlas.params import LDSummand, build_ld_parameter, is_discrete
 from hecke_atlas.support import (
     SupportDatum,
-    build_levi,
     build_phi_S,
     cuspidal_pairs,
     injectivity_report,
@@ -17,7 +16,7 @@ from hecke_atlas.weil import DualGroupDescriptor, Family, UnitMonomial, orbit_po
 def triv_parameter(inv, family, dim):
     ambient = DualGroupDescriptor(family, dim)
     point = orbit_point(inv["triv"], UnitMonomial.one())
-    return build_ld_parameter([LDSummand(point, 1, dim)], ambient, inv)
+    return build_ld_parameter([LDSummand(point, 1, dim)], ambient)
 
 
 @pytest.fixture
@@ -53,7 +52,6 @@ def test_supports_empty(extended_inventory):
             LDSummand(orbit_point(inv["beta"], UnitMonomial.one()), 1),
         ],
         g2,
-        inv,
     )
     data = supports(phi0)
     assert len(data) == 1
@@ -65,34 +63,32 @@ def test_supports_rejects_unnormed(extended_inventory):
     phi = build_ld_parameter(
         [LDSummand(orbit_point(inv["triv"], UnitMonomial.one()), 2)],
         DualGroupDescriptor(Family.SYMPLECTIC, 2),
-        inv,
     )
     with pytest.raises(ValueError):
         supports(phi)
 
 
-def test_build_phi_S_so7(so7_setting, extended_inventory):
-    inv = extended_inventory
+def test_build_phi_S_so7(so7_setting):
     S = SupportDatum((("triv", (1, 0)),))
-    phi_S, L_S, l_S, d_S = build_phi_S(so7_setting, S, inv)
+    phi_S, L_S, l_S, d_S = build_phi_S(so7_setting, S)
     assert L_S == 2 and l_S == 1 and d_S == 1
     assert [(s.point.cls.label, s.sl2_dim) for s in phi_S.summands] == [("triv", 2)]
     assert is_discrete(phi_S)
 
 
-def test_build_phi_S_sp4(sp4_setting, extended_inventory):
+def test_build_phi_S_sp4(sp4_setting):
     S = SupportDatum((("triv", (1, 0)),))
-    phi_S, L_S, l_S, d_S = build_phi_S(sp4_setting, S, extended_inventory)
+    phi_S, L_S, l_S, d_S = build_phi_S(sp4_setting, S)
     assert L_S == 1 and l_S == 0 and d_S == 1
     assert [(s.point.cls.label, s.sl2_dim) for s in phi_S.summands] == [("triv", 1)]
 
 
 def test_build_phi_S_minus_point_flips_det(so7_setting, extended_inventory):
     S = SupportDatum((("triv", (0, 1)),))
-    phi_S, L_S, l_S, d_S = build_phi_S(so7_setting, S, extended_inventory)
+    phi_S, L_S, l_S, d_S = build_phi_S(so7_setting, S)
     assert L_S == 2 and d_S == 1  # f=-1 with sl2-dim 2 contributes (-1)**2
     S2 = SupportDatum((("triv", (0, 1)),))
-    phi_S2, L_S2, _, d_S2 = build_phi_S(sp4_setting_param(extended_inventory), S2, extended_inventory)
+    phi_S2, L_S2, _, d_S2 = build_phi_S(sp4_setting_param(extended_inventory), S2)
     assert L_S2 == 1
     assert d_S2 == -1  # f=-1 with sl2-dim 1 contributes (-1)**1
 
@@ -101,26 +97,32 @@ def sp4_setting_param(inv):
     return triv_parameter(inv, Family.ORTHOGONAL, 5)
 
 
-def test_build_phi_S_all_zero(so7_setting, extended_inventory):
+def test_build_phi_S_all_zero(so7_setting):
     S = SupportDatum((("triv", (0, 0)),))
-    phi_S, L_S, l_S, d_S = build_phi_S(so7_setting, S, extended_inventory)
+    phi_S, L_S, l_S, d_S = build_phi_S(so7_setting, S)
     assert phi_S.summands == () and L_S == 0 and l_S == 0 and d_S == 1
 
 
-def test_build_phi_S_rejects_bad_support(so7_setting, extended_inventory):
+def test_build_phi_S_rejects_bad_support(so7_setting):
     with pytest.raises(ValueError):
-        build_phi_S(so7_setting, SupportDatum((("triv", (3, 0)),)), extended_inventory)
+        build_phi_S(so7_setting, SupportDatum((("triv", (3, 0)),)))
 
 
-def test_build_levi_so7(so7_setting, extended_inventory):
-    levi = build_levi(so7_setting, SupportDatum((("triv", (1, 0)),)), extended_inventory)
+def levi_of(phi0, S):
+    """The one Levi that ``cuspidal_pairs`` reports for the support ``S``."""
+    (levi,) = {p.levi for p in cuspidal_pairs(phi0) if p.S == S}
+    return levi
+
+
+def test_build_levi_so7(so7_setting):
+    levi = levi_of(so7_setting, SupportDatum((("triv", (1, 0)),)))
     assert levi.gl_factors == ((1, 2),)
     assert levi.tail.family is Family.SYMPLECTIC and levi.tail.ambient_dim == 2
     assert levi.tail_rank == 1
 
 
-def test_build_levi_full_support(sp4_setting, extended_inventory):
-    levi = build_levi(sp4_setting, SupportDatum((("triv", (2, 1)),)), extended_inventory)
+def test_build_levi_full_support(sp4_setting):
+    levi = levi_of(sp4_setting, SupportDatum((("triv", (2, 1)),)))
     assert levi.gl_factors == ()
     assert levi.tail.ambient_dim == 5 and levi.tail_rank == 2
 
@@ -134,23 +136,22 @@ def test_build_levi_non_self_dual(extended_inventory):
             LDSummand(orbit_point(inv["beta"], UnitMonomial.one()), 1, 3),
         ],
         g6,
-        inv,
     )
-    levi = build_levi(phi0, SupportDatum(()), inv)
+    levi = levi_of(phi0, SupportDatum(()))
     assert levi.gl_factors == ((1, 3),)
     assert levi.tail.ambient_dim == 0
 
 
-def test_cuspidal_pairs_so7(so7_setting, extended_inventory):
-    pairs = cuspidal_pairs(so7_setting, extended_inventory)
+def test_cuspidal_pairs_so7(so7_setting):
+    pairs = cuspidal_pairs(so7_setting)
     assert len(pairs) == 6  # one alternating character per support
     report = injectivity_report(pairs)
     assert report["duplicates"] == [] and report["flagged"] == []
     assert report["injective_outside_flagged"]
 
 
-def test_cuspidal_pairs_sp4(sp4_setting, extended_inventory):
-    pairs = cuspidal_pairs(sp4_setting, extended_inventory)
+def test_cuspidal_pairs_sp4(sp4_setting):
+    pairs = cuspidal_pairs(sp4_setting)
     # depth-1 supports carry 2 characters, depth-(2,1) supports carry 4
     counts = {}
     for p in pairs:
@@ -165,15 +166,15 @@ def test_cuspidal_pairs_sp4(sp4_setting, extended_inventory):
     assert report["injective_outside_flagged"]
 
 
-def test_L_S_parity(so7_setting, sp4_setting, extended_inventory):
+def test_L_S_parity(so7_setting, sp4_setting):
     for phi0 in (so7_setting, sp4_setting):
         for S in supports(phi0):
-            _, L_S, _, _ = build_phi_S(phi0, S, extended_inventory)
+            _, L_S, _, _ = build_phi_S(phi0, S)
             assert L_S % 2 == phi0.ambient.ambient_dim % 2
 
 
-def test_support_json(so7_setting, extended_inventory):
-    pairs = cuspidal_pairs(so7_setting, extended_inventory)
+def test_support_json(so7_setting):
+    pairs = cuspidal_pairs(so7_setting)
     data = support_to_json_dict(pairs[1])
     assert set(data) == {"S", "phiS", "LS", "lS", "dS", "levi", "epsilon", "epsZ"}
     assert data["dS"] in "+-"
@@ -189,7 +190,6 @@ def test_cuspidal_pairs_builds_each_tail_once(extended_inventory, monkeypatch):
             LDSummand(orbit_point(inv["a"], UnitMonomial.one()), 1, 2),
         ],
         ambient,
-        inv,
     )
     calls = []
 
@@ -200,6 +200,7 @@ def test_cuspidal_pairs_builds_each_tail_once(extended_inventory, monkeypatch):
     monkeypatch.setattr(support, "build_phi_S", counted)
     data = supports(phi0)
     assert len(data) > 1 and len({label for S in data for label, _ in S.entries}) == 2
-    pairs = cuspidal_pairs(phi0, inv)
+    pairs = cuspidal_pairs(phi0)
     assert calls == data
-    assert [p.levi for p in pairs] == [build_levi(phi0, p.S, inv) for p in pairs]
+    # each GL block and its dual plus the tail fill the ambient
+    assert all(2 * sum(d * k for d, k in p.levi.gl_factors) + p.levi.tail.ambient_dim == 7 for p in pairs)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hecke_atlas.params import LDSummand, build_ld_parameter
 from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
@@ -12,7 +13,6 @@ from hecke_atlas.weil import (
     NotSelfDual,
     SelfDual,
     UnitMonomial,
-    dual_point,
     is_of_type,
     make_inertial_class,
     orbit_point,
@@ -103,28 +103,49 @@ def small_inventory():
     return inv
 
 
+O2 = DualGroupDescriptor(Family.ORTHOGONAL, 2)
+
+
 def test_dual_point_involution_self_dual():
+    # the dual of a twisted self-dual point is its inverse on the same class
     inv = small_inventory()
-    p = orbit_point(inv["a"], UnitMonomial.of(Fraction(1, 3), Fraction(1, 2)))
-    q = dual_point(p, inv)
-    assert q.cls is p.cls
-    assert q.f == p.f.inverse()
-    assert dual_point(q, inv) == p
+    p = orbit_point(inv["triv"], UnitMonomial.of(Fraction(1, 3), Fraction(1, 2)))
+    q = orbit_point(inv["triv"], p.f.inverse())
+    with pytest.raises(ValueError, match="not closed under duality"):
+        build_ld_parameter([LDSummand(p, 1, 2)], O2)
+    phi = build_ld_parameter([LDSummand(p, 1), LDSummand(q, 1)], O2)
+    assert phi == build_ld_parameter([LDSummand(q, 1), LDSummand(p, 1)], O2)
 
 
 def test_dual_point_swaps_partner():
+    # alpha's partner is read from the summands: no inventory is needed
     inv = small_inventory()
     p = orbit_point(inv["alpha"], UnitMonomial.minus_one())
-    q = dual_point(p, inv)
-    assert q.cls.label == "beta"
-    assert dual_point(q, inv) == p
+    q = orbit_point(inv["beta"], UnitMonomial.minus_one())
+    phi = build_ld_parameter([LDSummand(p, 1), LDSummand(q, 1)], O2)
+    assert [s.point.cls.label for s in phi.summands] == ["alpha", "beta"]
+    twisted = orbit_point(inv["alpha"], UnitMonomial.of(0, Fraction(1, 2)))
+    with pytest.raises(ValueError, match="not closed under duality"):
+        build_ld_parameter([LDSummand(twisted, 1), LDSummand(q, 1)], O2)
 
 
-def test_dual_point_needs_inventory_for_partner():
+def test_dual_point_needs_partner_summand():
     inv = small_inventory()
     p = orbit_point(inv["alpha"], UnitMonomial.one())
-    with pytest.raises(KeyError):
-        dual_point(p)
+    with pytest.raises(ValueError, match="not closed under duality at alpha"):
+        build_ld_parameter([LDSummand(p, 1, 2)], O2)
+
+
+def test_dual_point_partner_must_name_class_back():
+    # a summand labelled like alpha's partner that does not pair back with alpha
+    inv = small_inventory()
+    alpha = orbit_point(inv["alpha"], UnitMonomial.one())
+    impostor = make_inertial_class("beta", 1, 1, NotSelfDual("gamma"), "beta")
+    with pytest.raises(ValueError, match="not closed under duality at alpha"):
+        build_ld_parameter([LDSummand(alpha, 1), LDSummand(orbit_point(impostor, UnitMonomial.one()), 1)], O2)
+    self_dual = make_inertial_class("beta", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL))
+    with pytest.raises(ValueError, match="not closed under duality at alpha"):
+        build_ld_parameter([LDSummand(alpha, 1), LDSummand(orbit_point(self_dual, UnitMonomial.one()), 1)], O2)
 
 
 @given(monomials)
