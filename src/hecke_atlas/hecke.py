@@ -85,7 +85,10 @@ def hecke_factor(phi0: LDParameter, S: SupportDatum, orbit_label: str) -> HeckeF
     if orbit.types is None:
         return _equal("GL", m, t)
 
-    a_plus, a_minus = S.as_dict[orbit_label]
+    depths = S.as_dict.get(orbit_label)
+    if depths is None:
+        raise ValueError(f"support has no staircase depths for orbit {orbit_label!r}")
+    a_plus, a_minus = depths
     plus_type, minus_type = orbit.types
     if plus_type and minus_type and a_plus == 0 and a_minus == 0:
         return _equal("SO", m, t, extended=True)

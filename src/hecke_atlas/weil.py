@@ -1,11 +1,11 @@
 """Symbolic inertial classes of irreducible Weil-group representations.
 
 An inertial class is described by purely combinatorial data (dimension,
-torsion number, duality behaviour).  A point of the associated unramified
-twisting orbit is tagged by an exact unit monomial ``c * q**e`` with ``c``
-a root of unity and ``e`` a half-integer; the base point of an orbit is
-always the point with invariant ``+1`` and is supplied as input data (it is
-a choice, never computed).
+torsion number, duality behaviour).  A point of its unramified twisting
+orbit is tagged by an exact unit monomial ``c * q**e`` (``c`` a root of
+unity, ``e`` a half-integer), held as three integers with ``Fraction``
+views.  An orbit's base point, with invariant ``+1``, is input data (a
+choice, never computed).
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import total_ordering
+from math import gcd
 from typing import Mapping, Union
 
 __all__ = [
@@ -128,36 +130,55 @@ class SelfDual:
 Duality = Union[NotSelfDual, SelfDual]
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class UnitMonomial:
     """Exact value ``exp(2*pi*i*root) * q**q_exponent``.
 
-    ``root`` is a reduced fraction in [0, 1); ``q_exponent`` is a
-    half-integer.  All arithmetic is exact, so equality is decidable.
+    Held as three ints: the root ``rn/d``, reduced with ``0 <= rn < d``, and
+    the doubled q-exponent ``e2``.  ``root`` and ``q_exponent`` are their
+    ``Fraction`` views.  All arithmetic is exact, so equality is decidable;
+    the order is that of ``(root, q_exponent)``.
     """
 
-    root: Fraction
-    q_exponent: Fraction
+    __slots__ = ("rn", "d", "e2")
 
-    def __post_init__(self) -> None:
-        root, qexp = self.root, self.q_exponent
-        if type(root) is not Fraction:
-            root = Fraction(root)
-        n, d = root.numerator, root.denominator
-        if not 0 <= n < d:
-            # gcd(n mod d, d) = gcd(n, d), so the residue is still reduced
-            root = Fraction(n % d, d)
-        if type(qexp) is not Fraction:
-            qexp = Fraction(qexp)
+    def __init__(self, root: Fraction | int | str, q_exponent: Fraction | int | str) -> None:
+        root, qexp = Fraction(root), Fraction(q_exponent)
         if qexp.denominator not in (1, 2):
             raise ValueError("q_exponent must be a half-integer")
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "q_exponent", qexp)
+        _set_rn(self, root.numerator % root.denominator)  # still coprime to d
+        _set_d(self, root.denominator)
+        _set_e2(self, 2 * qexp.numerator // qexp.denominator)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _monomial, (self.rn, self.d, self.e2)
+
+    @property
+    def root(self) -> Fraction:
+        return Fraction(self.rn, self.d)
+
+    @property
+    def q_exponent(self) -> Fraction:
+        return Fraction(self.e2, 2)
+
+    # -- comparison: cross-multiplied roots, then q-exponents -----------
+    def __eq__(self, other):
+        if type(other) is not UnitMonomial:
+            return NotImplemented
+        return self.rn == other.rn and self.d == other.d and self.e2 == other.e2
 
     def __hash__(self) -> int:
-        # equal reduced fractions have equal numerators and denominators
-        root, qexp = self.root, self.q_exponent
-        return hash((root.numerator, root.denominator, qexp.numerator, qexp.denominator))
+        return hash((self.rn, self.d, self.e2))
+
+    def __lt__(self, other):
+        if type(other) is not UnitMonomial:
+            return NotImplemented
+        return (self.rn * other.d, self.e2) < (other.rn * self.d, other.e2)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -174,23 +195,24 @@ class UnitMonomial:
 
     # -- arithmetic ---------------------------------------------------
     def __mul__(self, other: "UnitMonomial") -> "UnitMonomial":
-        return UnitMonomial(self.root + other.root, self.q_exponent + other.q_exponent)
+        d, od = self.d, other.d
+        return _monomial(self.rn * od + other.rn * d, d * od, self.e2 + other.e2)
 
     def inverse(self) -> "UnitMonomial":
-        return UnitMonomial(-self.root, -self.q_exponent)
+        return _monomial(-self.rn, self.d, -self.e2)
 
     def __pow__(self, n: int) -> "UnitMonomial":
-        return UnitMonomial(self.root * n, self.q_exponent * n)
+        return _monomial(self.rn * n, self.d, self.e2 * n)
 
     # -- predicates ---------------------------------------------------
     @property
     def is_one(self) -> bool:
-        return not self.root and not self.q_exponent
+        return not self.rn and not self.e2
 
     @property
     def is_minus_one(self) -> bool:
-        # root is reduced and in [0, 1), so denominator 2 means root = 1/2
-        return self.root.denominator == 2 and not self.q_exponent
+        # the root is reduced and in [0, 1), so denominator 2 means root = 1/2
+        return self.d == 2 and not self.e2
 
     @property
     def is_sign(self) -> bool:
@@ -207,10 +229,7 @@ class UnitMonomial:
 
     # -- serialization ------------------------------------------------
     def to_json_dict(self) -> dict:
-        return {
-            "root": f"{self.root.numerator}/{self.root.denominator}",
-            "qexp": half_integer_str(self.q_exponent),
-        }
+        return {"root": f"{self.rn}/{self.d}", "qexp": f"{self.e2}/2"}
 
     @staticmethod
     def from_json_dict(data: Mapping, path: str = "monomial") -> "UnitMonomial":
@@ -220,6 +239,9 @@ class UnitMonomial:
         )
         return UnitMonomial(root, qexp)
 
+    def __repr__(self) -> str:
+        return f"UnitMonomial(root={self.root!r}, q_exponent={self.q_exponent!r})"
+
     def __str__(self) -> str:
         if self.is_one:
             return "1"
@@ -228,7 +250,21 @@ class UnitMonomial:
         return f"zeta^({self.root})*q^({self.q_exponent})"
 
 
-# shared because the class is frozen
+_set_rn, _set_d, _set_e2 = (UnitMonomial.__dict__[name].__set__ for name in UnitMonomial.__slots__)
+
+
+def _monomial(n: int, d: int, e2: int) -> UnitMonomial:
+    """``zeta^(n/d) * q^(e2/2)`` for any ints with ``d > 0``, built from ints alone."""
+    g = gcd(n, d)
+    d //= g
+    m = object.__new__(UnitMonomial)
+    _set_rn(m, n // g % d)
+    _set_d(m, d)
+    _set_e2(m, e2)
+    return m
+
+
+# shared because the class is immutable
 _ONE = UnitMonomial(Fraction(0), Fraction(0))
 _MINUS_ONE = UnitMonomial(Fraction(1, 2), Fraction(0))
 
@@ -260,6 +296,9 @@ class InertialClass:
         if self.is_self_dual:
             return self.label
         return min(self.label, self.duality.partner_label)
+
+    def __hash__(self) -> int:
+        return hash(self.label)
 
 
 def make_inertial_class(
@@ -297,15 +336,13 @@ class InertialPoint:
     def is_self_dual_point(self) -> bool:
         return self.cls.is_self_dual and self.f.is_sign
 
+    def __hash__(self) -> int:
+        return hash((self.cls.label, self.f))
+
     def sort_key(self):
-        f = self.f
-        return (
-            self.cls.label,
-            f.root.numerator,
-            f.root.denominator,
-            f.q_exponent.numerator,
-            f.q_exponent.denominator,
-        )
+        """Label, root and q-exponent as (numerator, denominator): q^1 sorts before q^(1/2)."""
+        f, half = self.f, self.f.e2 % 2
+        return (self.cls.label, f.rn, f.d, f.e2 if half else f.e2 // 2, 1 + half)
 
 
 def orbit_point(cls: InertialClass, f: UnitMonomial) -> InertialPoint:

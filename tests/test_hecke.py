@@ -59,6 +59,11 @@ def test_hecke_factor_names_a_label_that_is_no_orbit_representative(extended_inv
             hecke_factor(phi0, SupportDatum(()), label)
 
 
+def test_hecke_factor_names_an_orbit_the_support_omits():
+    with pytest.raises(ValueError, match="support has no staircase depths for orbit '1'"):
+        hecke_factor(unit_setting("so_odd", 3), SupportDatum(()), "1")
+
+
 def test_hecke_factor_so7_case3(extended_inventory):
     phi0 = so7_setting(extended_inventory)
     f = hecke_factor(phi0, SupportDatum((("triv", (1, 0)),)), "triv")

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
     Family,
+    InertialPoint,
     Inventory,
     NotSelfDual,
     SelfDual,
@@ -88,6 +91,91 @@ def test_signs():
     assert (UnitMonomial.minus_one() * UnitMonomial.minus_one()).is_one
     with pytest.raises(ValueError):
         UnitMonomial.of(Fraction(1, 4)).sign
+
+
+def reference(root, qexp) -> tuple[Fraction, Fraction]:
+    """The Fraction definition of a monomial: the root reduced into [0, 1)
+    and the q-exponent, compared lexicographically."""
+    return Fraction(root) % 1, Fraction(qexp)
+
+
+def reference_str(root: Fraction, qexp: Fraction) -> str:
+    if (root, qexp) == (0, 0):
+        return "1"
+    if (root, qexp) == (Fraction(1, 2), 0):
+        return "-1"
+    return f"zeta^({root})*q^({qexp})"
+
+
+pairs = st.tuples(fractions, halves)
+
+
+@given(pairs, pairs, st.integers(min_value=-7, max_value=7))
+def test_integer_kernel_matches_fraction_reference(x, y, n):
+    a, b = UnitMonomial(*x), UnitMonomial(*y)
+    (ra, ea), (rb, eb) = reference(*x), reference(*y)
+    assert (a.root, a.q_exponent) == (ra, ea)
+    assert (type(a.root), type(a.q_exponent)) == (Fraction, Fraction)
+    assert ((a * b).root, (a * b).q_exponent) == reference(ra + rb, ea + eb)
+    assert (a.inverse().root, a.inverse().q_exponent) == reference(-ra, -ea)
+    assert ((a**n).root, (a**n).q_exponent) == reference(ra * n, ea * n)
+    key_a, key_b = (ra, ea), (rb, eb)
+    assert (a == b, a != b) == (key_a == key_b, key_a != key_b)
+    assert (a < b, a <= b, a > b, a >= b) == (key_a < key_b, key_a <= key_b, key_a > key_b, key_a >= key_b)
+    assert str(a) == reference_str(ra, ea)
+    assert repr(a) == f"UnitMonomial(root={ra!r}, q_exponent={ea!r})"
+    assert a.to_json_dict() == {"root": f"{ra.numerator}/{ra.denominator}", "qexp": f"{int(2 * ea)}/2"}
+    point = orbit_point(small_inventory()["triv"], a)
+    assert point.sort_key() == ("triv", ra.numerator, ra.denominator, ea.numerator, ea.denominator)
+
+
+@given(st.lists(pairs, max_size=12))
+def test_integer_kernel_sorts_like_fraction_reference(xs):
+    ordered = sorted(UnitMonomial(*x) for x in xs)
+    assert [(m.root, m.q_exponent) for m in ordered] == sorted(reference(*x) for x in xs)
+
+
+@given(monomials)
+def test_monomial_copies_round_trip_and_refuse_mutation(m):
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(twin) is UnitMonomial and twin == m and hash(twin) == hash(m)
+        assert (twin.root, twin.q_exponent) == (m.root, m.q_exponent)
+    for name in ("root", "q_exponent", "rn", "d", "e2"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+
+
+def test_monomial_compares_only_with_monomials():
+    m = UnitMonomial.one()
+    assert m != (m.root, m.q_exponent) and m != 1
+    with pytest.raises(TypeError):
+        m < Fraction(1)
+
+
+def test_inertial_values_hash_consistently_with_equality():
+    tags = SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL)
+    cls = make_inertial_class("triv", 1, 1, tags, "1")
+    twin = make_inertial_class("triv", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1")
+    wide = make_inertial_class("triv", 2, 1, tags, "1")
+    assert cls == twin and hash(cls) == hash(twin)
+    assert cls != wide and {cls: "narrow", wide: "wide"} == {twin: "narrow", wide: "wide"}
+    f = UnitMonomial.of("1/3", "1/2")
+    p, q = orbit_point(cls, f), orbit_point(twin, UnitMonomial.of("-2/3", "1/2"))
+    assert p == q and hash(p) == hash(q)
+    other = orbit_point(wide, f)
+    assert p != other and len({p: 0, other: 1}) == 2
+    s, t = LDSummand(p, 2, 3), LDSummand(q, 2, 3)
+    assert s == t and hash(s) == hash(t)
+    assert len({s, t, LDSummand(other, 2, 3), LDSummand(p, 2, 1)}) == 3
+
+
+def test_point_sort_key_puts_whole_q_powers_before_halves():
+    cls = small_inventory()["triv"]
+    whole, half = orbit_point(cls, UnitMonomial.of(0, 1)), orbit_point(cls, UnitMonomial.of(0, Fraction(1, 2)))
+    assert (whole.sort_key(), half.sort_key()) == (("triv", 0, 1, 1, 1), ("triv", 0, 1, 1, 2))
+    assert sorted([half, whole], key=InertialPoint.sort_key) == [whole, half]
 
 
 # ---------------------------------------------------------------------------
