@@ -250,7 +250,7 @@ class UnitMonomial:
         return f"zeta^({self.root})*q^({self.q_exponent})"
 
 
-_set_rn, _set_d, _set_e2 = (UnitMonomial.__dict__[name].__set__ for name in UnitMonomial.__slots__)
+_set_rn, _set_d, _set_e2 = (UnitMonomial.__dict__[s].__set__ for s in UnitMonomial.__slots__)  # skip __setattr__
 
 
 def _monomial(n: int, d: int, e2: int) -> UnitMonomial:
