@@ -6,7 +6,9 @@ Subcommands: ``enumerate`` (parameter corpora from an inventory file),
 (explicit algebra tables), and ``verify`` (run one suite of
 ``hecke_atlas.verify`` and print its report).
 
-All output is canonical JSON with exact string fractions.  Exit codes: 0 on
+All output is canonical JSON with exact string fractions: stdout, ``--out``
+and ``--report`` hold byte for byte ``json.dumps(obj, indent=2)`` plus a
+newline, non-ASCII characters escaped, which the tests pin.  Exit codes: 0 on
 success, 1 when a verify report has a failed case (or a flagged one without
 ``--allow-flagged``), 2 on malformed input.
 """
@@ -17,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .hecke import factor_to_json_dict, hecke_descriptor, specialize, sp_normalization
@@ -39,13 +42,55 @@ GROUP_AMBIENTS = {
 }
 
 
-def _emit(data, path: str | None = None) -> None:
-    text = json.dumps(data, indent=2) + "\n"
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a value nested ``indent`` deep.
+
+    The stdlib runs its C encoder only without an indent; with one it yields
+    every token up through one generator frame per nesting level.  This
+    builds the same text recursing only into containers, bools and None:
+    the parent encodes its str and int elements inline, strings through the
+    C ``encode_basestring_ascii``.  Dict keys must be str; values other than
+    dict, list, tuple, str, int, bool and None raise TypeError.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [
+            _quote(k)
+            + ": "
+            + (_quote(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner))
+            for k, v in value.items()
+        ]
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [_quote(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):  # an int subclass (IntEnum) prints as its value, as in json
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write(text: str, path: str | None = None) -> None:
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(data, path: str | None = None) -> None:
+    _write(_json_text(data) + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +166,10 @@ def _cmd_specialize(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite, args.max_rank)
-    _emit(report)
+    text = _json_text(report) + "\n"
+    _write(text)
     if args.report:
-        _emit(report, args.report)
+        _write(text, args.report)
     if report["failed"]:
         return 1
     if report["flagged"] and not args.allow_flagged:

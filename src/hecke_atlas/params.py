@@ -282,18 +282,18 @@ def alternating_characters(phi: LDParameter) -> list[SignCharacter]:
     """
     if not is_supercuspidal_shape(phi):
         raise ValueError("alternating characters are defined for cuspidal shapes")
-    blocks = _blocks(phi)
-    free_choices = []
-    for point, _ in blocks:
-        free_choices.append((1, -1) if is_of_type(point, phi.ambient) else (-1,))
-    out = []
-    for firsts in itertools.product(*free_choices):
-        values: list[tuple[str, int]] = []
-        for (point, group), first in zip(blocks, firsts):
-            for k, s in enumerate(group, start=1):
-                values.append((_summand_label(s), first * (-1) ** (k - 1)))
-        out.append(SignCharacter(tuple(values)))
-    return out
+    # per staircase, its (label, sign) values for each allowed first-step sign
+    block_values = []
+    for point, group in _blocks(phi):
+        labels = [_summand_label(s) for s in group]
+        firsts = (1, -1) if is_of_type(point, phi.ambient) else (-1,)
+        block_values.append(
+            [tuple((label, first * (-1) ** k) for k, label in enumerate(labels)) for first in firsts]
+        )
+    return [
+        SignCharacter(tuple(itertools.chain.from_iterable(choice)))
+        for choice in itertools.product(*block_values)
+    ]
 
 
 def t_invariants(phi: LDParameter) -> tuple[int, int]:

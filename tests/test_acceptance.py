@@ -126,12 +126,17 @@ def test_descriptor_comparison_detects_type_and_minus_one():
         assert total >= 100
 
 
-def test_levi_normalizer_characterizations_exhaustively():
+@pytest.fixture(scope="session")
+def levi_reports():
+    """lemA3 and lemA4 at rank 5, their default, computed once per session."""
     with Budget(30):
-        for suite in ("lemA3", "lemA4"):
-            report = run_suite(suite, 5)
-            assert report["failed"] == 0 and report["flagged"] == 0
-            assert report["passed"] >= 30
+        return {suite: run_suite(suite, 5) for suite in ("lemA3", "lemA4")}
+
+
+def test_levi_normalizer_characterizations_exhaustively(levi_reports):
+    for report in levi_reports.values():
+        assert report["failed"] == 0 and report["flagged"] == 0
+        assert report["passed"] >= 30
 
 
 def test_support_structure_and_injectivity():
@@ -165,7 +170,8 @@ def test_non_positive_rank_is_refused_before_any_work(suite, capsys):
 # sha256 of each output, captured before a refactor that must leave every
 # output byte-identical: json.dumps(run_suite(suite), indent=2) at the default
 # rank; "enumerate:GROUP[:cuspidal]", the --out files of ranks 1-4 in order;
-# "supports:..." and "hecke:...", stdout on a two-orbit parameter in SO7
+# "specialize:KIND", stdout of ranks 1-6 in order; "supports:..." and
+# "hecke:...", stdout on a two-orbit parameter in SO7
 GOLDEN_REPORTS = {
     "enumerate:o-even": "27e5acdbcb08117cbc468caf553ed6ab970cdbc4a44dddf672da0aeb173e414c",
     "enumerate:o-even:cuspidal": "a49afe9af60f30edd7c6641c18126c2508d337f6eb45216c74254bd8c067a5e0",
@@ -178,6 +184,10 @@ GOLDEN_REPORTS = {
     "hecke:so7-two-orbit": "e8aa75b496cb2802426d7d1e4063725c850bd26205c5c76d56a0a373fdce1557",
     "lemA3": "80098633480119fb759cb7703f55692054ac50627818b2a08042005ccaede9bd",
     "lemA4": "bbda5d413aa03c98a7ff2b44a994ca75306a6fbd32073b68e1fb0e6d5b0cc8c8",
+    "specialize:o-even": "8d2ce9569079b8277d8dde0026aa7802a7196b7aea18372d932a053d27b8bf5a",
+    "specialize:so-odd": "28b739b2174ea03b67c29a82a1b4108bfb894ab80f681144208ee0e9a720020b",
+    "specialize:sp": "57c0e4f097e0497474fade89fe662a09e918c15bb1b3e8fafeb6b616209b926f",
+    "specialize:unitary": "453e47da014ae95cd657c2cf5679198595fc2d0a447a0c514890c0a426f0b24b",
     "supports:so7-two-orbit": "ca96ff703d33fe57b63550aac17010438d493f514ff4c6a3f1aae567b1b9aeda",
     "thm11": "a1f99685a5405cc93627e64b7e1cf1ddf7714fcef2a3e32d64620ea4894409f7",
     "thm16": "d433d34a38e11603a86e9d00cc10b3eb87eb7ca88d57adac5823e8ad614429ff",
@@ -189,8 +199,13 @@ GOLDEN_REPORTS = {
 }
 
 
-def _golden_output(key, tmp_path, capsys, inv) -> str:
+def _golden_output(key, request, tmp_path, capsys, inv) -> str:
     command, _, arg = key.partition(":")
+    if command == "specialize":
+        capsys.readouterr()
+        for rank in range(1, 7):
+            assert run(["specialize", "--kind", arg, "--rank", str(rank)]) == 0
+        return capsys.readouterr().out
     if command == "enumerate":
         group, _, flag = arg.partition(":")
         classes, out = tmp_path / "inv.json", tmp_path / "out.json"
@@ -216,10 +231,21 @@ def _golden_output(key, tmp_path, capsys, inv) -> str:
         capsys.readouterr()
         assert run([command, "--param", str(param)]) == 0
         return capsys.readouterr().out
+    if command in ("lemA3", "lemA4"):
+        return json.dumps(request.getfixturevalue("levi_reports")[command], indent=2)
     return json.dumps(run_suite(key), indent=2)
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_REPORTS))
-def test_report_bytes_match_golden_digest(key, tmp_path, capsys, extended_inventory):
-    text = _golden_output(key, tmp_path, capsys, extended_inventory)
+def test_report_bytes_match_golden_digest(key, request, tmp_path, capsys, extended_inventory):
+    text = _golden_output(key, request, tmp_path, capsys, extended_inventory)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[key]
+
+
+@pytest.mark.parametrize("suite", ["thm31", "thm33"])
+def test_verify_writes_the_stdlib_indent_2_text_to_stdout_and_report(suite, tmp_path, capsys):
+    expected = json.dumps(run_suite(suite), indent=2) + "\n"
+    report = tmp_path / "report.json"
+    assert run(["verify", "--suite", suite, "--report", str(report), "--allow-flagged"]) == 0
+    assert capsys.readouterr().out == expected
+    assert report.read_bytes() == expected.encode()

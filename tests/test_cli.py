@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
@@ -6,11 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hecke_atlas import centralizer, verify
-from hecke_atlas.cli import run
+from hecke_atlas.cli import _emit, run
 from hecke_atlas.hecke import derived_rows
 from hecke_atlas.params import discrete_parameters, parameter_to_json_dict
 from hecke_atlas.verify import normed_corpus, run_suite, standard_inventory
@@ -146,6 +148,45 @@ def test_verify_output_is_byte_identical_across_runs(capsys):
         return capsys.readouterr().out
 
     assert render() == render()
+
+
+def emitted(value) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit(value)
+    return buf.getvalue()
+
+
+# every kind of character the ASCII escaping distinguishes: quote, backslash,
+# the short escapes, other control characters, non-ASCII and lone surrogates
+json_text = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f') | st.characters() | st.characters(categories=["Cs"]),
+    max_size=8,
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | json_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+@example([])
+@example({"": {}, "a": [(), [None, False, True]], "\u00e9\"\\\n": -(10**30)})
+def test_emit_writes_the_stdlib_indent_2_text(value):
+    assert emitted(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {1, 2}, object(), {1: "a"}, {"a": [0, {"b": 0.5}]}, [{(1, 2): None}], {"a": {"b": frozenset()}}],
+)
+def test_emit_refuses_values_outside_the_emitted_types(value):
+    with pytest.raises(TypeError):
+        emitted(value)
 
 
 def test_thm32_enumerates_each_table_once(monkeypatch):
