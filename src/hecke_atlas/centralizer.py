@@ -26,6 +26,7 @@ from .weil import (
     Family,
     SelfDual,
     UnitMonomial,
+    _monomial,
     orbit_point,
 )
 
@@ -289,17 +290,21 @@ def _partition_ok(parts: Sequence[int], family: str) -> bool:
     return all(c % 2 == 0 for a, c in counts.items() if a % 2 == bad_parity)
 
 
-def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
-    """Collect eigenvalue ladders and Jordan parts of a parameter.
+def _ladder(x: UnitMonomial, a: int) -> list[UnitMonomial]:
+    """The eigenvalues ``x*q**((a-1)/2 - j)``, j = 0..a-1, of ``x (x) sp(a)``."""
+    return [_monomial(x.rn, x.d, x.e2 + a - 1 - 2 * j) for j in range(a)]
 
-    Per summand ``point (x) sp(a)`` the semisimple part receives the ladder
-    ``f*q**((a-1)/2 - j)`` and the unipotent part of the f-eigenblock a part
-    ``a``; partition parities are validated against the block families.
-    """
+
+def _jordan_data(
+    summands: Iterable[LDSummand], phi0: LDParameter
+) -> tuple[dict[str, list[tuple[UnitMonomial, int]]], tuple]:
+    """The eigenvalue ladders per orbit block and the ``u_by_eigenblock``
+    Jordan parts of a summand list, validated against the orbit blocks of
+    the base parameter ``phi0``."""
     blocks = {orbit.cls.label: orbit for orbit in phi0.orbits}
     raw_s: dict[str, list[tuple[UnitMonomial, int]]] = {label: [] for label in blocks}
     raw_u: dict[tuple[str, UnitMonomial], list[int]] = {}
-    for s in phi.summands:
+    for s in summands:
         cls = s.point.cls
         label = cls.orbit_label
         if label not in blocks:
@@ -307,9 +312,7 @@ def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
         if cls.label != label:
             continue  # the partner side of a dual pair mirrors the representative side
         a, x = s.sl2_dim, s.point.f
-        for j in range(a):
-            step = UnitMonomial.of(0, Fraction(a - 1, 2) - j)
-            raw_s[label].append((x * step, s.multiplicity))
+        raw_s[label].extend((y, s.multiplicity) for y in _ladder(x, a))
         if cls.is_self_dual and x != _canonical_value(x):
             continue  # the inverse value carries the same parts
         raw_u.setdefault((label, x), []).extend([a] * s.multiplicity)
@@ -328,6 +331,17 @@ def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
     for (label, x), parts in u:
         if not _partition_ok(parts, _family_at(blocks[label], x)):
             raise ValueError(f"partition parity violated at block {label!r}, eigenvalue {x}")
+    return raw_s, u
+
+
+def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
+    """Collect eigenvalue ladders and Jordan parts of a parameter.
+
+    Per summand ``point (x) sp(a)`` the semisimple part receives the ladder
+    ``f*q**((a-1)/2 - j)`` and the unipotent part of the f-eigenblock a part
+    ``a``; partition parities are validated against the block families.
+    """
+    raw_s, u = _jordan_data(phi.summands, phi0)
     return Triple(
         centralizer_of_image(phi0).descriptor,
         SemisimpleClassDescriptor.build(raw_s),
@@ -343,7 +357,9 @@ def triple_to_parameter(t: Triple, phi0: LDParameter) -> LDParameter:
     A part ``a`` at eigenvalue ``x`` of block ``cls`` gives the summand
     ``(cls, x) (x) sp(a)`` and, unless ``x`` is a sign of a self-dual class,
     its contragredient at ``x**-1``: on ``cls`` itself, or on the partner
-    class of a dual pair, read from the summands of ``phi0``."""
+    class of a dual pair, read from the summands of ``phi0``.  The rebuilt
+    summands' ladders, multiplicities and partition parities are checked
+    as ``parameter_to_triple`` checks them."""
     classes = {s.point.cls.label: s.point.cls for s in phi0.summands}
     summands: list[LDSummand] = []
     for (label, x), parts in t.u_by_eigenblock:
@@ -360,8 +376,8 @@ def triple_to_parameter(t: Triple, phi0: LDParameter) -> LDParameter:
                 partner = classes[cls.duality.partner_label]
                 summands.append(LDSummand(orbit_point(partner, x.inverse()), a, mult))
     phi = build_ld_parameter(summands, phi0.ambient)
-    rebuilt = parameter_to_triple(phi, phi0)
-    if rebuilt.s != t.s:
+    raw_s, _ = _jordan_data(phi.summands, phi0)
+    if SemisimpleClassDescriptor.build(raw_s) != t.s:
         raise ValueError("semisimple part violates the q-scaling relation of the Jordan data")
     return phi
 
@@ -427,6 +443,11 @@ def _scaled(a: Matrix, c: int) -> Matrix:
     return [[c * v for v in row] for row in a]
 
 
+def _rescaled(left: Sequence[int], a: Matrix, right: Sequence[int]) -> Matrix:
+    """diag(left) * a * diag(right): row i scaled by left[i], column j by right[j]."""
+    return [[li * v * rj for v, rj in zip(row, right)] for li, row in zip(left, a)]
+
+
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
     out = [[0] * m for _ in range(n)]
@@ -445,8 +466,9 @@ def _mat_pow(a: Matrix, e: int) -> Matrix:
     while e:
         if e % 2:
             out = _mat_mul(out, base)
-        base = _mat_mul(base, base)
         e //= 2
+        if e:
+            base = _mat_mul(base, base)
     return out
 
 
@@ -510,9 +532,12 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
     the Gram matrix G is integral.  Raises ``CheckError`` unless
     s u s**-1 = u**q and both s and u preserve G, and unless G is symmetric
     or alternating as the ambient family requires (the independent check of
-    the tensor type rule); each check is a dense integer product of the
-    block-diagonal matrices, cross-multiplied by the denominators.  The
-    returned entries are ``Fraction``s, with ``0`` for zero.
+    the tensor type rule).  The checks are cross-multiplied by the
+    denominators: s is the diagonal of its ladders, so ``S U T`` and
+    ``S^T G S`` are row and column scalings of U and G, while ``U^T G U``
+    and ``U**Q`` (by repeated squaring) are dense integer products of the
+    block-diagonal matrices.  The returned entries are ``Fraction``s, with
+    ``0`` for zero.
     """
     if phi.ambient.ambient_dim > MATRIX_DIM_CAP:
         raise ValueError(f"matrix oracle capped at ambient dimension {MATRIX_DIM_CAP}")
@@ -522,7 +547,7 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
         return [], [], []
 
     t = max(summand.sl2_dim for summand in phi.summands) - 1
-    s_blocks: list[Matrix] = []
+    s_diag: list[int] = []  # S is diagonal
     u_blocks: list[Matrix] = []
     g_blocks: list[Matrix] = []
     for summand in phi.summands:
@@ -535,8 +560,8 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
         f = summand.point.f.sign
         tag = cls.duality.type_at_plus if f == 1 else cls.duality.type_at_minus
         k = cls.dim * summand.multiplicity
-        # the ladder f q**((a-1)/2 - j), times SQRT_Q**t
-        s_a = _diagonal([f * SQRT_Q ** (t + a - 1 - 2 * j) for j in range(a)])
+        # the ladder f q**((a-1)/2 - j), times SQRT_Q**t, each value k times
+        s_diag += [f * SQRT_Q ** (t + a - 1 - 2 * j) for j in range(a) for _ in range(k)]
         n_a = [[int(j == i + 1) for j in range(a)] for i in range(a)]
         u_a = _exp_nilpotent(n_a, t)
         g_a = [[0] * a for _ in range(a)]
@@ -553,24 +578,24 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
                 g_k[i][k - 1 - i] = 1 if i < k // 2 else -1
         else:  # pragma: no cover - unitary ambients rejected earlier
             raise ValueError("conjugate-dual tags have no classical Gram form")
-        s_blocks.append(_kron(s_a, ident_k))
         u_blocks.append(_kron(u_a, ident_k))
         g_blocks.append(_kron(g_a, g_k))
 
-    s_mat = _block_diag(s_blocks)
     u_mat = _block_diag(u_blocks)
     g_mat = _block_diag(g_blocks)
     s_den, u_den = SQRT_Q**t, math.factorial(t)
 
-    t_mat = _diagonal([s_den * s_den // s_mat[i][i] for i in range(len(s_mat))])
-    left = _scaled(_mat_mul(_mat_mul(s_mat, u_mat), t_mat), u_den**Q)
+    # s**-1 is the diagonal T = s_den**2 / S
+    t_diag = [s_den * s_den // v for v in s_diag]
+    left = _scaled(_rescaled(s_diag, u_mat, t_diag), u_den**Q)
     right = _scaled(_mat_pow(u_mat, Q), s_den * s_den * u_den)
     if left != right:
         raise CheckError("q-scaling relation fails")
 
-    for m, den in ((s_mat, s_den), (u_mat, u_den)):
-        if _mat_mul(_mat_mul(_transpose(m), g_mat), m) != _scaled(g_mat, den * den):
-            raise CheckError("Gram form not preserved")
+    if _rescaled(s_diag, g_mat, s_diag) != _scaled(g_mat, s_den * s_den):
+        raise CheckError("Gram form not preserved")
+    if _mat_mul(_mat_mul(_transpose(u_mat), g_mat), u_mat) != _scaled(g_mat, u_den * u_den):
+        raise CheckError("Gram form not preserved")
 
     gt = _transpose(g_mat)
     if phi.ambient.family is Family.ORTHOGONAL:
@@ -580,7 +605,7 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
         raise CheckError("expected an alternating form")
     return tuple(
         [[Fraction(v, den) if v else 0 for v in row] for row in m]
-        for m, den in ((s_mat, s_den), (u_mat, u_den), (g_mat, 1))
+        for m, den in ((_diagonal(s_diag), s_den), (u_mat, u_den), (g_mat, 1))
     )
 
 

@@ -306,7 +306,7 @@ SUITES: dict[str, tuple[Callable[[int], list[dict]], int, int, int | None]] = {
     "thm31": (_suite_thm31, 6, 1, None),
     "thm32": (_suite_thm32, 6, 1, None),
     "thm33": (_suite_thm33, 12, 2, None),
-    "thm26-matrix": (_suite_thm26_matrix, 8, 1, MATRIX_DIM_CAP),
+    "thm26-matrix": (_suite_thm26_matrix, 10, 1, MATRIX_DIM_CAP),
     "lemA3": (_suite_lemA3, 5, 1, BRUTE_FORCE_CAP),
     "lemA4": (_suite_lemA4, 5, 1, BRUTE_FORCE_CAP),
 }

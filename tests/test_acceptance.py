@@ -81,9 +81,9 @@ def test_unitary_table_matches_derived_enumeration():
 
 def test_matrix_realization_and_round_trip_on_all_discrete_parameters():
     with Budget(10):
-        report = run_suite("thm26-matrix", 8)
+        report = run_suite("thm26-matrix", 12)
         assert report["failed"] == 0 and report["flagged"] == 0
-        assert len(report["cases"]) >= 300
+        assert len(report["cases"]) == 1948
 
 
 def test_descriptor_comparison_detects_type_and_minus_one():
@@ -192,7 +192,7 @@ GOLDEN_REPORTS = {
     "thm11": "a1f99685a5405cc93627e64b7e1cf1ddf7714fcef2a3e32d64620ea4894409f7",
     "thm16": "d433d34a38e11603a86e9d00cc10b3eb87eb7ca88d57adac5823e8ad614429ff",
     "thm18": "5e75491280d3e7c2bce882e905e71b83245ccbd1fe92448cb6dcf933b1004d38",
-    "thm26-matrix": "94ad827b00482dc6a208bf41825853449c361e2bd34d924e250f3682b318c47f",
+    "thm26-matrix": "789707290a9a5414aa69bb0fc5e333510d4d45beee956d6f28b081a5bed5f0ae",
     "thm31": "f62062c50e39092922cc98603b55734bc6a2dd891630d4011e3075005cee55f4",
     "thm32": "6deba4a5bdf9d91de77440aa8f91c6bc6e00670a6ccf5a66fa02885c8059eec5",
     "thm33": "ace92327d4861ade8353e4e35706f585e31f317f1cbec1674dbe096af0a8a104",

@@ -1,7 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
+
+from hecke_atlas import centralizer
 
 from hecke_atlas.centralizer import (
     SemisimpleClassDescriptor,
@@ -184,6 +188,11 @@ def test_round_trip_examples(extended_inventory):
     assert dict(t2.u_by_eigenblock) == {("triv", ONE): (2,), ("triv", MINUS): (2,)}
     assert triple_to_parameter(t2, phi0) == phi2
 
+    # the same Jordan data with s = 1: the ladder q**(3/2), ..., q**(-3/2) is missing
+    flat = dataclasses.replace(t, s=SemisimpleClassDescriptor.build({"triv": [(ONE, 4)]}))
+    with pytest.raises(ValueError, match="q-scaling relation"):
+        triple_to_parameter(flat, phi0)
+
 
 def test_round_trip_all_discrete_small(extended_inventory):
     inv = extended_inventory
@@ -331,6 +340,21 @@ def test_realize_matrices_matches_a_fraction_oracle():
             assert _fmul(_fmul(s, u), s_inv) == u4
             count += 1
     assert count > 100
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    st.integers(0, 9),
+)
+def test_mat_pow_matches_repeated_products(a, e):
+    expected = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    for _ in range(e):
+        expected = centralizer._mat_mul(expected, a)
+    assert centralizer._mat_pow(a, e) == expected
 
 
 def test_realize_matrices_caps_dimension(extended_inventory):
