@@ -5,15 +5,27 @@ permutations (with its index-2 subgroup W0 of even sign changes), relative
 Weyl groups of standard Levis, stabilizers of orbit decorations, and the
 semidirect decomposition of the latter into a reflection part and a
 positivity-preserving complement.
+
+A signed permutation is one tuple ``img`` of signed images: entry i is
+``+(j + 1)`` or ``-(j + 1)`` when e_i goes to ``+e_j`` or ``-e_j``.  Products,
+inverses, hashing and equality read that tuple; ``perm`` and ``signs`` are
+views of it.
+
+What stays brute force: ``relative_weyl`` accepts or rejects every element
+of W (every permutation, against the sign vectors that are constant on the
+blocks, found once per Levi by scanning all 2**n of them); a stabilizer is
+every coset that preserves the decorations; the reflection part is the
+closure of its reflections; normality of the reflection part is checked by
+conjugation on a generating set of the stabilizer, grown by right products;
+and each factorization is checked by forming every product.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Optional, Sequence
-
-from . import CheckError
 
 __all__ = [
     "SignedPermutation",
@@ -30,37 +42,87 @@ __all__ = [
 BRUTE_FORCE_CAP = 5
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class SignedPermutation:
-    """e_i |-> signs[i] * e_{perm[i]} on coordinates 1..n (0-indexed storage)."""
+    """e_i |-> signs[i] * e_{perm[i]} on coordinates 1..n (0-indexed ``perm``).
 
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    Held as ``img``, with ``img[i] = signs[i] * (perm[i] + 1)``.  Immutable;
+    the order is that of ``(perm, signs)``.
+    """
+
+    __slots__ = ("img",)
+
+    def __init__(self, perm: Sequence[int], signs: Sequence[int]) -> None:
+        _set_img(self, tuple([s * (p + 1) for p, s in zip(perm, signs)]))
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _signed, (self.img,)
+
+    @property
+    def perm(self) -> tuple[int, ...]:
+        return tuple([abs(x) - 1 for x in self.img])
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        return tuple([1 if x > 0 else -1 for x in self.img])
+
+    def sort_key(self) -> tuple[int, ...]:
+        """``|img|`` then ``img``: the order of ``(perm, signs)``, since for
+        equal ``perm`` the sign -1 gives the smaller signed image."""
+        return tuple(map(abs, self.img)) + self.img
+
+    def __eq__(self, other):
+        if type(other) is not SignedPermutation:
+            return NotImplemented
+        return self.img == other.img
+
+    def __hash__(self) -> int:
+        return hash(self.img)
+
+    def __lt__(self, other):
+        if type(other) is not SignedPermutation:
+            return NotImplemented
+        return self.sort_key() < other.sort_key()
+
+    def __repr__(self) -> str:
+        return f"SignedPermutation(perm={self.perm!r}, signs={self.signs!r})"
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         # (self*other) acts by other first
-        perm, signs = self.perm, self.signs
-        return SignedPermutation(
-            tuple([perm[p] for p in other.perm]),
-            tuple([s * signs[p] for s, p in zip(other.signs, other.perm)]),
-        )
+        a = self.img
+        return _signed(tuple([a[x - 1] if x > 0 else -a[-x - 1] for x in other.img]))
 
     def inverse(self) -> "SignedPermutation":
-        n = len(self.perm)
-        perm = [0] * n
-        signs = [1] * n
-        for i in range(n):
-            perm[self.perm[i]] = i
-            signs[self.perm[i]] = self.signs[i]
-        return SignedPermutation(tuple(perm), tuple(signs))
+        out = [0] * len(self.img)
+        for i, x in enumerate(self.img, 1):
+            if x > 0:
+                out[x - 1] = i
+            else:
+                out[-x - 1] = -i
+        return _signed(tuple(out))
 
     @property
     def is_even(self) -> bool:
-        return self.signs.count(-1) % 2 == 0
+        return sum(x < 0 for x in self.img) % 2 == 0
 
     @staticmethod
     def identity(n: int) -> "SignedPermutation":
-        return SignedPermutation(tuple(range(n)), (1,) * n)
+        return _signed(tuple(range(1, n + 1)))
+
+
+_set_img = SignedPermutation.__dict__["img"].__set__  # skip __setattr__
+
+
+def _signed(img: tuple[int, ...]) -> SignedPermutation:
+    """The signed permutation with signed images ``img``, taken unchecked."""
+    m = object.__new__(SignedPermutation)
+    _set_img(m, img)
+    return m
 
 
 def _check_cap(n: int) -> None:
@@ -122,7 +184,7 @@ class LeviDescriptor:
 
 def _min_lift_parity(move: SignedPermutation, levi: LeviDescriptor) -> int:
     """Parity of the least number of sign changes among lifts of a move."""
-    return sum(k for k, s in zip(levi.composition, move.signs) if s == -1) % 2
+    return sum(k for k, x in zip(levi.composition, move.img) if x < 0) % 2
 
 
 @dataclass(frozen=True)
@@ -141,8 +203,10 @@ def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
     Brute force over all of W: an element normalizes the Levi when it maps
     tail coordinates to tail coordinates and each block onto an equal-size
     block with one sign; its coset is the induced signed permutation of the
-    blocks.  The permutation part of that test does not look at signs, so a
-    permutation that fails it rejects all of its 2**n elements at once.
+    blocks.  The test splits into a permutation part and a sign part: a
+    permutation that fails its part rejects all of its 2**n elements at
+    once, and the sign vectors that pass theirs (one sign per block) do not
+    depend on the permutation, so they are found once per Levi.
     """
     if levi.rank != n:
         raise ValueError("Levi rank does not match n")
@@ -153,8 +217,12 @@ def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
         for c in blk:
             block_of[c] = bi
     tail = range(n - levi.tail_rank, n)
-    all_signs = list(itertools.product((1, -1), repeat=n))
-    moves: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    block_signs = {
+        tuple(signs[blk[0]] for blk in blocks)
+        for signs in itertools.product((1, -1), repeat=n)
+        if all(signs[c] == signs[blk[0]] for blk in blocks for c in blk)
+    }
+    block_perms: set[tuple[int, ...]] = set()
     for perm in itertools.permutations(range(n)):
         if any(block_of[perm[c]] != -1 for c in tail):
             continue
@@ -165,25 +233,24 @@ def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
                 break
             targets.append(bj)
         else:
-            block_perm = tuple(targets)
-            for signs in all_signs:
-                if all(signs[c] == signs[blk[0]] for blk in blocks for c in blk):
-                    moves.add((block_perm, tuple(signs[blk[0]] for blk in blocks)))
-    cosets = tuple(SignedPermutation(perm, signs) for perm, signs in sorted(moves))
+            block_perms.add(tuple(targets))
+    # sorted as (perm, signs) pairs, which is the order of the moves
+    cosets = tuple(
+        _signed(tuple([s * (p + 1) for p, s in zip(perm, signs)]))
+        for perm, signs in sorted(itertools.product(block_perms, block_signs))
+    )
     even = tuple(m for m in cosets if levi.tail_rank >= 1 or _min_lift_parity(m, levi) == 0)
     return RelativeWeyl(cosets, even)
 
 
-def _stabilizes_decorations(move: SignedPermutation, levi: LeviDescriptor) -> bool:
-    if levi.decorations is None:
-        raise CheckError("decorations required")
-    for i, (label, self_dual) in enumerate(levi.decorations):
-        j = move.perm[i]
-        if levi.decorations[j][0] != label:
-            return False
-        if move.signs[i] == -1 and not self_dual:
-            return False
-    return True
+def _decorated_images(decorations: Sequence[tuple[str, bool]]) -> list[frozenset[int]]:
+    """Per block, the signed images a move may give it and keep the
+    decorations: a block with the same label, negated only if self-dual."""
+    out = []
+    for label, self_dual in decorations:
+        same = [j + 1 for j, (other, _) in enumerate(decorations) if other == label]
+        out.append(frozenset(same + [-j for j in same] if self_dual else same))
+    return out
 
 
 # -- block-axis root system (type B positive system) ------------------------
@@ -205,40 +272,55 @@ def _roots(r: int) -> list[tuple[int, ...]]:
 
 def _apply(move: SignedPermutation, root: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(root)
-    for i, c in enumerate(root):
+    for c, x in zip(root, move.img):
         if c:
-            out[move.perm[i]] += c * move.signs[i]
+            if x > 0:
+                out[x - 1] += c
+            else:
+                out[-x - 1] -= c
     return tuple(out)
 
 
 def _reflection(root: Sequence[int], r: int) -> SignedPermutation:
     support = [i for i, c in enumerate(root) if c]
-    perm = list(range(r))
-    signs = [1] * r
+    img = list(range(1, r + 1))
     if len(support) == 1:
-        signs[support[0]] = -1
+        img[support[0]] *= -1
     else:
         i, j = support
-        perm[i], perm[j] = j, i
-        if root[i] == root[j]:  # e_i + e_j
-            signs[i] = signs[j] = -1
-    return SignedPermutation(tuple(perm), tuple(signs))
+        sign = -1 if root[i] == root[j] else 1  # e_i + e_j negates both
+        img[i], img[j] = sign * (j + 1), sign * (i + 1)
+    return _signed(tuple(img))
+
+
+def _grow(group: set[SignedPermutation], gens: list[SignedPermutation], g: SignedPermutation) -> None:
+    """Extend ``group``, generated by ``gens``, to the group generated by
+    ``gens`` and ``g`` (not in ``group``), in place; ``g`` joins ``gens``.
+
+    The new group is a union of right cosets ``group * x``, found by right
+    products of their representatives by a generator (Dimino's algorithm):
+    ``group`` itself is closed under the old generators, so the search
+    starts from the coset of ``g``.
+    """
+    old = list(group)
+    gens.append(g)
+    group.update([h * g for h in old])
+    reps = [g]
+    for x in reps:
+        for s in gens:
+            y = x * s
+            if y not in group:
+                group.update([h * y for h in old])
+                reps.append(y)
 
 
 def _closure(generators: Iterable[SignedPermutation], r: int) -> set[SignedPermutation]:
-    """The group generated: breadth-first over right products by a generator."""
-    gens = list(generators)
-    frontier = [SignedPermutation.identity(r)]
-    group = set(frontier)
-    while frontier:
-        new = []
-        for g in frontier:
-            for s in gens:
-                x = g * s
-                if x not in group:
-                    group.add(x)
-                    new.append(x)
-        frontier = new
+    """The group generated, one generator at a time."""
+    group = {SignedPermutation.identity(r)}
+    gens: list[SignedPermutation] = []
+    for g in generators:
+        if g not in group:
+            _grow(group, gens, g)
     return group
 
 
@@ -246,13 +328,27 @@ def _non_normalizing(
     q: Iterable[SignedPermutation], gens: Sequence[SignedPermutation], group: set[SignedPermutation]
 ) -> Optional[SignedPermutation]:
     """The first m of q with m*s*m^-1 outside ``group`` for a generator s of
-    it, or None.  Generators suffice: conjugation by m is an automorphism, so
+    it, or None; ``group`` is the group ``gens`` generate.
+
+    Generators of ``group`` suffice: conjugation by m is an automorphism, so
     it maps the group generated into ``group`` once it maps each generator
-    there."""
+    there.  And only a generating set of q is conjugated: the elements that
+    normalize ``group`` form a group.  An element of q becomes a generator
+    when it lies outside the span of the generators before it, so each
+    element before the first failing generator lies in the span of passing
+    ones and passes too: that generator is the first failing element of q.
+    """
+    span: set[SignedPermutation] = set()
+    picked: list[SignedPermutation] = []
     for m in q:
+        if not span:
+            span.add(SignedPermutation.identity(len(m.img)))
+        if m in span:
+            continue
         mi = m.inverse()
         if any(m * s * mi not in group for s in gens):
             return m
+        _grow(span, picked, m)
     return None
 
 
@@ -291,9 +387,11 @@ def orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilize
     """
     if levi.decorations is None:
         raise ValueError("decorations required")
-    even = set(rel.even_cosets)
-    q = sorted(m for m in rel.cosets if _stabilizes_decorations(m, levi))
-    q0 = [m for m in q if m in even]
+    images = _decorated_images(levi.decorations)
+    q = [m for m in rel.cosets if all(map(frozenset.__contains__, images, m.img))]
+    q.sort(key=SignedPermutation.sort_key)
+    even = {m.img for m in rel.even_cosets}
+    q0 = [m for m in q if m.img in even]
     q0_set = set(q0)
     r = len(levi.composition)
 
@@ -324,7 +422,7 @@ def orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilize
     return OrbitStabilizers(
         tuple(q),
         tuple(q0),
-        tuple(sorted(w0_o)),
+        tuple(sorted(w0_o, key=SignedPermutation.sort_key)),
         tuple(complement),
         tuple(even_complement),
         ok,

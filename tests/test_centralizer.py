@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hecke_atlas import centralizer
+from hecke_atlas import CheckError, centralizer
 
 from hecke_atlas.centralizer import (
     SemisimpleClassDescriptor,
@@ -279,6 +279,27 @@ def test_realize_matrices_sp2(extended_inventory):
     assert u == [[1, 1], [0, 1]]
     # the preserved form is alternating: orthogonal point, even SL2 factor
     assert g[0][1] == -g[1][0] and g[0][0] == g[1][1] == 0
+
+
+def test_realize_matrices_checks_that_s_preserves_the_gram_form(six_class_inventory, monkeypatch):
+    # a (2-dim symplectic class) x SL2(2), twice: k = 4 copies of each
+    # ladder step, at s entries j*4 + c, with the alternating form on the copies
+    phi = build_ld_parameter(
+        [LDSummand(orbit_point(six_class_inventory["a"], ONE), 2, 2)],
+        DualGroupDescriptor(Family.ORTHOGONAL, 8),
+    )
+    realize_matrices(phi)
+    # S -> S D with D = -1 on copy c = 0: D commutes with u, so s u s^-1 = u^q
+    # still holds, but the form pairs copy 0 with copy 3, so D breaks it
+    flip = [-1 if i % 4 == 0 else 1 for i in range(8)]
+    rescaled = centralizer._rescaled
+
+    def flipped(left, m, right):
+        return rescaled([d * v for d, v in zip(flip, left)], m, [d * v for d, v in zip(flip, right)])
+
+    monkeypatch.setattr(centralizer, "_rescaled", flipped)
+    with pytest.raises(CheckError, match="Gram form not preserved"):
+        realize_matrices(phi)
 
 
 def _fmul(a, b):

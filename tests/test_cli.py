@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hecke_atlas import centralizer, verify
+from hecke_atlas import centralizer, verify, weyl
 from hecke_atlas.cli import _emit, run
 from hecke_atlas.hecke import derived_rows
 from hecke_atlas.params import discrete_parameters, parameter_to_json_dict
@@ -304,6 +304,27 @@ def test_matrix_suite_reports_a_broken_oracle(monkeypatch, capsys):
                 assert case["actual"] == {"error": error}
             assert run(["verify", "--suite", "thm26-matrix", "--max-rank", "2"]) == 1
             assert json.loads(capsys.readouterr().out) == report
+
+
+# suite -> (module, function, a broken replacement of it); the suite runs at rank 4
+SUITE_MUTATIONS = {
+    # every block move liftable by an even element: W0(M) = W(M) on every Levi
+    "lemA3-even-lift": ("lemA3", weyl, "_min_lift_parity", lambda move, levi: 0),
+    "lemA4-even-lift": ("lemA4", weyl, "_min_lift_parity", lambda move, levi: 0),
+    # a reflection part that is only the identity: the splitting check must fail
+    "lemA4-closure": ("lemA4", weyl, "_closure", lambda generators, r: {weyl.SignedPermutation.identity(r)}),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SUITE_MUTATIONS))
+def test_suite_fails_under_a_mutation(mutation, monkeypatch, capsys):
+    suite, module, name, broken = SUITE_MUTATIONS[mutation]
+    monkeypatch.setattr(module, name, broken)
+    report = run_suite(suite, 4)
+    assert report["failed"] > 0
+    for flags in ([], ["--allow-flagged"]):
+        assert run(["verify", "--suite", suite, "--max-rank", "4", *flags]) == 1
+        assert json.loads(capsys.readouterr().out) == report
 
 
 def test_matrix_suite_fails_when_sqrt_q_is_not_a_root_of_q(monkeypatch):

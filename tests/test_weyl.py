@@ -1,6 +1,9 @@
+import copy
 import itertools
+import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hecke_atlas.verify import run_suite
 from hecke_atlas.weyl import (
@@ -44,6 +47,74 @@ def test_multiplication_and_inverse():
     for a in list(evens)[:10]:
         for b in list(evens)[:10]:
             assert (a * b) in evens
+
+
+# -- the signed-image representation against a (perm, signs) reference -----
+
+
+def _ref_mul(a, b):
+    """a after b, on (perm, signs) pairs."""
+    (pa, sa), (pb, sb) = a, b
+    return tuple(pa[p] for p in pb), tuple(s * sa[p] for s, p in zip(sb, pb))
+
+
+def _ref_inverse(a):
+    perm, signs = a
+    inv_perm, inv_signs = [0] * len(perm), [1] * len(perm)
+    for i, (p, s) in enumerate(zip(perm, signs)):
+        inv_perm[p], inv_signs[p] = i, s
+    return tuple(inv_perm), tuple(inv_signs)
+
+
+def _pairs_of_size(n):
+    return st.tuples(
+        st.permutations(range(n)).map(tuple),
+        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n).map(tuple),
+    )
+
+
+perm_sign_pairs = st.integers(1, 5).flatmap(lambda n: st.tuples(_pairs_of_size(n), _pairs_of_size(n)))
+
+
+@given(perm_sign_pairs)
+def test_signed_images_match_the_perm_signs_reference(pair):
+    a, b = pair
+    x, y = SignedPermutation(*a), SignedPermutation(*b)
+    n = len(a[0])
+    assert (x.perm, x.signs) == a
+    assert x.img == tuple(s * (p + 1) for p, s in zip(*a))
+    assert ((x * y).perm, (x * y).signs) == _ref_mul(a, b)
+    assert (x.inverse().perm, x.inverse().signs) == _ref_inverse(a)
+    assert x.is_even == (a[1].count(-1) % 2 == 0)
+    one = SignedPermutation.identity(n)
+    assert (one.perm, one.signs) == (tuple(range(n)), (1,) * n)
+    assert one * x == x == x * one and x * x.inverse() == one
+    assert (x == y, x != y) == (a == b, a != b)
+    assert hash(x) == hash(SignedPermutation(*a))
+    assert (x < y, x <= y, x > y, x >= y) == (a < b, a <= b, a > b, a >= b)
+    assert repr(x) == f"SignedPermutation(perm={a[0]!r}, signs={a[1]!r})"
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is SignedPermutation and twin == x and hash(twin) == hash(x)
+        assert (twin.perm, twin.signs) == a
+
+
+@given(st.lists(st.integers(1, 5).flatmap(_pairs_of_size), max_size=12))
+def test_sorting_follows_perm_then_signs(xs):
+    ws = [SignedPermutation(*a) for a in xs]
+    for ordered in (sorted(ws), sorted(ws, key=SignedPermutation.sort_key)):
+        assert [(w.perm, w.signs) for w in ordered] == sorted(xs)
+
+
+def test_signed_permutations_are_immutable_and_compare_only_with_their_kind():
+    w = SignedPermutation((1, 0), (1, -1))
+    for name in ("img", "perm", "signs"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, (1, 2))
+        with pytest.raises(AttributeError):
+            delattr(w, name)
+    assert w != w.img and w != (w.perm, w.signs)
+    with pytest.raises(TypeError):
+        w < (w.perm, w.signs)
 
 
 def test_levi_validation():
@@ -180,6 +251,18 @@ def test_closure_matches_two_sided_search():
             for gens in itertools.combinations(reflections, k):
                 closure = {_signed_images(g) for g in _closure(gens, r)}
                 assert closure == _two_sided_closure(gens, r)
+
+
+def test_normality_check_names_the_first_failing_element():
+    # against conjugating every generator by every element of q, in q's order
+    for r in range(1, 4):
+        reflections = [_reflection(root, r) for root in _roots(r)]
+        for q in (sorted(weyl_group(r)), sorted(weyl_group(r, full=False))):
+            for k in range(4):
+                for gens in itertools.combinations(reflections, k):
+                    group = _closure(gens, r)
+                    first = next((m for m in q if any(m * s * m.inverse() not in group for s in gens)), None)
+                    assert _non_normalizing(q, gens, group) == first
 
 
 def test_normality_check_on_generators_can_fail():
