@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Sequence
 
 from .hecke import factor_to_json_dict, hecke_descriptor, specialize, sp_normalization
@@ -30,7 +32,7 @@ from .params import (
     parameter_from_json_dict,
     parameter_to_json_dict,
 )
-from .support import cuspidal_pairs, support_to_json_dict, supports
+from .support import _character_members, _support_members, cuspidal_pairs, supports
 from .verify import SUITES, run_suite, standard_inventory  # standard_inventory: re-exported
 from .weil import DualGroupDescriptor, Family, Inventory, json_field, json_typed
 
@@ -98,7 +100,7 @@ def _emit(data, path: str | None = None) -> None:
 
 
 def _load_param_file(path: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         data = json_typed(json.load(fh), dict, "parameter file")
     inventory = Inventory.from_json_list(json_field(data, "inventory", "parameter file"))
     phi = parameter_from_json_dict(json_field(data, "parameter", "parameter file"), inventory)
@@ -125,9 +127,22 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_supports(args) -> int:
+    # _emit([support_to_json_dict(p) ...]), with a support's shared members encoded once
     phi0 = _load_param_file(args.param)
-    _emit([support_to_json_dict(p) for p in cuspidal_pairs(phi0)])
+    items = []
+    for _, group in itertools.groupby(cuspidal_pairs(phi0), key=attrgetter("S")):
+        group = list(group)
+        shared = _member_texts(_support_members(group[0]))
+        for p in group:
+            members = shared + _member_texts(_character_members(p))
+            items.append("{\n    " + ",\n    ".join(members) + "\n  }")
+    _write("[\n  " + ",\n  ".join(items) + "\n]\n" if items else "[]\n")
     return 0
+
+
+def _member_texts(members: dict) -> list[str]:
+    """The members of a dict in the top-level list, as ``_json_text`` writes them."""
+    return [_quote(k) + ": " + _json_text(v, "    ") for k, v in members.items()]
 
 
 def _cmd_hecke(args) -> int:

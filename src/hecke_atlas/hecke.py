@@ -10,9 +10,11 @@ and multiplicities, so the two roads can be compared.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .params import LDParameter, LDSummand, build_ld_parameter, staircase
 from .support import SupportDatum, cuspidal_pairs
@@ -99,8 +101,9 @@ def hecke_factor(phi0: LDParameter, S: SupportDatum, orbit_label: str) -> HeckeF
     size = m - m_pm + 1
     if size % 2 != 1:
         raise ValueError("odd-rank invariant violated in the unequal-parameter case")
-    long = Fraction(t) * (a_plus + a_minus + Fraction(kappa_plus + kappa_minus, 2))
-    short = Fraction(t) * abs(a_plus - a_minus + Fraction(kappa_plus - kappa_minus, 2))
+    # t * (a_plus + a_minus + (kappa_plus + kappa_minus) / 2), likewise short, on ints
+    long = Fraction(t * (2 * (a_plus + a_minus) + kappa_plus + kappa_minus), 2)
+    short = Fraction(t * abs(2 * (a_plus - a_minus) + kappa_plus - kappa_minus), 2)
     return HeckeFactor("SO", size, False, t, Fraction(t), long, short)
 
 
@@ -118,12 +121,7 @@ def sp_normalization(f: HeckeFactor) -> HeckeFactor:
     equivalent datum is Sp of one less rank with equal parameters.  All
     other factors pass through unchanged.
     """
-    if (
-        f.family == "SO"
-        and not f.extended
-        and f.end_short == 0
-        and f.end_long == f.internal == Fraction(f.t)
-    ):
+    if f.family == "SO" and not f.extended and f.end_short == 0 and f.end_long == f.internal == f.t:
         return _equal("Sp", f.size - 1, f.t)
     return f
 
@@ -315,13 +313,13 @@ def derived_rows(kind: str, rank: int) -> list[tuple[tuple[int, int], HeckeFacto
     alternating characters of each support's tail parameter.
     """
     phi0 = unit_setting(kind, rank)
-    label = "1"
     counts: dict[tuple, int] = {}
-    for p in cuspidal_pairs(phi0):
-        pair = _support_pair(phi0, p.S)
-        factor = sp_normalization(hecke_factor(phi0, p.S, label))
-        key = (pair, factor, p.eps_Z)
-        counts[key] = counts.get(key, 0) + 1
+    for S, group in itertools.groupby(cuspidal_pairs(phi0), key=attrgetter("S")):
+        pair = _support_pair(phi0, S)
+        factor = sp_normalization(hecke_factor(phi0, S, "1"))
+        for p in group:
+            key = (pair, factor, p.eps_Z)
+            counts[key] = counts.get(key, 0) + 1
     return sorted((pair, factor, sign, n) for (pair, factor, sign), n in counts.items())
 
 

@@ -282,6 +282,11 @@ def alternating_characters(phi: LDParameter) -> list[SignCharacter]:
     """
     if not is_supercuspidal_shape(phi):
         raise ValueError("alternating characters are defined for cuspidal shapes")
+    return _alternating_characters(phi)
+
+
+def _alternating_characters(phi: LDParameter) -> list[SignCharacter]:
+    """``alternating_characters`` of a parameter already known to have cuspidal shape."""
     # per staircase, its (label, sign) values for each allowed first-step sign
     block_values = []
     for point, group in _blocks(phi):

@@ -18,7 +18,7 @@ from .params import (
     LDParameter,
     LDSummand,
     SignCharacter,
-    alternating_characters,
+    _alternating_characters,
     build_ld_parameter,
     det_discrepancy,
     is_supercuspidal_shape,
@@ -177,11 +177,12 @@ def _epsilons(phi_S: LDParameter) -> list[SignCharacter]:
         return [SignCharacter(())]
     if not is_supercuspidal_shape(phi_S):
         raise CheckError("tail parameter is not of supercuspidal shape")
-    return alternating_characters(phi_S)
+    return _alternating_characters(phi_S)
 
 
 def cuspidal_pairs(phi0: LDParameter) -> list[CuspidalSupport]:
-    """All pairs (S, epsilon) with epsilon alternating on the tail parameter."""
+    """All pairs (S, epsilon) with epsilon alternating on the tail parameter;
+    the pairs of one support come one after another."""
     out: list[CuspidalSupport] = []
     for S in supports(phi0):
         phi_S, L_S, l_S, d_S = build_phi_S(phi0, S)
@@ -219,6 +220,11 @@ def injectivity_report(pairs: Sequence[CuspidalSupport]) -> dict:
 
 
 def support_to_json_dict(p: CuspidalSupport) -> dict:
+    return _support_members(p) | _character_members(p)
+
+
+def _support_members(p: CuspidalSupport) -> dict:
+    """The members of ``support_to_json_dict`` shared by all characters of a support."""
     return {
         "S": {label: list(pair) for label, pair in p.S.entries},
         "phiS": parameter_to_json_dict(p.phi_S),
@@ -229,6 +235,8 @@ def support_to_json_dict(p: CuspidalSupport) -> dict:
             "gl": [list(f) for f in p.levi.gl_factors],
             "tail": {"family": p.levi.tail.family.value, "dim": p.levi.tail.ambient_dim, "rank": p.levi.tail_rank},
         },
-        "epsilon": {gen: v for gen, v in p.epsilon.values},
-        "epsZ": p.eps_Z,
     }
+
+
+def _character_members(p: CuspidalSupport) -> dict:
+    return {"epsilon": {gen: v for gen, v in p.epsilon.values}, "epsZ": p.eps_Z}

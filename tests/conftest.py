@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from hecke_atlas.weil import (
@@ -30,3 +33,12 @@ def extended_inventory(six_class_inventory):
     inv.add(make_inertial_class("chi", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "chi"))
     inv.validate()
     return inv
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment of a subprocess that imports the package from this
+    checkout, with ``overrides`` set."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return lambda **overrides: dict(os.environ, PYTHONPATH=path, **overrides)

@@ -2,10 +2,8 @@ import contextlib
 import copy
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -13,8 +11,9 @@ from hypothesis import strategies as st
 
 from hecke_atlas import centralizer, verify, weyl
 from hecke_atlas.cli import _emit, run
-from hecke_atlas.hecke import derived_rows
+from hecke_atlas.hecke import derived_rows, factor_to_json_dict, hecke_descriptor, sp_normalization
 from hecke_atlas.params import discrete_parameters, parameter_to_json_dict
+from hecke_atlas.support import cuspidal_pairs, support_to_json_dict, supports
 from hecke_atlas.verify import normed_corpus, run_suite, standard_inventory
 from hecke_atlas.weil import DualGroupDescriptor, Family
 
@@ -346,7 +345,7 @@ def test_matrix_suite_fails_when_sqrt_q_is_not_a_root_of_q(monkeypatch):
     assert broken > 0
 
 
-def test_matrix_oracle_survives_optimized_mode():
+def test_matrix_oracle_survives_optimized_mode(src_env):
     script = (
         "import sys\n"
         "from hecke_atlas import centralizer\n"
@@ -355,11 +354,59 @@ def test_matrix_oracle_survives_optimized_mode():
         "report = run_suite('thm26-matrix', 2)\n"
         "print(sys.flags.optimize, report['failed'], len(report['cases']))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=src_env(), check=True
     )
     optimize, failed, total = map(int, done.stdout.split())
     assert optimize == 1
     assert failed == total > 0
+
+
+@pytest.mark.parametrize("command", ["supports", "hecke"])
+def test_param_file_is_read_as_utf8_whatever_the_locale(tmp_path, command, src_env):
+    """A UTF-8 parameter file with a non-ASCII class label loads under the C
+    locale too, as ``enumerate --classes`` reads its inventory."""
+    inv = standard_inventory()
+    phi0 = next(p for p in normed_corpus(inv, 6) if "rho_mix" in {s.point.cls.label for s in p.summands})
+    text = json.dumps({"inventory": inv.to_json_list(), "parameter": parameter_to_json_dict(phi0)})
+    path = tmp_path / "p.json"
+    path.write_text(text.replace('"rho_mix"', '"rho_mix\u00e9"'), encoding="utf-8")
+    assert "rho_mix\u00e9" in path.read_text(encoding="utf-8")
+    stdout = {}
+    for utf8 in ("1", "0"):
+        env = src_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8=utf8)
+        argv = [sys.executable, "-m", "hecke_atlas.cli", command, "--param", str(path)]
+        done = subprocess.run(argv, capture_output=True, env=env)
+        assert (done.returncode, done.stderr) == (0, b"")
+        stdout[utf8] = done.stdout
+    assert stdout["0"] == stdout["1"] and b'"rho_mix\\u00e9"' in stdout["0"]
+
+
+def test_supports_and_hecke_write_the_stdlib_text_on_every_small_parameter(tmp_path, capsys):
+    """``supports`` shares each support's encoded members among its
+    characters; the text must stay the stdlib's on every shape of the corpus."""
+    inv = standard_inventory()
+    corpus = normed_corpus(inv, 6)
+    path = tmp_path / "p.json"
+    several_characters = empty_tail = 0
+    for phi0 in corpus:
+        path.write_text(json.dumps({"inventory": inv.to_json_list(), "parameter": parameter_to_json_dict(phi0)}))
+        pairs = cuspidal_pairs(phi0)
+        assert run(["supports", "--param", str(path)]) == 0
+        assert capsys.readouterr().out == json.dumps([support_to_json_dict(p) for p in pairs], indent=2) + "\n"
+        hecke = [
+            {
+                "S": {label: list(pair) for label, pair in S.entries},
+                "factors": [
+                    {"orbit": label, **factor_to_json_dict(sp_normalization(f))}
+                    for label, f in hecke_descriptor(phi0, S).factors
+                ],
+            }
+            for S in supports(phi0)
+        ]
+        assert run(["hecke", "--param", str(path)]) == 0
+        assert capsys.readouterr().out == json.dumps(hecke, indent=2) + "\n"
+        supports_seen = [p.S for p in pairs]
+        several_characters += len(set(supports_seen)) < len(supports_seen)
+        empty_tail += any(not p.phi_S.summands for p in pairs)
+    assert (len(corpus), several_characters, empty_tail) == (131, 86, 36)

@@ -2,8 +2,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from hecke_atlas import params
+from hecke_atlas import hecke, params, support
 from hecke_atlas.hecke import (
     UNIT_KINDS,
     HeckeFactor,
@@ -17,9 +18,18 @@ from hecke_atlas.hecke import (
     unipotent_reduction,
     unit_setting,
 )
-from hecke_atlas.params import LDSummand, build_ld_parameter
+from hecke_atlas.params import LDSummand, build_ld_parameter, count_supercuspidals, supercuspidal_corpus
 from hecke_atlas.support import SupportDatum, supports
-from hecke_atlas.weil import DualGroupDescriptor, Family, UnitMonomial, orbit_point
+from hecke_atlas.verify import standard_inventory
+from hecke_atlas.weil import (
+    DualGroupDescriptor,
+    DualityType,
+    Family,
+    SelfDual,
+    UnitMonomial,
+    make_inertial_class,
+    orbit_point,
+)
 
 
 def so7_setting(inv):
@@ -265,4 +275,74 @@ def test_closed_form_road_does_not_use_the_staircase(monkeypatch):
         assert specialize(kind, r) == rows
     for kind in UNIT_KINDS:
         with pytest.raises(RuntimeError, match="staircase called"):
+            derived_rows(kind, 2)
+
+
+def reference_factor(m, t, types, a_plus, a_minus):
+    """The unequal-parameter factor with its exponents built in Fractions."""
+    plus_type, minus_type = types
+    if plus_type and minus_type and a_plus == 0 and a_minus == 0:
+        return HeckeFactor("SO", m, True, t, Fraction(t), Fraction(t), Fraction(t))
+    kappa_plus = 0 if plus_type else 1
+    kappa_minus = 0 if minus_type else 1
+    m_pm = a_plus * (a_plus + kappa_plus) + a_minus * (a_minus + kappa_minus)
+    size = m - m_pm + 1
+    if size % 2 != 1:
+        raise ValueError("odd-rank invariant violated in the unequal-parameter case")
+    long = Fraction(t) * (a_plus + a_minus + Fraction(kappa_plus + kappa_minus, 2))
+    short = Fraction(t) * abs(a_plus - a_minus + Fraction(kappa_plus - kappa_minus, 2))
+    return HeckeFactor("SO", size, False, t, Fraction(t), long, short)
+
+
+@given(
+    t=st.integers(1, 4),
+    types=st.tuples(st.booleans(), st.booleans()),
+    a_plus=st.integers(0, 5),
+    a_minus=st.integers(0, 5),
+    spare=st.integers(0, 5),
+)
+def test_hecke_factor_matches_the_fraction_formula(t, types, a_plus, a_minus, spare):
+    # the orbit's multiplicity m covers both staircases, with ``spare`` left over
+    kinds = [DualityType.ORTHOGONAL if of_type else DualityType.SYMPLECTIC for of_type in types]
+    cls = make_inertial_class("c", 1, t, SelfDual(*kinds), "1")
+    m = max(1, sum(a * (a + (not of_type)) for a, of_type in zip((a_plus, a_minus), types)) + spare)
+    phi0 = build_ld_parameter(
+        [LDSummand(orbit_point(cls, UnitMonomial.one()), 1, m)], DualGroupDescriptor(Family.ORTHOGONAL, m)
+    )
+    assert phi0.orbits[0].types == types
+    S = SupportDatum((("c", (a_plus, a_minus)),))
+    try:
+        expected = reference_factor(m, t, types, a_plus, a_minus)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            hecke_factor(phi0, S, "c")
+        return
+    got = hecke_factor(phi0, S, "c")
+    assert got == expected and repr(got) == repr(expected)
+    assert all(type(e) is Fraction for e in (got.internal, got.end_long, got.end_short))
+
+
+def test_closed_form_road_does_not_use_the_derived_hecke_road(monkeypatch):
+    # the closed forms (specialize, epsilon_multiplicity, count_supercuspidals)
+    # are checked against the derived road, so they must not call into it
+    tables = {(kind, r): specialize(kind, r) for kind in UNIT_KINDS for r in range(1, 7)}
+    eps = {(dp, dm, s): epsilon_multiplicity(dp, dm, s) for dp in (0, 1, 4, 9) for dm in (0, 1, 4, 9) for s in (1, -1)}
+    corpus = supercuspidal_corpus(standard_inventory(), 6)
+    counts = [(count_supercuspidals(phi, 1), count_supercuspidals(phi, -1)) for phi in corpus]
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("derived road called")
+
+    originals = [hecke.hecke_factor, hecke.sp_normalization, params._alternating_characters, support.cuspidal_pairs]
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("hecke_atlas"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, attr, broken)
+    assert {(k, r): specialize(k, r) for k, r in tables} == tables
+    assert {key: epsilon_multiplicity(*key) for key in eps} == eps
+    assert [(count_supercuspidals(phi, 1), count_supercuspidals(phi, -1)) for phi in corpus] == counts
+    for kind in UNIT_KINDS:
+        with pytest.raises(RuntimeError, match="derived road called"):
             derived_rows(kind, 2)

@@ -1,6 +1,10 @@
+import inspect
+import subprocess
+import sys
+
 import pytest
 
-from hecke_atlas import support
+from hecke_atlas import CheckError, support
 from hecke_atlas.params import LDSummand, build_ld_parameter, is_discrete
 from hecke_atlas.support import (
     SupportDatum,
@@ -204,3 +208,40 @@ def test_cuspidal_pairs_builds_each_tail_once(extended_inventory, monkeypatch):
     assert calls == data
     # each GL block and its dual plus the tail fill the ambient
     assert all(2 * sum(d * k for d, k in p.levi.gl_factors) + p.levi.tail.ambient_dim == 7 for p in pairs)
+
+
+def flattened_tails(phi0, S):
+    """``build_phi_S`` with each tail summand ``p (x) sp(a)`` replaced by ``a``
+    copies of ``p``: a staircase of even steps is then no staircase at all."""
+    phi_S, L_S, l_S, d_S = build_phi_S(phi0, S)
+    flat = [LDSummand(s.point, 1, s.sl2_dim * s.multiplicity) for s in phi_S.summands]
+    return build_ld_parameter(flat, phi_S.ambient), L_S, l_S, d_S
+
+
+def test_a_tail_of_the_wrong_shape_fails_the_check(so7_setting, monkeypatch):
+    # every tail of Sp_6 with six trivial characters is a staircase of even steps
+    monkeypatch.setattr(support, "build_phi_S", flattened_tails)
+    with pytest.raises(CheckError, match="tail parameter is not of supercuspidal shape"):
+        cuspidal_pairs(so7_setting)
+
+
+def test_the_tail_shape_check_survives_optimized_mode(src_env):
+    script = "\n".join(
+        [
+            "import sys",
+            "from hecke_atlas import CheckError, support",
+            "from hecke_atlas.params import LDSummand, build_ld_parameter",
+            "from hecke_atlas.support import build_phi_S",
+            "from hecke_atlas.verify import standard_inventory",
+            "from hecke_atlas.weil import DualGroupDescriptor, Family, UnitMonomial, orbit_point",
+            inspect.getsource(triv_parameter),
+            inspect.getsource(flattened_tails),
+            "support.build_phi_S = flattened_tails",
+            "try:",
+            "    support.cuspidal_pairs(triv_parameter(standard_inventory(), Family.SYMPLECTIC, 6))",
+            "except CheckError as exc:",
+            "    print(sys.flags.optimize, exc)",
+        ]
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=src_env(), check=True)
+    assert done.stdout == "1 tail parameter is not of supercuspidal shape\n"
