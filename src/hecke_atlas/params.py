@@ -36,6 +36,7 @@ __all__ = [
     "LDSummand",
     "LDParameter",
     "Orbit",
+    "Staircase",
     "staircase",
     "ComponentGroup",
     "SignCharacter",
@@ -124,6 +125,50 @@ class LDParameter:
             for label, cls in sorted(classes.items())
         )
 
+    @cached_property
+    def staircases(self) -> tuple[Staircase, ...]:
+        """The summands grouped by point, in point order, each group sorted
+        by ``sl2_dim``; worked out once per parameter."""
+        groups: dict[InertialPoint, list[LDSummand]] = {}
+        for s in self.summands:
+            groups.setdefault(s.point, []).append(s)
+        return tuple(
+            Staircase(point, tuple(sorted(groups[point], key=lambda s: s.sl2_dim)), self.ambient)
+            for point in sorted(groups, key=InertialPoint.sort_key)
+        )
+
+    @cached_property
+    def _characters(self) -> tuple[SignCharacter, ...]:
+        """The alternating characters of a cuspidal-shape parameter,
+        enumerated once per parameter (see ``alternating_characters``)."""
+        # per staircase, its (label, sign) values for each allowed first-step sign
+        block_values = []
+        for st in self.staircases:
+            labels = [_summand_label(s) for s in st.summands]
+            firsts = (1, -1) if st.of_type else (-1,)
+            block_values.append(
+                [tuple((label, first * (-1) ** k) for k, label in enumerate(labels)) for first in firsts]
+            )
+        return tuple(
+            SignCharacter(tuple(itertools.chain.from_iterable(choice)))
+            for choice in itertools.product(*block_values)
+        )
+
+
+@dataclass(frozen=True)
+class Staircase:
+    """The summands of a parameter at one point, sorted by ``sl2_dim``; a
+    staircase when the parameter has cuspidal shape."""
+
+    point: InertialPoint
+    summands: tuple[LDSummand, ...]
+    ambient: DualGroupDescriptor
+
+    @cached_property
+    def of_type(self) -> bool:
+        """``is_of_type`` of the point, asked once; it raises as that does."""
+        return is_of_type(self.point, self.ambient)
+
 
 def _summand_label(s: LDSummand) -> str:
     f = s.point.f
@@ -187,13 +232,6 @@ def build_ld_parameter(summands: Iterable[LDSummand], ambient: DualGroupDescript
     return LDParameter(ambient, canonical)
 
 
-def _staircase_groups(phi: LDParameter) -> dict[InertialPoint, list[LDSummand]]:
-    groups: dict[InertialPoint, list[LDSummand]] = {}
-    for s in phi.summands:
-        groups.setdefault(s.point, []).append(s)
-    return groups
-
-
 def is_supercuspidal_shape(phi: LDParameter) -> bool:
     """Whether the summands form the parity staircases of a cuspidal shape.
 
@@ -204,13 +242,12 @@ def is_supercuspidal_shape(phi: LDParameter) -> bool:
     """
     if not phi.summands:
         return False
-    for point, group in _staircase_groups(phi).items():
-        if not point.is_self_dual_point:
+    for st in phi.staircases:
+        if not st.point.is_self_dual_point:
             return False
-        if any(s.multiplicity != 1 for s in group):
+        if any(s.multiplicity != 1 for s in st.summands):
             return False
-        dims = sorted(s.sl2_dim for s in group)
-        if dims != list(staircase(len(dims), is_of_type(point, phi.ambient))[0]):
+        if [s.sl2_dim for s in st.summands] != list(staircase(len(st.summands), st.of_type)[0]):
             return False
     return True
 
@@ -265,14 +302,6 @@ class SignCharacter:
         return self.value_map[generator]
 
 
-def _blocks(phi: LDParameter) -> list[tuple[InertialPoint, list[LDSummand]]]:
-    groups = _staircase_groups(phi)
-    out = []
-    for point in sorted(groups, key=InertialPoint.sort_key):
-        out.append((point, sorted(groups[point], key=lambda s: s.sl2_dim)))
-    return out
-
-
 def alternating_characters(phi: LDParameter) -> list[SignCharacter]:
     """All alternating sign characters of the summand component group.
 
@@ -287,26 +316,15 @@ def alternating_characters(phi: LDParameter) -> list[SignCharacter]:
 
 def _alternating_characters(phi: LDParameter) -> list[SignCharacter]:
     """``alternating_characters`` of a parameter already known to have cuspidal shape."""
-    # per staircase, its (label, sign) values for each allowed first-step sign
-    block_values = []
-    for point, group in _blocks(phi):
-        labels = [_summand_label(s) for s in group]
-        firsts = (1, -1) if is_of_type(point, phi.ambient) else (-1,)
-        block_values.append(
-            [tuple((label, first * (-1) ** k) for k, label in enumerate(labels)) for first in firsts]
-        )
-    return [
-        SignCharacter(tuple(itertools.chain.from_iterable(choice)))
-        for choice in itertools.product(*block_values)
-    ]
+    return list(phi._characters)
 
 
 def t_invariants(phi: LDParameter) -> tuple[int, int]:
     """Counts of ambient-type points with odd / even staircase depth."""
     n_odd = n_even = 0
-    for point, group in _blocks(phi):
-        if is_of_type(point, phi.ambient):
-            if len(group) % 2 == 1:
+    for st in phi.staircases:
+        if st.of_type:
+            if len(st.summands) % 2 == 1:
                 n_odd += 1
             else:
                 n_even += 1
@@ -338,11 +356,10 @@ def count_supercuspidals(phi: LDParameter, form: int) -> int:
         plus = total // 2
     else:
         fixed = 1
-        for point, group in _blocks(phi):
-            of_type = is_of_type(point, phi.ambient)
-            if of_type and len(group) % 2 == 1:  # pragma: no cover - n_odd == 0 here
+        for st in phi.staircases:
+            if st.of_type and len(st.summands) % 2 == 1:  # pragma: no cover - n_odd == 0 here
                 continue
-            fixed *= _fixed_block_sign(len(group), of_type)
+            fixed *= _fixed_block_sign(len(st.summands), st.of_type)
         plus = total if fixed == 1 else 0
     return plus if form == 1 else total - plus
 

@@ -9,6 +9,7 @@ report.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -123,31 +124,38 @@ def _tail_rank(family: Family, L_S: int) -> int:
 
 
 def build_phi_S(phi0: LDParameter, S: SupportDatum) -> tuple[LDParameter, int, int, int]:
-    """The discrete tail parameter of a support, with (L_S, l_S, d_S)."""
+    """The discrete tail parameter of a support, with (L_S, l_S, d_S).
+
+    The tail and (L_S, l_S) depend only on the family and, per orbit of
+    nonzero depth, on the class, its sign types and the depths, so each is
+    built once per process and a repeated tail is the same object; the
+    checks and d_S run on every call.
+    """
     _check_normed(phi0)
-    ambient = phi0.ambient
     orbits = {orbit.cls.label: orbit for orbit in phi0.orbits if orbit.types is not None}
-    summands: list[LDSummand] = []
+    key = []
     for label, (a_plus, a_minus) in S.entries:
         orbit = orbits[label]
         m = orbit.multiplicity
-        cost = 0
-        for f, depth, of_type in zip(
-            (UnitMonomial.one(), UnitMonomial.minus_one()), (a_plus, a_minus), orbit.types
-        ):
-            point = orbit_point(orbit.cls, f)
-            dims, step_cost = staircase(depth, of_type)
-            summands.extend(LDSummand(point, a) for a in dims)
-            cost += step_cost
+        cost = staircase(a_plus, orbit.types[0])[1] + staircase(a_minus, orbit.types[1])[1]
         if cost > m or cost % 2 != m % 2:
             raise ValueError(f"support violates the bound or parity at orbit {label!r}")
+        if a_plus or a_minus:  # an orbit of depths (0, 0) adds nothing to the tail
+            key.append((orbit.cls, orbit.types, a_plus, a_minus))
+    phi_S, L_S, l_S = _tail(phi0.ambient.family, tuple(key))
+    return phi_S, L_S, l_S, det_discrepancy(phi_S, phi0)
 
+
+@functools.cache
+def _tail(family: Family, key: tuple) -> tuple[LDParameter, int, int]:
+    """The tail of ``build_phi_S`` from its per-orbit ``(cls, types, a_plus, a_minus)``."""
+    summands: list[LDSummand] = []
+    for cls, types, a_plus, a_minus in key:
+        for f, depth, of_type in zip((UnitMonomial.one(), UnitMonomial.minus_one()), (a_plus, a_minus), types):
+            point = orbit_point(cls, f)
+            summands.extend(LDSummand(point, a) for a in staircase(depth, of_type)[0])
     L_S = sum(s.dim for s in summands)
-    tail_ambient = DualGroupDescriptor(ambient.family, L_S)
-    phi_S = build_ld_parameter(summands, tail_ambient)
-    l_S = _tail_rank(ambient.family, L_S)
-    d_S = det_discrepancy(phi_S, phi0)
-    return phi_S, L_S, l_S, d_S
+    return build_ld_parameter(summands, DualGroupDescriptor(family, L_S)), L_S, _tail_rank(family, L_S)
 
 
 def _levi(phi0: LDParameter, phi_S: LDParameter, L_S: int, l_S: int) -> SupportLevi:

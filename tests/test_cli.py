@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hecke_atlas import centralizer, verify, weyl
+from hecke_atlas import centralizer, hecke, support, verify, weyl
 from hecke_atlas.cli import _emit, run
 from hecke_atlas.hecke import derived_rows, factor_to_json_dict, hecke_descriptor, sp_normalization
 from hecke_atlas.params import discrete_parameters, parameter_to_json_dict
@@ -305,6 +306,16 @@ def test_matrix_suite_reports_a_broken_oracle(monkeypatch, capsys):
             assert json.loads(capsys.readouterr().out) == report
 
 
+def _first_epsilon_repeated(phi_S, epsilons=support._epsilons):
+    chars = epsilons(phi_S)
+    return [chars[0]] * len(chars)
+
+
+def _so_factor_one_larger(*args, factor=hecke.hecke_factor):
+    f = factor(*args)
+    return f if f.family != "SO" or f.extended else dataclasses.replace(f, size=f.size + 1)
+
+
 # suite -> (module, function, a broken replacement of it); the suite runs at rank 4
 SUITE_MUTATIONS = {
     # every block move liftable by an even element: W0(M) = W(M) on every Levi
@@ -312,12 +323,20 @@ SUITE_MUTATIONS = {
     "lemA4-even-lift": ("lemA4", weyl, "_min_lift_parity", lambda move, levi: 0),
     # a reflection part that is only the identity: the splitting check must fail
     "lemA4-closure": ("lemA4", weyl, "_closure", lambda generators, r: {weyl.SignedPermutation.identity(r)}),
+    # every support keeps its number of characters, but they all coincide
+    "thm16-epsilons": ("thm16", support, "_epsilons", _first_epsilon_repeated),
+    # the derived unequal-parameter factors grow by one
+    "thm18-so-size": ("thm18", hecke, "hecke_factor", _so_factor_one_larger),
+    # the closed-form multiplicities route to the other sign
+    "thm32-sign": ("thm32", verify, "epsilon_multiplicity", lambda dp, dm, s: hecke.epsilon_multiplicity(dp, dm, -s)),
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(SUITE_MUTATIONS))
 def test_suite_fails_under_a_mutation(mutation, monkeypatch, capsys):
     suite, module, name, broken = SUITE_MUTATIONS[mutation]
+    # an unpatched run first, so that a cache filled by it cannot hide the mutation
+    assert run_suite(suite, 4)["failed"] == 0
     monkeypatch.setattr(module, name, broken)
     report = run_suite(suite, 4)
     assert report["failed"] > 0

@@ -1,5 +1,7 @@
+import functools
 import importlib
 import inspect
+import itertools
 import pkgutil
 from fractions import Fraction
 
@@ -7,24 +9,39 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hecke_atlas
+from hecke_atlas import params, verify
 from hecke_atlas.params import (
     LDSummand,
+    SignCharacter,
     alternating_characters,
     brute_force_supercuspidals,
     build_ld_parameter,
     component_group,
     count_supercuspidals,
     det_discrepancy,
+    discrete_parameters,
     is_discrete,
     is_supercuspidal_shape,
     parameter_from_json_dict,
     parameter_to_json_dict,
+    staircase,
     summand_type,
     supercuspidal_corpus,
     supercuspidal_shapes,
     t_invariants,
 )
-from hecke_atlas.weil import DualGroupDescriptor, Family, UnitMonomial, orbit_point
+from hecke_atlas.weil import (
+    DualGroupDescriptor,
+    DualityType,
+    Family,
+    InertialPoint,
+    Inventory,
+    SelfDual,
+    UnitMonomial,
+    is_of_type,
+    make_inertial_class,
+    orbit_point,
+)
 
 ONE = UnitMonomial.one()
 MINUS = UnitMonomial.minus_one()
@@ -271,3 +288,131 @@ def test_only_enumerators_and_the_json_reader_take_an_inventory():
         "params.supercuspidal_corpus",
         "verify.normed_corpus",
     }
+
+
+# Reference road for ``test_staircase_view_matches_the_grouping_it_replaced``:
+# every function groups and types the summands afresh, with nothing cached.
+
+
+def reference_groups(phi):
+    groups = {}
+    for s in phi.summands:
+        groups.setdefault(s.point, []).append(s)
+    return groups
+
+
+def reference_shape(phi):
+    if not phi.summands:
+        return False
+    for point, group in reference_groups(phi).items():
+        if not point.is_self_dual_point:
+            return False
+        if any(s.multiplicity != 1 for s in group):
+            return False
+        dims = sorted(s.sl2_dim for s in group)
+        if dims != list(staircase(len(dims), is_of_type(point, phi.ambient))[0]):
+            return False
+    return True
+
+
+def reference_blocks(phi):
+    groups = reference_groups(phi)
+    return [(point, sorted(groups[point], key=lambda s: s.sl2_dim)) for point in sorted(groups, key=InertialPoint.sort_key)]
+
+
+def reference_characters(phi):
+    if not reference_shape(phi):
+        raise ValueError("alternating characters are defined for cuspidal shapes")
+    block_values = []
+    for point, group in reference_blocks(phi):
+        labels = [params._summand_label(s) for s in group]
+        firsts = (1, -1) if is_of_type(point, phi.ambient) else (-1,)
+        block_values.append([tuple((label, first * (-1) ** k) for k, label in enumerate(labels)) for first in firsts])
+    return [SignCharacter(tuple(itertools.chain.from_iterable(c))) for c in itertools.product(*block_values)]
+
+
+def reference_t_invariants(phi):
+    n_odd = n_even = 0
+    for point, group in reference_blocks(phi):
+        if is_of_type(point, phi.ambient):
+            if len(group) % 2 == 1:
+                n_odd += 1
+            else:
+                n_even += 1
+    return n_odd, n_even
+
+
+def reference_count(phi, form):
+    if form not in (1, -1):
+        raise ValueError("form must be +1 or -1")
+    if not reference_shape(phi):
+        raise ValueError("count requires a cuspidal shape")
+    n_odd, n_even = reference_t_invariants(phi)
+    total = 2 ** (n_odd + n_even)
+    if n_odd >= 1:
+        plus = total // 2
+    else:
+        fixed = 1
+        for point, group in reference_blocks(phi):
+            fixed *= params._fixed_block_sign(len(group), is_of_type(point, phi.ambient))
+        plus = total if fixed == 1 else 0
+    return plus if form == 1 else total - plus
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_staircase_view_matches_the_grouping_it_replaced(extended_inventory):
+    inv = Inventory(dict(extended_inventory.classes))
+    CO, CS = DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC
+    inv.add(make_inertial_class("u", 1, 1, SelfDual(CO, CS), "1"))
+    inv.add(make_inertial_class("v", 2, 1, SelfDual(CS, CS), "1"))
+    O = functools.partial(DualGroupDescriptor, Family.ORTHOGONAL)
+    U = functools.partial(DualGroupDescriptor, Family.UNITARY_L)
+    ambients = [*verify._classical_ambients(8), *(U(n) for n in range(1, 7))]
+    phis = [phi for ambient in ambients for phi in discrete_parameters(inv, ambient)]
+    half = UnitMonomial.of(0, Fraction(1, 2))
+    triv, chi, u = (LDSummand(pt(inv, label), 1) for label in ("triv", "chi", "u"))
+    others = [
+        # a point that is not a sign: the shape test says no, t_invariants cannot type it
+        ([LDSummand(pt(inv, "triv", half), 1), LDSummand(pt(inv, "triv", half.inverse()), 1), chi], O(3)),
+        ([LDSummand(pt(inv, "alpha"), 1), LDSummand(pt(inv, "beta"), 1)], O(2)),  # a dual pair
+        ([LDSummand(pt(inv, "triv"), 1, 2)], O(2)),  # a multiplicity
+        ([], O(0)),
+        # tags of the wrong flavour for the ambient: typing raises, unless an
+        # earlier point has already failed the shape test
+        ([triv, u], U(2)),
+        ([LDSummand(pt(inv, "a"), 1, 2), triv], U(5)),
+        ([chi, LDSummand(pt(inv, "triv"), 1, 2)], U(3)),
+        ([u], O(1)),
+        ([LDSummand(pt(inv, "triv"), 1, 2), u], O(3)),
+    ]
+    phis += [build_ld_parameter(summands, ambient) for summands, ambient in others]
+    assert len(phis) > 1000
+    seen = set()
+    for phi in phis:
+        expected = [
+            outcome(reference_shape, phi),
+            outcome(reference_t_invariants, phi),
+            outcome(reference_count, phi, 1),
+            outcome(reference_count, phi, -1),
+            outcome(reference_characters, phi),
+        ]
+        seen.update(kind for kind, _ in expected)
+        for _ in range(2):  # with the view cold, then warm
+            chars = outcome(alternating_characters, phi)
+            assert [
+                outcome(is_supercuspidal_shape, phi),
+                outcome(t_invariants, phi),
+                outcome(count_supercuspidals, phi, 1),
+                outcome(count_supercuspidals, phi, -1),
+                chars,
+            ] == expected
+            if chars[0] == "value":
+                chars[1].append(chars[1][0])  # the next call gets a fresh list
+                params._alternating_characters(phi).clear()
+    assert seen == {"value", "ValueError"}

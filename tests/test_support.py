@@ -14,7 +14,15 @@ from hecke_atlas.support import (
     support_to_json_dict,
     supports,
 )
-from hecke_atlas.weil import DualGroupDescriptor, Family, UnitMonomial, orbit_point
+from hecke_atlas.weil import (
+    DualGroupDescriptor,
+    DualityType,
+    Family,
+    SelfDual,
+    UnitMonomial,
+    make_inertial_class,
+    orbit_point,
+)
 
 
 def triv_parameter(inv, family, dim):
@@ -110,6 +118,54 @@ def test_build_phi_S_all_zero(so7_setting):
 def test_build_phi_S_rejects_bad_support(so7_setting):
     with pytest.raises(ValueError):
         build_phi_S(so7_setting, SupportDatum((("triv", (3, 0)),)))
+
+
+def power_parameter(cls, m):
+    """``m`` copies of the base point of ``cls``, filling an orthogonal ambient."""
+    point = orbit_point(cls, UnitMonomial.one())
+    return build_ld_parameter([LDSummand(point, 1, m)], DualGroupDescriptor(Family.ORTHOGONAL, m * cls.dim))
+
+
+def test_the_tail_memo_tells_classes_of_one_label_apart():
+    # the tail is built once per process; its key holds the classes by value, not by label
+    O, Sp = DualityType.ORTHOGONAL, DualityType.SYMPLECTIC
+    base = make_inertial_class("c", 1, 1, SelfDual(O, O), "1")
+    others = [
+        make_inertial_class("c", 2, 1, SelfDual(O, O), "1"),
+        make_inertial_class("c", 1, 1, SelfDual(O, Sp), "1"),
+        make_inertial_class("c", 1, 1, SelfDual(O, O), "eta"),
+        make_inertial_class("c", 1, 2, SelfDual(O, O), "1"),
+    ]
+    S = SupportDatum((("c", (1, 0)),))
+    first = build_phi_S(power_parameter(base, 3), S)
+    for cls in others:
+        phi_S, L_S, l_S, _ = build_phi_S(power_parameter(cls, 3), S)
+        point = orbit_point(cls, UnitMonomial.one())
+        expected = build_ld_parameter([LDSummand(point, 1)], DualGroupDescriptor(Family.ORTHOGONAL, cls.dim))
+        assert phi_S == expected != first[0]
+        assert (L_S, l_S) == (cls.dim, cls.dim // 2)
+        assert build_phi_S(power_parameter(cls, 3), S)[0] is phi_S
+    assert build_phi_S(power_parameter(base, 3), S) == first
+    assert build_phi_S(power_parameter(base, 3), S)[0] is first[0]
+    # an orbit of depths (0, 0) adds nothing, so the tail is the same one
+    other = make_inertial_class("d", 1, 1, SelfDual(O, O), "1")
+    one = UnitMonomial.one()
+    phi0 = build_ld_parameter(
+        [LDSummand(orbit_point(base, one), 1, 3), LDSummand(orbit_point(other, one), 1, 2)],
+        DualGroupDescriptor(Family.ORTHOGONAL, 5),
+    )
+    assert build_phi_S(phi0, SupportDatum((("c", (1, 0)), ("d", (0, 0)))))[0] is first[0]
+
+
+def test_a_cached_tail_does_not_lift_the_bound_or_parity_check():
+    cls = make_inertial_class("c", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1")
+    S = SupportDatum((("c", (2, 0)),))  # staircase dims 1 and 3: cost 4
+    phi_S, L_S, _, _ = build_phi_S(power_parameter(cls, 4), S)
+    assert [s.sl2_dim for s in phi_S.summands] == [1, 3] and L_S == 4
+    for m in (1, 2, 3, 5):  # cost above m, or of the other parity
+        with pytest.raises(ValueError, match="support violates the bound or parity at orbit 'c'"):
+            build_phi_S(power_parameter(cls, m), S)
+    assert build_phi_S(power_parameter(cls, 6), S)[0] is phi_S
 
 
 def levi_of(phi0, S):
