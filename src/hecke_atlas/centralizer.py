@@ -13,6 +13,7 @@ class dimension from the triple.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -449,38 +450,44 @@ def _rescaled(left: Sequence[int], a: Matrix, right: Sequence[int]) -> Matrix:
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            if a[i][t]:
-                for j in range(m):
-                    if b[t][j]:
-                        out[i][j] += a[i][t] * b[t][j]
+    """a * b, walking each row of b through its nonzero entries."""
+    m = len(b[0])
+    b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * m
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, v in b_row:
+                    acc[j] += x * v
+        out.append(acc)
     return out
 
 
 def _mat_pow(a: Matrix, e: int) -> Matrix:
-    out = _diagonal([1] * len(a))
+    """a**e by repeated squaring, as a new matrix: the identity for e = 0."""
+    out = None
     base = a
     while e:
         if e % 2:
-            out = _mat_mul(out, base)
+            out = base if out is None else _mat_mul(out, base)
         e //= 2
         if e:
             base = _mat_mul(base, base)
-    return out
+    if out is None:
+        return _diagonal([1] * len(a))
+    return [list(row) for row in a] if out is a else out
 
 
 def _kron(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    out = [[0] * (na * nb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(len(a[0])):
-            if a[i][j]:
-                for k in range(nb):
-                    for l in range(len(b[0])):
-                        out[i * nb + k][j * nb + l] = a[i][j] * b[k][l]
+    nb = len(b)
+    b_entries = [(k, l, v) for k, row in enumerate(b) for l, v in enumerate(row) if v]
+    out = [[0] * (len(a) * nb) for _ in range(len(a) * nb)]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x:
+                for k, l, v in b_entries:
+                    out[i * nb + k][j * nb + l] = x * v
     return out
 
 
@@ -488,39 +495,38 @@ def _transpose(a: Matrix) -> Matrix:
     return [list(row) for row in zip(*a)]
 
 
-def _block_diag(blocks: Sequence[Matrix]) -> Matrix:
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
+@functools.cache
+def _unipotent(a: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """t! exp(N) for the nilpotent Jordan block N of size a <= t + 1: the
+    integer t!/(j-i)! at (i, j) on and above the diagonal.  Built once per
+    (a, t) and shared, hence a tuple: it is a building block, no check."""
+    return tuple(
+        tuple(math.factorial(t) // math.factorial(j - i) if j >= i else 0 for j in range(a))
+        for i in range(a)
+    )
+
+
+def _assemble(blocks: Sequence[Matrix], den: int) -> list[list[Fraction | int]]:
+    """The block-diagonal matrix of ``blocks`` over ``den``, with one
+    ``Fraction`` per distinct value and ``0`` for zero."""
+    value = {v: Fraction(v, den) if v else 0 for v in {v for b in blocks for row in b for v in row}}
+    n = sum(map(len, blocks))
+    out = []
     off = 0
     for b in blocks:
-        for i, row in enumerate(b):
-            for j, v in enumerate(row):
-                out[off + i][off + j] = v
-        off += len(b)
-    return out
-
-
-def _exp_nilpotent(n_mat: Matrix, t: int) -> Matrix:
-    """t! exp(N) for a nilpotent N of size at most t + 1: the series of
-    (t!/k!) N**k, integral because N**k vanishes for k > t."""
-    n = len(n_mat)
-    out = _diagonal([math.factorial(t)] * n)
-    term = _diagonal([1] * n)
-    for k in range(1, n):
-        term = _mat_mul(term, n_mat)
-        if all(all(v == 0 for v in row) for row in term):
-            break
-        c = math.factorial(t) // math.factorial(k)
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += c * term[i][j]
+        end = off + len(b)
+        for row in b:
+            full = [0] * n
+            full[off:end] = map(value.__getitem__, row)
+            out.append(full)
+        off = end
     return out
 
 
 # the matrix oracle's value of q: a square, so half-integral q-powers stay rational
 SQRT_Q = 2
 Q = SQRT_Q * SQRT_Q
-MATRIX_DIM_CAP = 12  # largest ambient dimension the matrix oracle takes
+MATRIX_DIM_CAP = 14  # largest ambient dimension the matrix oracle takes
 
 
 def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]:
@@ -532,12 +538,13 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
     the Gram matrix G is integral.  Raises ``CheckError`` unless
     s u s**-1 = u**q and both s and u preserve G, and unless G is symmetric
     or alternating as the ambient family requires (the independent check of
-    the tensor type rule).  The checks are cross-multiplied by the
-    denominators: s is the diagonal of its ladders, so ``S U T`` and
-    ``S^T G S`` are row and column scalings of U and G, while ``U^T G U``
-    and ``U**Q`` (by repeated squaring) are dense integer products of the
-    block-diagonal matrices.  The returned entries are ``Fraction``s, with
-    ``0`` for zero.
+    the tensor type rule).  S is diagonal and U and G are block diagonal,
+    one block per summand, so each check holds on the whole matrices
+    exactly when it holds on every block, and it runs on each block as the
+    block is built.  The checks are cross-multiplied by the denominators:
+    ``S U T`` and ``S^T G S`` are row and column scalings of U and G, while
+    ``U^T G U`` and ``U**Q`` (by repeated squaring) are sparse integer
+    products.  The returned entries are ``Fraction``s, with ``0`` for zero.
     """
     if phi.ambient.ambient_dim > MATRIX_DIM_CAP:
         raise ValueError(f"matrix oracle capped at ambient dimension {MATRIX_DIM_CAP}")
@@ -547,7 +554,8 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
         return [], [], []
 
     t = max(summand.sl2_dim for summand in phi.summands) - 1
-    s_diag: list[int] = []  # S is diagonal
+    s_den, u_den = SQRT_Q**t, math.factorial(t)
+    s_diag: list[int] = []
     u_blocks: list[Matrix] = []
     g_blocks: list[Matrix] = []
     for summand in phi.summands:
@@ -561,9 +569,7 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
         tag = cls.duality.type_at_plus if f == 1 else cls.duality.type_at_minus
         k = cls.dim * summand.multiplicity
         # the ladder f q**((a-1)/2 - j), times SQRT_Q**t, each value k times
-        s_diag += [f * SQRT_Q ** (t + a - 1 - 2 * j) for j in range(a) for _ in range(k)]
-        n_a = [[int(j == i + 1) for j in range(a)] for i in range(a)]
-        u_a = _exp_nilpotent(n_a, t)
+        s_b = [f * SQRT_Q ** (t + a - 1 - 2 * j) for j in range(a) for _ in range(k)]
         g_a = [[0] * a for _ in range(a)]
         for i in range(a):
             g_a[i][a - 1 - i] = (-1) ** i
@@ -578,35 +584,34 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
                 g_k[i][k - 1 - i] = 1 if i < k // 2 else -1
         else:  # pragma: no cover - unitary ambients rejected earlier
             raise ValueError("conjugate-dual tags have no classical Gram form")
-        u_blocks.append(_kron(u_a, ident_k))
-        g_blocks.append(_kron(g_a, g_k))
+        u_b = _kron(_unipotent(a, t), ident_k)
+        g_b = _kron(g_a, g_k)
 
-    u_mat = _block_diag(u_blocks)
-    g_mat = _block_diag(g_blocks)
-    s_den, u_den = SQRT_Q**t, math.factorial(t)
+        # s**-1 is the diagonal T = s_den**2 / S
+        t_b = [s_den * s_den // v for v in s_b]
+        left = _scaled(_rescaled(s_b, u_b, t_b), u_den**Q)
+        right = _scaled(_mat_pow(u_b, Q), s_den * s_den * u_den)
+        if left != right:
+            raise CheckError("q-scaling relation fails")
 
-    # s**-1 is the diagonal T = s_den**2 / S
-    t_diag = [s_den * s_den // v for v in s_diag]
-    left = _scaled(_rescaled(s_diag, u_mat, t_diag), u_den**Q)
-    right = _scaled(_mat_pow(u_mat, Q), s_den * s_den * u_den)
-    if left != right:
-        raise CheckError("q-scaling relation fails")
+        if _rescaled(s_b, g_b, s_b) != _scaled(g_b, s_den * s_den):
+            raise CheckError("Gram form not preserved")
+        if _mat_mul(_mat_mul(_transpose(u_b), g_b), u_b) != _scaled(g_b, u_den * u_den):
+            raise CheckError("Gram form not preserved")
 
-    if _rescaled(s_diag, g_mat, s_diag) != _scaled(g_mat, s_den * s_den):
-        raise CheckError("Gram form not preserved")
-    if _mat_mul(_mat_mul(_transpose(u_mat), g_mat), u_mat) != _scaled(g_mat, u_den * u_den):
-        raise CheckError("Gram form not preserved")
+        gt = _transpose(g_b)
+        if phi.ambient.family is Family.ORTHOGONAL:
+            if gt != g_b:
+                raise CheckError("expected a symmetric form")
+        elif gt != _scaled(g_b, -1):
+            raise CheckError("expected an alternating form")
+        s_diag += s_b
+        u_blocks.append(u_b)
+        g_blocks.append(g_b)
 
-    gt = _transpose(g_mat)
-    if phi.ambient.family is Family.ORTHOGONAL:
-        if gt != g_mat:
-            raise CheckError("expected a symmetric form")
-    elif gt != _scaled(g_mat, -1):
-        raise CheckError("expected an alternating form")
-    return tuple(
-        [[Fraction(v, den) if v else 0 for v in row] for row in m]
-        for m, den in ((_diagonal(s_diag), s_den), (u_mat, u_den), (g_mat, 1))
-    )
+    # s is diagonal: its blocks are 1 x 1
+    s_blocks = [[[v]] for v in s_diag]
+    return _assemble(s_blocks, s_den), _assemble(u_blocks, u_den), _assemble(g_blocks, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,8 @@ def _wrong_transpose(a):
 
 
 def test_matrix_suite_reports_a_broken_oracle(monkeypatch, capsys):
+    # an unpatched run first, so that a block memo filled by it cannot hide a broken helper
+    assert run_suite("thm26-matrix", 2)["failed"] == 0
     for helper, broken, error in (
         ("_mat_pow", _wrong_power, "q-scaling relation fails"),
         ("_transpose", _wrong_transpose, "Gram form not preserved"),
@@ -369,15 +371,17 @@ def test_matrix_oracle_survives_optimized_mode(src_env):
         "import sys\n"
         "from hecke_atlas import centralizer\n"
         "from hecke_atlas.verify import run_suite\n"
+        "warm = run_suite('thm26-matrix', 2)['failed']\n"
         "centralizer._mat_pow = lambda a, e: [[v + 1 for v in row] for row in a]\n"
         "report = run_suite('thm26-matrix', 2)\n"
-        "print(sys.flags.optimize, report['failed'], len(report['cases']))\n"
+        "print(sys.flags.optimize, warm, report['failed'], len(report['cases']))\n"
     )
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=src_env(), check=True
     )
-    optimize, failed, total = map(int, done.stdout.split())
+    optimize, warm, failed, total = map(int, done.stdout.split())
     assert optimize == 1
+    assert warm == 0
     assert failed == total > 0
 
 
