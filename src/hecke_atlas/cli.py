@@ -59,17 +59,15 @@ def _json_text(value, indent: str = "") -> str:
         if not value:
             return "{}"
         parts = [
-            _quote(k)
-            + ": "
-            + (_quote(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner))
+            f"{_quote(k)}: {_quote(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner)}"
             for k, v in value.items()
         ]
-        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "}"
+        return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         parts = [_quote(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + "]"
+        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}]"
     if isinstance(value, str):
         return _quote(value)
     if value is None:

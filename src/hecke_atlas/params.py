@@ -138,6 +138,26 @@ class LDParameter:
         )
 
     @cached_property
+    def _determinant(self) -> tuple[UnitMonomial, dict[tuple[str, bool], int]]:
+        """This parameter's share of ``det_discrepancy``: the unramified
+        monomial, and the ramified exponent per ``(orbit label, self_dual)``
+        in summand order; worked out once per parameter."""
+        unram = UnitMonomial.one()
+        ram: dict[tuple[str, bool], int] = {}
+        for s in self.summands:
+            cls = s.point.cls
+            e = s.sl2_dim * s.multiplicity
+            unram = unram * s.point.f ** (cls.dim * e)
+            if cls.is_self_dual:
+                key = (cls.label, True)
+                orient = 1
+            else:
+                key = (cls.orbit_label, False)
+                orient = 1 if cls.label == cls.orbit_label else -1
+            ram[key] = ram.get(key, 0) + orient * e
+        return unram, ram
+
+    @cached_property
     def _characters(self) -> tuple[SignCharacter, ...]:
         """The alternating characters of a cuspidal-shape parameter,
         enumerated once per parameter (see ``alternating_characters``)."""
@@ -197,20 +217,19 @@ def build_ld_parameter(summands: Iterable[LDSummand], ambient: DualGroupDescript
     """Canonicalize a summand list and validate the parameter invariants.
 
     Equal ``(point, sl2_dim)`` entries are merged by adding multiplicities.
-    The total dimension must match the ambient dimension, and the multiset
-    must be closed under contragredients.  The dual of ``(cls, f)`` is
-    ``(cls, f**-1)`` for a self-dual class; for a dual pair it is
-    ``(partner, f**-1)``, where ``partner`` is the summand class labelled
-    ``cls.duality.partner_label``, which must name ``cls`` back.
+    The total dimension must match the ambient dimension, a self-dual class
+    must carry conjugate-dual type tags exactly when the ambient is unitary
+    (checked once per class), and the multiset must be closed under
+    contragredients.  The dual of ``(cls, f)`` is ``(cls, f**-1)`` for a
+    self-dual class; for a dual pair it is ``(partner, f**-1)``, where
+    ``partner`` is the summand class labelled ``cls.duality.partner_label``,
+    which must name ``cls`` back.
     """
     merged: dict[tuple, LDSummand] = {}
     for s in summands:
         key = (s.point, s.sl2_dim)
-        if key in merged:
-            old = merged[key]
-            merged[key] = LDSummand(s.point, s.sl2_dim, old.multiplicity + s.multiplicity)
-        else:
-            merged[key] = s
+        old = merged.get(key)
+        merged[key] = s if old is None else LDSummand(s.point, s.sl2_dim, old.multiplicity + s.multiplicity)
     canonical = tuple(sorted(merged.values(), key=LDSummand.sort_key))
 
     total = sum(s.dim for s in canonical)
@@ -219,15 +238,24 @@ def build_ld_parameter(summands: Iterable[LDSummand], ambient: DualGroupDescript
             f"summand dimension {total} does not match ambient dimension {ambient.ambient_dim}"
         )
 
-    counts = {(s.point, s.sl2_dim): s.multiplicity for s in canonical}
     classes = {s.point.cls.label: s.point.cls for s in canonical}
-    for (point, a), mult in counts.items():
-        cls = point.cls
-        if not cls.is_self_dual:
+    conjugate = ambient.family is Family.UNITARY_L
+    for cls in classes.values():
+        if cls.is_self_dual and cls.duality.type_at_plus.conjugate_flavour is not conjugate:
+            tags = "plain" if conjugate else "conjugate-dual"
+            raise ValueError(f"class {cls.label!r} has {tags} type tags, wrong for the {ambient.family.value} family")
+    for s in canonical:
+        cls, f = s.point.cls, s.point.f
+        if cls.is_self_dual:
+            if f.is_sign:  # its own dual
+                continue
+        else:
             partner = classes.get(cls.duality.partner_label)
-            cls = partner if partner is not None and partner.duality == NotSelfDual(cls.label) else None
-        if cls is None or counts.get((orbit_point(cls, point.f.inverse()), a), 0) != mult:
-            raise ValueError(f"multiset is not closed under duality at {_summand_label(LDSummand(point, a))}")
+            named_back = partner is not None and partner.duality == NotSelfDual(cls.label)
+            cls = partner if named_back else None
+        dual = merged.get((orbit_point(cls, f.inverse()), s.sl2_dim)) if cls is not None else None
+        if dual is None or dual.multiplicity != s.multiplicity:
+            raise ValueError(f"multiset is not closed under duality at {_summand_label(LDSummand(s.point, s.sl2_dim))}")
 
     return LDParameter(ambient, canonical)
 
@@ -378,26 +406,20 @@ def det_discrepancy(phi: LDParameter, phi0: LDParameter) -> int:
     and exponents of its determinant base label to the ramified bookkeeping.
     Self-dual labels (determinant of order at most two) must cancel modulo
     two; a dual pair carries mutually inverse determinants, so its two sides
-    enter with opposite orientations and must cancel exactly.
+    enter with opposite orientations and must cancel exactly.  Each
+    parameter's own share is worked out once (``LDParameter._determinant``);
+    ``phi0``'s enters inverted.
     """
-    unram = UnitMonomial.one()
-    ram: dict[tuple[str, bool], int] = {}
-    for parameter, expo_sign in ((phi, 1), (phi0, -1)):
-        for s in parameter.summands:
-            cls = s.point.cls
-            e = s.sl2_dim * s.multiplicity
-            unram = unram * (s.point.f ** (cls.dim * e * expo_sign))
-            if cls.is_self_dual:
-                key = (cls.label, True)
-                orient = 1
-            else:
-                key = (cls.orbit_label, False)
-                orient = 1 if cls.label == cls.orbit_label else -1
-            ram[key] = ram.get(key, 0) + orient * expo_sign * e
+    unram, ram = phi._determinant
+    unram0, ram0 = phi0._determinant
+    ram = dict(ram)  # phi's orbits first, then those only phi0 has
+    for key, e in ram0.items():
+        ram[key] = ram.get(key, 0) - e
     for (label, self_dual), e in ram.items():
         bad = (e % 2 != 0) if self_dual else (e != 0)
         if bad:
             raise ValueError(f"determinant of orbit {label!r} does not cancel (exponent {e})")
+    unram = unram * unram0.inverse()
     if not unram.is_sign:
         raise ValueError(f"determinant discrepancy {unram} is not a sign")
     return unram.sign
@@ -491,13 +513,14 @@ def discrete_parameters(inventory: Inventory, ambient: DualGroupDescriptor) -> l
 def normed_parameter(phi: LDParameter) -> LDParameter:
     """The associated normed Weil parameter: per class, the base point with
     the dimension-weighted orbit multiplicity, trivial on the SL2 side."""
-    counts: dict[str, tuple[InertialPoint, int]] = {}
+    bases: dict[str, InertialPoint] = {}
+    counts: dict[str, int] = {}
     for s in phi.summands:
-        base = orbit_point(s.point.cls, UnitMonomial.one())
         label = s.point.cls.label
-        prev = counts.get(label, (base, 0))[1]
-        counts[label] = (base, prev + s.sl2_dim * s.multiplicity)
-    summands = [LDSummand(point, 1, m) for point, m in counts.values()]
+        if label not in bases:
+            bases[label] = s.point if s.point.f.is_one else orbit_point(s.point.cls, UnitMonomial.one())
+        counts[label] = counts.get(label, 0) + s.sl2_dim * s.multiplicity
+    summands = [LDSummand(bases[label], 1, m) for label, m in counts.items()]
     return build_ld_parameter(summands, phi.ambient)
 
 
@@ -524,15 +547,19 @@ def parameter_from_json_dict(data: Mapping, inventory: Inventory) -> LDParameter
     data = json_typed(data, dict, "parameter")
     raw = json_typed(json_field(data, "ambient", "parameter"), dict, "parameter.ambient")
     ambient = DualGroupDescriptor(
-        json_value(json_field(raw, "family", "parameter.ambient"), Family, "parameter.ambient.family"),
-        json_value(json_field(raw, "dim", "parameter.ambient"), int, "parameter.ambient.dim"),
+        json_value(json_field(raw, "family", "parameter.ambient"), Family, "parameter.ambient", "family"),
+        json_value(json_field(raw, "dim", "parameter.ambient"), int, "parameter.ambient", "dim"),
     )
     summands = []
     for i, s in enumerate(json_typed(json_field(data, "summands", "parameter"), list, "parameter.summands")):
-        path = f"parameter.summands[{i}]"
-        s = json_typed(s, dict, path)
-        cls = inventory[json_typed(json_field(s, "class", path), str, f"{path}.class")]
-        point = orbit_point(cls, UnitMonomial.from_json_dict(json_field(s, "f", path), f"{path}.f"))
-        a = json_value(json_field(s, "a", path), int, f"{path}.a")
-        summands.append(LDSummand(point, a, json_value(s.get("mult", 1), int, f"{path}.mult")))
+        at = ("parameter.summands", i)
+        json_typed(s, dict, at)
+        label = json_typed(json_field(s, "class", at), str, at, "class")
+        cls = inventory.classes.get(label)
+        if cls is None:
+            raise ValueError(f"parameter.summands[{i}].class names no registered class: {label!r}")
+        f = UnitMonomial.from_json_dict(json_field(s, "f", at), ("parameter.summands", i, "f"))
+        a = json_value(json_field(s, "a", at), int, at, "a")
+        mult = json_value(s.get("mult", 1), int, at, "mult")
+        summands.append(LDSummand(orbit_point(cls, f), a, mult))
     return build_ld_parameter(summands, ambient)

@@ -39,33 +39,77 @@ __all__ = [
 ]
 
 
-def json_typed(value, kind: type, path: str):
-    """``value`` if it is a ``kind`` (dict, list or str), else a ValueError naming ``path``."""
+def _path_text(path: str | tuple, key: str | None = None) -> str:
+    """A JSON path as text: ``("inventory", 0)`` with key ``"dim"`` is
+    ``inventory[0].dim``; a str path is taken as it is.
+
+    The decoders pass a path as its parts and build the text only for an
+    error message.
+    """
+    if isinstance(path, tuple):
+        parts, path = path[1:], path[0]
+        for part in parts:
+            path += f"[{part}]" if type(part) is int else f".{part}"
+    return path if key is None else f"{path}.{key}"
+
+
+def json_typed(value, kind: type, path: str | tuple, key: str | None = None):
+    """``value`` if it is a ``kind`` (dict, list or str), else a ValueError
+    naming ``path`` (``path.key`` when a key is given)."""
     if not isinstance(value, kind):
-        raise ValueError(f"{path} must be a {kind.__name__}, got {type(value).__name__}")
+        raise ValueError(f"{_path_text(path, key)} must be a {kind.__name__}, got {type(value).__name__}")
     return value
 
 
-def json_field(data: Mapping, key: str, path: str):
+def json_field(data: Mapping, key: str, path: str | tuple):
     """``data[key]``; a missing key is a ValueError naming ``path`` and ``key``."""
     try:
         return data[key]
     except KeyError:
-        raise ValueError(f"{path}: missing key {key!r}") from None
+        raise ValueError(f"{_path_text(path)}: missing key {key!r}") from None
 
 
-def json_value(value, kind: type, path: str):
-    """``kind(value)`` (int, Fraction or an Enum); a bad value is a ValueError
-    naming ``path``.
+def json_value(value, kind: type, path: str | tuple, key: str | None = None):
+    """``value`` as an int or an Enum member (looked up by value); a bad value
+    is a ValueError naming ``path`` (``path.key`` when a key is given).
 
     An int field takes only a JSON integer: a bool, float or string is refused.
     """
+    if kind is int:
+        if type(value) is int:
+            return value
+    else:
+        try:
+            member = kind._value2member_map_.get(value)
+        except TypeError:  # unhashable
+            member = None
+        if member is not None:
+            return member
+    raise ValueError(f"{_path_text(path, key)} is not a valid {kind.__name__}: {value!r}")
+
+
+def _json_fraction(value, path: str | tuple, key: str) -> tuple[int, int]:
+    """A JSON int, or a string ``Fraction`` accepts, as ``(numerator, denominator)``
+    with a positive denominator; a bad value is a ValueError naming ``path.key``.
+
+    A string ``-?digits/digits`` (ASCII digits) is read with ``int`` alone and
+    is not reduced; any other string goes through ``Fraction``.  A bool or a
+    float is refused.
+    """
     try:
-        if kind is int and type(value) is not int:
-            raise TypeError
-        return kind(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"{path} is not a valid {kind.__name__}: {value!r}") from None
+        if type(value) is int:
+            return value, 1
+        if type(value) is str:
+            num, slash, den = value.partition("/")
+            if slash and value.isascii() and den.isdigit() and (num[1:] if num[:1] == "-" else num).isdigit():
+                d = int(den)
+                if d:
+                    return int(num), d
+            f = Fraction(value)
+            return f.numerator, f.denominator
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{_path_text(path, key)} is not a valid Fraction: {value!r}")
 
 
 class Family(str, Enum):
@@ -232,12 +276,15 @@ class UnitMonomial:
         return {"root": f"{self.rn}/{self.d}", "qexp": f"{self.e2}/2"}
 
     @staticmethod
-    def from_json_dict(data: Mapping, path: str = "monomial") -> "UnitMonomial":
+    def from_json_dict(data: Mapping, path: str | tuple = "monomial") -> "UnitMonomial":
+        """Read ``{"root": ..., "qexp": ...}``; ``path`` (a str, or parts as
+        for ``json_typed``) names the dict in errors."""
         json_typed(data, dict, path)
-        root, qexp = (
-            json_value(json_field(data, k, path), Fraction, f"{path}.{k}") for k in ("root", "qexp")
-        )
-        return UnitMonomial(root, qexp)
+        rn, rd = _json_fraction(json_field(data, "root", path), path, "root")
+        qn, qd = _json_fraction(json_field(data, "qexp", path), path, "qexp")
+        if 2 * qn % qd:
+            raise ValueError("q_exponent must be a half-integer")
+        return _monomial(rn, rd, 2 * qn // qd)
 
     def __repr__(self) -> str:
         return f"UnitMonomial(root={self.root!r}, q_exponent={self.q_exponent!r})"
@@ -337,7 +384,8 @@ class InertialPoint:
         return self.cls.is_self_dual and self.f.is_sign
 
     def __hash__(self) -> int:
-        return hash((self.cls.label, self.f))
+        f = self.f
+        return hash((self.cls.label, f.rn, f.d, f.e2))
 
     def sort_key(self):
         """Label, root and q-exponent as (numerator, denominator): q^1 sorts before q^(1/2)."""
@@ -450,29 +498,27 @@ class Inventory:
     def from_json_list(data: list) -> "Inventory":
         inv = Inventory()
         for i, entry in enumerate(json_typed(data, list, "inventory")):
-            path = f"inventory[{i}]"
-            entry = json_typed(entry, dict, path)
-            raw = json_typed(json_field(entry, "duality", path), dict, f"{path}.duality")
-            kind = json_field(raw, "kind", f"{path}.duality")
+            at, duality_at = ("inventory", i), ("inventory", i, "duality")
+            json_typed(entry, dict, at)
+            raw = json_typed(json_field(entry, "duality", at), dict, duality_at)
+            kind = json_field(raw, "kind", duality_at)
             duality: Duality
             if kind == "not_self_dual":
-                partner = json_field(raw, "partner", f"{path}.duality")
-                duality = NotSelfDual(json_typed(partner, str, f"{path}.duality.partner"))
+                partner = json_field(raw, "partner", duality_at)
+                duality = NotSelfDual(json_typed(partner, str, duality_at, "partner"))
             elif kind == "self_dual":
-                plus, minus = (
-                    json_value(json_field(raw, k, f"{path}.duality"), DualityType, f"{path}.duality.{k}")
-                    for k in ("type_plus", "type_minus")
-                )
+                plus = json_value(json_field(raw, "type_plus", duality_at), DualityType, duality_at, "type_plus")
+                minus = json_value(json_field(raw, "type_minus", duality_at), DualityType, duality_at, "type_minus")
                 duality = SelfDual(plus, minus)
             else:
-                raise ValueError(f"{path}.duality.kind must be 'self_dual' or 'not_self_dual', got {kind!r}")
+                raise ValueError(f"inventory[{i}].duality.kind must be 'self_dual' or 'not_self_dual', got {kind!r}")
             inv.add(
                 make_inertial_class(
-                    json_typed(json_field(entry, "label", path), str, f"{path}.label"),
-                    json_value(json_field(entry, "dim", path), int, f"{path}.dim"),
-                    json_value(json_field(entry, "torsion", path), int, f"{path}.torsion"),
+                    json_typed(json_field(entry, "label", at), str, at, "label"),
+                    json_value(json_field(entry, "dim", at), int, at, "dim"),
+                    json_value(json_field(entry, "torsion", at), int, at, "torsion"),
                     duality,
-                    json_typed(entry.get("det_base", ""), str, f"{path}.det_base"),
+                    json_typed(entry.get("det_base", ""), str, at, "det_base"),
                 )
             )
         inv.validate()

@@ -2,6 +2,7 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from hecke_atlas.weil import (
     DualityType,
@@ -10,6 +11,11 @@ from hecke_atlas.weil import (
     SelfDual,
     make_inertial_class,
 )
+
+# ``--hypothesis-profile=ci``: the parameter-file fuzz tests of tests/test_cli.py
+# take max(150, max_examples) examples, so this runs them at five times their
+# local count
+settings.register_profile("ci", max_examples=750)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -13,10 +14,28 @@ from hypothesis import strategies as st
 from hecke_atlas import centralizer, hecke, support, verify, weyl
 from hecke_atlas.cli import _emit, run
 from hecke_atlas.hecke import derived_rows, factor_to_json_dict, hecke_descriptor, sp_normalization
-from hecke_atlas.params import discrete_parameters, parameter_to_json_dict
+from hecke_atlas.params import (
+    LDSummand,
+    build_ld_parameter,
+    discrete_parameters,
+    parameter_from_json_dict,
+    parameter_to_json_dict,
+)
 from hecke_atlas.support import cuspidal_pairs, support_to_json_dict, supports
 from hecke_atlas.verify import normed_corpus, run_suite, standard_inventory
-from hecke_atlas.weil import DualGroupDescriptor, Family
+from hecke_atlas.weil import (
+    DualGroupDescriptor,
+    DualityType,
+    Family,
+    Inventory,
+    NotSelfDual,
+    SelfDual,
+    UnitMonomial,
+    json_field,
+    json_typed,
+    make_inertial_class,
+    orbit_point,
+)
 
 
 def out_json(capsys):
@@ -231,11 +250,14 @@ def _param_file(tmp_path, edit):
         (lambda d: d["inventory"][0]["duality"].update(type_minus="zzz"), "inventory[0].duality.type_minus"),
         (lambda d: d["inventory"][0]["duality"].update(kind="zzz"), "inventory[0].duality.kind"),
         (lambda d: d["parameter"]["ambient"].update(family="zzz"), "parameter.ambient.family"),
+        (lambda d: d["parameter"]["summands"][0]["f"].update(root=0.1), "parameter.summands[0].f.root"),
+        (lambda d: d["parameter"]["summands"][0]["f"].update(qexp=True), "parameter.summands[0].f.qexp"),
+        (lambda d: d["parameter"]["summands"][0].update({"class": "zzz"}), "parameter.summands[0].class"),
     ],
     ids=[
         "summands_dict", "a_null", "inventory_int", "root_zero_denominator", "a_float", "mult_bool", "dim_string",
         "inventory_missing", "duality_missing", "f_root_missing", "type_plus_bad", "type_minus_bad", "kind_bad",
-        "family_bad",
+        "family_bad", "root_float", "qexp_bool", "class_unknown",
     ],
 )
 def test_malformed_param_file_exits_2(tmp_path, capsys, edit, field):
@@ -259,7 +281,11 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# decoder fuzzing: 150 examples locally; the ``ci`` profile (tests/conftest.py) asks for more
+FUZZ_EXAMPLES = max(150, settings.default.max_examples)
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["supports", "hecke"]), data=st.data())
 def test_any_one_node_edit_of_a_param_file_exits_0_or_2(tmp_path, command, data):
     def edit(tree):
@@ -273,6 +299,177 @@ def test_any_one_node_edit_of_a_param_file_exits_0_or_2(tmp_path, command, data)
             container[key] = data.draw(_JSON_VALUES | others, label="value")
 
     assert run([command, "--param", str(_param_file(tmp_path, edit))]) in (0, 2)
+
+
+# Reference road for ``test_decoder_matches_the_reference_decoder``: the
+# decoder as it read parameter files before it built error paths lazily and
+# read canonical fractions with int, with a bool or float monomial field
+# refused and an unknown class label a ValueError naming its path.
+
+
+def ref_typed(value, kind, path):
+    if not isinstance(value, kind):
+        raise ValueError(f"{path} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def ref_field(data, key, path):
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{path}: missing key {key!r}") from None
+
+
+def ref_value(value, kind, path):
+    try:
+        if kind is int and type(value) is not int:
+            raise TypeError
+        if kind is Fraction and type(value) not in (int, str):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{path} is not a valid {kind.__name__}: {value!r}") from None
+
+
+def ref_monomial(data, path):
+    ref_typed(data, dict, path)
+    root, qexp = (ref_value(ref_field(data, k, path), Fraction, f"{path}.{k}") for k in ("root", "qexp"))
+    return UnitMonomial(root, qexp)
+
+
+def ref_inventory(data):
+    inv = Inventory()
+    for i, entry in enumerate(ref_typed(data, list, "inventory")):
+        path = f"inventory[{i}]"
+        entry = ref_typed(entry, dict, path)
+        raw = ref_typed(ref_field(entry, "duality", path), dict, f"{path}.duality")
+        kind = ref_field(raw, "kind", f"{path}.duality")
+        if kind == "not_self_dual":
+            partner = ref_field(raw, "partner", f"{path}.duality")
+            duality = NotSelfDual(ref_typed(partner, str, f"{path}.duality.partner"))
+        elif kind == "self_dual":
+            plus, minus = (
+                ref_value(ref_field(raw, k, f"{path}.duality"), DualityType, f"{path}.duality.{k}")
+                for k in ("type_plus", "type_minus")
+            )
+            duality = SelfDual(plus, minus)
+        else:
+            raise ValueError(f"{path}.duality.kind must be 'self_dual' or 'not_self_dual', got {kind!r}")
+        inv.add(
+            make_inertial_class(
+                ref_typed(ref_field(entry, "label", path), str, f"{path}.label"),
+                ref_value(ref_field(entry, "dim", path), int, f"{path}.dim"),
+                ref_value(ref_field(entry, "torsion", path), int, f"{path}.torsion"),
+                duality,
+                ref_typed(entry.get("det_base", ""), str, f"{path}.det_base"),
+            )
+        )
+    inv.validate()
+    return inv
+
+
+def ref_parameter(data, inventory):
+    data = ref_typed(data, dict, "parameter")
+    raw = ref_typed(ref_field(data, "ambient", "parameter"), dict, "parameter.ambient")
+    ambient = DualGroupDescriptor(
+        ref_value(ref_field(raw, "family", "parameter.ambient"), Family, "parameter.ambient.family"),
+        ref_value(ref_field(raw, "dim", "parameter.ambient"), int, "parameter.ambient.dim"),
+    )
+    summands = []
+    for i, s in enumerate(ref_typed(ref_field(data, "summands", "parameter"), list, "parameter.summands")):
+        path = f"parameter.summands[{i}]"
+        s = ref_typed(s, dict, path)
+        label = ref_typed(ref_field(s, "class", path), str, f"{path}.class")
+        if label not in inventory:
+            raise ValueError(f"{path}.class names no registered class: {label!r}")
+        point = orbit_point(inventory[label], ref_monomial(ref_field(s, "f", path), f"{path}.f"))
+        a = ref_value(ref_field(s, "a", path), int, f"{path}.a")
+        summands.append(LDSummand(point, a, ref_value(s.get("mult", 1), int, f"{path}.mult")))
+    return build_ld_parameter(summands, ambient)
+
+
+def ref_decode(data):
+    data = ref_typed(data, dict, "parameter file")
+    inventory = ref_inventory(ref_field(data, "inventory", "parameter file"))
+    return ref_parameter(ref_field(data, "parameter", "parameter file"), inventory)
+
+
+def decode(data):
+    """What ``cli._load_param_file`` does with a parsed file, short of norming."""
+    data = json_typed(data, dict, "parameter file")
+    inventory = Inventory.from_json_list(json_field(data, "inventory", "parameter file"))
+    return parameter_from_json_dict(json_field(data, "parameter", "parameter file"), inventory)
+
+
+def decode_outcome(fn, data):
+    try:
+        phi = fn(copy.deepcopy(data))
+    except Exception as exc:  # the type and the message are compared
+        return type(exc), str(exc)
+    return phi, repr(phi)
+
+
+# fraction strings on either side of the int reading of ``-?digits/digits``
+FRACTION_STRINGS = [
+    " 1/2 ", "+1/2", "-0/3", "1/-2", "2/4", "\u0663/4", "1e-1", "0.25", "1/0", "", "1//2", "3/3",
+    "-3/6", "7/2", "-5/10", "00/08", "1", "-2", "\u00b2/4", "1_0/4", "9" * 4301 + "/2",
+]
+
+
+def _decoder_base_files():
+    """Parameter files to edit: small discrete ones, and one with a dual pair
+    and points off the base point."""
+    inv = standard_inventory()
+    inv_json = inv.to_json_list()
+    phis = discrete_parameters(inv, DualGroupDescriptor(Family.ORTHOGONAL, 5))[:3]
+    f = UnitMonomial.of(Fraction(1, 3), Fraction(1, 2))
+    phis.append(
+        build_ld_parameter(
+            [
+                LDSummand(orbit_point(inv["alpha"], f), 1),
+                LDSummand(orbit_point(inv["beta"], f.inverse()), 1),
+                LDSummand(orbit_point(inv["a"], UnitMonomial.minus_one()), 2),
+            ],
+            DualGroupDescriptor(Family.ORTHOGONAL, 6),
+        )
+    )
+    return [{"inventory": inv_json, "parameter": parameter_to_json_dict(phi)} for phi in phis]
+
+
+DECODER_BASE_FILES = _decoder_base_files()
+
+
+def _assert_decoders_agree(data):
+    assert decode_outcome(decode, data) == decode_outcome(ref_decode, data)
+
+
+def test_decoder_reads_each_monomial_field_as_the_reference_does():
+    for value in FRACTION_STRINGS + [0, -7, 10**30, 0.5, True, False, None, [], {}]:
+        for field in ("root", "qexp"):
+            for base in DECODER_BASE_FILES:
+                for i in range(len(base["parameter"]["summands"])):
+                    data = copy.deepcopy(base)
+                    data["parameter"]["summands"][i]["f"][field] = value
+                    _assert_decoders_agree(data)
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+@given(base=st.sampled_from(DECODER_BASE_FILES), data=st.data())
+def test_decoder_matches_the_reference_decoder(base, data):
+    """Any one-node edit of a parameter file decodes to an equal parameter
+    with an equal repr, or fails with the same exception type and message."""
+    tree = copy.deepcopy(base)
+    nodes = list(_json_nodes(tree))
+    monomial_fields = [node for node in nodes if node[1] in ("root", "qexp")]
+    # any node, or (as often) a monomial field
+    container, key, _ = data.draw(st.sampled_from(nodes) | st.sampled_from(monomial_fields), label="node")
+    if data.draw(st.booleans(), label="delete"):
+        del container[key]
+    else:
+        others = st.sampled_from([v for _, _, v in nodes]).map(copy.deepcopy)
+        fractions = st.sampled_from(FRACTION_STRINGS) | st.from_regex(r"-?[0-9]{1,3}/[0-9]{1,3}", fullmatch=True)
+        container[key] = data.draw(_JSON_VALUES | others | fractions, label="value")
+    _assert_decoders_agree(tree)
 
 
 def test_normed_corpus_is_normed():

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 import hecke_atlas
 from hecke_atlas import params, verify
 from hecke_atlas.params import (
+    LDParameter,
     LDSummand,
     SignCharacter,
     alternating_characters,
@@ -30,6 +31,8 @@ from hecke_atlas.params import (
     supercuspidal_shapes,
     t_invariants,
 )
+from hecke_atlas.support import build_phi_S, supports
+from hecke_atlas.verify import standard_inventory
 from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
@@ -263,6 +266,80 @@ def test_det_discrepancy(extended_inventory):
         det_discrepancy(bad, good)
 
 
+def reference_det_discrepancy(phi, phi0):
+    """``det_discrepancy`` as it was, worked out afresh from both parameters' summands."""
+    unram = UnitMonomial.one()
+    ram = {}
+    for parameter, expo_sign in ((phi, 1), (phi0, -1)):
+        for s in parameter.summands:
+            cls = s.point.cls
+            e = s.sl2_dim * s.multiplicity
+            unram = unram * (s.point.f ** (cls.dim * e * expo_sign))
+            if cls.is_self_dual:
+                key = (cls.label, True)
+                orient = 1
+            else:
+                key = (cls.orbit_label, False)
+                orient = 1 if cls.label == cls.orbit_label else -1
+            ram[key] = ram.get(key, 0) + orient * expo_sign * e
+    for (label, self_dual), e in ram.items():
+        bad = (e % 2 != 0) if self_dual else (e != 0)
+        if bad:
+            raise ValueError(f"determinant of orbit {label!r} does not cancel (exponent {e})")
+    if not unram.is_sign:
+        raise ValueError(f"determinant discrepancy {unram} is not a sign")
+    return unram.sign
+
+
+def fresh(phi):
+    """An equal parameter with nothing cached yet."""
+    return LDParameter(phi.ambient, phi.summands)
+
+
+def test_det_discrepancy_matches_the_per_call_formula_on_every_corpus_support():
+    count = 0
+    for phi0 in verify.normed_corpus(standard_inventory(), 8):
+        for S in supports(phi0):
+            phi_S = build_phi_S(phi0, S)[0]
+            expected = outcome(reference_det_discrepancy, phi_S, phi0)
+            assert expected[0] == "value"
+            cold = fresh(phi_S), fresh(phi0)
+            # both cold, both warm, then the memoized tail with the parameter in use
+            for pair in (cold, cold, (phi_S, phi0)):
+                assert outcome(det_discrepancy, *pair) == expected
+            count += 1
+    assert count == 855
+
+
+def test_det_discrepancy_matches_the_per_call_formula_on_pairs_that_do_not_cancel(extended_inventory):
+    inv = extended_inventory
+    O = functools.partial(DualGroupDescriptor, Family.ORTHOGONAL)
+    f = UnitMonomial.of(Fraction(1, 3), Fraction(1, 2))
+    half = UnitMonomial.of(0, Fraction(1, 2))
+    phis = [
+        *discrete_parameters(inv, O(4))[:12],
+        build_ld_parameter([LDSummand(pt(inv, "alpha", f), 1), LDSummand(pt(inv, "beta", f.inverse()), 1)], O(2)),
+        build_ld_parameter(
+            [LDSummand(pt(inv, "alpha"), 2), LDSummand(pt(inv, "beta"), 2), LDSummand(pt(inv, "chi"), 1)], O(5)
+        ),
+        build_ld_parameter([LDSummand(pt(inv, "rho_mix2", MINUS), 1), LDSummand(pt(inv, "chi"), 1, 3)], O(5)),
+        # built without the duality check, so the unramified part need not be a sign
+        LDParameter(O(1), (LDSummand(pt(inv, "triv", half), 1),)),
+        LDParameter(O(2), (LDSummand(pt(inv, "triv", half), 1, 2),)),
+        LDParameter(O(2), (LDSummand(pt(inv, "alpha", f), 1), LDSummand(pt(inv, "chi", half), 1))),
+        LDParameter(O(1), (LDSummand(pt(inv, "beta"), 1),)),
+    ]
+    seen = set()
+    for phi, phi0 in itertools.product(phis, repeat=2):
+        expected = outcome(reference_det_discrepancy, phi, phi0)
+        seen.add(expected[1] if expected[0] == "value" else "not a sign" if "sign" in expected[1] else "no cancel")
+        phi, phi0 = fresh(phi), fresh(phi0)
+        for _ in range(2):  # cold, then warm
+            assert outcome(det_discrepancy, phi, phi0) == expected
+    # both signs, an orbit that does not cancel, and a discrepancy that is not a sign
+    assert seen == {1, -1, "no cancel", "not a sign"}
+
+
 def test_parameter_json_round_trip(extended_inventory):
     inv = extended_inventory
     phi = so5_example(inv)
@@ -376,20 +453,13 @@ def test_staircase_view_matches_the_grouping_it_replaced(extended_inventory):
     ambients = [*verify._classical_ambients(8), *(U(n) for n in range(1, 7))]
     phis = [phi for ambient in ambients for phi in discrete_parameters(inv, ambient)]
     half = UnitMonomial.of(0, Fraction(1, 2))
-    triv, chi, u = (LDSummand(pt(inv, label), 1) for label in ("triv", "chi", "u"))
+    chi = LDSummand(pt(inv, "chi"), 1)
     others = [
         # a point that is not a sign: the shape test says no, t_invariants cannot type it
         ([LDSummand(pt(inv, "triv", half), 1), LDSummand(pt(inv, "triv", half.inverse()), 1), chi], O(3)),
         ([LDSummand(pt(inv, "alpha"), 1), LDSummand(pt(inv, "beta"), 1)], O(2)),  # a dual pair
         ([LDSummand(pt(inv, "triv"), 1, 2)], O(2)),  # a multiplicity
         ([], O(0)),
-        # tags of the wrong flavour for the ambient: typing raises, unless an
-        # earlier point has already failed the shape test
-        ([triv, u], U(2)),
-        ([LDSummand(pt(inv, "a"), 1, 2), triv], U(5)),
-        ([chi, LDSummand(pt(inv, "triv"), 1, 2)], U(3)),
-        ([u], O(1)),
-        ([LDSummand(pt(inv, "triv"), 1, 2), u], O(3)),
     ]
     phis += [build_ld_parameter(summands, ambient) for summands, ambient in others]
     assert len(phis) > 1000
@@ -416,3 +486,31 @@ def test_staircase_view_matches_the_grouping_it_replaced(extended_inventory):
                 chars[1].append(chars[1][0])  # the next call gets a fresh list
                 params._alternating_characters(phi).clear()
     assert seen == {"value", "ValueError"}
+
+
+def test_a_class_with_type_tags_of_the_wrong_flavour_is_refused(extended_inventory):
+    """Plain tags in a unitary ambient, or conjugate-dual tags elsewhere, are
+    refused when the parameter is built, whichever point sorts first."""
+    inv = Inventory(dict(extended_inventory.classes))
+    CO, CS = DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC
+    inv.add(make_inertial_class("u", 1, 1, SelfDual(CO, CS), "1"))
+    O = functools.partial(DualGroupDescriptor, Family.ORTHOGONAL)
+    U = functools.partial(DualGroupDescriptor, Family.UNITARY_L)
+    triv, chi, u = (LDSummand(pt(inv, label), 1) for label in ("triv", "chi", "u"))
+    plain = "class {!r} has plain type tags, wrong for the unitary_l family"
+    conjugate = "class 'u' has conjugate-dual type tags, wrong for the {} family"
+    cases = [
+        # the five parameters of this kind that the staircase view test once built
+        ([triv, u], U(2), plain.format("triv")),
+        ([LDSummand(pt(inv, "a"), 1, 2), triv], U(5), plain.format("a")),
+        ([chi, LDSummand(pt(inv, "triv"), 1, 2)], U(3), plain.format("chi")),
+        ([u], O(1), conjugate.format("orthogonal")),
+        ([LDSummand(pt(inv, "triv"), 1, 2), u], O(3), conjugate.format("orthogonal")),
+        ([LDSummand(pt(inv, "u"), 1, 2)], DualGroupDescriptor(Family.SYMPLECTIC, 2), conjugate.format("symplectic")),
+    ]
+    for summands, ambient, message in cases:
+        with pytest.raises(ValueError) as err:
+            build_ld_parameter(summands, ambient)
+        assert str(err.value) == message
+    # a dual pair carries no type tags, so any ambient takes it
+    assert build_ld_parameter([LDSummand(pt(inv, "alpha"), 1), LDSummand(pt(inv, "beta"), 1)], U(2)).total_dim == 2
