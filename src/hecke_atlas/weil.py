@@ -88,13 +88,19 @@ def json_value(value, kind: type, path: str | tuple, key: str | None = None):
     raise ValueError(f"{_path_text(path, key)} is not a valid {kind.__name__}: {value!r}")
 
 
+# the largest decimal exponent of a fraction string: CPython's default limit on
+# the digits of an int read from a string
+_MAX_EXPONENT = 4300
+
+
 def _json_fraction(value, path: str | tuple, key: str) -> tuple[int, int]:
     """A JSON int, or a string ``Fraction`` accepts, as ``(numerator, denominator)``
     with a positive denominator; a bad value is a ValueError naming ``path.key``.
 
     A string ``-?digits/digits`` (ASCII digits) is read with ``int`` alone and
-    is not reduced; any other string goes through ``Fraction``.  A bool or a
-    float is refused.
+    is not reduced; any other string goes through ``Fraction`` unless its
+    decimal exponent exceeds ``_MAX_EXPONENT`` in size.  A bool or a float
+    is refused.
     """
     try:
         if type(value) is int:
@@ -105,6 +111,9 @@ def _json_fraction(value, path: str | tuple, key: str) -> tuple[int, int]:
                 d = int(den)
                 if d:
                     return int(num), d
+            e = max(value.rfind("e"), value.rfind("E"))
+            if e >= 0 and abs(int(value[e + 1 :])) > _MAX_EXPONENT:
+                raise ValueError
             f = Fraction(value)
             return f.numerator, f.denominator
     except (ValueError, ZeroDivisionError):
@@ -521,6 +530,10 @@ class Inventory:
                     json_typed(entry.get("det_base", ""), str, at, "det_base"),
                 )
             )
+        for i, cls in enumerate(inv):
+            partner = getattr(cls.duality, "partner_label", None)
+            if partner is not None and partner not in inv.classes:
+                raise ValueError(f"inventory[{i}].duality.partner names no registered class: {partner!r}")
         inv.validate()
         return inv
 

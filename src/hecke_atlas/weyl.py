@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cache, cached_property, total_ordering
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "enumerate_decorations",
 ]
 
-BRUTE_FORCE_CAP = 5
+BRUTE_FORCE_CAP = 6
 
 
 @total_ordering
@@ -196,6 +196,21 @@ class RelativeWeyl:
     def equal(self) -> bool:
         return set(self.cosets) == set(self.even_cosets)
 
+    @cached_property
+    def by_block_perm(self) -> dict[tuple[int, ...], list[tuple[int, SignedPermutation]]]:
+        """The cosets by block permutation ``|img|``, in coset order, each with
+        the bit mask of the blocks it negates."""
+        groups = {}
+        for m in self.cosets:
+            negated = sum(1 << i for i, x in enumerate(m.img) if x < 0)
+            groups.setdefault(tuple(map(abs, m.img)), []).append((negated, m))
+        return groups
+
+    @cached_property
+    def even_imgs(self) -> frozenset[tuple[int, ...]]:
+        """The signed images of the even cosets."""
+        return frozenset([m.img for m in self.even_cosets])
+
 
 def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
     """Normalizer cosets of a Levi, with their even-liftable part.
@@ -243,13 +258,20 @@ def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
     return RelativeWeyl(cosets, even)
 
 
-def _decorated_images(decorations: Sequence[tuple[str, bool]]) -> list[frozenset[int]]:
-    """Per block, the signed images a move may give it and keep the
-    decorations: a block with the same label, negated only if self-dual."""
+def _decorated_cosets(
+    decorations: Sequence[tuple[str, bool]],
+    by_block_perm: dict[tuple[int, ...], list[tuple[int, SignedPermutation]]],
+) -> list[SignedPermutation]:
+    """The cosets that keep the decorations: each block goes to a block with
+    the same label, negated only if that label is self-dual.  The label test
+    runs once per block permutation, the sign test per coset that passes it."""
+    labels = [label for label, _ in decorations]
+    label_at = [None, *labels].__getitem__  # 1-based, as perm is
+    fixed = sum(1 << i for i, (_, self_dual) in enumerate(decorations) if not self_dual)
     out = []
-    for label, self_dual in decorations:
-        same = [j + 1 for j, (other, _) in enumerate(decorations) if other == label]
-        out.append(frozenset(same + [-j for j in same] if self_dual else same))
+    for perm, group in by_block_perm.items():
+        if list(map(label_at, perm)) == labels:
+            out += [m for negated, m in group if not negated & fixed]
     return out
 
 
@@ -291,6 +313,12 @@ def _reflection(root: Sequence[int], r: int) -> SignedPermutation:
         sign = -1 if root[i] == root[j] else 1  # e_i + e_j negates both
         img[i], img[j] = sign * (j + 1), sign * (i + 1)
     return _signed(tuple(img))
+
+
+@cache
+def _reflections(r: int) -> tuple[tuple[tuple[int, ...], SignedPermutation], ...]:
+    """Each positive root with its reflection."""
+    return tuple((root, _reflection(root, r)) for root in _roots(r))
 
 
 def _grow(group: set[SignedPermutation], gens: list[SignedPermutation], g: SignedPermutation) -> None:
@@ -387,18 +415,16 @@ def orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilize
     """
     if levi.decorations is None:
         raise ValueError("decorations required")
-    images = _decorated_images(levi.decorations)
-    q = [m for m in rel.cosets if all(map(frozenset.__contains__, images, m.img))]
+    q = _decorated_cosets(levi.decorations, rel.by_block_perm)
     q.sort(key=SignedPermutation.sort_key)
-    even = {m.img for m in rel.even_cosets}
+    even = rel.even_imgs
     q0 = [m for m in q if m.img in even]
     q0_set = set(q0)
     r = len(levi.composition)
 
     sigma_pos = []
     gens = []
-    for root in _roots(r):
-        s = _reflection(root, r)
+    for root, s in _reflections(r):
         if s in q0_set:
             sigma_pos.append(root)
             gens.append(s)

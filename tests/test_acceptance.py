@@ -152,7 +152,7 @@ def test_support_structure_and_injectivity():
 
 
 def test_over_cap_rank_is_refused_before_any_work(capsys):
-    for suite, rank in (("lemA3", 6), ("lemA4", 6), ("thm26-matrix", 15), ("thm33", 1)):
+    for suite, rank in (("lemA3", 7), ("lemA4", 7), ("thm26-matrix", 15), ("thm33", 1)):
         with Budget(1):
             assert run(["verify", "--suite", suite, "--max-rank", str(rank)]) == 2
         assert capsys.readouterr().out == ""

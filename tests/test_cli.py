@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -253,15 +254,22 @@ def _param_file(tmp_path, edit):
         (lambda d: d["parameter"]["summands"][0]["f"].update(root=0.1), "parameter.summands[0].f.root"),
         (lambda d: d["parameter"]["summands"][0]["f"].update(qexp=True), "parameter.summands[0].f.qexp"),
         (lambda d: d["parameter"]["summands"][0].update({"class": "zzz"}), "parameter.summands[0].class"),
+        (lambda d: d["parameter"]["summands"][0]["f"].update(root="1e300000"), "parameter.summands[0].f.root"),
+        (lambda d: d["parameter"]["summands"][0]["f"].update(qexp="1e999999999"), "parameter.summands[0].f.qexp"),
+        (lambda d: d["inventory"][1]["duality"].update(partner="zzz"), "inventory[1].duality.partner"),
     ],
     ids=[
         "summands_dict", "a_null", "inventory_int", "root_zero_denominator", "a_float", "mult_bool", "dim_string",
         "inventory_missing", "duality_missing", "f_root_missing", "type_plus_bad", "type_minus_bad", "kind_bad",
-        "family_bad", "root_float", "qexp_bool", "class_unknown",
+        "family_bad", "root_float", "qexp_bool", "class_unknown", "root_huge_exponent", "qexp_huge_exponent",
+        "partner_unknown",
     ],
 )
 def test_malformed_param_file_exits_2(tmp_path, capsys, edit, field):
-    assert run(["supports", "--param", str(_param_file(tmp_path, edit))]) == 2
+    path = _param_file(tmp_path, edit)
+    start = time.monotonic()
+    assert run(["supports", "--param", str(path)]) == 2
+    assert time.monotonic() - start <= 1
     err = capsys.readouterr().err
     assert (err.startswith(f"error: {field} ") or err == f"error: {field}\n") and "Traceback" not in err
 
@@ -304,7 +312,8 @@ def test_any_one_node_edit_of_a_param_file_exits_0_or_2(tmp_path, command, data)
 # Reference road for ``test_decoder_matches_the_reference_decoder``: the
 # decoder as it read parameter files before it built error paths lazily and
 # read canonical fractions with int, with a bool or float monomial field
-# refused and an unknown class label a ValueError naming its path.
+# refused, a decimal exponent above 4300 in size refused, and an unknown
+# class label or partner a ValueError naming its path.
 
 
 def ref_typed(value, kind, path):
@@ -326,6 +335,9 @@ def ref_value(value, kind, path):
             raise TypeError
         if kind is Fraction and type(value) not in (int, str):
             raise TypeError
+        if kind is Fraction and type(value) is str and "e" in value.lower():
+            if abs(int(value.lower().rpartition("e")[2])) > 4300:
+                raise ValueError
         return kind(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"{path} is not a valid {kind.__name__}: {value!r}") from None
@@ -364,6 +376,10 @@ def ref_inventory(data):
                 ref_typed(entry.get("det_base", ""), str, f"{path}.det_base"),
             )
         )
+    for i, cls in enumerate(inv):
+        if isinstance(cls.duality, NotSelfDual) and cls.duality.partner_label not in inv:
+            partner = cls.duality.partner_label
+            raise ValueError(f"inventory[{i}].duality.partner names no registered class: {partner!r}")
     inv.validate()
     return inv
 
@@ -413,6 +429,7 @@ def decode_outcome(fn, data):
 FRACTION_STRINGS = [
     " 1/2 ", "+1/2", "-0/3", "1/-2", "2/4", "\u0663/4", "1e-1", "0.25", "1/0", "", "1//2", "3/3",
     "-3/6", "7/2", "-5/10", "00/08", "1", "-2", "\u00b2/4", "1_0/4", "9" * 4301 + "/2",
+    "1e4300", "2E-4300", "1e4301", "1e-4301", "1e+0_1", "1e", "5e 1", "1e\u0663",
 ]
 
 
@@ -515,6 +532,10 @@ def _so_factor_one_larger(*args, factor=hecke.hecke_factor):
     return f if f.family != "SO" or f.extended else dataclasses.replace(f, size=f.size + 1)
 
 
+def _every_label_self_dual(decorations, by_block_perm, decorated_cosets=weyl._decorated_cosets):
+    return decorated_cosets([(label, True) for label, _ in decorations], by_block_perm)
+
+
 # suite -> (module, function, a broken replacement of it); the suite runs at rank 4
 SUITE_MUTATIONS = {
     # every block move liftable by an even element: W0(M) = W(M) on every Levi
@@ -522,6 +543,8 @@ SUITE_MUTATIONS = {
     "lemA4-even-lift": ("lemA4", weyl, "_min_lift_parity", lambda move, levi: 0),
     # a reflection part that is only the identity: the splitting check must fail
     "lemA4-closure": ("lemA4", weyl, "_closure", lambda generators, r: {weyl.SignedPermutation.identity(r)}),
+    # every label taken as self-dual: an odd block with a non-self-dual label gains its negation
+    "lemA4-decorations": ("lemA4", weyl, "_decorated_cosets", _every_label_self_dual),
     # every support keeps its number of characters, but they all coincide
     "thm16-epsilons": ("thm16", support, "_epsilons", _first_epsilon_repeated),
     # the derived unequal-parameter factors grow by one

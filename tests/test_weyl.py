@@ -32,7 +32,7 @@ def test_group_sizes():
 
 def test_cap():
     with pytest.raises(ValueError):
-        weyl_group(6)
+        weyl_group(7)
 
 
 def test_multiplication_and_inverse():
@@ -281,3 +281,38 @@ def test_normality_check_on_generators_can_fail():
     st = orbit_stabilizers(levi, RelativeWeyl(tuple(b2), (one, s_e1)))
     assert st.reflection_part == tuple(sorted({one, s_e1}))
     assert not st.semidirect_ok and st.counterexample == bad
+
+
+def _reference_decorated(levi, rel):
+    """The per-coset decoration filter the stabilizer was first built with:
+    each block's signed image must lie in its set of allowed images, a block
+    with the same label, negated only if self-dual."""
+    images = []
+    for label, self_dual in levi.decorations:
+        same = [j + 1 for j, (other, _) in enumerate(levi.decorations) if other == label]
+        images.append(frozenset(same + [-j for j in same] if self_dual else same))
+    q = [m for m in rel.cosets if all(map(frozenset.__contains__, images, m.img))]
+    q.sort(key=SignedPermutation.sort_key)
+    even = {m.img for m in rel.even_cosets}
+    return q, [m for m in q if m.img in even]
+
+
+def test_decoration_filter_matches_the_per_coset_reference():
+    cases = []
+    for n in range(1, 6):
+        for levi in enumerate_levis(n):
+            if levi.composition:
+                rel = relative_weyl(levi, n)
+                cases += [(dec, rel) for dec in enumerate_decorations(levi)]
+    b2 = sorted(weyl_group(2))
+    one, s_e1 = SignedPermutation.identity(2), SignedPermutation((0, 1), (-1, 1))
+    # the hand-built group above, and the same with its cosets out of order
+    for cosets in (tuple(b2), tuple(reversed(b2))):
+        hand_built = RelativeWeyl(cosets, (one, s_e1))
+        cases += [(dec, hand_built) for dec in enumerate_decorations(LeviDescriptor((1, 1), 0))]
+    assert len(cases) == 862 + 2 * 6  # lemA4's cases up to rank 5, and six per hand-built group
+    for dec, rel in cases:
+        st = orbit_stabilizers(dec, rel)
+        q, q0 = _reference_decorated(dec, rel)
+        assert [m.img for m in st.group] == [m.img for m in q]
+        assert [m.img for m in st.even_group] == [m.img for m in q0]
