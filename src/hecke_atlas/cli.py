@@ -24,17 +24,17 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Sequence
 
-from .hecke import factor_to_json_dict, hecke_descriptor, specialize, sp_normalization
+from .hecke import HeckeFactor, factor_to_json_dict, hecke_descriptor, specialize, sp_normalization
 from .params import (
+    LDParameter,
     discrete_parameters,
     is_supercuspidal_shape,
     normed_parameter,
     parameter_from_json_dict,
-    parameter_to_json_dict,
 )
-from .support import _character_members, _support_members, cuspidal_pairs, supports
+from .support import SupportDatum, cuspidal_pairs, supports
 from .verify import SUITES, run_suite, standard_inventory  # standard_inventory: re-exported
-from .weil import DualGroupDescriptor, Family, Inventory, json_field, json_typed
+from .weil import DualGroupDescriptor, Family, Inventory, half_integer_str, json_field, json_typed
 
 GROUP_AMBIENTS = {
     "sp": lambda n: DualGroupDescriptor(Family.ORTHOGONAL, 2 * n + 1),
@@ -56,18 +56,14 @@ def _json_text(value, indent: str = "") -> str:
     """
     inner = indent + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         parts = [
             f"{_quote(k)}: {_quote(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner)}"
             for k, v in value.items()
         ]
-        return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}}}"
+        return _container(parts, indent, "{}")
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
         parts = [_quote(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner) for v in value]
-        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}]"
+        return _container(parts, indent, "[]")
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -79,6 +75,55 @@ def _json_text(value, indent: str = "") -> str:
     if isinstance(value, int):  # an int subclass (IntEnum) prints as its value, as in json
         return int.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _container(parts: list[str], indent: str, brackets: str) -> str:
+    """The JSON container ``brackets`` of the written ``parts``, nested ``indent`` deep."""
+    if not parts:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}{brackets[1]}"
+
+
+# The writers below return ``_json_text`` of a reference dict, written straight
+# from the record; tests pin each to ``json.dumps`` of its reference dict.
+
+
+def _ambient_text(ambient: DualGroupDescriptor, indent: str) -> str:
+    """``_json_text({"family": ambient.family.value, "dim": ambient.ambient_dim}, indent)``."""
+    i1 = indent + "  "
+    return f'{{\n{i1}"family": {_quote(ambient.family.value)},\n{i1}"dim": {ambient.ambient_dim!r}\n{indent}}}'
+
+
+def _parameter_text(phi: LDParameter, indent: str) -> str:
+    """``_json_text(parameter_to_json_dict(phi), indent)``."""
+    i1, i2, i3, i4 = (indent + "  " * k for k in range(1, 5))
+    summands = [
+        f'{{\n{i3}"class": {_quote(s.point.cls.label)},\n{i3}"f": {{\n{i4}"root": "{s.point.f.rn}/{s.point.f.d}",'
+        f'\n{i4}"qexp": "{s.point.f.e2}/2"\n{i3}}},\n{i3}"a": {s.sl2_dim!r},\n{i3}"mult": {s.multiplicity!r}\n{i2}}}'
+        for s in phi.summands
+    ]
+    return (
+        f'{{\n{i1}"ambient": {_ambient_text(phi.ambient, i1)},'
+        f'\n{i1}"summands": {_container(summands, i1, "[]")}\n{indent}}}'
+    )
+
+
+def _support_datum_text(S: SupportDatum, indent: str) -> str:
+    """``_json_text({label: list(pair) for label, pair in S.entries}, indent)``."""
+    i1, i2 = indent + "  ", indent + "    "
+    entries = [f"{_quote(label)}: [\n{i2}{a!r},\n{i2}{b!r}\n{i1}]" for label, (a, b) in S.entries]
+    return _container(entries, indent, "{}")
+
+
+def _factor_text(label: str, f: HeckeFactor) -> str:
+    """``_json_text({"orbit": label, **factor_to_json_dict(f)}, "      ")``."""
+    return (
+        f'{{\n        "orbit": {_quote(label)},\n        "family": {_quote(f.family)},\n        "size": {f.size!r},'
+        f'\n        "extended": {"true" if f.extended else "false"},\n        "t": {f.t!r},'
+        f'\n        "internal": "{half_integer_str(f.internal)}",\n        "endLong": "{half_integer_str(f.end_long)}",'
+        f'\n        "endShort": "{half_integer_str(f.end_short)}"\n      }}'
+    )
 
 
 def _write(text: str, path: str | None = None) -> None:
@@ -114,50 +159,48 @@ def _cmd_enumerate(args) -> int:
     params = discrete_parameters(inventory, ambient)
     if args.cuspidal:
         params = [phi for phi in params if is_supercuspidal_shape(phi)]
-    payload = {
-        "group": args.group,
-        "rank": args.rank,
-        "ambient": {"family": ambient.family.value, "dim": ambient.ambient_dim},
-        "parameters": [parameter_to_json_dict(p) for p in params],
-    }
-    _emit(payload, args.out)
+    # _emit({"group", "rank", "ambient", "parameters": [parameter_to_json_dict(p) ...]})
+    entries = [_parameter_text(phi, "    ") for phi in params]
+    _write(
+        f'{{\n  "group": {_quote(args.group)},\n  "rank": {args.rank!r},\n  "ambient": {_ambient_text(ambient, "  ")},'
+        f'\n  "parameters": {_container(entries, "  ", "[]")}\n}}\n',
+        args.out,
+    )
     return 0
 
 
 def _cmd_supports(args) -> int:
-    # _emit([support_to_json_dict(p) ...]), with a support's shared members encoded once
+    # _emit([support_to_json_dict(p) ...]), with a support's shared members written once
     phi0 = _load_param_file(args.param)
     items = []
     for _, group in itertools.groupby(cuspidal_pairs(phi0), key=attrgetter("S")):
         group = list(group)
-        shared = _member_texts(_support_members(group[0]))
+        p, levi = group[0], group[0].levi
+        gl = [f"[\n          {d!r},\n          {m!r}\n        ]" for d, m in levi.gl_factors]
+        shared = (
+            f'{{\n    "S": {_support_datum_text(p.S, "    ")},\n    "phiS": {_parameter_text(p.phi_S, "    ")},'
+            f'\n    "LS": {p.L_S!r},\n    "lS": {p.l_S!r},\n    "dS": "{"+" if p.d_S == 1 else "-"}",'
+            f'\n    "levi": {{\n      "gl": {_container(gl, "      ", "[]")},\n      "tail": {{'
+            f'\n        "family": {_quote(levi.tail.family.value)},\n        "dim": {levi.tail.ambient_dim!r},'
+            f'\n        "rank": {levi.tail_rank!r}\n      }}\n    }},\n    "epsilon": '
+        )
         for p in group:
-            members = shared + _member_texts(_character_members(p))
-            items.append("{\n    " + ",\n    ".join(members) + "\n  }")
-    _write("[\n  " + ",\n  ".join(items) + "\n]\n" if items else "[]\n")
+            epsilon = _container([f"{_quote(gen)}: {v!r}" for gen, v in p.epsilon.values], "    ", "{}")
+            items.append(f'{shared}{epsilon},\n    "epsZ": {p.eps_Z!r}\n  }}')
+    _write(_container(items, "", "[]") + "\n")
     return 0
 
 
-def _member_texts(members: dict) -> list[str]:
-    """The members of a dict in the top-level list, as ``_json_text`` writes them."""
-    return [_quote(k) + ": " + _json_text(v, "    ") for k, v in members.items()]
-
-
 def _cmd_hecke(args) -> int:
+    # _emit([{"S": ..., "factors": [{"orbit": label, **factor_to_json_dict(sp_normalization(f))} ...]} ...])
     phi0 = _load_param_file(args.param)
-    out = []
+    items = []
     for S in supports(phi0):
-        desc = hecke_descriptor(phi0, S)
-        out.append(
-            {
-                "S": {label: list(pair) for label, pair in S.entries},
-                "factors": [
-                    {"orbit": label, **factor_to_json_dict(sp_normalization(f))}
-                    for label, f in desc.factors
-                ],
-            }
+        factors = [_factor_text(label, sp_normalization(f)) for label, f in hecke_descriptor(phi0, S).factors]
+        items.append(
+            f'{{\n    "S": {_support_datum_text(S, "    ")},\n    "factors": {_container(factors, "    ", "[]")}\n  }}'
         )
-    _emit(out)
+    _write(_container(items, "", "[]") + "\n")
     return 0
 
 

@@ -228,11 +228,6 @@ def injectivity_report(pairs: Sequence[CuspidalSupport]) -> dict:
 
 
 def support_to_json_dict(p: CuspidalSupport) -> dict:
-    return _support_members(p) | _character_members(p)
-
-
-def _support_members(p: CuspidalSupport) -> dict:
-    """The members of ``support_to_json_dict`` shared by all characters of a support."""
     return {
         "S": {label: list(pair) for label, pair in p.S.entries},
         "phiS": parameter_to_json_dict(p.phi_S),
@@ -243,8 +238,6 @@ def _support_members(p: CuspidalSupport) -> dict:
             "gl": [list(f) for f in p.levi.gl_factors],
             "tail": {"family": p.levi.tail.family.value, "dim": p.levi.tail.ambient_dim, "rank": p.levi.tail_rank},
         },
+        "epsilon": {gen: v for gen, v in p.epsilon.values},
+        "epsZ": p.eps_Z,
     }
-
-
-def _character_members(p: CuspidalSupport) -> dict:
-    return {"epsilon": {gen: v for gen, v in p.epsilon.values}, "epsZ": p.eps_Z}

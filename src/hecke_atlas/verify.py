@@ -81,8 +81,12 @@ def normed_corpus(inventory: Inventory, max_ambient_dim: int):
     out = []
     for ambient in _classical_ambients(max_ambient_dim):
         n = ambient.ambient_dim
+        conjugate = ambient.family is Family.UNITARY_L
         slots = []  # per orbit: (dimension, summands) for each multiplicity m
         for points in orbits:
+            cls = points[0].cls
+            if cls.is_self_dual and cls.duality.type_at_plus.conjugate_flavour != conjugate:
+                continue  # type tags of the wrong flavour for the ambient, as in discrete_parameters
             d = sum(p.cls.dim for p in points)
             slots.append(
                 [(m * d, [LDSummand(p, 1, m) for p in points if m]) for m in range(n // d + 1)]

@@ -12,7 +12,7 @@ from hecke_atlas.weil import (
     make_inertial_class,
 )
 
-# ``--hypothesis-profile=ci``: the parameter-file fuzz tests of tests/test_cli.py
+# ``--hypothesis-profile=ci``: the parameter-file and record-writer fuzz tests of tests/test_cli.py
 # take max(150, max_examples) examples, so this runs them at five times their
 # local count
 settings.register_profile("ci", max_examples=750)

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hecke_atlas import centralizer, hecke, support, verify, weyl
-from hecke_atlas.cli import _emit, run
+from hecke_atlas import centralizer, hecke, params, support, verify, weyl
+from hecke_atlas.cli import GROUP_AMBIENTS, _emit, run
 from hecke_atlas.hecke import derived_rows, factor_to_json_dict, hecke_descriptor, sp_normalization
 from hecke_atlas.params import (
     LDSummand,
     build_ld_parameter,
     discrete_parameters,
+    is_supercuspidal_shape,
     parameter_from_json_dict,
     parameter_to_json_dict,
 )
@@ -289,7 +290,7 @@ _JSON_VALUES = st.recursive(
 )
 
 
-# decoder fuzzing: 150 examples locally; the ``ci`` profile (tests/conftest.py) asks for more
+# decoder and writer fuzzing: 150 examples locally; the ``ci`` profile (tests/conftest.py) asks for more
 FUZZ_EXAMPLES = max(150, settings.default.max_examples)
 
 
@@ -497,6 +498,20 @@ def test_normed_corpus_is_normed():
         assert phi.total_dim == phi.ambient.ambient_dim
 
 
+def _inventory_with_a_unitary_class():
+    inv = standard_inventory()
+    co, cs = DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC
+    inv.add(make_inertial_class("u1", 1, 1, SelfDual(co, cs), "u1"))
+    inv.validate()
+    return inv
+
+
+def test_normed_corpus_skips_classes_of_the_wrong_flavour():
+    """A conjugate-dual class has no place in an orthogonal or symplectic
+    ambient, so it adds nothing to the corpus, as in discrete_parameters."""
+    assert normed_corpus(_inventory_with_a_unitary_class(), 6) == normed_corpus(standard_inventory(), 6)
+
+
 def _wrong_power(a, e):
     return [[v + 1 for v in row] for row in a]
 
@@ -532,6 +547,14 @@ def _so_factor_one_larger(*args, factor=hecke.hecke_factor):
     return f if f.family != "SO" or f.extended else dataclasses.replace(f, size=f.size + 1)
 
 
+def _fixed_sign_negated(depth, of_type, fixed_block_sign=params._fixed_block_sign):
+    return -fixed_block_sign(depth, of_type)
+
+
+def _buckets_flipped(kind, rank, table=hecke.specialize):
+    return [dataclasses.replace(row, bucket=-row.bucket) for row in table(kind, rank)]
+
+
 def _every_label_self_dual(decorations, by_block_perm, decorated_cosets=weyl._decorated_cosets):
     return decorated_cosets([(label, True) for label, _ in decorations], by_block_perm)
 
@@ -545,6 +568,10 @@ SUITE_MUTATIONS = {
     "lemA4-closure": ("lemA4", weyl, "_closure", lambda generators, r: {weyl.SignedPermutation.identity(r)}),
     # every label taken as self-dual: an odd block with a non-self-dual label gains its negation
     "lemA4-decorations": ("lemA4", weyl, "_decorated_cosets", _every_label_self_dual),
+    # the forced sign of every staircase flips: the closed form routes its count to the other form
+    "thm11-fixed-sign": ("thm11", params, "_fixed_block_sign", _fixed_sign_negated),
+    # every row of the so-odd table routes to the other sign bucket
+    "thm31-bucket": ("thm31", verify, "specialize", _buckets_flipped),
     # every support keeps its number of characters, but they all coincide
     "thm16-epsilons": ("thm16", support, "_epsilons", _first_epsilon_repeated),
     # the derived unequal-parameter factors grow by one
@@ -625,31 +652,106 @@ def test_param_file_is_read_as_utf8_whatever_the_locale(tmp_path, command, src_e
     assert stdout["0"] == stdout["1"] and b'"rho_mix\\u00e9"' in stdout["0"]
 
 
+def reference_supports_and_hecke(phi0):
+    """What ``supports`` and ``hecke`` print for a normed ``phi0``: ``json.dumps``
+    of the reference dicts."""
+    hecke = [
+        {
+            "S": {label: list(pair) for label, pair in S.entries},
+            "factors": [
+                {"orbit": label, **factor_to_json_dict(sp_normalization(f))}
+                for label, f in hecke_descriptor(phi0, S).factors
+            ],
+        }
+        for S in supports(phi0)
+    ]
+    pairs = [support_to_json_dict(p) for p in cuspidal_pairs(phi0)]
+    return json.dumps(pairs, indent=2) + "\n", json.dumps(hecke, indent=2) + "\n"
+
+
+def reference_enumerate(inv, group, rank, cuspidal):
+    """What ``enumerate`` writes: ``json.dumps`` of a payload of reference dicts."""
+    ambient = GROUP_AMBIENTS[group](rank)
+    params = [p for p in discrete_parameters(inv, ambient) if not cuspidal or is_supercuspidal_shape(p)]
+    payload = {
+        "group": group,
+        "rank": rank,
+        "ambient": {"family": ambient.family.value, "dim": ambient.ambient_dim},
+        "parameters": [parameter_to_json_dict(p) for p in params],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write_param_file(path, inv, phi0):
+    path.write_text(json.dumps({"inventory": inv.to_json_list(), "parameter": parameter_to_json_dict(phi0)}))
+
+
 def test_supports_and_hecke_write_the_stdlib_text_on_every_small_parameter(tmp_path, capsys):
-    """``supports`` shares each support's encoded members among its
+    """``supports`` writes each support's shared members once for all its
     characters; the text must stay the stdlib's on every shape of the corpus."""
     inv = standard_inventory()
-    corpus = normed_corpus(inv, 6)
+    corpus = normed_corpus(inv, 8)
     path = tmp_path / "p.json"
     several_characters = empty_tail = 0
     for phi0 in corpus:
-        path.write_text(json.dumps({"inventory": inv.to_json_list(), "parameter": parameter_to_json_dict(phi0)}))
-        pairs = cuspidal_pairs(phi0)
+        _write_param_file(path, inv, phi0)
+        expected_supports, expected_hecke = reference_supports_and_hecke(phi0)
         assert run(["supports", "--param", str(path)]) == 0
-        assert capsys.readouterr().out == json.dumps([support_to_json_dict(p) for p in pairs], indent=2) + "\n"
-        hecke = [
-            {
-                "S": {label: list(pair) for label, pair in S.entries},
-                "factors": [
-                    {"orbit": label, **factor_to_json_dict(sp_normalization(f))}
-                    for label, f in hecke_descriptor(phi0, S).factors
-                ],
-            }
-            for S in supports(phi0)
-        ]
+        assert capsys.readouterr().out == expected_supports
         assert run(["hecke", "--param", str(path)]) == 0
-        assert capsys.readouterr().out == json.dumps(hecke, indent=2) + "\n"
+        assert capsys.readouterr().out == expected_hecke
+        pairs = cuspidal_pairs(phi0)
         supports_seen = [p.S for p in pairs]
         several_characters += len(set(supports_seen)) < len(supports_seen)
         empty_tail += any(not p.phi_S.summands for p in pairs)
-    assert (len(corpus), several_characters, empty_tail) == (131, 86, 36)
+    assert (len(corpus), several_characters, empty_tail) == (306, 206, 76)
+
+
+@pytest.mark.parametrize("group", sorted(GROUP_AMBIENTS))
+def test_enumerate_writes_the_stdlib_text(tmp_path, group):
+    """Over the standard inventory the unitary group has no parameter, so the
+    empty list is written too."""
+    inv_path, out = tmp_path / "inv.json", tmp_path / "out.json"
+    for inv in (standard_inventory(), _inventory_with_a_unitary_class()):
+        inv.dump(inv_path)
+        for rank in range(1, 5):
+            for cuspidal in (False, True):
+                argv = ["enumerate", "--group", group, "--rank", str(rank), "--classes", str(inv_path)]
+                assert run([*argv, "--out", str(out)] + ["--cuspidal"] * cuspidal) == 0
+                assert out.read_bytes() == reference_enumerate(inv, group, rank, cuspidal).encode()
+
+
+# seven distinct class labels, each as a JSON file carries it (an escaped
+# surrogate pair reads back as one character)
+class_labels = st.lists(
+    json_text.filter(bool).map(lambda t: json.loads(json.dumps(t))), min_size=7, max_size=7, unique=True
+)
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(labels=class_labels, data=st.data())
+def test_writers_escape_every_class_label_as_the_stdlib_does(tmp_path, capsys, labels, data):
+    """Class labels come from the input files; written into class, orbit, S and
+    character members, each must be escaped as ``json.dumps`` escapes it."""
+    entries = _inventory_with_a_unitary_class().to_json_list()
+    renamed = dict(zip((entry["label"] for entry in entries), labels))
+    for entry in entries:
+        entry["label"] = renamed[entry["label"]]
+        if "partner" in entry["duality"]:
+            entry["duality"]["partner"] = renamed[entry["duality"]["partner"]]
+    inv = Inventory.from_json_list(entries)
+    inv_path, out = tmp_path / "inv.json", tmp_path / "out.json"
+    inv.dump(inv_path)
+    group = data.draw(st.sampled_from(sorted(GROUP_AMBIENTS)), label="group")
+    rank = data.draw(st.integers(1, 3), label="rank")
+    assert run(["enumerate", "--group", group, "--rank", str(rank), "--classes", str(inv_path), "--out", str(out)]) == 0
+    assert out.read_bytes() == reference_enumerate(inv, group, rank, False).encode()
+
+    phi0 = data.draw(st.sampled_from(normed_corpus(inv, 6)), label="parameter")
+    path = tmp_path / "p.json"
+    _write_param_file(path, inv, phi0)
+    expected_supports, expected_hecke = reference_supports_and_hecke(phi0)
+    assert run(["supports", "--param", str(path)]) == 0
+    assert capsys.readouterr().out == expected_supports
+    assert run(["hecke", "--param", str(path)]) == 0
+    assert capsys.readouterr().out == expected_hecke
