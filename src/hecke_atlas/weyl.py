@@ -9,7 +9,9 @@ positivity-preserving complement.
 A signed permutation is one tuple ``img`` of signed images: entry i is
 ``+(j + 1)`` or ``-(j + 1)`` when e_i goes to ``+e_j`` or ``-e_j``.  Products,
 inverses, hashing and equality read that tuple; ``perm`` and ``signs`` are
-views of it.
+views of it.  The group checks of ``orbit_stabilizers`` run on the tuples
+themselves (``_mul``, ``_inverse``), with ``SignedPermutation`` only where it
+reads its input and builds its result.
 
 What stays brute force: ``relative_weyl`` accepts or rejects every element
 of W (every permutation, against the sign vectors that are constant on the
@@ -53,6 +55,9 @@ class SignedPermutation:
     __slots__ = ("img",)
 
     def __init__(self, perm: Sequence[int], signs: Sequence[int]) -> None:
+        perm, signs = tuple(perm), tuple(signs)
+        if sorted(perm) != list(range(len(perm))) or len(signs) != len(perm) or not set(signs) <= {1, -1}:
+            raise ValueError(f"not a signed permutation: perm={perm!r}, signs={signs!r}")
         _set_img(self, tuple([s * (p + 1) for p, s in zip(perm, signs)]))
 
     def __setattr__(self, name: str, *value) -> None:
@@ -72,9 +77,7 @@ class SignedPermutation:
         return tuple([1 if x > 0 else -1 for x in self.img])
 
     def sort_key(self) -> tuple[int, ...]:
-        """``|img|`` then ``img``: the order of ``(perm, signs)``, since for
-        equal ``perm`` the sign -1 gives the smaller signed image."""
-        return tuple(map(abs, self.img)) + self.img
+        return _sort_key(self.img)
 
     def __eq__(self, other):
         if type(other) is not SignedPermutation:
@@ -93,18 +96,10 @@ class SignedPermutation:
         return f"SignedPermutation(perm={self.perm!r}, signs={self.signs!r})"
 
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        # (self*other) acts by other first
-        a = self.img
-        return _signed(tuple([a[x - 1] if x > 0 else -a[-x - 1] for x in other.img]))
+        return _signed(_mul(self.img, other.img))
 
     def inverse(self) -> "SignedPermutation":
-        out = [0] * len(self.img)
-        for i, x in enumerate(self.img, 1):
-            if x > 0:
-                out[x - 1] = i
-            else:
-                out[-x - 1] = -i
-        return _signed(tuple(out))
+        return _signed(_inverse(self.img))
 
     @property
     def is_even(self) -> bool:
@@ -123,6 +118,27 @@ def _signed(img: tuple[int, ...]) -> SignedPermutation:
     m = object.__new__(SignedPermutation)
     _set_img(m, img)
     return m
+
+
+def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The signed images of a*b, which acts by b first."""
+    return tuple([a[x - 1] if x > 0 else -a[-x - 1] for x in b])
+
+
+def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(a)
+    for i, x in enumerate(a, 1):
+        if x > 0:
+            out[x - 1] = i
+        else:
+            out[-x - 1] = -i
+    return tuple(out)
+
+
+def _sort_key(img: tuple[int, ...]) -> tuple[int, ...]:
+    """``|img|`` then ``img``: the order of ``(perm, signs)``, since for
+    equal ``perm`` the sign -1 gives the smaller signed image."""
+    return tuple(map(abs, img)) + img
 
 
 def _check_cap(n: int) -> None:
@@ -194,7 +210,7 @@ class RelativeWeyl:
 
     @property
     def equal(self) -> bool:
-        return set(self.cosets) == set(self.even_cosets)
+        return {m.img for m in self.cosets} == self.even_imgs
 
     @cached_property
     def by_block_perm(self) -> dict[tuple[int, ...], list[tuple[int, SignedPermutation]]]:
@@ -292,17 +308,6 @@ def _roots(r: int) -> list[tuple[int, ...]]:
     return out  # positive roots only
 
 
-def _apply(move: SignedPermutation, root: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(root)
-    for c, x in zip(root, move.img):
-        if c:
-            if x > 0:
-                out[x - 1] += c
-            else:
-                out[-x - 1] -= c
-    return tuple(out)
-
-
 def _reflection(root: Sequence[int], r: int) -> SignedPermutation:
     support = [i for i, c in enumerate(root) if c]
     img = list(range(1, r + 1))
@@ -316,12 +321,16 @@ def _reflection(root: Sequence[int], r: int) -> SignedPermutation:
 
 
 @cache
-def _reflections(r: int) -> tuple[tuple[tuple[int, ...], SignedPermutation], ...]:
-    """Each positive root with its reflection."""
-    return tuple((root, _reflection(root, r)) for root in _roots(r))
+def _reflections(r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each positive root, as its signed coordinates, with the signed images
+    of its reflection.  A root sum of c_i e_i has the signed coordinates
+    ``(i + 1) * c_i`` for its nonzero c_i, in the order of i."""
+    return tuple(
+        (tuple([(i + 1) * c for i, c in enumerate(root) if c]), _reflection(root, r).img) for root in _roots(r)
+    )
 
 
-def _grow(group: set[SignedPermutation], gens: list[SignedPermutation], g: SignedPermutation) -> None:
+def _grow(group: set[tuple[int, ...]], gens: list[tuple[int, ...]], g: tuple[int, ...]) -> None:
     """Extend ``group``, generated by ``gens``, to the group generated by
     ``gens`` and ``g`` (not in ``group``), in place; ``g`` joins ``gens``.
 
@@ -332,20 +341,20 @@ def _grow(group: set[SignedPermutation], gens: list[SignedPermutation], g: Signe
     """
     old = list(group)
     gens.append(g)
-    group.update([h * g for h in old])
+    group.update([_mul(h, g) for h in old])
     reps = [g]
     for x in reps:
         for s in gens:
-            y = x * s
+            y = _mul(x, s)
             if y not in group:
-                group.update([h * y for h in old])
+                group.update([_mul(h, y) for h in old])
                 reps.append(y)
 
 
-def _closure(generators: Iterable[SignedPermutation], r: int) -> set[SignedPermutation]:
+def _closure(generators: Iterable[tuple[int, ...]], r: int) -> set[tuple[int, ...]]:
     """The group generated, one generator at a time."""
-    group = {SignedPermutation.identity(r)}
-    gens: list[SignedPermutation] = []
+    group = {tuple(range(1, r + 1))}
+    gens: list[tuple[int, ...]] = []
     for g in generators:
         if g not in group:
             _grow(group, gens, g)
@@ -353,8 +362,8 @@ def _closure(generators: Iterable[SignedPermutation], r: int) -> set[SignedPermu
 
 
 def _non_normalizing(
-    q: Iterable[SignedPermutation], gens: Sequence[SignedPermutation], group: set[SignedPermutation]
-) -> Optional[SignedPermutation]:
+    q: Iterable[tuple[int, ...]], gens: Sequence[tuple[int, ...]], group: set[tuple[int, ...]]
+) -> Optional[tuple[int, ...]]:
     """The first m of q with m*s*m^-1 outside ``group`` for a generator s of
     it, or None; ``group`` is the group ``gens`` generate.
 
@@ -366,30 +375,43 @@ def _non_normalizing(
     element before the first failing generator lies in the span of passing
     ones and passes too: that generator is the first failing element of q.
     """
-    span: set[SignedPermutation] = set()
-    picked: list[SignedPermutation] = []
+    span: set[tuple[int, ...]] = set()
+    picked: list[tuple[int, ...]] = []
     for m in q:
         if not span:
-            span.add(SignedPermutation.identity(len(m.img)))
+            span.add(tuple(range(1, len(m) + 1)))
         if m in span:
             continue
-        mi = m.inverse()
-        if any(m * s * mi not in group for s in gens):
+        mi = _inverse(m)
+        if any(_mul(_mul(m, s), mi) not in group for s in gens):
             return m
         _grow(span, picked, m)
     return None
 
 
 def _factorizes(
-    target: set[SignedPermutation], w0_o: set[SignedPermutation], complement: Sequence[SignedPermutation]
-) -> tuple[bool, Optional[SignedPermutation]]:
+    target: set[tuple[int, ...]], w0_o: set[tuple[int, ...]], complement: Sequence[tuple[int, ...]]
+) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Whether ``target`` is the set of products x*rho (x in w0_o, rho in the
-    complement), each hit once; if not, an element it misses or overshoots
-    (None when only a repeated product is wrong)."""
-    products = {x * rho for x in w0_o for rho in complement}
+    complement), each hit once; if not, the least element it misses or
+    overshoots (None when only a repeated product is wrong)."""
+    products = {_mul(x, rho) for x in w0_o for rho in complement}
     if products == target and len(products) == len(w0_o) * len(complement):
         return True, None
-    return False, min(products ^ target, default=None)
+    return False, min(products ^ target, key=_sort_key, default=None)
+
+
+def _complement(q: Iterable[tuple[int, ...]], sigma_pos: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """R(O): the moves of q that send each positive root of sigma, given in
+    ``sigma_pos`` as signed coordinates, to a positive root of sigma.
+
+    A move maps signed coordinates as it maps signed images, so the image of
+    a root is ``_mul(m, root)``, with its coordinates in either order.
+    ``sigma_pos`` holds positive roots only, so membership is the positivity
+    test too.
+    """
+    sigma = {*sigma_pos, *[root[::-1] for root in sigma_pos]}
+    return [m for m in q if all(_mul(m, root) in sigma for root in sigma_pos)]
 
 
 @dataclass(frozen=True)
@@ -404,7 +426,7 @@ class OrbitStabilizers:
 
     @property
     def equal(self) -> bool:
-        return set(self.group) == set(self.even_group)
+        return {m.img for m in self.group} == {m.img for m in self.even_group}
 
 
 def orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilizers:
@@ -419,7 +441,8 @@ def orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilize
     q.sort(key=SignedPermutation.sort_key)
     even = rel.even_imgs
     q0 = [m for m in q if m.img in even]
-    q0_set = set(q0)
+    q_imgs = [m.img for m in q]
+    q0_set = {m.img for m in q0}
     r = len(levi.composition)
 
     sigma_pos = []
@@ -429,30 +452,26 @@ def orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilize
             sigma_pos.append(root)
             gens.append(s)
     w0_o = _closure(gens, r)
-
-    # R(O): the moves sending each positive root of sigma to one (sigma_pos
-    # holds positive roots only, so membership is the positivity test too)
-    sigma = set(sigma_pos)
-    complement = [m for m in q if all(_apply(m, root) in sigma for root in sigma_pos)]
+    complement = _complement(q_imgs, sigma_pos)
     even_complement = [m for m in complement if m in q0_set]
 
     # normality of the reflection part, then unique factorization of the
     # stabilizer and of its even part
-    bad = _non_normalizing(q, gens, w0_o)
+    bad = _non_normalizing(q_imgs, gens, w0_o)
     ok = bad is None
     if ok:
-        ok, bad = _factorizes(set(q), w0_o, complement)
+        ok, bad = _factorizes(set(q_imgs), w0_o, complement)
     if ok:
         ok, bad = _factorizes(q0_set, w0_o, even_complement)
 
     return OrbitStabilizers(
         tuple(q),
         tuple(q0),
-        tuple(sorted(w0_o, key=SignedPermutation.sort_key)),
-        tuple(complement),
-        tuple(even_complement),
+        tuple([_signed(x) for x in sorted(w0_o, key=_sort_key)]),
+        tuple([_signed(x) for x in complement]),
+        tuple([_signed(x) for x in even_complement]),
         ok,
-        bad,
+        None if bad is None else _signed(bad),
     )
 
 

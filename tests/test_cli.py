@@ -565,7 +565,9 @@ SUITE_MUTATIONS = {
     "lemA3-even-lift": ("lemA3", weyl, "_min_lift_parity", lambda move, levi: 0),
     "lemA4-even-lift": ("lemA4", weyl, "_min_lift_parity", lambda move, levi: 0),
     # a reflection part that is only the identity: the splitting check must fail
-    "lemA4-closure": ("lemA4", weyl, "_closure", lambda generators, r: {weyl.SignedPermutation.identity(r)}),
+    "lemA4-closure": ("lemA4", weyl, "_closure", lambda generators, r: {tuple(range(1, r + 1))}),
+    # every move kept as a complement element: R(O) overlaps the reflection part
+    "lemA4-complement": ("lemA4", weyl, "_complement", lambda q, sigma_pos: list(q)),
     # every label taken as self-dual: an odd block with a non-self-dual label gains its negation
     "lemA4-decorations": ("lemA4", weyl, "_decorated_cosets", _every_label_self_dual),
     # the forced sign of every staircase flips: the closed form routes its count to the other form

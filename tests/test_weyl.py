@@ -105,6 +105,13 @@ def test_sorting_follows_perm_then_signs(xs):
         assert [(w.perm, w.signs) for w in ordered] == sorted(xs)
 
 
+def test_constructor_refuses_what_is_not_a_signed_permutation():
+    # too few signs, a repeated letter, a sign that is not +-1
+    for perm, signs in (((0, 1), (1,)), ((0, 0), (1, 1)), ((0, 1), (2, 1))):
+        with pytest.raises(ValueError):
+            SignedPermutation(perm, signs)
+
+
 def test_signed_permutations_are_immutable_and_compare_only_with_their_kind():
     w = SignedPermutation((1, 0), (1, -1))
     for name in ("img", "perm", "signs"):
@@ -249,7 +256,7 @@ def test_closure_matches_two_sided_search():
         reflections = [_reflection(root, r) for root in _roots(r)]
         for k in range(len(reflections) + 1):
             for gens in itertools.combinations(reflections, k):
-                closure = {_signed_images(g) for g in _closure(gens, r)}
+                closure = _closure([g.img for g in gens], r)
                 assert closure == _two_sided_closure(gens, r)
 
 
@@ -260,9 +267,10 @@ def test_normality_check_names_the_first_failing_element():
         for q in (sorted(weyl_group(r)), sorted(weyl_group(r, full=False))):
             for k in range(4):
                 for gens in itertools.combinations(reflections, k):
-                    group = _closure(gens, r)
-                    first = next((m for m in q if any(m * s * m.inverse() not in group for s in gens)), None)
-                    assert _non_normalizing(q, gens, group) == first
+                    group = _closure([s.img for s in gens], r)
+                    first = next((m for m in q if any((m * s * m.inverse()).img not in group for s in gens)), None)
+                    found = _non_normalizing([m.img for m in q], [s.img for s in gens], group)
+                    assert found == (None if first is None else first.img)
 
 
 def test_normality_check_on_generators_can_fail():
@@ -270,11 +278,12 @@ def test_normality_check_on_generators_can_fail():
     one = SignedPermutation.identity(2)
     # <s_{e1}> is not normal in B2: the swap conjugates it to <s_{e2}>
     s_e1 = SignedPermutation((0, 1), (-1, 1))
-    bad = _non_normalizing(b2, [s_e1], {one, s_e1})
+    bad_img = _non_normalizing([m.img for m in b2], [s_e1.img], {one.img, s_e1.img})
+    bad = next((m for m in b2 if m.img == bad_img), None)
     assert bad is not None and bad * s_e1 * bad.inverse() not in {one, s_e1}
     # W(D2) = <s_{e1-e2}, s_{e1+e2}> is normal in B2
-    d2_gens = [SignedPermutation((1, 0), (1, 1)), SignedPermutation((1, 0), (-1, -1))]
-    assert _non_normalizing(b2, d2_gens, _closure(d2_gens, 2)) is None
+    d2_gens = [SignedPermutation((1, 0), (1, 1)).img, SignedPermutation((1, 0), (-1, -1)).img]
+    assert _non_normalizing([m.img for m in b2], d2_gens, _closure(d2_gens, 2)) is None
 
     # a hand-built relative Weyl group whose even part is only <s_{e1}>
     levi = LeviDescriptor((1, 1), 0, (("rho", True), ("rho", True)))
@@ -316,3 +325,73 @@ def test_decoration_filter_matches_the_per_coset_reference():
         q, q0 = _reference_decorated(dec, rel)
         assert [m.img for m in st.group] == [m.img for m in q]
         assert [m.img for m in st.even_group] == [m.img for m in q0]
+
+
+def _reflection_of(root):
+    """s(v) = v - 2 (v.root) / (root.root) root, on each basis vector."""
+    norm = sum(c * c for c in root)
+    perm, signs = [], []
+    for k in range(len(root)):
+        image = [int(i == k) - 2 * root[k] * c // norm for i, c in enumerate(root)]
+        (j,) = [i for i, c in enumerate(image) if c]
+        perm.append(j)
+        signs.append(image[j])
+    return SignedPermutation(perm, signs)
+
+
+def _moved_root(m, root):
+    out = [0] * len(root)
+    for i, c in enumerate(root):
+        out[m.perm[i]] += m.signs[i] * c
+    return tuple(out)
+
+
+def test_stabilizer_parts_match_an_independent_reference():
+    # the lemA4 reports carry only `equal` and `semidirect`, so the parts are
+    # checked here: roots as vectors, reflections from their formula, the
+    # two-sided closure, and products on (perm, signs) pairs
+    cases = []
+    for n in range(1, 5):
+        for levi in enumerate_levis(n):
+            if levi.composition:
+                rel = relative_weyl(levi, n)
+                cases += [(dec, rel) for dec in enumerate_decorations(levi)]
+    assert len(cases) == 226
+    # the hand-built group whose reflection part is not normal
+    b2 = sorted(weyl_group(2))
+    hand_built = RelativeWeyl(tuple(b2), (SignedPermutation.identity(2), SignedPermutation((0, 1), (-1, 1))))
+    cases += [(dec, hand_built) for dec in enumerate_decorations(LeviDescriptor((1, 1), 0))]
+
+    def pair(m):
+        return m.perm, m.signs
+
+    splittings = set()
+    for dec, rel in cases:
+        st = orbit_stabilizers(dec, rel)
+        r = len(dec.composition)
+        positive = [
+            v for v in itertools.product((-1, 0, 1), repeat=r) if sum(map(abs, v)) in (1, 2) and max(v, key=abs) == 1
+        ]
+        sigma_pos = [root for root in positive if _reflection_of(root) in st.even_group]
+        gens = [_reflection_of(root) for root in sigma_pos]
+        w0_o = _two_sided_closure(gens, r)
+        assert {m.img for m in st.reflection_part} == w0_o and len(st.reflection_part) == len(w0_o)
+        assert [pair(m) for m in st.reflection_part] == sorted(map(pair, st.reflection_part))
+
+        def preserves(m):
+            return all(_moved_root(m, root) in sigma_pos for root in sigma_pos)
+
+        assert st.complement == tuple(m for m in st.group if preserves(m))
+        assert st.even_complement == tuple(m for m in st.even_group if preserves(m))
+
+        w0 = set(map(pair, st.reflection_part))
+        normal = all(_ref_mul(_ref_mul(pair(m), pair(s)), _ref_inverse(pair(m))) in w0 for m in st.group for s in gens)
+
+        def splits(target, complement):
+            products = [_ref_mul(x, pair(rho)) for x in w0 for rho in complement]
+            return set(products) == set(map(pair, target)) and len(set(products)) == len(products)
+
+        ok = normal and splits(st.group, st.complement) and splits(st.even_group, st.even_complement)
+        assert st.semidirect_ok == ok
+        splittings.add(ok)
+    assert splittings == {True, False}
