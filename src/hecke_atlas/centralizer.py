@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from . import CheckError
@@ -46,6 +47,8 @@ __all__ = [
     "parameter_to_triple",
     "triple_to_parameter",
     "component_group_of_triple",
+    "CheckedBlocks",
+    "check_matrices",
     "realize_matrices",
     "triple_to_json_dict",
 ]
@@ -131,7 +134,7 @@ class SemisimpleClassDescriptor:
             merged: dict[UnitMonomial, int] = {}
             for x, m in raw[label]:
                 merged[x] = merged.get(x, 0) + m
-            blocks.append((label, tuple(sorted(merged.items()))))
+            blocks.append((label, tuple(sorted(merged.items(), key=itemgetter(0)))))
         return SemisimpleClassDescriptor(tuple(blocks))
 
 
@@ -314,7 +317,7 @@ def _jordan_data(
             continue  # the partner side of a dual pair mirrors the representative side
         a, x = s.sl2_dim, s.point.f
         raw_s[label].extend((y, s.multiplicity) for y in _ladder(x, a))
-        if cls.is_self_dual and x != _canonical_value(x):
+        if cls.is_self_dual and not x.is_sign and x != _canonical_value(x):
             continue  # the inverse value carries the same parts
         raw_u.setdefault((label, x), []).extend([a] * s.multiplicity)
 
@@ -495,18 +498,34 @@ def _transpose(a: Matrix) -> Matrix:
     return [list(row) for row in zip(*a)]
 
 
+# a building block of the oracle, built once per shape and shared: a tuple of
+# tuples, never mutated, and no check result
+Block = tuple[tuple[int, ...], ...]
+
+
 @functools.cache
-def _unipotent(a: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """t! exp(N) for the nilpotent Jordan block N of size a <= t + 1: the
-    integer t!/(j-i)! at (i, j) on and above the diagonal.  Built once per
-    (a, t) and shared, hence a tuple: it is a building block, no check."""
-    return tuple(
-        tuple(math.factorial(t) // math.factorial(j - i) if j >= i else 0 for j in range(a))
-        for i in range(a)
-    )
+def _unipotent(a: int, t: int, k: int) -> Block:
+    """kron(t! exp(N), I_k) for the nilpotent Jordan block N of size
+    a <= t + 1: t! exp(N) is the integer t!/(j-i)! at (i, j) on and above
+    the diagonal."""
+    u_a = [[math.factorial(t) // math.factorial(j - i) if j >= i else 0 for j in range(a)] for i in range(a)]
+    return tuple(map(tuple, _kron(u_a, _diagonal([1] * k))))
 
 
-def _assemble(blocks: Sequence[Matrix], den: int) -> list[list[Fraction | int]]:
+@functools.cache
+def _gram(a: int, k: int, tag: DualityType) -> Block:
+    """kron(g_a, g_k): g_a has the signs (-1)**i on the antidiagonal, g_k is
+    the identity for an orthogonal tag and the standard alternating form
+    (1 above the middle of the antidiagonal, -1 below) for a symplectic one."""
+    g_a = [[(-1) ** i if i + j == a - 1 else 0 for j in range(a)] for i in range(a)]
+    if tag is DualityType.ORTHOGONAL:
+        g_k = _diagonal([1] * k)
+    else:
+        g_k = [[(1 if i < k // 2 else -1) if i + j == k - 1 else 0 for j in range(k)] for i in range(k)]
+    return tuple(map(tuple, _kron(g_a, g_k)))
+
+
+def _assemble(blocks: Sequence[Matrix | Block], den: int) -> list[list[Fraction | int]]:
     """The block-diagonal matrix of ``blocks`` over ``den``, with one
     ``Fraction`` per distinct value and ``0`` for zero."""
     value = {v: Fraction(v, den) if v else 0 for v in {v for b in blocks for row in b for v in row}}
@@ -526,12 +545,25 @@ def _assemble(blocks: Sequence[Matrix], den: int) -> list[list[Fraction | int]]:
 # the matrix oracle's value of q: a square, so half-integral q-powers stay rational
 SQRT_Q = 2
 Q = SQRT_Q * SQRT_Q
-MATRIX_DIM_CAP = 14  # largest ambient dimension the matrix oracle takes
+MATRIX_DIM_CAP = 16  # largest ambient dimension the matrix oracle takes
 
 
-def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]:
-    """Exact block matrices (s, u, gram) witnessing the q-scaling relation
-    at q = ``Q``.
+@dataclass(frozen=True)
+class CheckedBlocks:
+    """The summand blocks of s, u and the Gram matrix G, one per summand:
+    s = diag(``s_diag``) / ``s_den``, u = U / ``u_den`` with U block
+    diagonal on ``u_blocks``, and G block diagonal on ``g_blocks``."""
+
+    s_diag: list[int]
+    s_den: int
+    u_blocks: list[Block]
+    u_den: int
+    g_blocks: list[Block]
+
+
+def check_matrices(phi: LDParameter) -> CheckedBlocks:
+    """Check, block by block, exact matrices (s, u, gram) witnessing the
+    q-scaling relation at q = ``Q``, and return the checked blocks.
 
     With t the largest SL2 dimension minus one, s = S / SQRT_Q**t,
     s**-1 = T / SQRT_Q**t and u = U / t! for integer matrices S, T and U;
@@ -540,24 +572,30 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
     or alternating as the ambient family requires (the independent check of
     the tensor type rule).  S is diagonal and U and G are block diagonal,
     one block per summand, so each check holds on the whole matrices
-    exactly when it holds on every block, and it runs on each block as the
-    block is built.  The checks are cross-multiplied by the denominators:
-    ``S U T`` and ``S^T G S`` are row and column scalings of U and G, while
-    ``U^T G U`` and ``U**Q`` (by repeated squaring) are sparse integer
-    products.  The returned entries are ``Fraction``s, with ``0`` for zero.
+    exactly when it holds on every block: all four checks run on every
+    block of every call, and no matrix is assembled.  The checks are
+    cross-multiplied by the denominators: ``S U T`` and ``S^T G S`` are row
+    and column scalings of U and G, while ``U^T G U`` and ``U**Q`` (by
+    repeated squaring) are sparse integer products.  A block of U or G
+    depends only on its shape, so each is built once per process and
+    shared, as a tuple of tuples; the diagonal of S reads ``SQRT_Q`` on
+    every call.  Raises ``ValueError`` on an ambient above
+    ``MATRIX_DIM_CAP``, a unitary ambient, a summand off the self-dual sign
+    points, or an odd-dimensional symplectic representation.
     """
     if phi.ambient.ambient_dim > MATRIX_DIM_CAP:
         raise ValueError(f"matrix oracle capped at ambient dimension {MATRIX_DIM_CAP}")
     if phi.ambient.family is Family.UNITARY_L:
         raise ValueError("matrix oracle covers the classical ambients only")
     if not phi.summands:
-        return [], [], []
+        return CheckedBlocks([], 1, [], 1, [])
 
     t = max(summand.sl2_dim for summand in phi.summands) - 1
     s_den, u_den = SQRT_Q**t, math.factorial(t)
+    form_sign = 1 if phi.ambient.family is Family.ORTHOGONAL else -1
     s_diag: list[int] = []
-    u_blocks: list[Matrix] = []
-    g_blocks: list[Matrix] = []
+    u_blocks: list[Block] = []
+    g_blocks: list[Block] = []
     for summand in phi.summands:
         cls = summand.point.cls
         a = summand.sl2_dim
@@ -568,24 +606,15 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
         f = summand.point.f.sign
         tag = cls.duality.type_at_plus if f == 1 else cls.duality.type_at_minus
         k = cls.dim * summand.multiplicity
-        # the ladder f q**((a-1)/2 - j), times SQRT_Q**t, each value k times
-        s_b = [f * SQRT_Q ** (t + a - 1 - 2 * j) for j in range(a) for _ in range(k)]
-        g_a = [[0] * a for _ in range(a)]
-        for i in range(a):
-            g_a[i][a - 1 - i] = (-1) ** i
-        ident_k = _diagonal([1] * k)
-        if tag is DualityType.ORTHOGONAL:
-            g_k = ident_k
-        elif tag is DualityType.SYMPLECTIC:
+        if tag is DualityType.SYMPLECTIC:
             if k % 2 != 0:
                 raise ValueError("symplectic representation dimension must be even")
-            g_k = [[0] * k for _ in range(k)]
-            for i in range(k):
-                g_k[i][k - 1 - i] = 1 if i < k // 2 else -1
-        else:  # pragma: no cover - unitary ambients rejected earlier
+        elif tag is not DualityType.ORTHOGONAL:  # pragma: no cover - unitary ambients rejected earlier
             raise ValueError("conjugate-dual tags have no classical Gram form")
-        u_b = _kron(_unipotent(a, t), ident_k)
-        g_b = _kron(g_a, g_k)
+        # the ladder f q**((a-1)/2 - j), times SQRT_Q**t, each value k times
+        s_b = [f * SQRT_Q ** (t + a - 1 - 2 * j) for j in range(a) for _ in range(k)]
+        u_b = _unipotent(a, t, k)
+        g_b = _gram(a, k, tag)
 
         # s**-1 is the diagonal T = s_den**2 / S
         t_b = [s_den * s_den // v for v in s_b]
@@ -599,19 +628,28 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
         if _mat_mul(_mat_mul(_transpose(u_b), g_b), u_b) != _scaled(g_b, u_den * u_den):
             raise CheckError("Gram form not preserved")
 
-        gt = _transpose(g_b)
-        if phi.ambient.family is Family.ORTHOGONAL:
-            if gt != g_b:
-                raise CheckError("expected a symmetric form")
-        elif gt != _scaled(g_b, -1):
-            raise CheckError("expected an alternating form")
+        # G^T = G or G^T = -G, both sides as lists of lists
+        if _transpose(g_b) != _scaled(g_b, form_sign):
+            raise CheckError("expected a symmetric form" if form_sign == 1 else "expected an alternating form")
         s_diag += s_b
         u_blocks.append(u_b)
         g_blocks.append(g_b)
+    return CheckedBlocks(s_diag, s_den, u_blocks, u_den, g_blocks)
 
+
+def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]:
+    """Exact matrices (s, u, gram) witnessing the q-scaling relation at
+    q = ``Q``: the blocks of ``check_matrices``, checked as it checks them
+    and with its errors, assembled into block-diagonal matrices.  The
+    entries are ``Fraction``s, with ``0`` for zero; every call returns new
+    lists."""
+    b = check_matrices(phi)
     # s is diagonal: its blocks are 1 x 1
-    s_blocks = [[[v]] for v in s_diag]
-    return _assemble(s_blocks, s_den), _assemble(u_blocks, u_den), _assemble(g_blocks, 1)
+    return (
+        _assemble([[[v]] for v in b.s_diag], b.s_den),
+        _assemble(b.u_blocks, b.u_den),
+        _assemble(b.g_blocks, 1),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable
 
 from . import CheckError
-from .centralizer import MATRIX_DIM_CAP, parameter_to_triple, realize_matrices, triple_to_parameter
+from .centralizer import MATRIX_DIM_CAP, check_matrices, parameter_to_triple, triple_to_parameter
 from .hecke import derived_rows, epsilon_multiplicity, hecke_descriptor, specialize
 from .params import (
     LDSummand,
@@ -243,7 +243,7 @@ def _suite_thm26_matrix(max_rank: int) -> list[dict]:
         ambient, phi = item
         name = f"{ambient.family.value}{ambient.ambient_dim}:" + "+".join(phi.generator_labels())
         try:
-            realize_matrices(phi)
+            check_matrices(phi)
             phi0 = normed_parameter(phi)
             round_trip = triple_to_parameter(parameter_to_triple(phi, phi0), phi0) == phi
             ok = round_trip

@@ -214,10 +214,12 @@ class RelativeWeyl:
 
     @cached_property
     def by_block_perm(self) -> dict[tuple[int, ...], list[tuple[int, SignedPermutation]]]:
-        """The cosets by block permutation ``|img|``, in coset order, each with
-        the bit mask of the blocks it negates."""
+        """The cosets by block permutation ``|img|``, each with the bit mask
+        of the blocks it negates.  The cosets are sorted by ``_sort_key``,
+        which orders by ``|img|`` first, so the groups come in that order
+        and any run of them, concatenated, stays sorted."""
         groups = {}
-        for m in self.cosets:
+        for m in sorted(self.cosets, key=SignedPermutation.sort_key):
             negated = sum(1 << i for i, x in enumerate(m.img) if x < 0)
             groups.setdefault(tuple(map(abs, m.img)), []).append((negated, m))
         return groups
@@ -280,7 +282,8 @@ def _decorated_cosets(
 ) -> list[SignedPermutation]:
     """The cosets that keep the decorations: each block goes to a block with
     the same label, negated only if that label is self-dual.  The label test
-    runs once per block permutation, the sign test per coset that passes it."""
+    runs once per block permutation, the sign test per coset that passes it;
+    the cosets come in the order of ``by_block_perm``."""
     labels = [label for label, _ in decorations]
     label_at = [None, *labels].__getitem__  # 1-based, as perm is
     fixed = sum(1 << i for i, (_, self_dual) in enumerate(decorations) if not self_dual)
@@ -438,7 +441,6 @@ def orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilize
     if levi.decorations is None:
         raise ValueError("decorations required")
     q = _decorated_cosets(levi.decorations, rel.by_block_perm)
-    q.sort(key=SignedPermutation.sort_key)
     even = rel.even_imgs
     q0 = [m for m in q if m.img in even]
     q_imgs = [m.img for m in q]

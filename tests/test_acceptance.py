@@ -81,9 +81,9 @@ def test_unitary_table_matches_derived_enumeration():
 
 def test_matrix_realization_and_round_trip_on_all_discrete_parameters():
     with Budget(10):
-        report = run_suite("thm26-matrix", 12)
+        report = run_suite("thm26-matrix", 14)
         assert report["failed"] == 0 and report["flagged"] == 0
-        assert len(report["cases"]) == 1948
+        assert len(report["cases"]) == 4049
 
 
 def test_descriptor_comparison_detects_type_and_minus_one():
@@ -152,7 +152,7 @@ def test_support_structure_and_injectivity():
 
 
 def test_over_cap_rank_is_refused_before_any_work(capsys):
-    for suite, rank in (("lemA3", 7), ("lemA4", 7), ("thm26-matrix", 15), ("thm33", 1)):
+    for suite, rank in (("lemA3", 7), ("lemA4", 7), ("thm26-matrix", 17), ("thm33", 1)):
         with Budget(1):
             assert run(["verify", "--suite", suite, "--max-rank", str(rank)]) == 2
         assert capsys.readouterr().out == ""

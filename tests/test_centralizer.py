@@ -403,12 +403,84 @@ def test_mat_mul_matches_a_triple_loop(ab):
 def test_realize_matrices_caps_dimension(extended_inventory):
     inv = extended_inventory
     phi = build_ld_parameter(
-        [LDSummand(orbit_point(inv["triv"], ONE), 15)],
-        DualGroupDescriptor(Family.ORTHOGONAL, 15),
+        [LDSummand(orbit_point(inv["triv"], ONE), 17)],
+        DualGroupDescriptor(Family.ORTHOGONAL, 17),
     )
     with pytest.raises(ValueError):
         realize_matrices(phi)
 
+
+
+def _raised(f, phi):
+    try:
+        f(phi)
+    except (CheckError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_check_matrices_raises_what_realize_matrices_raises(extended_inventory, monkeypatch):
+    inv = Inventory(dict(extended_inventory.classes))
+    co, cs = DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC
+    inv.add(make_inertial_class("u1", 1, 1, SelfDual(co, cs), "u1"))
+    inv.add(make_inertial_class("sp1", 1, 1, SelfDual(DualityType.SYMPLECTIC, DualityType.SYMPLECTIC), "sp1"))
+    half = UnitMonomial.of(0, Fraction(1, 2))
+
+    def param(family, dim, *summands):
+        return build_ld_parameter([LDSummand(orbit_point(inv[c], f), a, m) for c, f, a, m in summands], DualGroupDescriptor(family, dim))
+
+    o, sp = Family.ORTHOGONAL, Family.SYMPLECTIC
+    sl2_pair = param(o, 6, ("triv", ONE, 3, 1), ("triv", MINUS, 3, 1))
+    odd_ladder = param(sp, 6, ("a", ONE, 3, 1))
+    # parameters of the wrong tensor type, which build_ld_parameter leaves to the oracle
+    symplectic_in_o = param(o, 4, ("triv", ONE, 2, 1), ("triv", MINUS, 2, 1))
+    orthogonal_in_sp = param(sp, 2, ("triv", ONE, 1, 2))
+    cases = [
+        (param(o, 17, ("triv", ONE, 17, 1)), "matrix oracle capped at ambient dimension 16"),
+        (param(Family.UNITARY_L, 1, ("u1", ONE, 1, 1)), "matrix oracle covers the classical ambients only"),
+        (param(o, 2, ("triv", half, 1, 1), ("triv", half.inverse(), 1, 1)), "matrix oracle needs self-dual sign points"),
+        (param(o, 1, ("sp1", ONE, 1, 1)), "symplectic representation dimension must be even"),
+        (param(o, 3, ("triv", ONE, 1, 2), ("sp1", ONE, 1, 1)), "symplectic representation dimension must be even"),
+    ]
+    for phi, message in cases:
+        assert _raised(centralizer.check_matrices, phi) == _raised(realize_matrices, phi) == (ValueError, message)
+    for phi, message in ((symplectic_in_o, "expected a symmetric form"), (orthogonal_in_sp, "expected an alternating form")):
+        assert _raised(centralizer.check_matrices, phi) == _raised(realize_matrices, phi) == (CheckError, message)
+    for phi in (sl2_pair, odd_ladder):
+        assert _raised(centralizer.check_matrices, phi) is _raised(realize_matrices, phi) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(centralizer, "SQRT_Q", 3)
+        for phi in (sl2_pair, odd_ladder):
+            expected = (CheckError, "q-scaling relation fails")
+            assert _raised(centralizer.check_matrices, phi) == _raised(realize_matrices, phi) == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(centralizer, "_transpose", lambda a: [[-v for v in row] for row in zip(*a)])
+        for phi in (sl2_pair, odd_ladder):
+            expected = (CheckError, "Gram form not preserved")
+            assert _raised(centralizer.check_matrices, phi) == _raised(realize_matrices, phi) == expected
+
+
+def test_realize_matrices_returns_new_matrices_on_every_call(six_class_inventory):
+    # two summands of one shape and one of another, so that shared blocks occur twice in a call
+    inv = six_class_inventory
+    phi = build_ld_parameter(
+        [
+            LDSummand(orbit_point(inv["a"], ONE), 2, 1),
+            LDSummand(orbit_point(inv["rho_mix"], MINUS), 2, 1),
+            LDSummand(orbit_point(inv["triv"], ONE), 3, 1),
+        ],
+        DualGroupDescriptor(Family.ORTHOGONAL, 11),
+    )
+    first = realize_matrices(phi)
+    second = realize_matrices(phi)
+    assert first == second
+    kept = [[list(row) for row in m] for m in second]
+    for m in first:
+        for row in m:
+            row[:] = [v + 1 for v in row]
+    assert second == tuple(kept)
+    assert realize_matrices(phi) == second
+    assert centralizer.check_matrices(phi).u_blocks[0] is centralizer.check_matrices(phi).u_blocks[1]
 
 def test_triple_json(extended_inventory):
     inv = extended_inventory

@@ -520,12 +520,22 @@ def _wrong_transpose(a):
     return [[v + 1 for v in row] for row in zip(*a)]
 
 
+def _wrong_rescaled(left, a, right):
+    return [[li * v * rj + 1 for v, rj in zip(row, right)] for li, row in zip(left, a)]
+
+
+def _wrong_product(a, b):
+    return [[v + 1 for v in row] for row in a]
+
+
 def test_matrix_suite_reports_a_broken_oracle(monkeypatch, capsys):
-    # an unpatched run first, so that a block memo filled by it cannot hide a broken helper
+    # an unpatched run first, so that the blocks it builds and shares cannot hide a broken helper
     assert run_suite("thm26-matrix", 2)["failed"] == 0
     for helper, broken, error in (
         ("_mat_pow", _wrong_power, "q-scaling relation fails"),
         ("_transpose", _wrong_transpose, "Gram form not preserved"),
+        ("_rescaled", _wrong_rescaled, "q-scaling relation fails"),
+        ("_mat_mul", _wrong_product, "q-scaling relation fails"),
     ):
         with monkeypatch.context() as patch:
             patch.setattr(centralizer, helper, broken)
