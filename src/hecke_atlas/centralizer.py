@@ -305,7 +305,7 @@ def _jordan_data(
     """The eigenvalue ladders per orbit block and the ``u_by_eigenblock``
     Jordan parts of a summand list, validated against the orbit blocks of
     the base parameter ``phi0``."""
-    blocks = {orbit.cls.label: orbit for orbit in phi0.orbits}
+    blocks = phi0.orbit_by_label
     raw_s: dict[str, list[tuple[UnitMonomial, int]]] = {label: [] for label in blocks}
     raw_u: dict[tuple[str, UnitMonomial], list[int]] = {}
     for s in summands:
@@ -513,12 +513,12 @@ def _unipotent(a: int, t: int, k: int) -> Block:
 
 
 @functools.cache
-def _gram(a: int, k: int, tag: DualityType) -> Block:
+def _gram(a: int, k: int, alternating: bool) -> Block:
     """kron(g_a, g_k): g_a has the signs (-1)**i on the antidiagonal, g_k is
-    the identity for an orthogonal tag and the standard alternating form
-    (1 above the middle of the antidiagonal, -1 below) for a symplectic one."""
+    the identity, or the standard alternating form (1 above the middle of
+    the antidiagonal, -1 below) when ``alternating``."""
     g_a = [[(-1) ** i if i + j == a - 1 else 0 for j in range(a)] for i in range(a)]
-    if tag is DualityType.ORTHOGONAL:
+    if not alternating:
         g_k = _diagonal([1] * k)
     else:
         g_k = [[(1 if i < k // 2 else -1) if i + j == k - 1 else 0 for j in range(k)] for i in range(k)]
@@ -570,8 +570,15 @@ def check_matrices(phi: LDParameter) -> CheckedBlocks:
     the Gram matrix G is integral.  Raises ``CheckError`` unless
     s u s**-1 = u**q and both s and u preserve G, and unless G is symmetric
     or alternating as the ambient family requires (the independent check of
-    the tensor type rule).  S is diagonal and U and G are block diagonal,
-    one block per summand, so each check holds on the whole matrices
+    the tensor type rule).  The k = dim * multiplicity copies of a summand
+    carry the form of its class's type tag, except that a summand which
+    ``summand_type`` puts off the ambient's type and which has an even
+    multiplicity carries a hyperbolic form on its multiplicity space; that
+    gives the copies a form of the other parity, and the oracle takes the
+    standard form of that parity (s and u act on the copies as scalars, so
+    they preserve any form there).  With an odd multiplicity no such form
+    exists, and the symmetry check fails.  S is diagonal and U and G are
+    block diagonal, one block per summand, so each check holds on the whole matrices
     exactly when it holds on every block: all four checks run on every
     block of every call, and no matrix is assembled.  The checks are
     cross-multiplied by the denominators: ``S U T`` and ``S^T G S`` are row
@@ -613,8 +620,12 @@ def check_matrices(phi: LDParameter) -> CheckedBlocks:
             raise ValueError("conjugate-dual tags have no classical Gram form")
         # the ladder f q**((a-1)/2 - j), times SQRT_Q**t, each value k times
         s_b = [f * SQRT_Q ** (t + a - 1 - 2 * j) for j in range(a) for _ in range(k)]
+        # a hyperbolic form on the multiplicity space flips the parity
+        alternating = tag is DualityType.SYMPLECTIC
+        if summand.multiplicity % 2 == 0 and not summand_type(summand.point, a, phi.ambient):
+            alternating = not alternating
         u_b = _unipotent(a, t, k)
-        g_b = _gram(a, k, tag)
+        g_b = _gram(a, k, alternating)
 
         # s**-1 is the diagonal T = s_den**2 / S
         t_b = [s_den * s_den // v for v in s_b]

@@ -10,6 +10,7 @@ and multiplicities, so the two roads can be compared.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -72,26 +73,35 @@ class HeckeDescriptor:
     factors: tuple[tuple[str, HeckeFactor], ...]
 
 
+@functools.cache
 def _equal(family: str, size: int, t: int, extended: bool = False) -> HeckeFactor:
     e = Fraction(t)
     return HeckeFactor(family, size, extended, t, e, e, e)
 
 
 def hecke_factor(phi0: LDParameter, S: SupportDatum, orbit_label: str) -> HeckeFactor:
-    """The algebra factor contributed by one orbit for one support."""
-    orbit = next((o for o in phi0.orbits if o.cls.label == orbit_label), None)
+    """The algebra factor contributed by one orbit for one support.
+
+    A factor depends only on a few ints, so each distinct one is built once
+    per process (``_equal``, ``_self_dual_factor``) and shared; it is frozen.
+    """
+    orbit = phi0.orbit_by_label.get(orbit_label)
     if orbit is None:
         raise ValueError(f"{orbit_label!r} labels no orbit representative of the parameter")
-    m = orbit.multiplicity
-    t = orbit.cls.torsion
     if orbit.types is None:
-        return _equal("GL", m, t)
-
-    depths = S.as_dict.get(orbit_label)
+        return _equal("GL", orbit.multiplicity, orbit.cls.torsion)
+    depths = next((d for label, d in S.entries if label == orbit_label), None)
     if depths is None:
         raise ValueError(f"support has no staircase depths for orbit {orbit_label!r}")
-    a_plus, a_minus = depths
-    plus_type, minus_type = orbit.types
+    return _self_dual_factor(orbit.multiplicity, orbit.cls.torsion, orbit.types, *depths)
+
+
+@functools.cache
+def _self_dual_factor(m: int, t: int, types: tuple[bool, bool], a_plus: int, a_minus: int) -> HeckeFactor:
+    """The factor of a self-dual orbit of multiplicity ``m`` and torsion
+    ``t`` whose +1 and -1 points have ``types``, at staircase depths
+    ``(a_plus, a_minus)``."""
+    plus_type, minus_type = types
     if plus_type and minus_type and a_plus == 0 and a_minus == 0:
         return _equal("SO", m, t, extended=True)
 

@@ -126,6 +126,12 @@ class LDParameter:
         )
 
     @cached_property
+    def orbit_by_label(self) -> dict[str, Orbit]:
+        """The orbits keyed by representative label, in ``orbits`` order;
+        worked out once per parameter."""
+        return {orbit.cls.label: orbit for orbit in self.orbits}
+
+    @cached_property
     def staircases(self) -> tuple[Staircase, ...]:
         """The summands grouped by point, in point order, each group sorted
         by ``sl2_dim``; worked out once per parameter."""
@@ -136,6 +142,21 @@ class LDParameter:
             Staircase(point, tuple(sorted(groups[point], key=lambda s: s.sl2_dim)), self.ambient)
             for point in sorted(groups, key=InertialPoint.sort_key)
         )
+
+    @cached_property
+    def _cuspidal_shape(self) -> bool:
+        """``is_supercuspidal_shape`` of this parameter, worked out once; a
+        test that raises caches nothing and raises again on the next call."""
+        if not self.summands:
+            return False
+        for st in self.staircases:
+            if not st.point.is_self_dual_point:
+                return False
+            if any(s.multiplicity != 1 for s in st.summands):
+                return False
+            if [s.sl2_dim for s in st.summands] != list(staircase(len(st.summands), st.of_type)[0]):
+                return False
+        return True
 
     @cached_property
     def _determinant(self) -> tuple[UnitMonomial, dict[tuple[str, bool], int]]:
@@ -266,18 +287,10 @@ def is_supercuspidal_shape(phi: LDParameter) -> bool:
     Every point must be a self-dual sign point with multiplicity-one
     summands, and the sl2-dimensions at a point must be exactly
     ``{2,4,...,2a}`` (point not of ambient type) or ``{1,3,...,2a-1}``
-    (point of ambient type) for some depth ``a >= 1``.
+    (point of ambient type) for some depth ``a >= 1``.  The answer is worked
+    out once per parameter (``LDParameter._cuspidal_shape``).
     """
-    if not phi.summands:
-        return False
-    for st in phi.staircases:
-        if not st.point.is_self_dual_point:
-            return False
-        if any(s.multiplicity != 1 for s in st.summands):
-            return False
-        if [s.sl2_dim for s in st.summands] != list(staircase(len(st.summands), st.of_type)[0]):
-            return False
-    return True
+    return phi._cuspidal_shape
 
 
 def is_discrete(phi: LDParameter) -> bool:

@@ -132,10 +132,11 @@ def build_phi_S(phi0: LDParameter, S: SupportDatum) -> tuple[LDParameter, int, i
     checks and d_S run on every call.
     """
     _check_normed(phi0)
-    orbits = {orbit.cls.label: orbit for orbit in phi0.orbits if orbit.types is not None}
     key = []
     for label, (a_plus, a_minus) in S.entries:
-        orbit = orbits[label]
+        orbit = phi0.orbit_by_label.get(label)
+        if orbit is None or orbit.types is None:
+            raise ValueError(f"support names {label!r}, which labels no self-dual orbit of the parameter")
         m = orbit.multiplicity
         cost = staircase(a_plus, orbit.types[0])[1] + staircase(a_minus, orbit.types[1])[1]
         if cost > m or cost % 2 != m % 2:
@@ -159,18 +160,16 @@ def _tail(family: Family, key: tuple) -> tuple[LDParameter, int, int]:
 
 
 def _levi(phi0: LDParameter, phi_S: LDParameter, L_S: int, l_S: int) -> SupportLevi:
-    """GL factors with multiplicities plus the classical tail descriptor."""
+    """GL factors with multiplicities plus the classical tail descriptor;
+    each orbit's share of the tail is that orbit's multiplicity in the tail."""
     gl: list[tuple[int, int]] = []
     for orbit in phi0.orbits:
         cls, m = orbit.cls, orbit.multiplicity
         if orbit.types is None:
             gl.append((cls.dim, m))
             continue
-        m_pm = sum(
-            s.sl2_dim * s.multiplicity
-            for s in phi_S.summands
-            if s.point.cls.label == cls.label
-        )
+        share = phi_S.orbit_by_label.get(cls.label)
+        m_pm = share.multiplicity if share is not None else 0
         if (m - m_pm) % 2 != 0:
             raise ValueError(f"non-integral GL multiplicity at orbit {cls.label!r}")
         if m > m_pm:

@@ -417,7 +417,11 @@ def _rep_type_at_sign(p: InertialPoint) -> DualityType:
 
 def is_of_type(p: InertialPoint, g: DualGroupDescriptor) -> bool:
     """Whether the (self-dual) point has the same type as the ambient group."""
-    tag = _rep_type_at_sign(p)
+    return _tag_is_of_type(_rep_type_at_sign(p), g)
+
+
+def _tag_is_of_type(tag: DualityType, g: DualGroupDescriptor) -> bool:
+    """Whether a self-dual representation with type ``tag`` has the ambient's type."""
     if g.family is Family.UNITARY_L:
         if not tag.conjugate_flavour:
             raise ValueError("a unitary ambient group needs conjugate-dual type tags")
@@ -433,10 +437,9 @@ def is_of_type(p: InertialPoint, g: DualGroupDescriptor) -> bool:
 
 def sign_types(cls: InertialClass, g: DualGroupDescriptor) -> tuple[bool, bool]:
     """Whether the +1 and the -1 point of a self-dual class have the ambient's type."""
-    return (
-        is_of_type(orbit_point(cls, UnitMonomial.one()), g),
-        is_of_type(orbit_point(cls, UnitMonomial.minus_one()), g),
-    )
+    if not isinstance(cls.duality, SelfDual):
+        raise ValueError(f"point of class {cls.label!r} is not self-dual")
+    return _tag_is_of_type(cls.duality.type_at_plus, g), _tag_is_of_type(cls.duality.type_at_minus, g)
 
 
 def half_integer_str(e: Fraction) -> str:

@@ -434,7 +434,7 @@ def test_check_matrices_raises_what_realize_matrices_raises(extended_inventory, 
     odd_ladder = param(sp, 6, ("a", ONE, 3, 1))
     # parameters of the wrong tensor type, which build_ld_parameter leaves to the oracle
     symplectic_in_o = param(o, 4, ("triv", ONE, 2, 1), ("triv", MINUS, 2, 1))
-    orthogonal_in_sp = param(sp, 2, ("triv", ONE, 1, 2))
+    orthogonal_in_sp = param(sp, 2, ("triv", ONE, 1, 1), ("triv", MINUS, 1, 1))
     cases = [
         (param(o, 17, ("triv", ONE, 17, 1)), "matrix oracle capped at ambient dimension 16"),
         (param(Family.UNITARY_L, 1, ("u1", ONE, 1, 1)), "matrix oracle covers the classical ambients only"),
@@ -458,6 +458,37 @@ def test_check_matrices_raises_what_realize_matrices_raises(extended_inventory, 
         for phi in (sl2_pair, odd_ladder):
             expected = (CheckError, "Gram form not preserved")
             assert _raised(centralizer.check_matrices, phi) == _raised(realize_matrices, phi) == expected
+
+
+def test_a_summand_off_the_ambient_type_gets_a_hyperbolic_form(six_class_inventory):
+    # of even multiplicity, such a summand is valid: its multiplicity space
+    # carries a hyperbolic form, so the Gram form has the ambient's parity
+    inv = six_class_inventory
+    o, sp = Family.ORTHOGONAL, Family.SYMPLECTIC
+    cases = [
+        (o, 4, "triv", ONE, 2, 2),  # symplectic summand in O4
+        (sp, 2, "triv", ONE, 1, 2),  # orthogonal summand in Sp2
+        (o, 8, "triv", MINUS, 2, 4),
+        (o, 8, "a", ONE, 1, 4),  # a symplectic class of dimension 2
+        (sp, 8, "rho_mix", MINUS, 2, 2),
+        # ambient-type summands of multiplicity above 1, which passed before
+        (o, 2, "triv", ONE, 1, 2),
+        (sp, 4, "a", ONE, 1, 2),
+        (sp, 6, "triv", ONE, 3, 2),
+    ]
+    for family, dim, label, f, a, mult in cases:
+        phi = build_ld_parameter([LDSummand(orbit_point(inv[label], f), a, mult)], DualGroupDescriptor(family, dim))
+        s, u, g = realize_matrices(phi)
+        sign = 1 if family is o else -1
+        assert [list(col) for col in zip(*g)] == [[sign * v for v in row] for row in g]
+        # one nonzero entry in each row and each column, so nondegenerate
+        assert all(sum(map(bool, line)) == 1 for line in [*g, *zip(*g)])
+        u_t = [list(col) for col in zip(*u)]
+        assert _fmul(_fmul(u_t, g), u) == g
+        assert _fmul(_fmul(s, g), s) == g
+        s_inv = [[1 / v if v else v for v in row] for row in s]
+        assert _fmul(_fmul(s, u), s_inv) == _fmul(_fmul(u, u), _fmul(u, u))
+        assert centralizer.check_matrices(phi).g_blocks == [tuple(tuple(int(v) for v in row) for row in g)]
 
 
 def test_realize_matrices_returns_new_matrices_on_every_call(six_class_inventory):

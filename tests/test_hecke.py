@@ -20,7 +20,7 @@ from hecke_atlas.hecke import (
 )
 from hecke_atlas.params import LDSummand, build_ld_parameter, count_supercuspidals, supercuspidal_corpus
 from hecke_atlas.support import SupportDatum, supports
-from hecke_atlas.verify import standard_inventory
+from hecke_atlas.verify import normed_corpus, standard_inventory
 from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
@@ -320,6 +320,44 @@ def test_hecke_factor_matches_the_fraction_formula(t, types, a_plus, a_minus, sp
     got = hecke_factor(phi0, S, "c")
     assert got == expected and repr(got) == repr(expected)
     assert all(type(e) is Fraction for e in (got.internal, got.end_long, got.end_short))
+
+
+def test_hecke_descriptor_matches_the_reference_factors_on_the_normed_corpus():
+    count = 0
+    for phi0 in normed_corpus(standard_inventory(), 10):
+        for S in supports(phi0):
+            depths = dict(S.entries)
+            expected = []
+            for o in phi0.orbits:
+                m, t = o.multiplicity, o.cls.torsion
+                if o.types is None:
+                    factor = HeckeFactor("GL", m, False, t, Fraction(t), Fraction(t), Fraction(t))
+                else:
+                    factor = reference_factor(m, t, o.types, *depths[o.cls.label])
+                expected.append((o.cls.label, factor))
+            got = hecke_descriptor(phi0, S).factors
+            assert got == tuple(expected) and repr(got) == repr(tuple(expected))
+            count += 1
+    assert count > 1000
+
+
+def test_closed_form_road_does_not_use_the_cached_factors_or_orbit_map(monkeypatch):
+    # the Hecke factor core and the orbit map serve the derived road only
+    tables = {(kind, r): specialize(kind, r) for kind in UNIT_KINDS for r in range(1, 7)}
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("derived data used")
+
+    for owner, name, value in (
+        (hecke, "_self_dual_factor", broken),
+        (params.LDParameter, "orbit_by_label", property(broken)),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, value)
+            assert {(k, r): specialize(k, r) for k, r in tables} == tables
+            for kind in UNIT_KINDS:
+                with pytest.raises(RuntimeError, match="derived data used"):
+                    derived_rows(kind, 2)
 
 
 def test_closed_form_road_does_not_use_the_derived_hecke_road(monkeypatch):

@@ -514,3 +514,53 @@ def test_a_class_with_type_tags_of_the_wrong_flavour_is_refused(extended_invento
         assert str(err.value) == message
     # a dual pair carries no type tags, so any ambient takes it
     assert build_ld_parameter([LDSummand(pt(inv, "alpha"), 1), LDSummand(pt(inv, "beta"), 1)], U(2)).total_dim == 2
+
+
+def uncached_shape(phi):
+    """The shape test run in full on every call: the reference for the cached one."""
+    if not phi.summands:
+        return False
+    for st in phi.staircases:
+        if not st.point.is_self_dual_point:
+            return False
+        if any(s.multiplicity != 1 for s in st.summands):
+            return False
+        if [s.sl2_dim for s in st.summands] != list(staircase(len(st.summands), st.of_type)[0]):
+            return False
+    return True
+
+
+def test_the_cached_shape_test_matches_the_uncached_one(extended_inventory):
+    inv = standard_inventory()
+    phis = supercuspidal_corpus(inv, 9)
+    phis += [build_phi_S(phi0, S)[0] for phi0 in verify.normed_corpus(inv, 10) for S in supports(phi0)]
+    O = functools.partial(DualGroupDescriptor, Family.ORTHOGONAL)
+    half = UnitMonomial.of(0, Fraction(1, 2))
+    e = extended_inventory
+    not_cuspidal = [
+        ([LDSummand(pt(e, "triv"), 1), LDSummand(pt(e, "triv"), 5)], O(6)),  # a step missing
+        ([LDSummand(pt(e, "triv"), 2), LDSummand(pt(e, "triv"), 4)], O(6)),  # steps of the other parity
+        ([LDSummand(pt(e, "triv"), 3)], O(3)),  # a staircase not starting at the bottom
+        ([LDSummand(pt(e, "triv"), 1, 3)], O(3)),  # a multiplicity
+        ([LDSummand(pt(e, "triv", half), 1), LDSummand(pt(e, "triv", half.inverse()), 1)], O(2)),  # not a sign
+        ([LDSummand(pt(e, "alpha"), 1), LDSummand(pt(e, "beta"), 1)], O(2)),  # a dual pair
+        ([LDSummand(pt(e, "triv"), 1), LDSummand(pt(e, "chi"), 2)], O(3)),  # one good staircase, one bad
+        ([], O(0)),
+    ]
+    phis += [build_ld_parameter(summands, ambient) for summands, ambient in not_cuspidal]
+    shapes = [uncached_shape(phi) for phi in phis]
+    assert True in shapes and not any(shapes[-len(not_cuspidal):])
+    for phi, shape in zip(phis, shapes):
+        assert is_supercuspidal_shape(phi) is shape
+        assert is_supercuspidal_shape(phi) is shape  # warm
+
+
+def test_a_shape_test_that_raises_raises_on_every_call(extended_inventory):
+    # conjugate-dual tags in an orthogonal ambient, which build_ld_parameter
+    # would refuse: typing the point raises, and no answer is kept
+    inv = Inventory(dict(extended_inventory.classes))
+    inv.add(make_inertial_class("u", 1, 1, SelfDual(DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC), "1"))
+    phi = LDParameter(DualGroupDescriptor(Family.ORTHOGONAL, 1), (LDSummand(pt(inv, "u"), 1),))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="conjugate-dual type tags need a unitary ambient group"):
+            is_supercuspidal_shape(phi)

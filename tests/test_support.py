@@ -8,12 +8,14 @@ from hecke_atlas import CheckError, support
 from hecke_atlas.params import LDSummand, build_ld_parameter, is_discrete
 from hecke_atlas.support import (
     SupportDatum,
+    SupportLevi,
     build_phi_S,
     cuspidal_pairs,
     injectivity_report,
     support_to_json_dict,
     supports,
 )
+from hecke_atlas.verify import normed_corpus, standard_inventory
 from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
@@ -118,6 +120,18 @@ def test_build_phi_S_all_zero(so7_setting):
 def test_build_phi_S_rejects_bad_support(so7_setting):
     with pytest.raises(ValueError):
         build_phi_S(so7_setting, SupportDatum((("triv", (3, 0)),)))
+
+
+def test_build_phi_S_names_a_label_that_is_no_self_dual_orbit(extended_inventory):
+    inv = extended_inventory
+    one = UnitMonomial.one()
+    phi0 = build_ld_parameter(
+        [LDSummand(orbit_point(inv[label], one), 1, 2) for label in ("alpha", "beta", "triv")],
+        DualGroupDescriptor(Family.ORTHOGONAL, 6),
+    )
+    for label in ("alpha", "beta", "a"):  # a dual pair, its partner side, a class phi0 lacks
+        with pytest.raises(ValueError, match=f"support names '{label}', which labels no self-dual orbit"):
+            build_phi_S(phi0, SupportDatum(((label, (0, 0)),)))
 
 
 def power_parameter(cls, m):
@@ -301,3 +315,29 @@ def test_the_tail_shape_check_survives_optimized_mode(src_env):
     )
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=src_env(), check=True)
     assert done.stdout == "1 tail parameter is not of supercuspidal shape\n"
+
+
+def summed_levi(phi0, phi_S, L_S, l_S):
+    """The Levi with each orbit's tail share summed over the tail's summands."""
+    gl = []
+    for orbit in phi0.orbits:
+        cls, m = orbit.cls, orbit.multiplicity
+        if orbit.types is None:
+            gl.append((cls.dim, m))
+            continue
+        m_pm = sum(s.sl2_dim * s.multiplicity for s in phi_S.summands if s.point.cls.label == cls.label)
+        if (m - m_pm) % 2 != 0:
+            raise ValueError(f"non-integral GL multiplicity at orbit {cls.label!r}")
+        if m > m_pm:
+            gl.append((cls.dim, (m - m_pm) // 2))
+    gl.sort()
+    return SupportLevi(tuple(gl), DualGroupDescriptor(phi0.ambient.family, L_S), l_S)
+
+
+def test_each_levi_matches_the_summed_tail_shares():
+    count = 0
+    for phi0 in normed_corpus(standard_inventory(), 10):
+        for p in cuspidal_pairs(phi0):
+            assert p.levi == summed_levi(phi0, p.phi_S, p.L_S, p.l_S)
+            count += 1
+    assert count > 1000
