@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
 from typing import Sequence
 
 from .hecke import HeckeFactor, factor_to_json_dict, hecke_descriptor, specialize, sp_normalization
@@ -144,7 +142,10 @@ def _emit(data, path: str | None = None) -> None:
 
 def _load_param_file(path: str):
     with open(path, encoding="utf-8") as fh:
-        data = json_typed(json.load(fh), dict, "parameter file")
+        try:
+            data = json_typed(json.load(fh), dict, "parameter file")
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("parameter file nests too deeply to decode") from None
     inventory = Inventory.from_json_list(json_field(data, "inventory", "parameter file"))
     phi = parameter_from_json_dict(json_field(data, "parameter", "parameter file"), inventory)
     # support data is attached to the base point of the orbit
@@ -170,12 +171,12 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_supports(args) -> int:
-    # _emit([support_to_json_dict(p) ...]), with a support's shared members written once
+    # _emit([support_to_json_dict(p, eps) for p in cuspidal_pairs(phi0) for eps in p.epsilons]),
+    # with a support's shared members written once
     phi0 = _load_param_file(args.param)
     items = []
-    for _, group in itertools.groupby(cuspidal_pairs(phi0), key=attrgetter("S")):
-        group = list(group)
-        p, levi = group[0], group[0].levi
+    for p in cuspidal_pairs(phi0):
+        levi = p.levi
         gl = [f"[\n          {d!r},\n          {m!r}\n        ]" for d, m in levi.gl_factors]
         shared = (
             f'{{\n    "S": {_support_datum_text(p.S, "    ")},\n    "phiS": {_parameter_text(p.phi_S, "    ")},'
@@ -184,9 +185,9 @@ def _cmd_supports(args) -> int:
             f'\n        "family": {_quote(levi.tail.family.value)},\n        "dim": {levi.tail.ambient_dim!r},'
             f'\n        "rank": {levi.tail_rank!r}\n      }}\n    }},\n    "epsilon": '
         )
-        for p in group:
-            epsilon = _container([f"{_quote(gen)}: {v!r}" for gen, v in p.epsilon.values], "    ", "{}")
-            items.append(f'{shared}{epsilon},\n    "epsZ": {p.eps_Z!r}\n  }}')
+        for eps in p.epsilons:
+            epsilon = _container([f"{_quote(gen)}: {v!r}" for gen, v in eps.values], "    ", "{}")
+            items.append(f'{shared}{epsilon},\n    "epsZ": {eps.eps_Z!r}\n  }}')
     _write(_container(items, "", "[]") + "\n")
     return 0
 

@@ -11,11 +11,9 @@ and multiplicities, so the two roads can be compared.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
 from .params import LDParameter, LDSummand, build_ld_parameter, staircase
 from .support import SupportDatum, cuspidal_pairs
@@ -324,11 +322,11 @@ def derived_rows(kind: str, rank: int) -> list[tuple[tuple[int, int], HeckeFacto
     """
     phi0 = unit_setting(kind, rank)
     counts: dict[tuple, int] = {}
-    for S, group in itertools.groupby(cuspidal_pairs(phi0), key=attrgetter("S")):
-        pair = _support_pair(phi0, S)
-        factor = sp_normalization(hecke_factor(phi0, S, "1"))
-        for p in group:
-            key = (pair, factor, p.eps_Z)
+    for p in cuspidal_pairs(phi0):
+        pair = _support_pair(phi0, p.S)
+        factor = sp_normalization(hecke_factor(phi0, p.S, "1"))
+        for eps in p.epsilons:
+            key = (pair, factor, eps.eps_Z)
             counts[key] = counts.get(key, 0) + 1
     return sorted((pair, factor, sign, n) for (pair, factor, sign), n in counts.items())
 

@@ -352,11 +352,6 @@ def alternating_characters(phi: LDParameter) -> list[SignCharacter]:
     """
     if not is_supercuspidal_shape(phi):
         raise ValueError("alternating characters are defined for cuspidal shapes")
-    return _alternating_characters(phi)
-
-
-def _alternating_characters(phi: LDParameter) -> list[SignCharacter]:
-    """``alternating_characters`` of a parameter already known to have cuspidal shape."""
     return list(phi._characters)
 
 

@@ -3,8 +3,9 @@
 Starting from a normed parameter (every point at f = 1, trivial SL2 side),
 we enumerate the admissible staircase-depth data ``S``, build the discrete
 parameter ``phi^S`` carried by the classical tail of the Levi subgroup,
-and form the cuspidal pairs (S, epsilon) together with an injectivity
-report.
+and form one record per support carrying the alternating characters
+epsilon of its tail: the cuspidal pairs (S, epsilon) are each record's
+characters in turn.  An injectivity report checks the pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .params import (
     LDParameter,
     LDSummand,
     SignCharacter,
-    _alternating_characters,
     build_ld_parameter,
     det_discrepancy,
     is_supercuspidal_shape,
@@ -62,17 +62,16 @@ class SupportLevi:
 
 @dataclass(frozen=True)
 class CuspidalSupport:
+    """A support with its tail data and the tail's alternating characters;
+    each character makes one cuspidal pair (S, epsilon)."""
+
     S: SupportDatum
     phi_S: LDParameter
     L_S: int
     l_S: int
     d_S: int
     levi: SupportLevi
-    epsilon: SignCharacter
-
-    @property
-    def eps_Z(self) -> int:
-        return self.epsilon.eps_Z
+    epsilons: tuple[SignCharacter, ...]
 
 
 def _check_normed(phi0: LDParameter) -> None:
@@ -179,43 +178,40 @@ def _levi(phi0: LDParameter, phi_S: LDParameter, L_S: int, l_S: int) -> SupportL
     return SupportLevi(tuple(gl), tail, l_S)
 
 
-def _epsilons(phi_S: LDParameter) -> list[SignCharacter]:
+def _epsilons(phi_S: LDParameter) -> tuple[SignCharacter, ...]:
     if not phi_S.summands:
-        return [SignCharacter(())]
+        return (SignCharacter(()),)
     if not is_supercuspidal_shape(phi_S):
         raise CheckError("tail parameter is not of supercuspidal shape")
-    return _alternating_characters(phi_S)
+    return phi_S._characters
 
 
 def cuspidal_pairs(phi0: LDParameter) -> list[CuspidalSupport]:
-    """All pairs (S, epsilon) with epsilon alternating on the tail parameter;
-    the pairs of one support come one after another."""
+    """One record per support, in support order, carrying the alternating
+    characters of its tail parameter; the cuspidal pairs (S, epsilon) are
+    each record's characters in turn."""
     out: list[CuspidalSupport] = []
     for S in supports(phi0):
         phi_S, L_S, l_S, d_S = build_phi_S(phi0, S)
         levi = _levi(phi0, phi_S, L_S, l_S)
-        for eps in _epsilons(phi_S):
-            out.append(CuspidalSupport(S, phi_S, L_S, l_S, d_S, levi, eps))
+        out.append(CuspidalSupport(S, phi_S, L_S, l_S, d_S, levi, tuple(_epsilons(phi_S))))
     return out
 
 
-def injectivity_report(pairs: Sequence[CuspidalSupport]) -> dict:
+def injectivity_report(records: Sequence[CuspidalSupport]) -> dict:
     """Duplicate (levi, tail parameter, epsilon) keys, and degenerate flags.
 
-    A pair is flagged when the tail rank vanishes while more than one
-    alternating character survives: distinctness of those supports is left
-    open rather than decided.
+    Indices count the pairs (S, epsilon) in support order, each support's
+    characters in turn.  Every pair of a support is flagged when the tail
+    rank vanishes while more than one alternating character survives:
+    distinctness of those supports is left open rather than decided.
     """
+    pairs = [(p, eps) for p in records for eps in p.epsilons]
     by_key: dict[tuple, list[int]] = {}
-    eps_count: dict[tuple, int] = {}
-    for i, p in enumerate(pairs):
-        key = (p.levi, p.phi_S, p.epsilon)
-        by_key.setdefault(key, []).append(i)
-        eps_count[p.S.entries] = eps_count.get(p.S.entries, 0) + 1
+    for i, (p, eps) in enumerate(pairs):
+        by_key.setdefault((p.levi, p.phi_S, eps), []).append(i)
     duplicates = [idx for idx in by_key.values() if len(idx) > 1]
-    flagged = [
-        i for i, p in enumerate(pairs) if p.l_S == 0 and eps_count[p.S.entries] > 1
-    ]
+    flagged = [i for i, (p, _) in enumerate(pairs) if p.l_S == 0 and len(p.epsilons) > 1]
     return {
         "total": len(pairs),
         "duplicates": duplicates,
@@ -226,7 +222,8 @@ def injectivity_report(pairs: Sequence[CuspidalSupport]) -> dict:
     }
 
 
-def support_to_json_dict(p: CuspidalSupport) -> dict:
+def support_to_json_dict(p: CuspidalSupport, epsilon: SignCharacter) -> dict:
+    """The pair of support ``p`` and its character ``epsilon``."""
     return {
         "S": {label: list(pair) for label, pair in p.S.entries},
         "phiS": parameter_to_json_dict(p.phi_S),
@@ -237,6 +234,6 @@ def support_to_json_dict(p: CuspidalSupport) -> dict:
             "gl": [list(f) for f in p.levi.gl_factors],
             "tail": {"family": p.levi.tail.family.value, "dim": p.levi.tail.ambient_dim, "rank": p.levi.tail_rank},
         },
-        "epsilon": {gen: v for gen, v in p.epsilon.values},
-        "epsZ": p.eps_Z,
+        "epsilon": {gen: v for gen, v in epsilon.values},
+        "epsZ": epsilon.eps_Z,
     }

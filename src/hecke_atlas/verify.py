@@ -133,12 +133,12 @@ def _orbit_case_name(phi0) -> str:
 def _suite_thm16(max_rank: int) -> list[dict]:
     def check(phi0):
         n = phi0.ambient.ambient_dim
-        pairs = cuspidal_pairs(phi0)
-        parities = sorted({p.L_S % 2 for p in pairs})
-        report = injectivity_report(pairs)
+        records = cuspidal_pairs(phi0)
+        parities = sorted({p.L_S % 2 for p in records if p.epsilons})
+        report = injectivity_report(records)
         ok = parities in ([], [n % 2]) and report["injective_outside_flagged"]
         status = "flagged" if ok and report["flagged"] else ("pass" if ok else "fail")
-        expected = {"tail_parity": [n % 2] if pairs else [], "injective": True}
+        expected = {"tail_parity": [n % 2] if report["total"] else [], "injective": True}
         actual = {"tail_parity": parities, "injective": report["injective_outside_flagged"]}
         return _case(_orbit_case_name(phi0), expected, actual, status)
 

@@ -548,4 +548,8 @@ class Inventory:
     @staticmethod
     def load(path) -> "Inventory":
         with open(path, encoding="utf-8") as handle:
-            return Inventory.from_json_list(json.load(handle))
+            try:
+                data = json.load(handle)
+            except RecursionError:  # the decoder recurses once per nesting level
+                raise ValueError("inventory file nests too deeply to decode") from None
+        return Inventory.from_json_list(data)

@@ -275,6 +275,27 @@ def test_malformed_param_file_exits_2(tmp_path, capsys, edit, field):
     assert (err.startswith(f"error: {field} ") or err == f"error: {field}\n") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_too_deeply_nested_input_file_exits_2(tmp_path, src_env, flags):
+    """Past the decoder's recursion limit the file is malformed input: an error
+    naming the file kind and exit 2, never a traceback; 900 levels still decode."""
+    deep, shallow, classes = tmp_path / "deep.json", tmp_path / "shallow.json", tmp_path / "classes.json"
+    deep.write_text("[" * 1100 + "]" * 1100)
+    shallow.write_text("[" * 900 + "]" * 900)
+    classes.write_text('{"a": ' * 5000 + "{}" + "}" * 5000)
+    cases = [
+        (["supports", "--param", str(deep)], "parameter file nests too deeply to decode"),
+        (["hecke", "--param", str(deep)], "parameter file nests too deeply to decode"),
+        (["supports", "--param", str(shallow)], "parameter file must be a dict, got list"),
+        (["enumerate", "--group", "sp", "--rank", "2", "--classes", str(classes)], "inventory file nests too deeply to decode"),
+    ]
+    for argv, message in cases:
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "hecke_atlas.cli", *argv], capture_output=True, text=True, env=src_env()
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
+
 def _json_nodes(tree):
     """(container, key, value) for every node below the root of a JSON tree."""
     keys = tree.keys() if isinstance(tree, dict) else range(len(tree)) if isinstance(tree, list) else ()
@@ -677,7 +698,7 @@ def reference_supports_and_hecke(phi0):
         }
         for S in supports(phi0)
     ]
-    pairs = [support_to_json_dict(p) for p in cuspidal_pairs(phi0)]
+    pairs = [support_to_json_dict(p, eps) for p in cuspidal_pairs(phi0) for eps in p.epsilons]
     return json.dumps(pairs, indent=2) + "\n", json.dumps(hecke, indent=2) + "\n"
 
 
@@ -712,11 +733,28 @@ def test_supports_and_hecke_write_the_stdlib_text_on_every_small_parameter(tmp_p
         assert capsys.readouterr().out == expected_supports
         assert run(["hecke", "--param", str(path)]) == 0
         assert capsys.readouterr().out == expected_hecke
-        pairs = cuspidal_pairs(phi0)
-        supports_seen = [p.S for p in pairs]
-        several_characters += len(set(supports_seen)) < len(supports_seen)
-        empty_tail += any(not p.phi_S.summands for p in pairs)
+        records = cuspidal_pairs(phi0)
+        several_characters += any(len(p.epsilons) > 1 for p in records)
+        empty_tail += any(not p.phi_S.summands for p in records)
     assert (len(corpus), several_characters, empty_tail) == (306, 206, 76)
+
+
+def test_a_discrete_parameter_file_writes_what_its_normed_file_writes(tmp_path, capsys):
+    """``supports`` and ``hecke`` norm the parameter they read, so a file of a
+    discrete parameter, or of one with a dual pair and points off the base
+    point, prints what the file of its normed parameter prints."""
+    inv = standard_inventory()
+    phis = [phi for ambient in verify._classical_ambients(6) for phi in discrete_parameters(inv, ambient)]
+    assert len(phis) == 143
+    phis.append(parameter_from_json_dict(DECODER_BASE_FILES[-1]["parameter"], inv))
+    path = tmp_path / "p.json"
+
+    def outputs(phi):
+        _write_param_file(path, inv, phi)
+        return [(run([command, "--param", str(path)]), capsys.readouterr().out) for command in ("supports", "hecke")]
+
+    for phi in phis:
+        assert outputs(phi) == outputs(params.normed_parameter(phi))
 
 
 @pytest.mark.parametrize("group", sorted(GROUP_AMBIENTS))

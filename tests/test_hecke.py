@@ -371,7 +371,7 @@ def test_closed_form_road_does_not_use_the_derived_hecke_road(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("derived road called")
 
-    originals = [hecke.hecke_factor, hecke.sp_normalization, params._alternating_characters, support.cuspidal_pairs]
+    originals = [hecke.hecke_factor, hecke.sp_normalization, support._epsilons, support.cuspidal_pairs]
     for name, module in list(sys.modules.items()):
         if not name.startswith("hecke_atlas"):
             continue

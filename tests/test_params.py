@@ -484,7 +484,7 @@ def test_staircase_view_matches_the_grouping_it_replaced(extended_inventory):
             ] == expected
             if chars[0] == "value":
                 chars[1].append(chars[1][0])  # the next call gets a fresh list
-                params._alternating_characters(phi).clear()
+                alternating_characters(phi).clear()
     assert seen == {"value", "ValueError"}
 
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from hecke_atlas import CheckError, support
-from hecke_atlas.params import LDSummand, build_ld_parameter, is_discrete
+from hecke_atlas.params import LDSummand, SignCharacter, alternating_characters, build_ld_parameter, is_discrete
 from hecke_atlas.support import (
     SupportDatum,
     SupportLevi,
@@ -217,23 +217,25 @@ def test_build_levi_non_self_dual(extended_inventory):
 
 
 def test_cuspidal_pairs_so7(so7_setting):
-    pairs = cuspidal_pairs(so7_setting)
-    assert len(pairs) == 6  # one alternating character per support
-    report = injectivity_report(pairs)
+    records = cuspidal_pairs(so7_setting)
+    assert len(records) == 6
+    assert sum(len(p.epsilons) for p in records) == 6  # one alternating character per support
+    report = injectivity_report(records)
     assert report["duplicates"] == [] and report["flagged"] == []
     assert report["injective_outside_flagged"]
 
 
 def test_cuspidal_pairs_sp4(sp4_setting):
-    pairs = cuspidal_pairs(sp4_setting)
+    records = cuspidal_pairs(sp4_setting)
     # depth-1 supports carry 2 characters, depth-(2,1) supports carry 4
     counts = {}
-    for p in pairs:
-        counts[p.S.as_dict["triv"]] = counts.get(p.S.as_dict["triv"], 0) + 1
+    for p in records:
+        counts[p.S.as_dict["triv"]] = counts.get(p.S.as_dict["triv"], 0) + len(p.epsilons)
     assert counts == {(1, 0): 2, (0, 1): 2, (2, 1): 4, (1, 2): 4}
+    pairs = [p for p in records for _ in p.epsilons]
     assert len(pairs) == 12
-    report = injectivity_report(pairs)
-    assert report["duplicates"] == []
+    report = injectivity_report(records)
+    assert report["total"] == 12 and report["duplicates"] == []
     # the rank-zero tails with two surviving characters are flagged
     flagged_supports = {pairs[i].S.as_dict["triv"] for i in report["flagged"]}
     assert flagged_supports == {(1, 0), (0, 1)}
@@ -249,7 +251,7 @@ def test_L_S_parity(so7_setting, sp4_setting):
 
 def test_support_json(so7_setting):
     pairs = cuspidal_pairs(so7_setting)
-    data = support_to_json_dict(pairs[1])
+    data = support_to_json_dict(pairs[1], pairs[1].epsilons[0])
     assert set(data) == {"S", "phiS", "LS", "lS", "dS", "levi", "epsilon", "epsZ"}
     assert data["dS"] in "+-"
     assert data["levi"]["tail"]["family"] == "symplectic"
@@ -341,3 +343,65 @@ def test_each_levi_matches_the_summed_tail_shares():
             assert p.levi == summed_levi(phi0, p.phi_S, p.L_S, p.l_S)
             count += 1
     assert count > 1000
+
+
+def reference_pairs(phi0, characters=lambda chars: chars):
+    """The flat pairs ``(S, phi_S, L_S, l_S, d_S, levi, epsilon)`` as the
+    per-pair loop lists them, each tail's characters passed through ``characters``."""
+    out = []
+    for S in supports(phi0):
+        phi_S, L_S, l_S, d_S = build_phi_S(phi0, S)
+        levi = summed_levi(phi0, phi_S, L_S, l_S)
+        chars = alternating_characters(phi_S) if phi_S.summands else [SignCharacter(())]
+        out.extend((S, phi_S, L_S, l_S, d_S, levi, eps) for eps in characters(chars))
+    return out
+
+
+def reference_injectivity_report(pairs):
+    """``injectivity_report`` on flat pairs, counting each support's characters."""
+    by_key, eps_count = {}, {}
+    for i, (S, phi_S, _, _, _, levi, eps) in enumerate(pairs):
+        by_key.setdefault((levi, phi_S, eps), []).append(i)
+        eps_count[S.entries] = eps_count.get(S.entries, 0) + 1
+    duplicates = [idx for idx in by_key.values() if len(idx) > 1]
+    flagged = [i for i, (S, _, _, l_S, *_) in enumerate(pairs) if l_S == 0 and eps_count[S.entries] > 1]
+    return {
+        "total": len(pairs),
+        "duplicates": duplicates,
+        "flagged": flagged,
+        "injective_outside_flagged": not any(set(idx) - set(flagged) for idx in duplicates),
+    }
+
+
+def flattened(records):
+    return [(p.S, p.phi_S, p.L_S, p.l_S, p.d_S, p.levi, eps) for p in records for eps in p.epsilons]
+
+
+def first_repeated(chars):
+    return [chars[0]] * len(chars)
+
+
+def test_the_records_flatten_to_the_per_pair_loop(monkeypatch):
+    corpus = normed_corpus(standard_inventory(), 8)
+    n_supports = n_pairs = n_flagged = 0
+    for phi0 in corpus:
+        records = cuspidal_pairs(phi0)
+        pairs = reference_pairs(phi0)
+        assert flattened(records) == pairs
+        assert injectivity_report(records) == reference_injectivity_report(pairs)
+        n_supports += len(records)
+        n_pairs += len(pairs)
+        n_flagged += sum(p.l_S == 0 and len(p.epsilons) > 1 for p in records)
+    assert (len(corpus), n_supports, n_pairs, n_flagged) == (306, 855, 2354, 38)
+
+    # every support keeps its number of characters, but they all coincide
+    monkeypatch.setattr(support, "_epsilons", lambda phi_S, epsilons=support._epsilons: first_repeated(epsilons(phi_S)))
+    duplicated = 0
+    for phi0 in corpus:
+        records = cuspidal_pairs(phi0)
+        pairs = reference_pairs(phi0, first_repeated)
+        assert flattened(records) == pairs
+        report = injectivity_report(records)
+        assert report == reference_injectivity_report(pairs)
+        duplicated += not report["injective_outside_flagged"]
+    assert duplicated > 0
