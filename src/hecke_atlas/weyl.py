@@ -6,12 +6,12 @@ Weyl groups of standard Levis, stabilizers of orbit decorations, and the
 semidirect decomposition of the latter into a reflection part and a
 positivity-preserving complement.
 
-A signed permutation is one tuple ``img`` of signed images: entry i is
-``+(j + 1)`` or ``-(j + 1)`` when e_i goes to ``+e_j`` or ``-e_j``.  Products,
-inverses, hashing and equality read that tuple; ``perm`` and ``signs`` are
-views of it.  The group checks of ``orbit_stabilizers`` run on the tuples
-themselves (``_mul``, ``_inverse``), with ``SignedPermutation`` only where it
-reads its input and builds its result.
+An element is one tuple ``img`` of signed images: entry i is ``+(j + 1)``
+or ``-(j + 1)`` when e_i goes to ``+e_j`` or ``-e_j``.  The relative Weyl
+groups, the stabilizers and their parts are tuples of these, and the group
+checks run on them (``_mul``, ``_inverse``, ordered by ``_sort_key``).
+``SignedPermutation`` wraps one such tuple, with ``perm`` and ``signs`` as
+views of it; it is the element type of ``weyl_group``.
 
 What stays brute force: ``relative_weyl`` accepts or rejects every element
 of W (every permutation, against the sign vectors that are constant on the
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 6
+MAX_LABELS = 3  # orbit labels per decoration, up to renaming
 
 
 @total_ordering
@@ -198,36 +199,38 @@ class LeviDescriptor:
         return out
 
 
-def _min_lift_parity(move: SignedPermutation, levi: LeviDescriptor) -> int:
+def _min_lift_parity(move: tuple[int, ...], levi: LeviDescriptor) -> int:
     """Parity of the least number of sign changes among lifts of a move."""
-    return sum(k for k, x in zip(levi.composition, move.img) if x < 0) % 2
+    return sum(k for k, x in zip(levi.composition, move) if x < 0) % 2
 
 
 @dataclass(frozen=True)
 class RelativeWeyl:
-    cosets: tuple[SignedPermutation, ...]  # block moves = W^M cosets in N(M)
-    even_cosets: tuple[SignedPermutation, ...]
+    # block moves = W^M cosets in N(M), as signed images of the blocks,
+    # sorted by ``_sort_key``; then those that an even element lifts
+    cosets: tuple[tuple[int, ...], ...]
+    even_cosets: tuple[tuple[int, ...], ...]
 
     @property
     def equal(self) -> bool:
-        return {m.img for m in self.cosets} == self.even_imgs
+        return set(self.cosets) == self.even_imgs
 
     @cached_property
-    def by_block_perm(self) -> dict[tuple[int, ...], list[tuple[int, SignedPermutation]]]:
+    def by_block_perm(self) -> dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]:
         """The cosets by block permutation ``|img|``, each with the bit mask
         of the blocks it negates.  The cosets are sorted by ``_sort_key``,
         which orders by ``|img|`` first, so the groups come in that order
         and any run of them, concatenated, stays sorted."""
         groups = {}
-        for m in sorted(self.cosets, key=SignedPermutation.sort_key):
-            negated = sum(1 << i for i, x in enumerate(m.img) if x < 0)
-            groups.setdefault(tuple(map(abs, m.img)), []).append((negated, m))
+        for m in sorted(self.cosets, key=_sort_key):
+            negated = sum(1 << i for i, x in enumerate(m) if x < 0)
+            groups.setdefault(tuple(map(abs, m)), []).append((negated, m))
         return groups
 
     @cached_property
     def even_imgs(self) -> frozenset[tuple[int, ...]]:
-        """The signed images of the even cosets."""
-        return frozenset([m.img for m in self.even_cosets])
+        """The even cosets, as a set."""
+        return frozenset(self.even_cosets)
 
 
 def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
@@ -269,7 +272,7 @@ def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
             block_perms.add(tuple(targets))
     # sorted as (perm, signs) pairs, which is the order of the moves
     cosets = tuple(
-        _signed(tuple([s * (p + 1) for p, s in zip(perm, signs)]))
+        tuple([s * (p + 1) for p, s in zip(perm, signs)])
         for perm, signs in sorted(itertools.product(block_perms, block_signs))
     )
     even = tuple(m for m in cosets if levi.tail_rank >= 1 or _min_lift_parity(m, levi) == 0)
@@ -278,8 +281,8 @@ def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
 
 def _decorated_cosets(
     decorations: Sequence[tuple[str, bool]],
-    by_block_perm: dict[tuple[int, ...], list[tuple[int, SignedPermutation]]],
-) -> list[SignedPermutation]:
+    by_block_perm: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]],
+) -> list[tuple[int, ...]]:
     """The cosets that keep the decorations: each block goes to a block with
     the same label, negated only if that label is self-dual.  The label test
     runs once per block permutation, the sign test per coset that passes it;
@@ -297,40 +300,24 @@ def _decorated_cosets(
 # -- block-axis root system (type B positive system) ------------------------
 
 
-def _roots(r: int) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(r):
-        v = [0] * r
-        v[i] = 1
-        out.append(tuple(v))
-        for j in range(i + 1, r):
-            for sj in (1, -1):
-                v = [0] * r
-                v[i], v[j] = 1, sj
-                out.append(tuple(v))
-    return out  # positive roots only
-
-
-def _reflection(root: Sequence[int], r: int) -> SignedPermutation:
-    support = [i for i, c in enumerate(root) if c]
-    img = list(range(1, r + 1))
-    if len(support) == 1:
-        img[support[0]] *= -1
-    else:
-        i, j = support
-        sign = -1 if root[i] == root[j] else 1  # e_i + e_j negates both
-        img[i], img[j] = sign * (j + 1), sign * (i + 1)
-    return _signed(tuple(img))
-
-
 @cache
 def _reflections(r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Each positive root, as its signed coordinates, with the signed images
-    of its reflection.  A root sum of c_i e_i has the signed coordinates
+    of its reflection: for each a in 1..r, e_a, then for each b > a, e_a + e_b
+    and e_a - e_b.  A root sum of c_i e_i has the signed coordinates
     ``(i + 1) * c_i`` for its nonzero c_i, in the order of i."""
-    return tuple(
-        (tuple([(i + 1) * c for i, c in enumerate(root) if c]), _reflection(root, r).img) for root in _roots(r)
-    )
+    one = list(range(1, r + 1))
+    out = []
+    for a in one:
+        img = one.copy()
+        img[a - 1] = -a
+        out.append(((a,), tuple(img)))
+        for b in one[a:]:
+            for s in (1, -1):  # e_a + e_b swaps and negates both; e_a - e_b swaps
+                img = one.copy()
+                img[a - 1], img[b - 1] = -s * b, -s * a
+                out.append(((a, s * b), tuple(img)))
+    return tuple(out)
 
 
 def _grow(group: set[tuple[int, ...]], gens: list[tuple[int, ...]], g: tuple[int, ...]) -> None:
@@ -419,33 +406,35 @@ def _complement(q: Iterable[tuple[int, ...]], sigma_pos: Sequence[tuple[int, ...
 
 @dataclass(frozen=True)
 class OrbitStabilizers:
-    group: tuple[SignedPermutation, ...]  # W(M, O) as block moves
-    even_group: tuple[SignedPermutation, ...]  # W0(M, O)
-    reflection_part: tuple[SignedPermutation, ...]  # W0_O
-    complement: tuple[SignedPermutation, ...]  # R(O)
-    even_complement: tuple[SignedPermutation, ...]  # R0(O)
+    # each part as the signed images of its block moves, in ``_sort_key`` order
+    group: tuple[tuple[int, ...], ...]  # W(M, O)
+    even_group: tuple[tuple[int, ...], ...]  # W0(M, O)
+    reflection_part: tuple[tuple[int, ...], ...]  # W0_O
+    complement: tuple[tuple[int, ...], ...]  # R(O)
+    even_complement: tuple[tuple[int, ...], ...]  # R0(O)
     semidirect_ok: bool
-    counterexample: Optional[SignedPermutation]
+    counterexample: Optional[tuple[int, ...]]  # where the splitting first fails
 
     @property
     def equal(self) -> bool:
-        return {m.img for m in self.group} == {m.img for m in self.even_group}
+        return set(self.group) == set(self.even_group)
 
 
 def orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilizers:
     """Stabilizer of the decoration data, with its semidirect splitting.
 
     ``rel`` is the relative Weyl group of the undecorated Levi, so one
-    ``relative_weyl`` scan serves every decoration of it.
+    ``relative_weyl`` scan serves every decoration of it; a ``rel`` whose
+    cosets move another number of blocks raises ``ValueError``.
     """
     if levi.decorations is None:
         raise ValueError("decorations required")
-    q = _decorated_cosets(levi.decorations, rel.by_block_perm)
-    even = rel.even_imgs
-    q0 = [m for m in q if m.img in even]
-    q_imgs = [m.img for m in q]
-    q0_set = {m.img for m in q0}
     r = len(levi.composition)
+    if any(len(perm) != r for perm in rel.by_block_perm):
+        raise ValueError(f"rel is not the relative Weyl group of a Levi with {r} blocks")
+    q = _decorated_cosets(levi.decorations, rel.by_block_perm)
+    q0 = [m for m in q if m in rel.even_imgs]
+    q0_set = set(q0)
 
     sigma_pos = []
     gens = []
@@ -454,26 +443,26 @@ def orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilize
             sigma_pos.append(root)
             gens.append(s)
     w0_o = _closure(gens, r)
-    complement = _complement(q_imgs, sigma_pos)
+    complement = _complement(q, sigma_pos)
     even_complement = [m for m in complement if m in q0_set]
 
     # normality of the reflection part, then unique factorization of the
     # stabilizer and of its even part
-    bad = _non_normalizing(q_imgs, gens, w0_o)
+    bad = _non_normalizing(q, gens, w0_o)
     ok = bad is None
     if ok:
-        ok, bad = _factorizes(set(q_imgs), w0_o, complement)
+        ok, bad = _factorizes(set(q), w0_o, complement)
     if ok:
         ok, bad = _factorizes(q0_set, w0_o, even_complement)
 
     return OrbitStabilizers(
         tuple(q),
         tuple(q0),
-        tuple([_signed(x) for x in sorted(w0_o, key=_sort_key)]),
-        tuple([_signed(x) for x in complement]),
-        tuple([_signed(x) for x in even_complement]),
+        tuple(sorted(w0_o, key=_sort_key)),
+        tuple(complement),
+        tuple(even_complement),
         ok,
-        None if bad is None else _signed(bad),
+        bad,
     )
 
 
@@ -481,60 +470,41 @@ def orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilize
 # enumeration of Levis and decorations
 
 
+def _compositions(total: int) -> list[tuple[int, ...]]:
+    """The ordered sums of positive parts to ``total``, by first part."""
+    if total == 0:
+        return [()]
+    return [(first, *more) for first in range(1, total + 1) for more in _compositions(total - first)]
+
+
 def enumerate_levis(n: int) -> list[LeviDescriptor]:
+    return [LeviDescriptor(comp, tail) for tail in range(n + 1) for comp in _compositions(n - tail) if comp or tail]
+
+
+def enumerate_decorations(levi: LeviDescriptor) -> list[LeviDescriptor]:
+    """All decoration assignments with up to ``MAX_LABELS`` labels, up to
+    renaming; equal labels must sit on equal-size blocks.
+
+    The label sequences are numbered by first occurrence (label l appears
+    only after 0..l-1) and come in lexicographic order, each followed by
+    every choice of self-duality flags for its labels.
+    """
+    composition = levi.composition
     out = []
-    for tail in range(n + 1):
-        rest = n - tail
 
-        def comps(total: int) -> list[tuple[int, ...]]:
-            if total == 0:
-                return [()]
-            result = []
-            for first in range(1, total + 1):
-                for more in comps(total - first):
-                    result.append((first,) + more)
-            return result
+    def walk(labels: tuple[int, ...], sizes: tuple[int, ...]) -> None:
+        # sizes[l] is the block size that label l sits on
+        if len(labels) == len(composition):
+            for flags in itertools.product((False, True), repeat=len(sizes)):
+                dec = tuple((f"o{l}", flags[l]) for l in labels)
+                out.append(LeviDescriptor(composition, levi.tail_rank, dec))
+            return
+        k = composition[len(labels)]
+        for l, size in enumerate(sizes):
+            if size == k:
+                walk((*labels, l), sizes)
+        if len(sizes) < MAX_LABELS:
+            walk((*labels, len(sizes)), (*sizes, k))
 
-        for comp in comps(rest):
-            if comp or tail:
-                out.append(LeviDescriptor(comp, tail))
-    return out
-
-
-def enumerate_decorations(levi: LeviDescriptor, max_labels: int = 3) -> list[LeviDescriptor]:
-    """All decoration assignments with up to ``max_labels`` labels, up to
-    renaming; equal labels must sit on equal-size blocks."""
-    r = len(levi.composition)
-    if r == 0:
-        return [LeviDescriptor(levi.composition, levi.tail_rank, ())]
-    out = []
-    seen = set()
-    for labels in itertools.product(range(max_labels), repeat=r):
-        # canonical by first occurrence
-        remap: dict[int, int] = {}
-        canon = []
-        for l in labels:
-            if l not in remap:
-                remap[l] = len(remap)
-            canon.append(remap[l])
-        canon_t = tuple(canon)
-        if canon_t != labels:
-            continue
-        sizes: dict[int, int] = {}
-        consistent = True
-        for k, l in zip(levi.composition, canon_t):
-            if sizes.setdefault(l, k) != k:
-                consistent = False
-                break
-        if not consistent:
-            continue
-        used = sorted(set(canon_t))
-        for flags in itertools.product((False, True), repeat=len(used)):
-            flag_of = dict(zip(used, flags))
-            dec = tuple((f"o{l}", flag_of[l]) for l in canon_t)
-            key = (canon_t, flags)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(LeviDescriptor(levi.composition, levi.tail_rank, dec))
+    walk((), ())
     return out

@@ -7,13 +7,15 @@ from hypothesis import given, strategies as st
 
 from hecke_atlas.verify import run_suite
 from hecke_atlas.weyl import (
+    BRUTE_FORCE_CAP,
+    MAX_LABELS,
     LeviDescriptor,
     RelativeWeyl,
     SignedPermutation,
     _closure,
     _non_normalizing,
-    _reflection,
-    _roots,
+    _reflections,
+    _sort_key,
     enumerate_decorations,
     enumerate_levis,
     orbit_stabilizers,
@@ -56,6 +58,11 @@ def _ref_mul(a, b):
     """a after b, on (perm, signs) pairs."""
     (pa, sa), (pb, sb) = a, b
     return tuple(pa[p] for p in pb), tuple(s * sa[p] for s, p in zip(sb, pb))
+
+
+def _perm_signs(img):
+    """The (perm, signs) pair of a tuple of signed images."""
+    return tuple(abs(x) - 1 for x in img), tuple(1 if x > 0 else -1 for x in img)
 
 
 def _ref_inverse(a):
@@ -195,6 +202,90 @@ def test_enumerate_decorations_consistency():
     assert len(decs) == 4
 
 
+def test_orbit_stabilizers_refuses_the_relative_weyl_group_of_another_levi():
+    both_a = LeviDescriptor((1, 1), 0, (("a", True), ("a", True)))
+    assert len(orbit_stabilizers(both_a, relative_weyl(LeviDescriptor((1, 1), 0), 2)).group) == 8
+    # cosets on one block for a Levi of two, and on two blocks for a Levi of one
+    with pytest.raises(ValueError):
+        orbit_stabilizers(both_a, relative_weyl(LeviDescriptor((2,), 0), 2))
+    with pytest.raises(ValueError):
+        orbit_stabilizers(LeviDescriptor((1,), 0, (("a", True),)), relative_weyl(LeviDescriptor((1, 1), 0), 2))
+
+
+def _reference_levis(n):
+    """The enumerator the Levis were first built with: compositions by a
+    recursion defined anew for each tail rank."""
+    out = []
+    for tail in range(n + 1):
+        rest = n - tail
+
+        def comps(total):
+            if total == 0:
+                return [()]
+            result = []
+            for first in range(1, total + 1):
+                for more in comps(total - first):
+                    result.append((first,) + more)
+            return result
+
+        for comp in comps(rest):
+            if comp or tail:
+                out.append(LeviDescriptor(comp, tail))
+    return out
+
+
+def _reference_decorations(levi, max_labels):
+    """The enumerator the decorations were first built with: every label
+    tuple, kept when it is numbered by first occurrence and puts each label
+    on blocks of one size."""
+    r = len(levi.composition)
+    if r == 0:
+        return [LeviDescriptor(levi.composition, levi.tail_rank, ())]
+    out = []
+    seen = set()
+    for labels in itertools.product(range(max_labels), repeat=r):
+        remap = {}
+        canon = []
+        for l in labels:
+            if l not in remap:
+                remap[l] = len(remap)
+            canon.append(remap[l])
+        canon_t = tuple(canon)
+        if canon_t != labels:
+            continue
+        sizes = {}
+        consistent = True
+        for k, l in zip(levi.composition, canon_t):
+            if sizes.setdefault(l, k) != k:
+                consistent = False
+                break
+        if not consistent:
+            continue
+        used = sorted(set(canon_t))
+        for flags in itertools.product((False, True), repeat=len(used)):
+            flag_of = dict(zip(used, flags))
+            dec = tuple((f"o{l}", flag_of[l]) for l in canon_t)
+            key = (canon_t, flags)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(LeviDescriptor(levi.composition, levi.tail_rank, dec))
+    return out
+
+
+def test_enumerators_match_the_scan_and_filter_reference():
+    counts = []
+    for n in range(BRUTE_FORCE_CAP + 1):
+        levis = enumerate_levis(n)
+        assert levis == _reference_levis(n)
+        for levi in levis:
+            decs = enumerate_decorations(levi)
+            assert decs == _reference_decorations(levi, MAX_LABELS)
+            counts.append(len(decs))
+    # lemA4's 3006 cases at rank 6, and one decoration of each tail-only Levi
+    assert len(counts) == 126 and sum(counts) == 3006 + 6
+
+
 def test_normalizer_equality_characterization():
     cases = run_suite("lemA3", 4)["cases"]
     assert cases and all(c["status"] == "pass" for c in cases)
@@ -221,12 +312,8 @@ def test_relative_weyl_matches_closed_form():
     for n in range(1, 6):
         for levi in enumerate_levis(n):
             rel = relative_weyl(levi, n)
-            assert set(rel.cosets) == _signed_block_permutations(levi.composition)
-            assert list(rel.cosets) == sorted(rel.cosets)
-
-
-def _signed_images(g):
-    return tuple(s * (p + 1) for p, s in zip(g.perm, g.signs))
+            assert set(rel.cosets) == {m.img for m in _signed_block_permutations(levi.composition)}
+            assert list(rel.cosets) == sorted(rel.cosets, key=_sort_key)
 
 
 def _two_sided_closure(generators, r):
@@ -237,7 +324,7 @@ def _two_sided_closure(generators, r):
         return tuple([a[x - 1] if x > 0 else -a[-x - 1] for x in b])
 
     group = {tuple(range(1, r + 1))}
-    frontier = {_signed_images(g) for g in generators}
+    frontier = set(generators)
     group |= frontier
     while frontier:
         new = set()
@@ -253,23 +340,23 @@ def _two_sided_closure(generators, r):
 
 def test_closure_matches_two_sided_search():
     for r in range(1, 4):
-        reflections = [_reflection(root, r) for root in _roots(r)]
+        reflections = [s for _, s in _reflections(r)]
         for k in range(len(reflections) + 1):
             for gens in itertools.combinations(reflections, k):
-                closure = _closure([g.img for g in gens], r)
-                assert closure == _two_sided_closure(gens, r)
+                assert _closure(gens, r) == _two_sided_closure(gens, r)
 
 
 def test_normality_check_names_the_first_failing_element():
     # against conjugating every generator by every element of q, in q's order
     for r in range(1, 4):
-        reflections = [_reflection(root, r) for root in _roots(r)]
+        reflections = [s for _, s in _reflections(r)]
         for q in (sorted(weyl_group(r)), sorted(weyl_group(r, full=False))):
             for k in range(4):
                 for gens in itertools.combinations(reflections, k):
-                    group = _closure([s.img for s in gens], r)
-                    first = next((m for m in q if any((m * s * m.inverse()).img not in group for s in gens)), None)
-                    found = _non_normalizing([m.img for m in q], [s.img for s in gens], group)
+                    group = _closure(gens, r)
+                    ws = [SignedPermutation(*_perm_signs(s)) for s in gens]
+                    first = next((m for m in q if any((m * w * m.inverse()).img not in group for w in ws)), None)
+                    found = _non_normalizing([m.img for m in q], gens, group)
                     assert found == (None if first is None else first.img)
 
 
@@ -287,9 +374,9 @@ def test_normality_check_on_generators_can_fail():
 
     # a hand-built relative Weyl group whose even part is only <s_{e1}>
     levi = LeviDescriptor((1, 1), 0, (("rho", True), ("rho", True)))
-    st = orbit_stabilizers(levi, RelativeWeyl(tuple(b2), (one, s_e1)))
-    assert st.reflection_part == tuple(sorted({one, s_e1}))
-    assert not st.semidirect_ok and st.counterexample == bad
+    st = orbit_stabilizers(levi, RelativeWeyl(tuple(m.img for m in b2), (one.img, s_e1.img)))
+    assert st.reflection_part == tuple(m.img for m in sorted({one, s_e1}))
+    assert not st.semidirect_ok and st.counterexample == bad.img
 
 
 def _reference_decorated(levi, rel):
@@ -300,10 +387,10 @@ def _reference_decorated(levi, rel):
     for label, self_dual in levi.decorations:
         same = [j + 1 for j, (other, _) in enumerate(levi.decorations) if other == label]
         images.append(frozenset(same + [-j for j in same] if self_dual else same))
-    q = [m for m in rel.cosets if all(map(frozenset.__contains__, images, m.img))]
-    q.sort(key=SignedPermutation.sort_key)
-    even = {m.img for m in rel.even_cosets}
-    return q, [m for m in q if m.img in even]
+    q = [m for m in rel.cosets if all(map(frozenset.__contains__, images, m))]
+    q.sort(key=_sort_key)
+    even = set(rel.even_cosets)
+    return q, [m for m in q if m in even]
 
 
 def test_decoration_filter_matches_the_per_coset_reference():
@@ -313,8 +400,8 @@ def test_decoration_filter_matches_the_per_coset_reference():
             if levi.composition:
                 rel = relative_weyl(levi, n)
                 cases += [(dec, rel) for dec in enumerate_decorations(levi)]
-    b2 = sorted(weyl_group(2))
-    one, s_e1 = SignedPermutation.identity(2), SignedPermutation((0, 1), (-1, 1))
+    b2 = [m.img for m in sorted(weyl_group(2))]
+    one, s_e1 = SignedPermutation.identity(2).img, SignedPermutation((0, 1), (-1, 1)).img
     # the hand-built group above, and the same with its cosets out of order
     for cosets in (tuple(b2), tuple(reversed(b2))):
         hand_built = RelativeWeyl(cosets, (one, s_e1))
@@ -323,8 +410,8 @@ def test_decoration_filter_matches_the_per_coset_reference():
     for dec, rel in cases:
         st = orbit_stabilizers(dec, rel)
         q, q0 = _reference_decorated(dec, rel)
-        assert [m.img for m in st.group] == [m.img for m in q]
-        assert [m.img for m in st.even_group] == [m.img for m in q0]
+        assert list(st.group) == q
+        assert list(st.even_group) == q0
 
 
 def _reflection_of(root):
@@ -340,10 +427,24 @@ def _reflection_of(root):
 
 
 def _moved_root(m, root):
+    perm, signs = _perm_signs(m)
     out = [0] * len(root)
     for i, c in enumerate(root):
-        out[m.perm[i]] += m.signs[i] * c
+        out[perm[i]] += signs[i] * c
     return tuple(out)
+
+
+def test_reflections_match_the_vector_formula():
+    for r in range(1, BRUTE_FORCE_CAP + 1):
+        # the positive roots as vectors: e_i, then e_i + e_j and e_i - e_j for each j > i
+        roots = []
+        for i in range(r):
+            roots.append(tuple(int(k == i) for k in range(r)))
+            for j, sj in itertools.product(range(i + 1, r), (1, -1)):
+                roots.append(tuple(int(k == i) + sj * int(k == j) for k in range(r)))
+        assert len(roots) == r * r
+        expected = [(tuple((i + 1) * c for i, c in enumerate(v) if c), _reflection_of(v).img) for v in roots]
+        assert list(_reflections(r)) == expected
 
 
 def test_stabilizer_parts_match_an_independent_reference():
@@ -358,12 +459,11 @@ def test_stabilizer_parts_match_an_independent_reference():
                 cases += [(dec, rel) for dec in enumerate_decorations(levi)]
     assert len(cases) == 226
     # the hand-built group whose reflection part is not normal
-    b2 = sorted(weyl_group(2))
-    hand_built = RelativeWeyl(tuple(b2), (SignedPermutation.identity(2), SignedPermutation((0, 1), (-1, 1))))
+    b2 = [m.img for m in sorted(weyl_group(2))]
+    hand_built = RelativeWeyl(tuple(b2), (SignedPermutation.identity(2).img, SignedPermutation((0, 1), (-1, 1)).img))
     cases += [(dec, hand_built) for dec in enumerate_decorations(LeviDescriptor((1, 1), 0))]
 
-    def pair(m):
-        return m.perm, m.signs
+    pair = _perm_signs
 
     splittings = set()
     for dec, rel in cases:
@@ -372,10 +472,10 @@ def test_stabilizer_parts_match_an_independent_reference():
         positive = [
             v for v in itertools.product((-1, 0, 1), repeat=r) if sum(map(abs, v)) in (1, 2) and max(v, key=abs) == 1
         ]
-        sigma_pos = [root for root in positive if _reflection_of(root) in st.even_group]
-        gens = [_reflection_of(root) for root in sigma_pos]
+        sigma_pos = [root for root in positive if _reflection_of(root).img in st.even_group]
+        gens = [_reflection_of(root).img for root in sigma_pos]
         w0_o = _two_sided_closure(gens, r)
-        assert {m.img for m in st.reflection_part} == w0_o and len(st.reflection_part) == len(w0_o)
+        assert set(st.reflection_part) == w0_o and len(st.reflection_part) == len(w0_o)
         assert [pair(m) for m in st.reflection_part] == sorted(map(pair, st.reflection_part))
 
         def preserves(m):
