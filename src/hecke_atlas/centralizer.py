@@ -43,14 +43,12 @@ __all__ = [
     "s_phi",
     "enumerate_s_classes",
     "centralizer_of_s",
-    "c_prime",
     "parameter_to_triple",
     "triple_to_parameter",
     "component_group_of_triple",
     "CheckedBlocks",
     "check_matrices",
     "realize_matrices",
-    "triple_to_json_dict",
 ]
 
 
@@ -224,18 +222,14 @@ def centralizer_of_s(phi0: LDParameter, s: SemisimpleClassDescriptor) -> SCentra
     )
 
 
-def c_prime(phi0: LDParameter, s: SemisimpleClassDescriptor) -> ClassicalGroupDescriptor:
-    """The modified centralizer C' of ``centralizer_of_s``."""
-    return centralizer_of_s(phi0, s).c_prime
-
-
 PAIR_PALETTE = (
     UnitMonomial.of(0, Fraction(1, 2)),  # q**(1/2), paired with q**(-1/2)
     UnitMonomial.of(Fraction(1, 4), 0),  # i, paired with -i
 )
+MAX_PAIR_MULT = 2  # most times each palette pair occurs in one block
 
 
-def enumerate_s_classes(phi0: LDParameter, max_pair_mult: int = 2) -> list[SemisimpleClassDescriptor]:
+def enumerate_s_classes(phi0: LDParameter) -> list[SemisimpleClassDescriptor]:
     """Deterministic family of semisimple classes centralizing the image.
 
     Per orbit block the eigenvalue 1/-1 multiplicities and a few inverse
@@ -245,8 +239,8 @@ def enumerate_s_classes(phi0: LDParameter, max_pair_mult: int = 2) -> list[Semis
 
     def block_choices(m: int) -> list[list[tuple[UnitMonomial, int]]]:
         out = []
-        for p0 in range(0, min(max_pair_mult, m // 2) + 1):
-            for p1 in range(0, min(max_pair_mult, (m - 2 * p0) // 2) + 1):
+        for p0 in range(0, min(MAX_PAIR_MULT, m // 2) + 1):
+            for p1 in range(0, min(MAX_PAIR_MULT, (m - 2 * p0) // 2) + 1):
                 rest = m - 2 * (p0 + p1)
                 for m1 in range(rest + 1):
                     values: list[tuple[UnitMonomial, int]] = []
@@ -661,20 +655,3 @@ def realize_matrices(phi: LDParameter) -> tuple[list[list[Fraction | int]], ...]
         _assemble(b.u_blocks, b.u_den),
         _assemble(b.g_blocks, 1),
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def triple_to_json_dict(t: Triple) -> dict:
-    return {
-        "group": [list(f) for f in t.group.factors],
-        "eigenvalues": [
-            {"block": label, "values": [{"value": x.to_json_dict(), "mult": m} for x, m in values]}
-            for label, values in t.s.blocks
-        ],
-        "partitions": {
-            f"{label}@{x}": list(parts) for (label, x), parts in t.u_by_eigenblock
-        },
-    }

@@ -197,7 +197,7 @@ def _cmd_hecke(args) -> int:
     phi0 = _load_param_file(args.param)
     items = []
     for S in supports(phi0):
-        factors = [_factor_text(label, sp_normalization(f)) for label, f in hecke_descriptor(phi0, S).factors]
+        factors = [_factor_text(label, sp_normalization(f)) for label, f in hecke_descriptor(phi0, S)]
         items.append(
             f'{{\n    "S": {_support_datum_text(S, "    ")},\n    "factors": {_container(factors, "    ", "[]")}\n  }}'
         )

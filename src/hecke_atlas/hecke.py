@@ -30,7 +30,6 @@ from .weil import (
 
 __all__ = [
     "HeckeFactor",
-    "HeckeDescriptor",
     "SpecialRow",
     "hecke_factor",
     "hecke_descriptor",
@@ -64,11 +63,6 @@ class HeckeFactor:
     @property
     def is_equal_parameter(self) -> bool:
         return self.internal == self.end_long == self.end_short
-
-
-@dataclass(frozen=True)
-class HeckeDescriptor:
-    factors: tuple[tuple[str, HeckeFactor], ...]
 
 
 @functools.cache
@@ -115,11 +109,10 @@ def _self_dual_factor(m: int, t: int, types: tuple[bool, bool], a_plus: int, a_m
     return HeckeFactor("SO", size, False, t, Fraction(t), long, short)
 
 
-def hecke_descriptor(phi0: LDParameter, S: SupportDatum) -> HeckeDescriptor:
-    """One factor per orbit of the parameter (dual pairs count once)."""
-    return HeckeDescriptor(
-        tuple((o.cls.label, hecke_factor(phi0, S, o.cls.label)) for o in phi0.orbits)
-    )
+def hecke_descriptor(phi0: LDParameter, S: SupportDatum) -> tuple[tuple[str, HeckeFactor], ...]:
+    """One ``(orbit label, factor)`` pair per orbit of the parameter (dual
+    pairs count once)."""
+    return tuple((o.cls.label, hecke_factor(phi0, S, o.cls.label)) for o in phi0.orbits)
 
 
 def sp_normalization(f: HeckeFactor) -> HeckeFactor:

@@ -4,15 +4,14 @@ A parameter is a multiset of summands ``point (x) sp(a)`` inside a fixed
 ambient dual group.  This module provides the supercuspidal shape test,
 the summand component group with its alternating sign characters, the
 closed-form counting of supercuspidal representations on the two forms of
-the group, and an independent brute-force count used as an oracle.
+the group, an independent brute-force count used as an oracle, and the
+parameter corpora the verification suites run over.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -50,9 +49,11 @@ __all__ = [
     "brute_force_supercuspidals",
     "is_discrete",
     "det_discrepancy",
+    "classical_ambients",
     "supercuspidal_corpus",
     "supercuspidal_shapes",
     "discrete_parameters",
+    "normed_corpus",
     "normed_parameter",
     "parameter_to_json_dict",
     "parameter_from_json_dict",
@@ -454,67 +455,88 @@ def _bounded_choices(slots: Sequence[Sequence[tuple[int, object]]], total: int) 
     return walk(0, total, ())
 
 
-def supercuspidal_shapes(
-    inventory: Inventory, ambient: DualGroupDescriptor
-) -> Iterator[LDParameter]:
-    """All cuspidal-shape parameters in ``ambient`` over ``inventory``."""
+def classical_ambients(max_dim: int) -> list[DualGroupDescriptor]:
+    """The classical ambients up to dimension ``max_dim``: O1 ... On, then
+    Sp2, Sp4 ... Spn."""
+    out = [DualGroupDescriptor(Family.ORTHOGONAL, n) for n in range(1, max_dim + 1)]
+    out += [DualGroupDescriptor(Family.SYMPLECTIC, n) for n in range(2, max_dim + 1, 2)]
+    return out
+
+
+def _self_dual_classes(inventory: Inventory, ambient: DualGroupDescriptor) -> list[InertialClass]:
+    """The self-dual classes admissible in ``ambient``, sorted by label:
+    those whose type tags are conjugate-dual exactly when it is unitary."""
     conjugate = ambient.family is Family.UNITARY_L
-    target = ambient.ambient_dim
-    slots = []  # per sign point: (cost, staircase summands) by depth
-    for cls in sorted(inventory, key=lambda c: c.label):
-        if not cls.is_self_dual:
-            continue
-        if cls.duality.type_at_plus.conjugate_flavour != conjugate:
-            continue
-        for f, of_type in zip((UnitMonomial.one(), UnitMonomial.minus_one()), sign_types(cls, ambient)):
-            point = orbit_point(cls, f)
-            options = []
-            for depth in itertools.count():
-                dims, cost = staircase(depth, of_type)
-                if cls.dim * cost > target:
-                    break
-                options.append((cls.dim * cost, [LDSummand(point, a) for a in dims]))
-            slots.append(options)
-    for choice in _bounded_choices(slots, target):
+    return sorted(
+        (c for c in inventory if c.is_self_dual and c.duality.type_at_plus.conjugate_flavour is conjugate),
+        key=lambda c: c.label,
+    )
+
+
+def _parameters(slots: Sequence[Sequence[tuple[int, list]]], ambient: DualGroupDescriptor) -> Iterator[LDParameter]:
+    """One parameter per nonempty choice of ``_bounded_choices`` that fills
+    ``ambient``; each option's value is a list of summands."""
+    for choice in _bounded_choices(slots, ambient.ambient_dim):
         summands = [s for group in choice for s in group]
         if summands:
             yield build_ld_parameter(summands, ambient)
 
 
+def supercuspidal_shapes(
+    inventory: Inventory, ambient: DualGroupDescriptor
+) -> Iterator[LDParameter]:
+    """All cuspidal-shape parameters in ``ambient`` over ``inventory``."""
+    slots = []  # per sign point: (cost, staircase summands) by depth
+    for cls in _self_dual_classes(inventory, ambient):
+        for f, of_type in zip((UnitMonomial.one(), UnitMonomial.minus_one()), sign_types(cls, ambient)):
+            point = orbit_point(cls, f)
+            options = []
+            for depth in itertools.count():
+                dims, cost = staircase(depth, of_type)
+                if cls.dim * cost > ambient.ambient_dim:
+                    break
+                options.append((cls.dim * cost, [LDSummand(point, a) for a in dims]))
+            slots.append(options)
+    return _parameters(slots, ambient)
+
+
 def supercuspidal_corpus(inventory: Inventory, max_ambient_dim: int) -> list[LDParameter]:
-    """Cuspidal-shape parameters for every classical ambient up to a bound."""
-    out: list[LDParameter] = []
-    for dim in range(1, max_ambient_dim + 1):
-        out.extend(supercuspidal_shapes(inventory, DualGroupDescriptor(Family.ORTHOGONAL, dim)))
-        if dim % 2 == 0:
-            out.extend(supercuspidal_shapes(inventory, DualGroupDescriptor(Family.SYMPLECTIC, dim)))
-    return out
+    """Cuspidal-shape parameters for every classical ambient up to a bound,
+    by ambient dimension."""
+    ambients = sorted(classical_ambients(max_ambient_dim), key=lambda g: g.ambient_dim)
+    return [phi for ambient in ambients for phi in supercuspidal_shapes(inventory, ambient)]
 
 
 def discrete_parameters(inventory: Inventory, ambient: DualGroupDescriptor) -> list[LDParameter]:
     """All discrete parameters in ``ambient``: multiplicity-free sums of
     self-dual sign points tensored with SL2 factors of the ambient type."""
-    conjugate = ambient.family is Family.UNITARY_L
     slots = []  # per admissible summand: take it, or leave it out
-    for cls in sorted(inventory, key=lambda c: c.label):
-        if not cls.is_self_dual:
-            continue
-        if cls.duality.type_at_plus.conjugate_flavour != conjugate:
-            continue
+    for cls in _self_dual_classes(inventory, ambient):
         for f in (UnitMonomial.one(), UnitMonomial.minus_one()):
             point = orbit_point(cls, f)
-            a = 1
-            while cls.dim * a <= ambient.ambient_dim:
+            for a in range(1, ambient.ambient_dim // cls.dim + 1):
                 if summand_type(point, a, ambient):
                     s = LDSummand(point, a)
-                    slots.append(((s.dim, s), (0, None)))
-                a += 1
+                    slots.append(((s.dim, [s]), (0, [])))
+    return list(_parameters(slots, ambient))
 
+
+def normed_corpus(inventory: Inventory, max_ambient_dim: int) -> list[LDParameter]:
+    """All base-point-only parameters (every factor at f=1, no internal
+    twisting) over the inventory, for every classical ambient group."""
+    pairs: dict[str, list[InertialPoint]] = {}  # dual pairs by orbit label, sides in label order
+    for cls in sorted(inventory, key=lambda c: c.label):
+        if not cls.is_self_dual:
+            pairs.setdefault(cls.orbit_label, []).append(orbit_point(cls, UnitMonomial.one()))
     out: list[LDParameter] = []
-    for choice in _bounded_choices(slots, ambient.ambient_dim):
-        chosen = [s for s in choice if s is not None]
-        if chosen:
-            out.append(build_ld_parameter(chosen, ambient))
+    for ambient in classical_ambients(max_ambient_dim):
+        n = ambient.ambient_dim
+        orbits = [[orbit_point(c, UnitMonomial.one())] for c in _self_dual_classes(inventory, ambient)]
+        slots = []  # per orbit: (dimension, summands) for each multiplicity m
+        for points in orbits + list(pairs.values()):
+            d = sum(p.cls.dim for p in points)
+            slots.append([(m * d, [LDSummand(p, 1, m) for p in points if m]) for m in range(n // d + 1)])
+        out.extend(_parameters(slots, ambient))
     return out
 
 

@@ -1,5 +1,6 @@
 """Verification suites: each compares a closed form with an independent
-oracle over an exhaustive corpus, one report case per input.
+oracle over an exhaustive corpus, one report case per input.  The parameter
+corpora come from ``hecke_atlas.params``.
 
 ``run_suite(suite, max_rank)`` runs one suite of ``SUITES`` at a rank (the
 suite's default rank when None); a rank outside the suite's range raises
@@ -16,29 +17,18 @@ from . import CheckError
 from .centralizer import MATRIX_DIM_CAP, check_matrices, parameter_to_triple, triple_to_parameter
 from .hecke import derived_rows, epsilon_multiplicity, hecke_descriptor, specialize
 from .params import (
-    LDSummand,
-    _bounded_choices,
     alternating_characters,
     brute_force_supercuspidals,
-    build_ld_parameter,
+    classical_ambients,
     count_supercuspidals,
     discrete_parameters,
+    normed_corpus,
     normed_parameter,
     supercuspidal_corpus,
     t_invariants,
 )
 from .support import cuspidal_pairs, injectivity_report, supports
-from .weil import (
-    DualGroupDescriptor,
-    DualityType,
-    Family,
-    Inventory,
-    NotSelfDual,
-    SelfDual,
-    UnitMonomial,
-    make_inertial_class,
-    orbit_point,
-)
+from .weil import DualityType, Inventory, NotSelfDual, SelfDual, make_inertial_class
 from .weyl import (
     BRUTE_FORCE_CAP,
     enumerate_decorations,
@@ -61,43 +51,6 @@ def standard_inventory() -> Inventory:
     return inv
 
 
-def _classical_ambients(max_dim: int) -> list[DualGroupDescriptor]:
-    out = [DualGroupDescriptor(Family.ORTHOGONAL, n) for n in range(1, max_dim + 1)]
-    out += [DualGroupDescriptor(Family.SYMPLECTIC, n) for n in range(2, max_dim + 1, 2)]
-    return out
-
-
-def normed_corpus(inventory: Inventory, max_ambient_dim: int):
-    """All base-point-only parameters (every factor at f=1, no internal
-    twisting) over the inventory, for every classical ambient group."""
-    self_dual = sorted((c.label,) for c in inventory if c.is_self_dual)
-    pairs = sorted(
-        {tuple(sorted((c.label, c.duality.partner_label))) for c in inventory if not c.is_self_dual}
-    )
-    orbits = [
-        [orbit_point(inventory[label], UnitMonomial.one()) for label in labels]
-        for labels in self_dual + pairs
-    ]
-    out = []
-    for ambient in _classical_ambients(max_ambient_dim):
-        n = ambient.ambient_dim
-        conjugate = ambient.family is Family.UNITARY_L
-        slots = []  # per orbit: (dimension, summands) for each multiplicity m
-        for points in orbits:
-            cls = points[0].cls
-            if cls.is_self_dual and cls.duality.type_at_plus.conjugate_flavour != conjugate:
-                continue  # type tags of the wrong flavour for the ambient, as in discrete_parameters
-            d = sum(p.cls.dim for p in points)
-            slots.append(
-                [(m * d, [LDSummand(p, 1, m) for p in points if m]) for m in range(n // d + 1)]
-            )
-        for choice in _bounded_choices(slots, n):
-            summands = [s for group in choice for s in group]
-            if summands:
-                out.append(build_ld_parameter(summands, ambient))
-    return out
-
-
 def _case(name: str, expected, actual, status: str | None = None) -> dict:
     if status is None:
         status = "pass" if expected == actual else "fail"
@@ -118,10 +71,14 @@ def _suite_thm11(max_rank: int) -> list[dict]:
             "total": len(alternating_characters(phi)),
         }
         actual = {"plus": plus, "minus": minus, "total": 2 ** (n_odd + n_even)}
-        name = "+".join(phi.generator_labels())
-        return _case(f"{phi.ambient.family.value}{phi.ambient.ambient_dim}:{name}", expected, actual)
+        return _case(_parameter_case_name(phi), expected, actual)
 
     return [check(phi) for phi in corpus]
+
+
+def _parameter_case_name(phi) -> str:
+    """Family, dimension, then the generator labels."""
+    return f"{phi.ambient.family.value}{phi.ambient.ambient_dim}:" + "+".join(phi.generator_labels())
 
 
 def _orbit_case_name(phi0) -> str:
@@ -149,7 +106,7 @@ def _suite_thm18(max_rank: int) -> list[dict]:
     def check(phi0):
         bad = []
         for S in supports(phi0):
-            for label, f in hecke_descriptor(phi0, S).factors:
+            for label, f in hecke_descriptor(phi0, S):
                 if f.family == "SO" and not f.extended and f.size % 2 == 0:
                     bad.append([label, f.size])
         return _case(_orbit_case_name(phi0), {"even_rank_cases": []}, {"even_rank_cases": bad})
@@ -234,14 +191,8 @@ def _suite_thm33(max_rank: int) -> list[dict]:
 
 def _suite_thm26_matrix(max_rank: int) -> list[dict]:
     inv = standard_inventory()
-    items = []
-    for ambient in _classical_ambients(max_rank):
-        for phi in discrete_parameters(inv, ambient):
-            items.append((ambient, phi))
 
-    def check(item):
-        ambient, phi = item
-        name = f"{ambient.family.value}{ambient.ambient_dim}:" + "+".join(phi.generator_labels())
+    def check(phi):
         try:
             check_matrices(phi)
             phi0 = normed_parameter(phi)
@@ -251,9 +202,11 @@ def _suite_thm26_matrix(max_rank: int) -> list[dict]:
         except (CheckError, ValueError) as exc:
             ok = False
             actual = {"error": str(exc)}
-        return _case(name, {"matrix_checks": True, "round_trip": True}, actual, "pass" if ok else "fail")
+        return _case(
+            _parameter_case_name(phi), {"matrix_checks": True, "round_trip": True}, actual, "pass" if ok else "fail"
+        )
 
-    return [check(item) for item in items]
+    return [check(phi) for ambient in classical_ambients(max_rank) for phi in discrete_parameters(inv, ambient)]
 
 
 def _levi_case_name(n: int, levi) -> str:

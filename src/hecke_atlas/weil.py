@@ -472,9 +472,12 @@ class Inventory:
         return iter(self.classes.values())
 
     def validate(self) -> None:
-        """Check that non-self-dual partner references are symmetric."""
+        """Check that non-self-dual partner references name another class
+        and are symmetric."""
         for cls in self:
             if isinstance(cls.duality, NotSelfDual):
+                if cls.duality.partner_label == cls.label:
+                    raise ValueError(f"non-self-dual class {cls.label!r} names itself as its partner")
                 partner = self[cls.duality.partner_label]
                 if not isinstance(partner.duality, NotSelfDual):
                     raise ValueError(f"partner of {cls.label!r} must be non-self-dual")
@@ -537,6 +540,8 @@ class Inventory:
             partner = getattr(cls.duality, "partner_label", None)
             if partner is not None and partner not in inv.classes:
                 raise ValueError(f"inventory[{i}].duality.partner names no registered class: {partner!r}")
+            if partner == cls.label:
+                raise ValueError(f"inventory[{i}].duality.partner names the class itself: {partner!r}")
         inv.validate()
         return inv
 

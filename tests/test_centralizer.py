@@ -9,25 +9,24 @@ from hecke_atlas import CheckError, centralizer
 
 from hecke_atlas.centralizer import (
     SemisimpleClassDescriptor,
-    c_prime,
     centralizer_of_image,
     centralizer_of_s,
     component_group_of_triple,
     parameter_to_triple,
     realize_matrices,
     s_phi,
-    triple_to_json_dict,
     triple_to_parameter,
 )
 from hecke_atlas.params import (
     LDSummand,
     build_ld_parameter,
+    classical_ambients,
     component_group,
     discrete_parameters,
     is_supercuspidal_shape,
     normed_parameter,
 )
-from hecke_atlas.verify import _classical_ambients, standard_inventory
+from hecke_atlas.verify import standard_inventory
 from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
@@ -141,14 +140,14 @@ def test_c_prime(extended_inventory):
     inv = extended_inventory
     phi0 = unit_phi0(inv, "triv", Family.ORTHOGONAL, 5)
     s = SemisimpleClassDescriptor.build({"triv": [(ONE, 3), (MINUS, 2)]})
-    assert c_prime(phi0, s) == centralizer_of_s(phi0, s).h
+    assert centralizer_of_s(phi0, s).c_prime == centralizer_of_s(phi0, s).h
 
     mixed = build_ld_parameter(
         [LDSummand(orbit_point(inv["rho_mix"], ONE), 1, 5)],
         DualGroupDescriptor(Family.ORTHOGONAL, 10),
     )
     s2 = SemisimpleClassDescriptor.build({"rho_mix": [(ONE, 3), (MINUS, 2)]})
-    cp = c_prime(mixed, s2)
+    cp = centralizer_of_s(mixed, s2).c_prime
     assert ("O", 3, "rho_mix@1") in cp.factors
     assert ("Sp", 2, "rho_mix@-1") in cp.factors
 
@@ -158,7 +157,7 @@ def test_c_prime_on_a_label_containing_at():
     inv.add(make_inertial_class("m@x", 2, 1, SelfDual(DualityType.SYMPLECTIC, DualityType.ORTHOGONAL)))
     phi0 = unit_phi0(inv, "m@x", Family.ORTHOGONAL, 8)
     s = SemisimpleClassDescriptor.build({"m@x": [(ONE, 2), (MINUS, 2)]})
-    assert c_prime(phi0, s).factors == (("O", 2, "m@x@1"), ("Sp", 2, "m@x@-1"))
+    assert centralizer_of_s(phi0, s).c_prime.factors == (("O", 2, "m@x@1"), ("Sp", 2, "m@x@-1"))
 
 
 def test_round_trip_examples(extended_inventory):
@@ -352,7 +351,7 @@ def _fraction_oracle(phi):
 def test_realize_matrices_matches_a_fraction_oracle():
     inv = standard_inventory()
     count = 0
-    for ambient in _classical_ambients(8):
+    for ambient in classical_ambients(8):
         for phi in discrete_parameters(inv, ambient):
             s, u, g = _fraction_oracle(phi)
             # the assembled blocks, zero padding included
@@ -512,14 +511,3 @@ def test_realize_matrices_returns_new_matrices_on_every_call(six_class_inventory
     assert second == tuple(kept)
     assert realize_matrices(phi) == second
     assert centralizer.check_matrices(phi).u_blocks[0] is centralizer.check_matrices(phi).u_blocks[1]
-
-def test_triple_json(extended_inventory):
-    inv = extended_inventory
-    phi = build_ld_parameter(
-        [LDSummand(orbit_point(inv["triv"], ONE), 4)],
-        DualGroupDescriptor(Family.SYMPLECTIC, 4),
-    )
-    phi0 = normed_parameter(phi)
-    data = triple_to_json_dict(parameter_to_triple(phi, phi0))
-    assert set(data) == {"group", "eigenvalues", "partitions"}
-    assert data["partitions"] == {"triv@1": [4]}

@@ -18,13 +18,15 @@ from hecke_atlas.hecke import derived_rows, factor_to_json_dict, hecke_descripto
 from hecke_atlas.params import (
     LDSummand,
     build_ld_parameter,
+    classical_ambients,
     discrete_parameters,
     is_supercuspidal_shape,
+    normed_corpus,
     parameter_from_json_dict,
     parameter_to_json_dict,
 )
 from hecke_atlas.support import cuspidal_pairs, support_to_json_dict, supports
-from hecke_atlas.verify import normed_corpus, run_suite, standard_inventory
+from hecke_atlas.verify import run_suite, standard_inventory
 from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
@@ -296,6 +298,37 @@ def test_a_too_deeply_nested_input_file_exits_2(tmp_path, src_env, flags):
         assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_class_that_is_its_own_partner_exits_2(tmp_path, src_env, flags):
+    """A non-self-dual class naming itself as its partner would give a dual
+    pair with one side; both inspecting commands refuse the file."""
+    one = {"root": "0/1", "qexp": "0/2"}
+    data = {
+        "inventory": [
+            {"label": "alpha", "dim": 1, "torsion": 1, "duality": {"kind": "not_self_dual", "partner": "alpha"}},
+            {
+                "label": "triv",
+                "dim": 1,
+                "torsion": 1,
+                "duality": {"kind": "self_dual", "type_plus": "orthogonal", "type_minus": "orthogonal"},
+            },
+        ],
+        "parameter": {
+            "ambient": {"family": "orthogonal", "dim": 2},
+            "summands": [{"class": label, "f": one, "a": 1, "mult": 1} for label in ("alpha", "triv")],
+        },
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    for command in ("supports", "hecke"):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "hecke_atlas.cli", command, "--param", str(path)],
+            capture_output=True, text=True, env=src_env(),
+        )
+        message = "error: inventory[0].duality.partner names the class itself: 'alpha'\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
+
+
 def _json_nodes(tree):
     """(container, key, value) for every node below the root of a JSON tree."""
     keys = tree.keys() if isinstance(tree, dict) else range(len(tree)) if isinstance(tree, list) else ()
@@ -402,6 +435,8 @@ def ref_inventory(data):
         if isinstance(cls.duality, NotSelfDual) and cls.duality.partner_label not in inv:
             partner = cls.duality.partner_label
             raise ValueError(f"inventory[{i}].duality.partner names no registered class: {partner!r}")
+        if isinstance(cls.duality, NotSelfDual) and cls.duality.partner_label == cls.label:
+            raise ValueError(f"inventory[{i}].duality.partner names the class itself: {cls.label!r}")
     inv.validate()
     return inv
 
@@ -632,7 +667,7 @@ def test_matrix_suite_fails_when_sqrt_q_is_not_a_root_of_q(monkeypatch):
     # s u s^-1 = u**q fails exactly where an SL2 block of size >= 2 occurs
     monkeypatch.setattr(centralizer, "SQRT_Q", 3)
     inv = standard_inventory()
-    phis = [phi for ambient in verify._classical_ambients(3) for phi in discrete_parameters(inv, ambient)]
+    phis = [phi for ambient in classical_ambients(3) for phi in discrete_parameters(inv, ambient)]
     report = run_suite("thm26-matrix", 3)
     assert len(report["cases"]) == len(phis)
     broken = 0
@@ -693,7 +728,7 @@ def reference_supports_and_hecke(phi0):
             "S": {label: list(pair) for label, pair in S.entries},
             "factors": [
                 {"orbit": label, **factor_to_json_dict(sp_normalization(f))}
-                for label, f in hecke_descriptor(phi0, S).factors
+                for label, f in hecke_descriptor(phi0, S)
             ],
         }
         for S in supports(phi0)
@@ -744,7 +779,7 @@ def test_a_discrete_parameter_file_writes_what_its_normed_file_writes(tmp_path, 
     discrete parameter, or of one with a dual pair and points off the base
     point, prints what the file of its normed parameter prints."""
     inv = standard_inventory()
-    phis = [phi for ambient in verify._classical_ambients(6) for phi in discrete_parameters(inv, ambient)]
+    phis = [phi for ambient in classical_ambients(6) for phi in discrete_parameters(inv, ambient)]
     assert len(phis) == 143
     phis.append(parameter_from_json_dict(DECODER_BASE_FILES[-1]["parameter"], inv))
     path = tmp_path / "p.json"

@@ -18,9 +18,9 @@ from hecke_atlas.hecke import (
     unipotent_reduction,
     unit_setting,
 )
-from hecke_atlas.params import LDSummand, build_ld_parameter, count_supercuspidals, supercuspidal_corpus
+from hecke_atlas.params import LDSummand, build_ld_parameter, count_supercuspidals, normed_corpus, supercuspidal_corpus
 from hecke_atlas.support import SupportDatum, supports
-from hecke_atlas.verify import normed_corpus, standard_inventory
+from hecke_atlas.verify import standard_inventory
 from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
@@ -243,8 +243,8 @@ def test_descriptor_and_json(extended_inventory):
     phi0 = so7_setting(extended_inventory)
     S = SupportDatum((("triv", (1, 0)),))
     desc = hecke_descriptor(phi0, S)
-    assert [label for label, _ in desc.factors] == ["triv"]
-    data = factor_to_json_dict(desc.factors[0][1])
+    assert [label for label, _ in desc] == ["triv"]
+    data = factor_to_json_dict(desc[0][1])
     assert data == {
         "family": "SO",
         "size": 5,
@@ -335,7 +335,7 @@ def test_hecke_descriptor_matches_the_reference_factors_on_the_normed_corpus():
                 else:
                     factor = reference_factor(m, t, o.types, *depths[o.cls.label])
                 expected.append((o.cls.label, factor))
-            got = hecke_descriptor(phi0, S).factors
+            got = hecke_descriptor(phi0, S)
             assert got == tuple(expected) and repr(got) == repr(tuple(expected))
             count += 1
     assert count > 1000

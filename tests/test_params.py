@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hecke_atlas
-from hecke_atlas import params, verify
+from hecke_atlas import params
 from hecke_atlas.params import (
     LDParameter,
     LDSummand,
@@ -23,6 +23,7 @@ from hecke_atlas.params import (
     discrete_parameters,
     is_discrete,
     is_supercuspidal_shape,
+    normed_corpus,
     parameter_from_json_dict,
     parameter_to_json_dict,
     staircase,
@@ -298,7 +299,7 @@ def fresh(phi):
 
 def test_det_discrepancy_matches_the_per_call_formula_on_every_corpus_support():
     count = 0
-    for phi0 in verify.normed_corpus(standard_inventory(), 8):
+    for phi0 in normed_corpus(standard_inventory(), 8):
         for S in supports(phi0):
             phi_S = build_phi_S(phi0, S)[0]
             expected = outcome(reference_det_discrepancy, phi_S, phi0)
@@ -363,7 +364,7 @@ def test_only_enumerators_and_the_json_reader_take_an_inventory():
         "params.discrete_parameters",
         "params.supercuspidal_shapes",
         "params.supercuspidal_corpus",
-        "verify.normed_corpus",
+        "params.normed_corpus",
     }
 
 
@@ -450,7 +451,7 @@ def test_staircase_view_matches_the_grouping_it_replaced(extended_inventory):
     inv.add(make_inertial_class("v", 2, 1, SelfDual(CS, CS), "1"))
     O = functools.partial(DualGroupDescriptor, Family.ORTHOGONAL)
     U = functools.partial(DualGroupDescriptor, Family.UNITARY_L)
-    ambients = [*verify._classical_ambients(8), *(U(n) for n in range(1, 7))]
+    ambients = [*params.classical_ambients(8), *(U(n) for n in range(1, 7))]
     phis = [phi for ambient in ambients for phi in discrete_parameters(inv, ambient)]
     half = UnitMonomial.of(0, Fraction(1, 2))
     chi = LDSummand(pt(inv, "chi"), 1)
@@ -533,7 +534,7 @@ def uncached_shape(phi):
 def test_the_cached_shape_test_matches_the_uncached_one(extended_inventory):
     inv = standard_inventory()
     phis = supercuspidal_corpus(inv, 9)
-    phis += [build_phi_S(phi0, S)[0] for phi0 in verify.normed_corpus(inv, 10) for S in supports(phi0)]
+    phis += [build_phi_S(phi0, S)[0] for phi0 in normed_corpus(inv, 10) for S in supports(phi0)]
     O = functools.partial(DualGroupDescriptor, Family.ORTHOGONAL)
     half = UnitMonomial.of(0, Fraction(1, 2))
     e = extended_inventory

@@ -5,7 +5,14 @@ import sys
 import pytest
 
 from hecke_atlas import CheckError, support
-from hecke_atlas.params import LDSummand, SignCharacter, alternating_characters, build_ld_parameter, is_discrete
+from hecke_atlas.params import (
+    LDSummand,
+    SignCharacter,
+    alternating_characters,
+    build_ld_parameter,
+    is_discrete,
+    normed_corpus,
+)
 from hecke_atlas.support import (
     SupportDatum,
     SupportLevi,
@@ -15,7 +22,7 @@ from hecke_atlas.support import (
     support_to_json_dict,
     supports,
 )
-from hecke_atlas.verify import normed_corpus, standard_inventory
+from hecke_atlas.verify import standard_inventory
 from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,

@@ -320,6 +320,13 @@ def test_inventory_detects_asymmetric_partner():
         inv.validate()
 
 
+def test_inventory_refuses_a_class_that_is_its_own_partner():
+    inv = Inventory()
+    inv.add(make_inertial_class("alpha", 1, 1, NotSelfDual("alpha")))
+    with pytest.raises(ValueError, match="'alpha' names itself as its partner"):
+        inv.validate()
+
+
 def test_inventory_unknown_label_message():
     inv = small_inventory()
     with pytest.raises(KeyError) as info:
