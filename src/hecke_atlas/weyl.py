@@ -8,18 +8,26 @@ positivity-preserving complement.
 
 An element is one tuple ``img`` of signed images: entry i is ``+(j + 1)``
 or ``-(j + 1)`` when e_i goes to ``+e_j`` or ``-e_j``.  The relative Weyl
-groups, the stabilizers and their parts are tuples of these, and the group
-checks run on them (``_mul``, ``_inverse``, ordered by ``_sort_key``).
+groups, the stabilizers and their parts are tuples of these, ordered by
+``_sort_key`` (``_mul`` and ``_inverse`` are their product and inverse).
 ``SignedPermutation`` wraps one such tuple, with ``perm`` and ``signs`` as
 views of it; it is the element type of ``weyl_group``.
 
+The stabilizer checks run on mirrored tuples instead (``_mirror``):
+``(0, *img, *-reversed(img))``, which indexed by a signed coordinate gives
+its signed image, so a product is one ``itemgetter`` call, with the getter
+of the right factor built once and reused.  ``RelativeWeyl.mirrors`` holds
+each coset's mirror, built once per Levi for all of its decorations; every
+result is turned back into signed images.
+
 What stays brute force: ``relative_weyl`` accepts or rejects every element
-of W (every permutation, against the sign vectors that are constant on the
-blocks, found once per Levi by scanning all 2**n of them); a stabilizer is
-every coset that preserves the decorations; the reflection part is the
-closure of its reflections; normality of the reflection part is checked by
-conjugation on a generating set of the stabilizer, grown by right products;
-and each factorization is checked by forming every product.
+of W (every permutation, by the least and greatest image of each block
+span, against the sign vectors that are constant on the blocks, found once
+per Levi by scanning all 2**n of them); a stabilizer is every coset that
+preserves the decorations; the reflection part is the closure of its
+reflections; normality of the reflection part is checked by conjugation on
+a generating set of the stabilizer, grown by right products; and each
+factorization is checked by forming every product.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property, total_ordering
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -136,9 +145,21 @@ def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _mirror(img: tuple[int, ...]) -> tuple[int, ...]:
+    """``img`` mirrored: ``(0, *img, *-reversed(img))``, which, indexed by a
+    signed coordinate x (negative ones from the end), gives the signed
+    image of x.  So ``itemgetter(*_mirror(b))(_mirror(a)) == _mirror(a*b)``."""
+    return (0, *img, *[-x for x in reversed(img)])
+
+
+def _unmirror(m: tuple[int, ...]) -> tuple[int, ...]:
+    return m[1 : len(m) // 2 + 1]
+
+
 def _sort_key(img: tuple[int, ...]) -> tuple[int, ...]:
     """``|img|`` then ``img``: the order of ``(perm, signs)``, since for
-    equal ``perm`` the sign -1 gives the smaller signed image."""
+    equal ``perm`` the sign -1 gives the smaller signed image.  It orders
+    the mirrors of signed images as it orders the images."""
     return tuple(map(abs, img)) + img
 
 
@@ -232,6 +253,12 @@ class RelativeWeyl:
         """The even cosets, as a set."""
         return frozenset(self.even_cosets)
 
+    @cached_property
+    def mirrors(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Each coset's mirror (see ``_mirror``), the form the stabilizer
+        checks compute on."""
+        return {m: _mirror(m) for m in self.cosets}
+
 
 def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
     """Normalizer cosets of a Levi, with their even-liftable part.
@@ -242,41 +269,60 @@ def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
     blocks.  The test splits into a permutation part and a sign part: a
     permutation that fails its part rejects all of its 2**n elements at
     once, and the sign vectors that pass theirs (one sign per block) do not
-    depend on the permutation, so they are found once per Levi.
+    depend on the permutation, so they are found once per Levi, with the
+    parity of each, which reads only the signs.  A permutation passes when
+    the least image of the tail lies in the tail and the least and greatest
+    images of each block span are the first and last coordinate of a block
+    of its size: the images are distinct, so they are then that block.
     """
     if levi.rank != n:
         raise ValueError("Levi rank does not match n")
     _check_cap(n)
-    blocks = [tuple(blk) for blk in levi.blocks()]
-    block_of = [-1] * n
-    for bi, blk in enumerate(blocks):
-        for c in blk:
-            block_of[c] = bi
-    tail = range(n - levi.tail_rank, n)
+    blocks = levi.blocks()
+    t0 = n - levi.tail_rank
+    # each block span, the offset of its last coordinate, and each block of
+    # its size by first coordinate
+    spans = [
+        (blk.start, blk.stop, len(blk) - 1, {b.start: bj for bj, b in enumerate(blocks) if len(b) == len(blk)})
+        for blk in blocks
+    ]
+    # constant on the blocks: each block coordinate but the first has the
+    # sign before it (index 0 keeps both getters non-empty and alike)
+    inner = [c for blk in blocks for c in blk[1:]]
+    here, before = itemgetter(0, *inner), itemgetter(0, *[c - 1 for c in inner])
     block_signs = {
-        tuple(signs[blk[0]] for blk in blocks)
+        tuple([signs[blk.start] for blk in blocks])
         for signs in itertools.product((1, -1), repeat=n)
-        if all(signs[c] == signs[blk[0]] for blk in blocks for c in blk)
+        if here(signs) == before(signs)
     }
     block_perms: set[tuple[int, ...]] = set()
     for perm in itertools.permutations(range(n)):
-        if any(block_of[perm[c]] != -1 for c in tail):
+        if t0 < n and min(perm[t0:]) < t0:
             continue
         targets = []
-        for blk in blocks:
-            bj = block_of[perm[blk[0]]]
-            if bj == -1 or len(blocks[bj]) != len(blk) or any(block_of[perm[c]] != bj for c in blk):
+        for b0, e, last, starts in spans:
+            images = perm[b0:e]
+            lo = min(images)
+            if lo not in starts or max(images) != lo + last:
                 break
-            targets.append(bj)
+            targets.append(starts[lo])
         else:
             block_perms.add(tuple(targets))
-    # sorted as (perm, signs) pairs, which is the order of the moves
-    cosets = tuple(
-        tuple([s * (p + 1) for p, s in zip(perm, signs)])
-        for perm, signs in sorted(itertools.product(block_perms, block_signs))
-    )
-    even = tuple(m for m in cosets if levi.tail_rank >= 1 or _min_lift_parity(m, levi) == 0)
-    return RelativeWeyl(cosets, even)
+    # in the order of (perm, signs) pairs, which is the order of the moves;
+    # the parity is taken on the move with these signs that permutes no block
+    signs_in_order = sorted(block_signs)
+    lifts_evenly = [
+        levi.tail_rank >= 1 or _min_lift_parity(tuple([s * i for i, s in enumerate(signs, 1)]), levi) == 0
+        for signs in signs_in_order
+    ]
+    cosets: list[tuple[int, ...]] = []
+    even: list[tuple[int, ...]] = []
+    for perm in sorted(block_perms):
+        images = [p + 1 for p in perm]
+        moves = [tuple(map(mul, signs, images)) for signs in signs_in_order]
+        cosets += moves
+        even += itertools.compress(moves, lifts_evenly)
+    return RelativeWeyl(tuple(cosets), tuple(even))
 
 
 def _decorated_cosets(
@@ -323,6 +369,7 @@ def _reflections(r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 def _grow(group: set[tuple[int, ...]], gens: list[tuple[int, ...]], g: tuple[int, ...]) -> None:
     """Extend ``group``, generated by ``gens``, to the group generated by
     ``gens`` and ``g`` (not in ``group``), in place; ``g`` joins ``gens``.
+    All are mirrored.
 
     The new group is a union of right cosets ``group * x``, found by right
     products of their representatives by a generator (Dimino's algorithm):
@@ -331,19 +378,20 @@ def _grow(group: set[tuple[int, ...]], gens: list[tuple[int, ...]], g: tuple[int
     """
     old = list(group)
     gens.append(g)
-    group.update([_mul(h, g) for h in old])
+    times = [itemgetter(*s) for s in gens]  # times[i](x) is x * gens[i]
+    group.update(map(itemgetter(*g), old))
     reps = [g]
     for x in reps:
-        for s in gens:
-            y = _mul(x, s)
+        for by in times:
+            y = by(x)
             if y not in group:
-                group.update([_mul(h, y) for h in old])
+                group.update(map(itemgetter(*y), old))
                 reps.append(y)
 
 
 def _closure(generators: Iterable[tuple[int, ...]], r: int) -> set[tuple[int, ...]]:
-    """The group generated, one generator at a time."""
-    group = {tuple(range(1, r + 1))}
+    """The group generated, one generator at a time, on mirrored elements."""
+    group = {_mirror(tuple(range(1, r + 1)))}
     gens: list[tuple[int, ...]] = []
     for g in generators:
         if g not in group:
@@ -355,7 +403,7 @@ def _non_normalizing(
     q: Iterable[tuple[int, ...]], gens: Sequence[tuple[int, ...]], group: set[tuple[int, ...]]
 ) -> Optional[tuple[int, ...]]:
     """The first m of q with m*s*m^-1 outside ``group`` for a generator s of
-    it, or None; ``group`` is the group ``gens`` generate.
+    it, or None; ``group`` is the group ``gens`` generate.  All are mirrored.
 
     Generators of ``group`` suffice: conjugation by m is an automorphism, so
     it maps the group generated into ``group`` once it maps each generator
@@ -365,15 +413,16 @@ def _non_normalizing(
     element before the first failing generator lies in the span of passing
     ones and passes too: that generator is the first failing element of q.
     """
+    times = [itemgetter(*s) for s in gens]
     span: set[tuple[int, ...]] = set()
     picked: list[tuple[int, ...]] = []
     for m in q:
         if not span:
-            span.add(tuple(range(1, len(m) + 1)))
+            span.add(_mirror(tuple(range(1, len(m) // 2 + 1))))
         if m in span:
             continue
-        mi = _inverse(m)
-        if any(_mul(_mul(m, s), mi) not in group for s in gens):
+        by_inverse = itemgetter(*_mirror(_inverse(_unmirror(m))))
+        if any(by_inverse(by(m)) not in group for by in times):
             return m
         _grow(span, picked, m)
     return None
@@ -384,24 +433,33 @@ def _factorizes(
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Whether ``target`` is the set of products x*rho (x in w0_o, rho in the
     complement), each hit once; if not, the least element it misses or
-    overshoots (None when only a repeated product is wrong)."""
-    products = {_mul(x, rho) for x in w0_o for rho in complement}
+    overshoots (None when only a repeated product is wrong).  All are
+    mirrored."""
+    products: set[tuple[int, ...]] = set()
+    for rho in complement:
+        products.update(map(itemgetter(*rho), w0_o))
     if products == target and len(products) == len(w0_o) * len(complement):
         return True, None
     return False, min(products ^ target, key=_sort_key, default=None)
 
 
 def _complement(q: Iterable[tuple[int, ...]], sigma_pos: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """R(O): the moves of q that send each positive root of sigma, given in
-    ``sigma_pos`` as signed coordinates, to a positive root of sigma.
+    """R(O): the moves of q (mirrored) that send each positive root of
+    sigma, given in ``sigma_pos`` as signed coordinates, to a positive root
+    of sigma.
 
     A move maps signed coordinates as it maps signed images, so the image of
-    a root is ``_mul(m, root)``, with its coordinates in either order.
-    ``sigma_pos`` holds positive roots only, so membership is the positivity
-    test too.
+    a root is its coordinates looked up in the mirrored move, in either
+    order.  ``sigma_pos`` holds positive roots only, so membership is the
+    positivity test too.
     """
-    sigma = {*sigma_pos, *[root[::-1] for root in sigma_pos]}
-    return [m for m in q if all(_mul(m, root) in sigma for root in sigma_pos)]
+    images = [itemgetter(*root) for root in sigma_pos]
+    # itemgetter gives a number for a root of one coordinate, so sigma does
+    sigma = {root if len(root) > 1 else root[0] for root in (*sigma_pos, *[root[::-1] for root in sigma_pos])}
+    kept = list(q)
+    for image in images:
+        kept = [m for m in kept if image(m) in sigma]
+    return kept
 
 
 @dataclass(frozen=True)
@@ -430,39 +488,43 @@ def orbit_stabilizers(levi: LeviDescriptor, rel: RelativeWeyl) -> OrbitStabilize
     if levi.decorations is None:
         raise ValueError("decorations required")
     r = len(levi.composition)
-    if any(len(perm) != r for perm in rel.by_block_perm):
+    if not set(map(len, rel.by_block_perm)) <= {r}:
         raise ValueError(f"rel is not the relative Weyl group of a Levi with {r} blocks")
     q = _decorated_cosets(levi.decorations, rel.by_block_perm)
     q0 = [m for m in q if m in rel.even_imgs]
     q0_set = set(q0)
+    # the checks run on mirrors, the parts are returned as signed images
+    mirrors = rel.mirrors
+    qm = [mirrors[m] for m in q]
+    q0m = {mirrors[m] for m in q0}
 
     sigma_pos = []
     gens = []
     for root, s in _reflections(r):
         if s in q0_set:
             sigma_pos.append(root)
-            gens.append(s)
+            gens.append(mirrors[s])
     w0_o = _closure(gens, r)
-    complement = _complement(q, sigma_pos)
-    even_complement = [m for m in complement if m in q0_set]
+    complement = _complement(qm, sigma_pos)
+    even_complement = [m for m in complement if m in q0m]
 
     # normality of the reflection part, then unique factorization of the
     # stabilizer and of its even part
-    bad = _non_normalizing(q, gens, w0_o)
+    bad = _non_normalizing(qm, gens, w0_o)
     ok = bad is None
     if ok:
-        ok, bad = _factorizes(set(q), w0_o, complement)
+        ok, bad = _factorizes(set(qm), w0_o, complement)
     if ok:
-        ok, bad = _factorizes(q0_set, w0_o, even_complement)
+        ok, bad = _factorizes(q0m, w0_o, even_complement)
 
     return OrbitStabilizers(
         tuple(q),
         tuple(q0),
-        tuple(sorted(w0_o, key=_sort_key)),
-        tuple(complement),
-        tuple(even_complement),
+        tuple(map(_unmirror, sorted(w0_o, key=_sort_key))),
+        tuple(map(_unmirror, complement)),
+        tuple(map(_unmirror, even_complement)),
         ok,
-        bad,
+        None if bad is None else _unmirror(bad),
     )
 
 

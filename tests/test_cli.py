@@ -630,8 +630,8 @@ SUITE_MUTATIONS = {
     # every block move liftable by an even element: W0(M) = W(M) on every Levi
     "lemA3-even-lift": ("lemA3", weyl, "_min_lift_parity", lambda move, levi: 0),
     "lemA4-even-lift": ("lemA4", weyl, "_min_lift_parity", lambda move, levi: 0),
-    # a reflection part that is only the identity: the splitting check must fail
-    "lemA4-closure": ("lemA4", weyl, "_closure", lambda generators, r: {tuple(range(1, r + 1))}),
+    # a reflection part that is only the (mirrored) identity: the splitting check must fail
+    "lemA4-closure": ("lemA4", weyl, "_closure", lambda generators, r: {weyl._mirror(tuple(range(1, r + 1)))}),
     # every move kept as a complement element: R(O) overlaps the reflection part
     "lemA4-complement": ("lemA4", weyl, "_complement", lambda q, sigma_pos: list(q)),
     # every label taken as self-dual: an odd block with a non-self-dual label gains its negation

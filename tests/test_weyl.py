@@ -1,10 +1,13 @@
 import copy
+import hashlib
 import itertools
 import pickle
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hecke_atlas import weyl
 from hecke_atlas.verify import run_suite
 from hecke_atlas.weyl import (
     BRUTE_FORCE_CAP,
@@ -13,9 +16,13 @@ from hecke_atlas.weyl import (
     RelativeWeyl,
     SignedPermutation,
     _closure,
+    _inverse,
+    _mirror,
+    _mul,
     _non_normalizing,
     _reflections,
     _sort_key,
+    _unmirror,
     enumerate_decorations,
     enumerate_levis,
     orbit_stabilizers,
@@ -110,6 +117,38 @@ def test_sorting_follows_perm_then_signs(xs):
     ws = [SignedPermutation(*a) for a in xs]
     for ordered in (sorted(ws), sorted(ws, key=SignedPermutation.sort_key)):
         assert [(w.perm, w.signs) for w in ordered] == sorted(xs)
+
+
+def _check_mirrored_kernel(a, b):
+    """The mirrored forms of signed images a and b against ``_mul`` and
+    ``_inverse``, as the stabilizer checks use them."""
+    r = len(a)
+    one = tuple(range(1, r + 1))
+    ma, mb = _mirror(a), _mirror(b)
+    assert _unmirror(ma) == a and _mirror(_unmirror(ma)) == ma
+    # indexed by a signed coordinate, the mirror gives its signed image
+    assert [ma[x] for x in range(-r, r + 1)] == [-y for y in reversed(a)] + [0, *a]
+    # _sort_key orders the mirrors as it orders the images
+    assert (_sort_key(ma) < _sort_key(mb)) == (_sort_key(a) < _sort_key(b))
+    # a product is one itemgetter call, its right factor the getter
+    assert itemgetter(*mb)(ma) == _mirror(_mul(a, b))
+    # the inverse, mirrored, undoes a on both sides, and conjugation by it is _mul's
+    mi = _mirror(_inverse(a))
+    assert itemgetter(*mi)(ma) == itemgetter(*ma)(mi) == _mirror(one)
+    assert itemgetter(*mi)(itemgetter(*mb)(ma)) == _mirror(_mul(_mul(a, b), _inverse(a)))
+
+
+def test_mirrored_products_match_mul_and_inverse():
+    for r in range(1, 4):
+        group = [w.img for w in weyl_group(r)]
+        for a, b in itertools.product(group, repeat=2):
+            _check_mirrored_kernel(a, b)
+
+
+@given(st.integers(1, BRUTE_FORCE_CAP).flatmap(lambda n: st.tuples(_pairs_of_size(n), _pairs_of_size(n))))
+def test_mirrored_products_match_mul_and_inverse_on_drawn_pairs(pair):
+    a, b = (SignedPermutation(*x).img for x in pair)
+    _check_mirrored_kernel(a, b)
 
 
 def test_constructor_refuses_what_is_not_a_signed_permutation():
@@ -308,6 +347,53 @@ def _signed_block_permutations(composition):
     }
 
 
+def _parent_relative_weyl(levi, n):
+    """The relative Weyl group as the scan first split into a permutation
+    and a sign part: each permutation tested coordinate by coordinate
+    against a block lookup, the parity taken once per coset."""
+    blocks = [tuple(blk) for blk in levi.blocks()]
+    block_of = [-1] * n
+    for bi, blk in enumerate(blocks):
+        for c in blk:
+            block_of[c] = bi
+    tail = range(n - levi.tail_rank, n)
+    block_signs = {
+        tuple(signs[blk[0]] for blk in blocks)
+        for signs in itertools.product((1, -1), repeat=n)
+        if all(signs[c] == signs[blk[0]] for blk in blocks for c in blk)
+    }
+    block_perms = set()
+    for perm in itertools.permutations(range(n)):
+        if any(block_of[perm[c]] != -1 for c in tail):
+            continue
+        targets = []
+        for blk in blocks:
+            bj = block_of[perm[blk[0]]]
+            if bj == -1 or len(blocks[bj]) != len(blk) or any(block_of[perm[c]] != bj for c in blk):
+                break
+            targets.append(bj)
+        else:
+            block_perms.add(tuple(targets))
+    cosets = tuple(
+        tuple([s * (p + 1) for p, s in zip(perm, signs)])
+        for perm, signs in sorted(itertools.product(block_perms, block_signs))
+    )
+    even = tuple(
+        m
+        for m in cosets
+        if levi.tail_rank >= 1 or sum(k for k, x in zip(levi.composition, m) if x < 0) % 2 == 0
+    )
+    return RelativeWeyl(cosets, even)
+
+
+def test_relative_weyl_matches_the_parent_scan():
+    for n in range(1, BRUTE_FORCE_CAP + 1):
+        for levi in enumerate_levis(n):
+            rel, ref = relative_weyl(levi, n), _parent_relative_weyl(levi, n)
+            assert rel.cosets == ref.cosets
+            assert rel.even_cosets == ref.even_cosets
+
+
 def test_relative_weyl_matches_closed_form():
     for n in range(1, 6):
         for levi in enumerate_levis(n):
@@ -339,11 +425,12 @@ def _two_sided_closure(generators, r):
 
 
 def test_closure_matches_two_sided_search():
+    # _closure computes on mirrored elements, the reference on signed images
     for r in range(1, 4):
         reflections = [s for _, s in _reflections(r)]
         for k in range(len(reflections) + 1):
             for gens in itertools.combinations(reflections, k):
-                assert _closure(gens, r) == _two_sided_closure(gens, r)
+                assert _closure(map(_mirror, gens), r) == set(map(_mirror, _two_sided_closure(gens, r)))
 
 
 def test_normality_check_names_the_first_failing_element():
@@ -353,11 +440,14 @@ def test_normality_check_names_the_first_failing_element():
         for q in (sorted(weyl_group(r)), sorted(weyl_group(r, full=False))):
             for k in range(4):
                 for gens in itertools.combinations(reflections, k):
-                    group = _closure(gens, r)
+                    mirrored = [_mirror(s) for s in gens]
+                    group = _closure(mirrored, r)
                     ws = [SignedPermutation(*_perm_signs(s)) for s in gens]
-                    first = next((m for m in q if any((m * w * m.inverse()).img not in group for w in ws)), None)
-                    found = _non_normalizing([m.img for m in q], gens, group)
-                    assert found == (None if first is None else first.img)
+                    first = next(
+                        (m for m in q if any(_mirror((m * w * m.inverse()).img) not in group for w in ws)), None
+                    )
+                    found = _non_normalizing([_mirror(m.img) for m in q], mirrored, group)
+                    assert found == (None if first is None else _mirror(first.img))
 
 
 def test_normality_check_on_generators_can_fail():
@@ -365,12 +455,13 @@ def test_normality_check_on_generators_can_fail():
     one = SignedPermutation.identity(2)
     # <s_{e1}> is not normal in B2: the swap conjugates it to <s_{e2}>
     s_e1 = SignedPermutation((0, 1), (-1, 1))
-    bad_img = _non_normalizing([m.img for m in b2], [s_e1.img], {one.img, s_e1.img})
-    bad = next((m for m in b2 if m.img == bad_img), None)
+    b2_mirrors = [_mirror(m.img) for m in b2]
+    bad_img = _non_normalizing(b2_mirrors, [_mirror(s_e1.img)], {_mirror(one.img), _mirror(s_e1.img)})
+    bad = next((m for m in b2 if _mirror(m.img) == bad_img), None)
     assert bad is not None and bad * s_e1 * bad.inverse() not in {one, s_e1}
     # W(D2) = <s_{e1-e2}, s_{e1+e2}> is normal in B2
-    d2_gens = [SignedPermutation((1, 0), (1, 1)).img, SignedPermutation((1, 0), (-1, -1)).img]
-    assert _non_normalizing([m.img for m in b2], d2_gens, _closure(d2_gens, 2)) is None
+    d2_gens = [_mirror(SignedPermutation((1, 0), (1, 1)).img), _mirror(SignedPermutation((1, 0), (-1, -1)).img)]
+    assert _non_normalizing(b2_mirrors, d2_gens, _closure(d2_gens, 2)) is None
 
     # a hand-built relative Weyl group whose even part is only <s_{e1}>
     levi = LeviDescriptor((1, 1), 0, (("rho", True), ("rho", True)))
@@ -495,3 +586,38 @@ def test_stabilizer_parts_match_an_independent_reference():
         assert st.semidirect_ok == ok
         splittings.add(ok)
     assert splittings == {True, False}
+
+
+# sha256 of the reprs of ``orbit_stabilizers`` on every decoration of rank
+# <= 4 and on the hand-built group, one per line, as the signed-image code
+# first gave them: unpatched, with a reflection part that is only the
+# identity (the counterexample comes from the normality check), with every
+# move kept as a complement element, and with only the first move kept (the
+# counterexample is the least product missed)
+STABILIZER_DIGESTS = {
+    "plain": "9e09f1e368356585c581d7919d8ae22707ef17028796d7759b025785120c5e67",
+    "closure": "e29753a32a926e8847cdc3b8d74769bf160bf399ddcb6c6f581b8fb4e8d93fea",
+    "complement": "8cb830c05c03b984df224c9d2990b7727753d008701c97e5a7708ba4860a85cd",
+    "complement-first": "e662291c11988af413ae544c04206be7f8ad9de7b89db03eb68968846a39c98c",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(STABILIZER_DIGESTS))
+def test_stabilizer_parts_match_their_pinned_digest(mode, monkeypatch):
+    if mode == "closure":
+        monkeypatch.setattr(weyl, "_closure", lambda generators, r: {_mirror(tuple(range(1, r + 1)))})
+    elif mode == "complement":
+        monkeypatch.setattr(weyl, "_complement", lambda q, sigma_pos: list(q))
+    elif mode == "complement-first":
+        monkeypatch.setattr(weyl, "_complement", lambda q, sigma_pos: list(q)[:1])
+    cases = []
+    for n in range(1, 5):
+        for levi in enumerate_levis(n):
+            if levi.composition:
+                rel = relative_weyl(levi, n)
+                cases += [(dec, rel) for dec in enumerate_decorations(levi)]
+    b2 = tuple(m.img for m in sorted(weyl_group(2)))
+    hand_built = RelativeWeyl(b2, (SignedPermutation.identity(2).img, SignedPermutation((0, 1), (-1, 1)).img))
+    cases += [(dec, hand_built) for dec in enumerate_decorations(LeviDescriptor((1, 1), 0))]
+    text = "\n".join(repr(orbit_stabilizers(dec, rel)) for dec, rel in cases)
+    assert hashlib.sha256(text.encode()).hexdigest() == STABILIZER_DIGESTS[mode]
