@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .weil import (
@@ -98,10 +98,25 @@ class Orbit:
 
 @dataclass(frozen=True)
 class LDParameter:
-    """Canonicalized parameter: ambient group plus sorted summand tuple."""
+    """Canonicalized parameter: ambient group plus sorted summand tuple.
+
+    Equality is field-wise; the hash is that of the fields, worked out once
+    per parameter.  Str hashes are seeded per process, so a pickle leaves
+    the cached hash behind and the copy works it out afresh.
+    """
 
     ambient: DualGroupDescriptor
     summands: tuple[LDSummand, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ambient, self.summands))
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
     @property
     def total_dim(self) -> int:
@@ -221,10 +236,12 @@ def _summand_label(s: LDSummand) -> str:
     return f"{s.point.cls.label}{tag}:sp{s.sl2_dim}"
 
 
+@cache
 def staircase(depth: int, of_type: bool) -> tuple[range, int]:
     """SL2 dimensions ``2k - kappa'`` (k = 1..depth) of a staircase, and their
     sum ``depth * (depth + 1) - kappa' * depth``; ``kappa'`` is 1 when the
-    point has the ambient's type."""
+    point has the ambient's type.  Both are immutable, so each is built once
+    per process."""
     return range(2 - of_type, 2 * depth + 1 - of_type, 2), depth * (depth + 1 - of_type)
 
 
@@ -441,18 +458,42 @@ def det_discrepancy(phi: LDParameter, phi0: LDParameter) -> int:
 def _bounded_choices(slots: Sequence[Sequence[tuple[int, object]]], total: int) -> Iterator[tuple]:
     """Depth first, every choice of one option per slot whose costs add up to
     exactly ``total``; each slot lists its ``(cost, value)`` options in order
-    and costs are non-negative."""
+    and costs are non-negative.
 
-    def walk(i: int, remaining: int, chosen: tuple) -> Iterator[tuple]:
-        if i == len(slots):
-            if remaining == 0:
-                yield chosen
-            return
-        for cost, value in slots[i]:
-            if cost <= remaining:
-                yield from walk(i + 1, remaining - cost, chosen + (value,))
-
-    return walk(0, total, ())
+    ``reach[i]`` has bit ``t`` set when slots ``i..`` can add up to exactly
+    ``t <= total``, so the walk enters an option only if the rest can still
+    be completed.
+    """
+    if total < 0:
+        return
+    n, mask = len(slots), (1 << total + 1) - 1
+    reach = [0] * n + [1]
+    for i in reversed(range(n)):
+        for cost, _ in slots[i]:
+            reach[i] |= reach[i + 1] << cost & mask
+    if not reach[0] >> total & 1:
+        return
+    if not n:
+        yield ()
+        return
+    chosen: list = []
+    stack = [(iter(slots[0]), total)]  # per slot entered: its options left, and what it and the rest must add up to
+    while stack:
+        options, remaining = stack[-1]
+        i = len(chosen)
+        for cost, value in options:
+            rest = remaining - cost
+            if rest >= 0 and reach[i + 1] >> rest & 1:
+                break
+        else:  # slot i is spent: step back to slot i - 1
+            stack.pop()
+            del chosen[-1:]
+            continue
+        if i + 1 == n:
+            yield (*chosen, value)
+        else:
+            chosen.append(value)
+            stack.append((iter(slots[i + 1]), rest))
 
 
 def classical_ambients(max_dim: int) -> list[DualGroupDescriptor]:

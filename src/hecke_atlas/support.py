@@ -158,9 +158,10 @@ def _tail(family: Family, key: tuple) -> tuple[LDParameter, int, int]:
     return build_ld_parameter(summands, DualGroupDescriptor(family, L_S)), L_S, _tail_rank(family, L_S)
 
 
-def _levi(phi0: LDParameter, phi_S: LDParameter, L_S: int, l_S: int) -> SupportLevi:
-    """GL factors with multiplicities plus the classical tail descriptor;
-    each orbit's share of the tail is that orbit's multiplicity in the tail."""
+def _levi(phi0: LDParameter, phi_S: LDParameter, l_S: int) -> SupportLevi:
+    """GL factors with multiplicities plus the classical tail descriptor,
+    which is the tail parameter's own ambient; each orbit's share of the
+    tail is that orbit's multiplicity in the tail."""
     gl: list[tuple[int, int]] = []
     for orbit in phi0.orbits:
         cls, m = orbit.cls, orbit.multiplicity
@@ -174,8 +175,7 @@ def _levi(phi0: LDParameter, phi_S: LDParameter, L_S: int, l_S: int) -> SupportL
         if m > m_pm:
             gl.append((cls.dim, (m - m_pm) // 2))
     gl.sort()
-    tail = DualGroupDescriptor(phi0.ambient.family, L_S)
-    return SupportLevi(tuple(gl), tail, l_S)
+    return SupportLevi(tuple(gl), phi_S.ambient, l_S)
 
 
 def _epsilons(phi_S: LDParameter) -> tuple[SignCharacter, ...]:
@@ -193,7 +193,7 @@ def cuspidal_pairs(phi0: LDParameter) -> list[CuspidalSupport]:
     out: list[CuspidalSupport] = []
     for S in supports(phi0):
         phi_S, L_S, l_S, d_S = build_phi_S(phi0, S)
-        levi = _levi(phi0, phi_S, L_S, l_S)
+        levi = _levi(phi0, phi_S, l_S)
         out.append(CuspidalSupport(S, phi_S, L_S, l_S, d_S, levi, tuple(_epsilons(phi_S))))
     return out
 
@@ -212,13 +212,12 @@ def injectivity_report(records: Sequence[CuspidalSupport]) -> dict:
         by_key.setdefault((p.levi, p.phi_S, eps), []).append(i)
     duplicates = [idx for idx in by_key.values() if len(idx) > 1]
     flagged = [i for i, (p, _) in enumerate(pairs) if p.l_S == 0 and len(p.epsilons) > 1]
+    flagged_set = set(flagged)
     return {
         "total": len(pairs),
         "duplicates": duplicates,
         "flagged": flagged,
-        "injective_outside_flagged": not any(
-            set(idx) - set(flagged) for idx in duplicates
-        ),
+        "injective_outside_flagged": not any(set(idx) - flagged_set for idx in duplicates),
     }
 
 

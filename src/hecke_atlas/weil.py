@@ -333,6 +333,11 @@ class InertialClass:
     stabilizer of the class under unramified twisting.  ``det_base`` is an
     opaque identifier for the inertial data of the determinant character,
     used only for determinant bookkeeping.
+
+    ``is_self_dual`` and ``orbit_label`` (the label of the orbit's
+    representative: the class itself, or the smaller label of a dual pair)
+    are set once at construction; they are not fields, so equality, hash
+    and repr see only the five fields.
     """
 
     label: str
@@ -341,17 +346,11 @@ class InertialClass:
     duality: Duality
     det_base: str = ""
 
-    @property
-    def is_self_dual(self) -> bool:
-        return isinstance(self.duality, SelfDual)
-
-    @property
-    def orbit_label(self) -> str:
-        """Label of the orbit's representative: the class itself, or the
-        smaller label of a dual pair."""
-        if self.is_self_dual:
-            return self.label
-        return min(self.label, self.duality.partner_label)
+    def __post_init__(self) -> None:
+        is_self_dual = isinstance(self.duality, SelfDual)
+        orbit_label = self.label if is_self_dual else min(self.label, self.duality.partner_label)
+        object.__setattr__(self, "is_self_dual", is_self_dual)
+        object.__setattr__(self, "orbit_label", orbit_label)
 
     def __hash__(self) -> int:
         return hash(self.label)

@@ -9,7 +9,7 @@ code must give the same parameters in the same order.
 import functools
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hecke_atlas import params
 from hecke_atlas.params import LDSummand, build_ld_parameter, staircase, summand_type
@@ -186,3 +186,24 @@ def inventories(draw):
 @given(inventories())
 def test_enumerators_match_the_reference_on_drawn_inventories(inv):
     assert_enumerators_match(inv, 6, range(1, 7))
+
+
+@st.composite
+def slot_lists(draw):
+    """0-5 slots of 0-4 options with costs 0-4, so empty slots, zero costs
+    and repeated costs all turn up; each value names its slot and option, so
+    the order of the choices shows."""
+    costs = draw(st.lists(st.lists(st.integers(0, 4), max_size=4), max_size=5))
+    return [[(cost, (i, j)) for j, cost in enumerate(options)] for i, options in enumerate(costs)]
+
+
+@given(slot_lists(), st.integers(-1, 14))
+@example([], 0)
+@example([], 1)
+@example([[]], 0)
+@example([[(0, "a"), (0, "b")], [(0, "c"), (2, "d"), (2, "e")]], 0)  # zero costs, total 0
+@example([[(0, "a"), (2, "b"), (2, "c")], [(2, "d"), (2, "e")]], 4)  # repeated costs
+@example([[(2, "a"), (4, "b")], [(2, "c")]], 5)  # an unreachable total below the largest sum
+@example([[(1, "a")], [], [(0, "b")]], 1)  # an empty slot in the middle
+def test_the_pruned_walk_matches_the_reference_walk(slots, total):
+    assert list(params._bounded_choices(slots, total)) == list(reference_bounded_choices(slots, total))

@@ -2,7 +2,11 @@ import functools
 import importlib
 import inspect
 import itertools
+import os
+import pickle
 import pkgutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -565,3 +569,48 @@ def test_a_shape_test_that_raises_raises_on_every_call(extended_inventory):
     for _ in range(3):
         with pytest.raises(ValueError, match="conjugate-dual type tags need a unitary ambient group"):
             is_supercuspidal_shape(phi)
+
+
+def hashing_corpus():
+    """Parameters of every corpus over the standard inventory: normed ones,
+    cuspidal shapes, discrete ones and the tails of the normed ones."""
+    inv = standard_inventory()
+    normed = normed_corpus(inv, 6)
+    tails = [build_phi_S(phi0, S)[0] for phi0 in normed for S in supports(phi0)]
+    return normed + supercuspidal_corpus(inv, 6) + discrete_parameters(inv, SP6) + tails
+
+
+@given(st.sampled_from(hashing_corpus()), st.randoms(use_true_random=False))
+def test_parameters_built_from_permuted_summand_lists_are_equal_and_hash_equal(phi, rng):
+    # every summand spelled out once per multiplicity, so the merge also runs
+    spelled = [LDSummand(s.point, s.sl2_dim) for s in phi.summands for _ in range(s.multiplicity)]
+    a, b = (build_ld_parameter(rng.sample(spelled, len(spelled)), phi.ambient) for _ in range(2))
+    assert a == b == phi and a is not b
+    assert hash(a) == hash(b) == hash(phi) == hash((phi.ambient, phi.summands))
+
+
+PICKLED_IN_ANOTHER_PROCESS = """
+import pickle, sys
+from hecke_atlas.params import normed_corpus
+from hecke_atlas.verify import standard_inventory
+phi = normed_corpus(standard_inventory(), 6)[-1]
+print(hash(phi), hash("triv"))  # the hash is cached before the pickle is taken
+sys.stdout.flush()
+sys.stdout.buffer.write(pickle.dumps(phi))
+"""
+
+
+def test_a_parameter_pickled_under_another_hash_seed_hashes_afresh(src_env):
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    done = subprocess.run(
+        [sys.executable, "-c", PICKLED_IN_ANOTHER_PROCESS], capture_output=True, env=src_env(PYTHONHASHSEED=seed), check=True
+    )
+    line, data = done.stdout.split(b"\n", 1)
+    their_hash, their_str_hash = map(int, line.split())
+    fresh = normed_corpus(standard_inventory(), 6)[-1]
+    assert their_str_hash != hash("triv")  # the other process hashes strs differently
+    assert their_hash != hash(fresh)  # so a hash carried over would be stale
+    twin = pickle.loads(data)
+    assert "_hash" not in twin.__dict__
+    assert twin == fresh and hash(twin) == hash(fresh)
+    assert {fresh: "found"}[twin] == "found" and {twin: "found"}[fresh] == "found"

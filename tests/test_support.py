@@ -352,6 +352,15 @@ def test_each_levi_matches_the_summed_tail_shares():
     assert count > 1000
 
 
+def test_each_levi_shares_its_tail_parameters_ambient():
+    count = 0
+    for phi0 in normed_corpus(standard_inventory(), 8):
+        for p in cuspidal_pairs(phi0):
+            assert p.levi.tail is p.phi_S.ambient
+            count += 1
+    assert count == 855
+
+
 def reference_pairs(phi0, characters=lambda chars: chars):
     """The flat pairs ``(S, phi_S, L_S, l_S, d_S, levi, epsilon)`` as the
     per-pair loop lists them, each tail's characters passed through ``characters``."""
