@@ -282,25 +282,19 @@ def _partition_ok(parts: Sequence[int], family: str) -> bool:
     if family == "GL":
         return True
     bad_parity = 0 if family == "O" else 1  # parts of this parity need even multiplicity
-    counts: dict[int, int] = {}
-    for a in parts:
-        counts[a] = counts.get(a, 0) + 1
-    return all(c % 2 == 0 for a, c in counts.items() if a % 2 == bad_parity)
-
-
-def _ladder(x: UnitMonomial, a: int) -> list[UnitMonomial]:
-    """The eigenvalues ``x*q**((a-1)/2 - j)``, j = 0..a-1, of ``x (x) sp(a)``."""
-    return [_monomial(x.rn, x.d, x.e2 + a - 1 - 2 * j) for j in range(a)]
+    return all(parts.count(a) % 2 == 0 for a in set(parts) if a % 2 == bad_parity)
 
 
 def _jordan_data(
     summands: Iterable[LDSummand], phi0: LDParameter
-) -> tuple[dict[str, list[tuple[UnitMonomial, int]]], tuple]:
-    """The eigenvalue ladders per orbit block and the ``u_by_eigenblock``
-    Jordan parts of a summand list, validated against the orbit blocks of
-    the base parameter ``phi0``."""
+) -> tuple[SemisimpleClassDescriptor, tuple]:
+    """The semisimple class and the ``u_by_eigenblock`` Jordan parts of a
+    summand list, validated against the orbit blocks of the base parameter
+    ``phi0``.  Each ladder is walked by its doubled q-exponents and merged
+    into its block's counts, keyed by the monomial's ints, as it is walked;
+    a monomial is built once per distinct eigenvalue of a block."""
     blocks = phi0.orbit_by_label
-    raw_s: dict[str, list[tuple[UnitMonomial, int]]] = {label: [] for label in blocks}
+    counts: dict[str, dict[tuple[int, int, int], int]] = {label: {} for label in blocks}
     raw_u: dict[tuple[str, UnitMonomial], list[int]] = {}
     for s in summands:
         cls = s.point.cls
@@ -309,27 +303,29 @@ def _jordan_data(
             raise ValueError(f"summand orbit {label!r} does not occur in the base parameter")
         if cls.label != label:
             continue  # the partner side of a dual pair mirrors the representative side
-        a, x = s.sl2_dim, s.point.f
-        raw_s[label].extend((y, s.multiplicity) for y in _ladder(x, a))
+        a, x, mult = s.sl2_dim, s.point.f, s.multiplicity
+        block, rn, d = counts[label], x.rn, x.d
+        for e2 in range(x.e2 - a + 1, x.e2 + a, 2):  # the ladder x*q**((a-1)/2 - j), j < a
+            block[rn, d, e2] = block.get((rn, d, e2), 0) + mult
         if cls.is_self_dual and not x.is_sign and x != _canonical_value(x):
             continue  # the inverse value carries the same parts
-        raw_u.setdefault((label, x), []).extend([a] * s.multiplicity)
+        raw_u.setdefault((label, x), []).extend([a] * mult)
 
+    merged = []
     for label, orbit in blocks.items():
-        total = sum(mult for _, mult in raw_s[label])
-        if total != orbit.multiplicity:
+        block = counts[label]
+        if sum(block.values()) != orbit.multiplicity:
             raise ValueError(
-                f"block {label!r} has Weil multiplicity {total}, expected {orbit.multiplicity}"
+                f"block {label!r} has Weil multiplicity {sum(block.values())}, expected {orbit.multiplicity}"
             )
+        values = sorted(((_monomial(*key), m) for key, m in block.items()), key=itemgetter(0))
+        merged.append((label, tuple(values)))
 
-    u = tuple(
-        (key, tuple(sorted(parts, reverse=True)))
-        for key, parts in sorted(raw_u.items())
-    )
+    u = tuple((key, tuple(sorted(parts, reverse=True))) for key, parts in sorted(raw_u.items()))
     for (label, x), parts in u:
         if not _partition_ok(parts, _family_at(blocks[label], x)):
             raise ValueError(f"partition parity violated at block {label!r}, eigenvalue {x}")
-    return raw_s, u
+    return SemisimpleClassDescriptor(tuple(merged)), u
 
 
 def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
@@ -339,13 +335,8 @@ def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
     ``f*q**((a-1)/2 - j)`` and the unipotent part of the f-eigenblock a part
     ``a``; partition parities are validated against the block families.
     """
-    raw_s, u = _jordan_data(phi.summands, phi0)
-    return Triple(
-        centralizer_of_image(phi0).descriptor,
-        SemisimpleClassDescriptor.build(raw_s),
-        u,
-        phi0.orbits,
-    )
+    s, u = _jordan_data(phi.summands, phi0)
+    return Triple(centralizer_of_image(phi0).descriptor, s, u, phi0.orbits)
 
 
 def triple_to_parameter(t: Triple, phi0: LDParameter) -> LDParameter:
@@ -361,21 +352,18 @@ def triple_to_parameter(t: Triple, phi0: LDParameter) -> LDParameter:
     classes = {s.point.cls.label: s.point.cls for s in phi0.summands}
     summands: list[LDSummand] = []
     for (label, x), parts in t.u_by_eigenblock:
-        cls = classes[label]
-        counts: dict[int, int] = {}
-        for a in parts:
-            counts[a] = counts.get(a, 0) + 1
-        for a, mult in sorted(counts.items()):
-            summands.append(LDSummand(orbit_point(cls, x), a, mult))
-            if cls.is_self_dual:
-                if not x.is_sign:
-                    summands.append(LDSummand(orbit_point(cls, x.inverse()), a, mult))
-            else:
-                partner = classes[cls.duality.partner_label]
-                summands.append(LDSummand(orbit_point(partner, x.inverse()), a, mult))
+        cls = classes.get(label)
+        if cls is None:
+            raise ValueError(f"triple block {label!r} does not occur in the base parameter")
+        points = [orbit_point(cls, x)]
+        if not cls.is_self_dual:
+            points.append(orbit_point(classes[cls.duality.partner_label], x.inverse()))
+        elif not x.is_sign:
+            points.append(orbit_point(cls, x.inverse()))
+        for a in sorted(set(parts)):
+            summands += [LDSummand(point, a, parts.count(a)) for point in points]
     phi = build_ld_parameter(summands, phi0.ambient)
-    raw_s, _ = _jordan_data(phi.summands, phi0)
-    if SemisimpleClassDescriptor.build(raw_s) != t.s:
+    if _jordan_data(phi.summands, phi0)[0] != t.s:
         raise ValueError("semisimple part violates the q-scaling relation of the Jordan data")
     return phi
 
@@ -430,6 +418,9 @@ def component_group_of_triple(t: Triple) -> TripleComponentGroup:
 # an integer matrix; the oracle's rational matrices are integer matrices M
 # over one common denominator d, with value M / d
 Matrix = list[list[int]]
+# a building block of the oracle, built once per shape and shared: a tuple of
+# tuples, never mutated, and no check result
+Block = tuple[tuple[int, ...], ...]
 
 
 def _diagonal(values: Sequence[int]) -> Matrix:
@@ -446,17 +437,28 @@ def _rescaled(left: Sequence[int], a: Matrix, right: Sequence[int]) -> Matrix:
     return [[li * v * rj for v, rj in zip(row, right)] for li, row in zip(left, a)]
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a * b, walking each row of b through its nonzero entries."""
+def _nonzero_columns(b: Matrix | Block) -> list[list[int]]:
+    """The columns of the nonzero entries of each row of ``b``."""
+    return [[j for j, v in enumerate(row) if v] for row in b]
+
+
+@functools.cache
+def _block_nonzero_columns(b: Block) -> tuple[tuple[int, ...], ...]:
+    """``_nonzero_columns`` of a shared block, built once per block and shared."""
+    return tuple(map(tuple, _nonzero_columns(b)))
+
+
+def _mat_mul(a: Matrix | Block, b: Matrix | Block) -> Matrix:
+    """a * b, walking each row of b through its nonzero columns (once per shared block)."""
     m = len(b[0])
-    b_rows = [[(j, v) for j, v in enumerate(row) if v] for row in b]
+    columns = _block_nonzero_columns(b) if type(b) is tuple else _nonzero_columns(b)
     out = []
     for row in a:
         acc = [0] * m
-        for x, b_row in zip(row, b_rows):
+        for x, b_row, b_columns in zip(row, b, columns):
             if x:
-                for j, v in b_row:
-                    acc[j] += x * v
+                for j in b_columns:
+                    acc[j] += x * b_row[j]
         out.append(acc)
     return out
 
@@ -490,11 +492,6 @@ def _kron(a: Matrix, b: Matrix) -> Matrix:
 
 def _transpose(a: Matrix) -> Matrix:
     return [list(row) for row in zip(*a)]
-
-
-# a building block of the oracle, built once per shape and shared: a tuple of
-# tuples, never mutated, and no check result
-Block = tuple[tuple[int, ...], ...]
 
 
 @functools.cache
@@ -572,15 +569,18 @@ def check_matrices(phi: LDParameter) -> CheckedBlocks:
     standard form of that parity (s and u act on the copies as scalars, so
     they preserve any form there).  With an odd multiplicity no such form
     exists, and the symmetry check fails.  S is diagonal and U and G are
-    block diagonal, one block per summand, so each check holds on the whole matrices
-    exactly when it holds on every block: all four checks run on every
-    block of every call, and no matrix is assembled.  The checks are
-    cross-multiplied by the denominators: ``S U T`` and ``S^T G S`` are row
-    and column scalings of U and G, while ``U^T G U`` and ``U**Q`` (by
-    repeated squaring) are sparse integer products.  A block of U or G
-    depends only on its shape, so each is built once per process and
-    shared, as a tuple of tuples; the diagonal of S reads ``SQRT_Q`` on
-    every call.  Raises ``ValueError`` on an ambient above
+    block diagonal, one block per summand, so each check holds on the whole
+    matrices exactly when it holds on every block, and no matrix is
+    assembled.  Each check is cross-multiplied by the denominators, whose
+    products are worked out once per call: ``S U T`` (u_den**Q folded into
+    T) against s_den**2 u_den ``U**Q``, ``S^T G S`` against s_den**2 G and
+    ``U^T G U`` against u_den**2 G.  The products with S are row and column
+    scalings, ``U**Q`` (by repeated squaring) and ``U^T G U`` sparse integer
+    products.  The blocks of U and G, and the columns of their rows' nonzero
+    entries, depend only on the block's shape: each is built once per
+    process and shared, as tuples.  Every product, power, transpose and
+    check runs on every block of every call, and the diagonal of S reads
+    ``SQRT_Q`` on every call.  Raises ``ValueError`` on an ambient above
     ``MATRIX_DIM_CAP``, a unitary ambient, a summand off the self-dual sign
     points, or an odd-dimensional symplectic representation.
     """
@@ -593,6 +593,8 @@ def check_matrices(phi: LDParameter) -> CheckedBlocks:
 
     t = max(summand.sl2_dim for summand in phi.summands) - 1
     s_den, u_den = SQRT_Q**t, math.factorial(t)
+    s_den2, u_den2 = s_den * s_den, u_den * u_den
+    t_num, u_pow_den = s_den2 * u_den**Q, s_den2 * u_den
     form_sign = 1 if phi.ambient.family is Family.ORTHOGONAL else -1
     s_diag: list[int] = []
     u_blocks: list[Block] = []
@@ -621,16 +623,14 @@ def check_matrices(phi: LDParameter) -> CheckedBlocks:
         u_b = _unipotent(a, t, k)
         g_b = _gram(a, k, alternating)
 
-        # s**-1 is the diagonal T = s_den**2 / S
-        t_b = [s_den * s_den // v for v in s_b]
-        left = _scaled(_rescaled(s_b, u_b, t_b), u_den**Q)
-        right = _scaled(_mat_pow(u_b, Q), s_den * s_den * u_den)
-        if left != right:
+        # s**-1 is the diagonal T = s_den**2 / S, here times u_den**Q
+        t_b = [t_num // v for v in s_b]
+        if _rescaled(s_b, u_b, t_b) != _scaled(_mat_pow(u_b, Q), u_pow_den):
             raise CheckError("q-scaling relation fails")
 
-        if _rescaled(s_b, g_b, s_b) != _scaled(g_b, s_den * s_den):
+        if _rescaled(s_b, g_b, s_b) != _scaled(g_b, s_den2):
             raise CheckError("Gram form not preserved")
-        if _mat_mul(_mat_mul(_transpose(u_b), g_b), u_b) != _scaled(g_b, u_den * u_den):
+        if _mat_mul(_mat_mul(_transpose(u_b), g_b), u_b) != _scaled(g_b, u_den2):
             raise CheckError("Gram form not preserved")
 
         # G^T = G or G^T = -G, both sides as lists of lists

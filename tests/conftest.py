@@ -15,9 +15,10 @@ from hecke_atlas.weil import (
 # ``--hypothesis-profile=ci``: the parameter-file and record-writer fuzz tests of tests/test_cli.py
 # take max(150, max_examples) examples, so this runs them at five times their
 # local count; the signed-permutation and mirrored-product property tests of
-# tests/test_weyl.py and the drawn-inventory enumerator and pruned-walk tests
-# of tests/test_corpora.py take the default 100 locally, so this runs them at
-# 7.5 times that
+# tests/test_weyl.py, the drawn-inventory enumerator and pruned-walk tests
+# of tests/test_corpora.py and the drawn-parameter Jordan data test of
+# tests/test_centralizer.py take the default 100 locally, so this runs them
+# at 7.5 times that
 settings.register_profile("ci", max_examples=750)
 
 

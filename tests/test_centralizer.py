@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hecke_atlas import CheckError, centralizer
 
@@ -221,6 +222,164 @@ def test_round_trip_dual_pairs(extended_inventory):
         phi0 = normed_parameter(phi)
         assert triple_to_parameter(parameter_to_triple(phi, phi0), phi0) == phi
 
+
+def test_jordan_data_errors_reach_both_directions(extended_inventory):
+    inv = extended_inventory
+
+    def param(family, dim, *summands):
+        return build_ld_parameter(
+            [LDSummand(orbit_point(inv[c], f), a, m) for c, f, a, m in summands], DualGroupDescriptor(family, dim)
+        )
+
+    def with_parts(phi0, *u):
+        return dataclasses.replace(parameter_to_triple(phi0, phi0), u_by_eigenblock=u)
+
+    o = Family.ORTHOGONAL
+    triv2 = unit_phi0(inv, "triv", o, 2)
+    triv_chi = param(o, 4, ("triv", ONE, 1, 2), ("chi", ONE, 1, 2))
+    triv3 = unit_phi0(inv, "triv", o, 3)
+    # parameter -> triple: a class off the base parameter, a block of the
+    # wrong size, and the even part 2 once at an orthogonal eigenvalue
+    forward = [
+        (param(o, 2, ("triv", ONE, 1, 1), ("chi", ONE, 1, 1)), triv2, "summand orbit 'chi' does not occur in the base parameter"),
+        (unit_phi0(inv, "triv", o, 4), triv2, "block 'triv' has Weil multiplicity 4, expected 2"),
+        (param(o, 3, ("triv", ONE, 2, 1), ("triv", ONE, 1, 1)), triv3, "partition parity violated at block 'triv', eigenvalue 1"),
+    ]
+    for phi, phi0, message in forward:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parameter_to_triple(phi, phi0)
+    # triple -> parameter: the same three faults in the Jordan parts (the
+    # first a label no class has, which once raised a bare KeyError); the
+    # rebuilt summands fill the ambient, so only the Jordan data can object
+    backward = [
+        (with_parts(triv2, (("nosuch", 1), (1, 1))), triv2, "triple block 'nosuch' does not occur in the base parameter"),
+        (with_parts(triv_chi, (("chi", ONE), (1,)), (("triv", ONE), (1, 1, 1))), triv_chi, "block 'chi' has Weil multiplicity 1, expected 2"),
+        (with_parts(triv3, (("triv", ONE), (2, 1))), triv3, "partition parity violated at block 'triv', eigenvalue 1"),
+    ]
+    for t, phi0, message in backward:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            triple_to_parameter(t, phi0)
+
+
+# ---------------------------------------------------------------------------
+# a reference for the Jordan data: each ladder built one monomial per step
+# from Fractions, then merged and sorted as SemisimpleClassDescriptor.build does
+
+
+def _reference_ladder(x, a):
+    return [UnitMonomial.of(x.root, x.q_exponent + Fraction(a - 1 - 2 * j, 2)) for j in range(a)]
+
+
+def _reference_family_at(orbit, x):
+    if orbit.types is None or not x.is_sign:
+        return "GL"
+    return "O" if orbit.types[x.sign == -1] else "Sp"
+
+
+def _reference_partition_ok(parts, family):
+    if family == "GL":
+        return True
+    bad_parity = 0 if family == "O" else 1
+    counts = {}
+    for a in parts:
+        counts[a] = counts.get(a, 0) + 1
+    return all(c % 2 == 0 for a, c in counts.items() if a % 2 == bad_parity)
+
+
+def _reference_build(raw):
+    blocks = []
+    for label in sorted(raw):
+        merged = {}
+        for x, m in raw[label]:
+            merged[x] = merged.get(x, 0) + m
+        blocks.append((label, tuple(sorted(merged.items(), key=lambda item: item[0]))))
+    return SemisimpleClassDescriptor(tuple(blocks))
+
+
+def _reference_jordan_data(summands, phi0):
+    blocks = phi0.orbit_by_label
+    raw_s = {label: [] for label in blocks}
+    raw_u = {}
+    for s in summands:
+        cls = s.point.cls
+        label = cls.orbit_label
+        if label not in blocks:
+            raise ValueError(f"summand orbit {label!r} does not occur in the base parameter")
+        if cls.label != label:
+            continue
+        a, x = s.sl2_dim, s.point.f
+        raw_s[label].extend((y, s.multiplicity) for y in _reference_ladder(x, a))
+        if cls.is_self_dual and not x.is_sign and x != min(x, x.inverse()):
+            continue
+        raw_u.setdefault((label, x), []).extend([a] * s.multiplicity)
+    for label, orbit in blocks.items():
+        total = sum(mult for _, mult in raw_s[label])
+        if total != orbit.multiplicity:
+            raise ValueError(f"block {label!r} has Weil multiplicity {total}, expected {orbit.multiplicity}")
+    u = tuple((key, tuple(sorted(parts, reverse=True))) for key, parts in sorted(raw_u.items()))
+    for (label, x), parts in u:
+        if not _reference_partition_ok(parts, _reference_family_at(blocks[label], x)):
+            raise ValueError(f"partition parity violated at block {label!r}, eigenvalue {x}")
+    return _reference_build(raw_s), u
+
+
+DRAWN_INVENTORY = standard_inventory()
+# the sign points, the palette pairs q**(1/2) and i, and a point that is both twisted and scaled
+DRAWN_VALUES = (ONE, MINUS, *centralizer.PAIR_PALETTE, MINUS * Q_HALF, I_UNIT * Q_HALF.inverse())
+
+
+@st.composite
+def drawn_parameters(draw):
+    """A parameter of an orthogonal or symplectic ambient on 1-4 drawn
+    summands ``(cls, f) (x) sp(a)`` of multiplicity m, each with its
+    contragredient: at ``f**-1`` on the partner class of a dual pair, at
+    ``f**-1`` on the class itself off the sign points."""
+    summands = []
+    entries = st.tuples(
+        st.sampled_from(sorted(DRAWN_INVENTORY.classes)), st.sampled_from(DRAWN_VALUES), st.integers(1, 4), st.integers(1, 3)
+    )
+    for label, f, a, m in draw(st.lists(entries, min_size=1, max_size=4)):
+        cls = DRAWN_INVENTORY[label]
+        summands.append(LDSummand(orbit_point(cls, f), a, m))
+        if not cls.is_self_dual:
+            summands.append(LDSummand(orbit_point(DRAWN_INVENTORY[cls.duality.partner_label], f.inverse()), a, m))
+        elif not f.is_sign:
+            summands.append(LDSummand(orbit_point(cls, f.inverse()), a, m))
+    dim = sum(s.dim for s in summands)
+    family = draw(st.sampled_from([Family.ORTHOGONAL, Family.SYMPLECTIC][: 2 - dim % 2]))
+    return build_ld_parameter(summands, DualGroupDescriptor(family, dim))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(drawn_parameters())
+@example(build_ld_parameter(  # a dual pair off the sign points, with an SL2 part, next to a palette pair twice
+    [
+        LDSummand(orbit_point(DRAWN_INVENTORY["alpha"], Q_HALF), 3, 2),
+        LDSummand(orbit_point(DRAWN_INVENTORY["beta"], Q_HALF.inverse()), 3, 2),
+        LDSummand(orbit_point(DRAWN_INVENTORY["rho_mix"], I_UNIT), 2, 2),
+        LDSummand(orbit_point(DRAWN_INVENTORY["rho_mix"], I_UNIT.inverse()), 2, 2),
+        LDSummand(orbit_point(DRAWN_INVENTORY["triv"], MINUS), 2, 2),
+    ],
+    DualGroupDescriptor(Family.SYMPLECTIC, 32),
+))
+def test_triples_match_the_reference_jordan_data(phi):
+    phi0 = normed_parameter(phi)
+    t = _outcome(parameter_to_triple, phi, phi0)
+    expected = _outcome(_reference_jordan_data, phi.summands, phi0)
+    if isinstance(expected, str):
+        assert t == expected
+        return
+    assert (t.group, t.s, t.u_by_eigenblock, t.orbits) == (centralizer_of_image(phi0).descriptor, *expected, phi0.orbits)
+    assert triple_to_parameter(t, phi0) == phi
+
+
 def test_component_group_of_triple(extended_inventory):
     inv = extended_inventory
     sp4 = DualGroupDescriptor(Family.SYMPLECTIC, 4)
@@ -397,6 +556,10 @@ def test_mat_mul_matches_a_triple_loop(ab):
     n, k, m = len(a), len(b), len(b[0])
     expected = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
     assert centralizer._mat_mul(a, b) == expected
+    # as a shared block, b is walked through nonzero columns kept per block
+    block = tuple(map(tuple, b))
+    assert centralizer._mat_mul(a, block) == centralizer._mat_mul(tuple(map(tuple, a)), block) == expected
+    assert centralizer._block_nonzero_columns(block) == tuple(map(tuple, centralizer._nonzero_columns(b)))
 
 
 def test_realize_matrices_caps_dimension(extended_inventory):
