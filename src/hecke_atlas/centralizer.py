@@ -272,7 +272,10 @@ def enumerate_s_classes(phi0: LDParameter) -> list[SemisimpleClassDescriptor]:
 
 @dataclass(frozen=True)
 class Triple:
-    group: ClassicalGroupDescriptor
+    """Jordan data of a parameter: the semisimple class ``s``, the Jordan
+    parts of each eigenblock, and the orbit blocks of its base parameter,
+    from which ``component_group_of_triple`` reads families and dimensions."""
+
     s: SemisimpleClassDescriptor
     u_by_eigenblock: tuple[tuple[tuple[str, UnitMonomial], tuple[int, ...]], ...]
     orbits: tuple[Orbit, ...]  # the base parameter's orbit blocks
@@ -336,7 +339,7 @@ def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
     ``a``; partition parities are validated against the block families.
     """
     s, u = _jordan_data(phi.summands, phi0)
-    return Triple(centralizer_of_image(phi0).descriptor, s, u, phi0.orbits)
+    return Triple(s, u, phi0.orbits)
 
 
 def triple_to_parameter(t: Triple, phi0: LDParameter) -> LDParameter:

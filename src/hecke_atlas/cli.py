@@ -32,7 +32,7 @@ from .params import (
 )
 from .support import SupportDatum, cuspidal_pairs, supports
 from .verify import SUITES, run_suite, standard_inventory  # standard_inventory: re-exported
-from .weil import DualGroupDescriptor, Family, Inventory, half_integer_str, json_field, json_typed
+from .weil import DualGroupDescriptor, Family, Inventory, half_integer_str, json_field, json_typed, read_json_file
 
 GROUP_AMBIENTS = {
     "sp": lambda n: DualGroupDescriptor(Family.ORTHOGONAL, 2 * n + 1),
@@ -141,11 +141,7 @@ def _emit(data, path: str | None = None) -> None:
 
 
 def _load_param_file(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json_typed(json.load(fh), dict, "parameter file")
-        except RecursionError:  # the decoder recurses once per nesting level
-            raise ValueError("parameter file nests too deeply to decode") from None
+    data = json_typed(read_json_file(path, "parameter file"), dict, "parameter file")
     inventory = Inventory.from_json_list(json_field(data, "inventory", "parameter file"))
     phi = parameter_from_json_dict(json_field(data, "parameter", "parameter file"), inventory)
     # support data is attached to the base point of the orbit

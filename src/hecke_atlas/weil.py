@@ -33,6 +33,7 @@ __all__ = [
     "is_of_type",
     "sign_types",
     "half_integer_str",
+    "read_json_file",
     "json_typed",
     "json_field",
     "json_value",
@@ -59,6 +60,16 @@ def json_typed(value, kind: type, path: str | tuple, key: str | None = None):
     if not isinstance(value, kind):
         raise ValueError(f"{_path_text(path, key)} must be a {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def read_json_file(path, what: str):
+    """The JSON value in the file at ``path``; a ValueError naming the file
+    as ``what`` if it nests too deeply to decode."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError(f"{what} nests too deeply to decode") from None
 
 
 def json_field(data: Mapping, key: str, path: str | tuple):
@@ -269,16 +280,15 @@ class UnitMonomial:
 
     @property
     def is_sign(self) -> bool:
-        return self.is_one or self.is_minus_one
+        # the reduced root in [0, 1) is 0 or 1/2 exactly when d is 1 or 2
+        return not self.e2 and self.d <= 2
 
     @property
     def sign(self) -> int:
         """Return +1/-1 for the two sign values; error otherwise."""
-        if self.is_one:
-            return 1
-        if self.is_minus_one:
-            return -1
-        raise ValueError(f"{self!r} is not a sign")
+        if self.e2 or self.d > 2:
+            raise ValueError(f"{self!r} is not a sign")
+        return 1 if self.d == 1 else -1
 
     # -- serialization ------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -551,9 +561,4 @@ class Inventory:
 
     @staticmethod
     def load(path) -> "Inventory":
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except RecursionError:  # the decoder recurses once per nesting level
-                raise ValueError("inventory file nests too deeply to decode") from None
-        return Inventory.from_json_list(data)
+        return Inventory.from_json_list(read_json_file(path, "inventory file"))

@@ -10,8 +10,8 @@ An element is one tuple ``img`` of signed images: entry i is ``+(j + 1)``
 or ``-(j + 1)`` when e_i goes to ``+e_j`` or ``-e_j``.  The relative Weyl
 groups, the stabilizers and their parts are tuples of these, ordered by
 ``_sort_key`` (``_mul`` and ``_inverse`` are their product and inverse).
-``SignedPermutation`` wraps one such tuple, with ``perm`` and ``signs`` as
-views of it; it is the element type of ``weyl_group``.
+``SignedPermutation``, a frozen dataclass over one such tuple with ``perm``
+and ``signs`` as views of it, is the element type of ``weyl_group``.
 
 The stabilizer checks run on mirrored tuples instead (``_mirror``):
 ``(0, *img, *-reversed(img))``, which indexed by a signed coordinate gives
@@ -55,28 +55,21 @@ MAX_LABELS = 3  # orbit labels per decoration, up to renaming
 
 
 @total_ordering
+@dataclass(frozen=True, init=False)
 class SignedPermutation:
     """e_i |-> signs[i] * e_{perm[i]} on coordinates 1..n (0-indexed ``perm``).
 
-    Held as ``img``, with ``img[i] = signs[i] * (perm[i] + 1)``.  Immutable;
+    A frozen dataclass over ``img``, with ``img[i] = signs[i] * (perm[i] + 1)``;
     the order is that of ``(perm, signs)``.
     """
 
-    __slots__ = ("img",)
+    img: tuple[int, ...]
 
     def __init__(self, perm: Sequence[int], signs: Sequence[int]) -> None:
         perm, signs = tuple(perm), tuple(signs)
         if sorted(perm) != list(range(len(perm))) or len(signs) != len(perm) or not set(signs) <= {1, -1}:
             raise ValueError(f"not a signed permutation: perm={perm!r}, signs={signs!r}")
-        _set_img(self, tuple([s * (p + 1) for p, s in zip(perm, signs)]))
-
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return _signed, (self.img,)
+        object.__setattr__(self, "img", tuple([s * (p + 1) for p, s in zip(perm, signs)]))
 
     @property
     def perm(self) -> tuple[int, ...]:
@@ -88,14 +81,6 @@ class SignedPermutation:
 
     def sort_key(self) -> tuple[int, ...]:
         return _sort_key(self.img)
-
-    def __eq__(self, other):
-        if type(other) is not SignedPermutation:
-            return NotImplemented
-        return self.img == other.img
-
-    def __hash__(self) -> int:
-        return hash(self.img)
 
     def __lt__(self, other):
         if type(other) is not SignedPermutation:
@@ -120,13 +105,10 @@ class SignedPermutation:
         return _signed(tuple(range(1, n + 1)))
 
 
-_set_img = SignedPermutation.__dict__["img"].__set__  # skip __setattr__
-
-
 def _signed(img: tuple[int, ...]) -> SignedPermutation:
     """The signed permutation with signed images ``img``, taken unchecked."""
     m = object.__new__(SignedPermutation)
-    _set_img(m, img)
+    object.__setattr__(m, "img", img)
     return m
 
 

@@ -16,9 +16,9 @@ from hecke_atlas.weil import (
 # take max(150, max_examples) examples, so this runs them at five times their
 # local count; the signed-permutation and mirrored-product property tests of
 # tests/test_weyl.py, the drawn-inventory enumerator and pruned-walk tests
-# of tests/test_corpora.py and the drawn-parameter Jordan data test of
-# tests/test_centralizer.py take the default 100 locally, so this runs them
-# at 7.5 times that
+# of tests/test_corpora.py, the drawn-parameter Jordan data test of
+# tests/test_centralizer.py and the monomial kernel test of tests/test_weil.py
+# take the default 100 locally, so this runs them at 7.5 times that
 settings.register_profile("ci", max_examples=750)
 
 

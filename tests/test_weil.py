@@ -60,6 +60,7 @@ def test_monomial_kernel_matches_fraction_definition(r, e, shift):
         assert m == first and hash(m) == hash(first)
     assert first.is_one == (root == 0 and e == 0)
     assert first.is_minus_one == (root == Fraction(1, 2) and e == 0)
+    assert first.is_sign == (first.is_one or first.is_minus_one)
     if first.is_sign:
         assert first.sign == (1 if root == 0 else -1)
     else:
