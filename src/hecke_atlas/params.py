@@ -11,6 +11,7 @@ parameter corpora the verification suites run over.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -37,6 +38,7 @@ __all__ = [
     "Orbit",
     "Staircase",
     "staircase",
+    "depth_pairs",
     "ComponentGroup",
     "SignCharacter",
     "summand_type",
@@ -52,6 +54,7 @@ __all__ = [
     "classical_ambients",
     "supercuspidal_corpus",
     "supercuspidal_shapes",
+    "cuspidal_shape",
     "discrete_parameters",
     "normed_corpus",
     "normed_parameter",
@@ -175,10 +178,10 @@ class LDParameter:
         return True
 
     @cached_property
-    def _determinant(self) -> tuple[UnitMonomial, dict[tuple[str, bool], int]]:
+    def _determinant(self) -> tuple[UnitMonomial, UnitMonomial, dict[tuple[str, bool], int]]:
         """This parameter's share of ``det_discrepancy``: the unramified
-        monomial, and the ramified exponent per ``(orbit label, self_dual)``
-        in summand order; worked out once per parameter."""
+        monomial and its inverse, and the ramified exponent per ``(orbit
+        label, self_dual)`` in summand order; worked out once per parameter."""
         unram = UnitMonomial.one()
         ram: dict[tuple[str, bool], int] = {}
         for s in self.summands:
@@ -192,7 +195,7 @@ class LDParameter:
                 key = (cls.orbit_label, False)
                 orient = 1 if cls.label == cls.orbit_label else -1
             ram[key] = ram.get(key, 0) + orient * e
-        return unram, ram
+        return unram, unram.inverse(), ram
 
     @cached_property
     def _characters(self) -> tuple[SignCharacter, ...]:
@@ -243,6 +246,20 @@ def staircase(depth: int, of_type: bool) -> tuple[range, int]:
     point has the ambient's type.  Both are immutable, so each is built once
     per process."""
     return range(2 - of_type, 2 * depth + 1 - of_type, 2), depth * (depth + 1 - of_type)
+
+
+@cache
+def depth_pairs(types: tuple[bool, bool], bound: int) -> tuple[tuple[int, int, int], ...]:
+    """``(cost, a_plus, a_minus)`` for each pair of staircase depths at the +1
+    and -1 points of sign types ``types`` whose summed sizes ``cost`` are at
+    most ``bound``, in lexicographic order of the depths; built once per process."""
+    depths = range(math.isqrt(bound) + 1)  # a staircase of depth a has size at least a**2
+    return tuple(
+        (cost, a_plus, a_minus)
+        for a_plus in depths
+        for a_minus in depths
+        if (cost := staircase(a_plus, types[0])[1] + staircase(a_minus, types[1])[1]) <= bound
+    )
 
 
 def summand_type(p: InertialPoint, a: int, g: DualGroupDescriptor) -> bool:
@@ -433,11 +450,11 @@ def det_discrepancy(phi: LDParameter, phi0: LDParameter) -> int:
     Self-dual labels (determinant of order at most two) must cancel modulo
     two; a dual pair carries mutually inverse determinants, so its two sides
     enter with opposite orientations and must cancel exactly.  Each
-    parameter's own share is worked out once (``LDParameter._determinant``);
-    ``phi0``'s enters inverted.
+    parameter's own share is worked out once (``LDParameter._determinant``),
+    with the inverse of its unramified monomial, with which ``phi0`` enters.
     """
-    unram, ram = phi._determinant
-    unram0, ram0 = phi0._determinant
+    unram, _, ram = phi._determinant
+    _, inverse0, ram0 = phi0._determinant
     ram = dict(ram)  # phi's orbits first, then those only phi0 has
     for key, e in ram0.items():
         ram[key] = ram.get(key, 0) - e
@@ -445,7 +462,7 @@ def det_discrepancy(phi: LDParameter, phi0: LDParameter) -> int:
         bad = (e % 2 != 0) if self_dual else (e != 0)
         if bad:
             raise ValueError(f"determinant of orbit {label!r} does not cancel (exponent {e})")
-    unram = unram * unram0.inverse()
+    unram = unram * inverse0
     if not unram.is_sign:
         raise ValueError(f"determinant discrepancy {unram} is not a sign")
     return unram.sign
@@ -523,22 +540,40 @@ def _parameters(slots: Sequence[Sequence[tuple[int, list]]], ambient: DualGroupD
             yield build_ld_parameter(summands, ambient)
 
 
-def supercuspidal_shapes(
-    inventory: Inventory, ambient: DualGroupDescriptor
-) -> Iterator[LDParameter]:
-    """All cuspidal-shape parameters in ``ambient`` over ``inventory``."""
-    slots = []  # per sign point: (cost, staircase summands) by depth
+def supercuspidal_shapes(inventory: Inventory, ambient: DualGroupDescriptor) -> Iterator[LDParameter]:
+    """All cuspidal-shape parameters in ``ambient`` over ``inventory``, each
+    the shared ``cuspidal_shape`` object of its depths."""
+    n = ambient.ambient_dim
+    slots = []  # per class: (cost, key entry) per pair of depths
     for cls in _self_dual_classes(inventory, ambient):
-        for f, of_type in zip((UnitMonomial.one(), UnitMonomial.minus_one()), sign_types(cls, ambient)):
-            point = orbit_point(cls, f)
-            options = []
-            for depth in itertools.count():
-                dims, cost = staircase(depth, of_type)
-                if cls.dim * cost > ambient.ambient_dim:
-                    break
-                options.append((cls.dim * cost, [LDSummand(point, a) for a in dims]))
-            slots.append(options)
-    return _parameters(slots, ambient)
+        types = sign_types(cls, ambient)
+        slots.append([(cls.dim * cost, (cls, types, *pair)) for cost, *pair in depth_pairs(types, n // cls.dim)])
+    for choice in _bounded_choices(slots, n):
+        if key := tuple(entry for entry in choice if entry[2] or entry[3]):  # the all-zero choice is no shape
+            yield cuspidal_shape(ambient.family, key)
+
+
+@cache
+def cuspidal_shape(family: Family, key: tuple) -> LDParameter:
+    """The cuspidal shape in ``family`` at the summed dimension whose key
+    holds, per orbit of nonzero depth in label order, ``(cls, types, a_plus,
+    a_minus)``: staircase depths at the +1 and -1 points of ``cls``, of sign
+    types ``types``.  One object per key and process, with its cached views."""
+    summands = [s for entry in key for s in _staircase_summands(*entry)]
+    return build_ld_parameter(summands, DualGroupDescriptor(family, sum(s.dim for s in summands)))
+
+
+@cache
+def _staircase_summands(
+    cls: InertialClass, types: tuple[bool, bool], a_plus: int, a_minus: int
+) -> tuple[LDSummand, ...]:
+    """One entry of a ``cuspidal_shape`` key as summands, built once per
+    entry: many shapes share an orbit's depths."""
+    return tuple(
+        LDSummand(orbit_point(cls, f), a)
+        for f, depth, of_type in zip((UnitMonomial.one(), UnitMonomial.minus_one()), (a_plus, a_minus), types)
+        for a in staircase(depth, of_type)[0]
+    )
 
 
 def supercuspidal_corpus(inventory: Inventory, max_ambient_dim: int) -> list[LDParameter]:

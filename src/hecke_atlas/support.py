@@ -10,7 +10,6 @@ characters in turn.  An injectivity report checks the pairs.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,15 +17,15 @@ from typing import Sequence
 from . import CheckError
 from .params import (
     LDParameter,
-    LDSummand,
     SignCharacter,
-    build_ld_parameter,
+    cuspidal_shape,
+    depth_pairs,
     det_discrepancy,
     is_supercuspidal_shape,
     parameter_to_json_dict,
     staircase,
 )
-from .weil import DualGroupDescriptor, Family, UnitMonomial, orbit_point
+from .weil import DualGroupDescriptor, Family
 
 __all__ = [
     "SupportDatum",
@@ -89,46 +88,22 @@ def supports(phi0: LDParameter) -> list[SupportDatum]:
     and must match its parity.
     """
     _check_normed(phi0)
-    per_class: list[tuple[str, list[tuple[int, int]]]] = []
+    per_orbit: dict[str, list[tuple[int, int]]] = {}  # depth pairs by orbit label, in label order
     for orbit in phi0.orbits:
-        if orbit.types is None:
-            continue
-        m = orbit.multiplicity
-        plus_type, minus_type = orbit.types
-        pairs = []
-        a_plus = 0
-        while (cost_plus := staircase(a_plus, plus_type)[1]) <= m:
-            a_minus = 0
-            while (cost := cost_plus + staircase(a_minus, minus_type)[1]) <= m:
-                if cost % 2 == m % 2:
-                    pairs.append((a_plus, a_minus))
-                a_minus += 1
-            a_plus += 1
-        per_class.append((orbit.cls.label, sorted(pairs)))
-
+        if orbit.types is not None:
+            m = orbit.multiplicity
+            per_orbit[orbit.cls.label] = [(a, b) for cost, a, b in depth_pairs(orbit.types, m) if cost % 2 == m % 2]
     # the product of the sorted per-orbit lists, in label order, is lexicographic
-    out = []
-    labels = [label for label, _ in per_class]
-    for combo in itertools.product(*(pairs for _, pairs in per_class)):
-        out.append(SupportDatum(tuple(zip(labels, combo))))
-    return out
-
-
-def _tail_rank(family: Family, L_S: int) -> int:
-    if family is Family.UNITARY_L:
-        return L_S
-    if family is Family.ORTHOGONAL and L_S % 2 == 1:
-        return (L_S - 1) // 2
-    return L_S // 2
+    return [SupportDatum(tuple(zip(per_orbit, combo))) for combo in itertools.product(*per_orbit.values())]
 
 
 def build_phi_S(phi0: LDParameter, S: SupportDatum) -> tuple[LDParameter, int, int, int]:
     """The discrete tail parameter of a support, with (L_S, l_S, d_S).
 
-    The tail and (L_S, l_S) depend only on the family and, per orbit of
-    nonzero depth, on the class, its sign types and the depths, so each is
-    built once per process and a repeated tail is the same object; the
-    checks and d_S run on every call.
+    The tail depends only on the family and, per orbit of nonzero depth, on
+    the class, its sign types and the depths: it is that key's
+    ``cuspidal_shape``, one object per process, shared with the cuspidal
+    shapes of the same key.  The checks and d_S run on every call.
     """
     _check_normed(phi0)
     key = []
@@ -142,20 +117,10 @@ def build_phi_S(phi0: LDParameter, S: SupportDatum) -> tuple[LDParameter, int, i
             raise ValueError(f"support violates the bound or parity at orbit {label!r}")
         if a_plus or a_minus:  # an orbit of depths (0, 0) adds nothing to the tail
             key.append((orbit.cls, orbit.types, a_plus, a_minus))
-    phi_S, L_S, l_S = _tail(phi0.ambient.family, tuple(key))
+    phi_S = cuspidal_shape(phi0.ambient.family, tuple(key))
+    L_S = phi_S.ambient.ambient_dim
+    l_S = L_S if phi0.ambient.family is Family.UNITARY_L else L_S // 2  # the rank of the tail group
     return phi_S, L_S, l_S, det_discrepancy(phi_S, phi0)
-
-
-@functools.cache
-def _tail(family: Family, key: tuple) -> tuple[LDParameter, int, int]:
-    """The tail of ``build_phi_S`` from its per-orbit ``(cls, types, a_plus, a_minus)``."""
-    summands: list[LDSummand] = []
-    for cls, types, a_plus, a_minus in key:
-        for f, depth, of_type in zip((UnitMonomial.one(), UnitMonomial.minus_one()), (a_plus, a_minus), types):
-            point = orbit_point(cls, f)
-            summands.extend(LDSummand(point, a) for a in staircase(depth, of_type)[0])
-    L_S = sum(s.dim for s in summands)
-    return build_ld_parameter(summands, DualGroupDescriptor(family, L_S)), L_S, _tail_rank(family, L_S)
 
 
 def _levi(phi0: LDParameter, phi_S: LDParameter, l_S: int) -> SupportLevi:

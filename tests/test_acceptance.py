@@ -7,6 +7,8 @@ so there are no tolerances anywhere.
 
 import hashlib
 import json
+import subprocess
+import sys
 import time
 
 import pytest
@@ -240,6 +242,31 @@ def _golden_output(key, request, tmp_path, capsys, inv) -> str:
 def test_report_bytes_match_golden_digest(key, request, tmp_path, capsys, extended_inventory):
     text = _golden_output(key, request, tmp_path, capsys, extended_inventory)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[key]
+
+
+REPORT_DIGESTS = """
+import hashlib, json, sys
+from hecke_atlas.verify import run_suite
+for suite in sys.argv[1:]:
+    print(suite, hashlib.sha256(json.dumps(run_suite(suite, 6), indent=2).encode()).hexdigest())
+"""
+
+
+def test_run_order_does_not_change_report_bytes(src_env):
+    # thm11 and thm16 share cuspidal shapes, and all three the memoized
+    # depth pairs, within a process: whichever runs first builds them
+    def digests(*suites):
+        done = subprocess.run(
+            [sys.executable, "-c", REPORT_DIGESTS, *suites], capture_output=True, text=True, env=src_env(), check=True
+        )
+        return dict(line.split() for line in done.stdout.splitlines())
+
+    alone = {}
+    for suite in ("thm11", "thm16", "thm18"):
+        alone.update(digests(suite))
+    assert len(alone) == 3
+    assert digests("thm11", "thm16", "thm18") == alone
+    assert digests("thm18", "thm16", "thm11") == alone
 
 
 @pytest.mark.parametrize("suite", ["thm31", "thm33"])

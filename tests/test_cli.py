@@ -662,6 +662,17 @@ def test_suite_fails_under_a_mutation(mutation, monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out) == report
 
 
+@pytest.mark.parametrize("mutation", ["thm11-fixed-sign", "thm16-epsilons", "thm18-so-size"])
+def test_another_suites_warm_up_cannot_hide_a_mutation(mutation, monkeypatch):
+    # thm11 and thm16 share their cuspidal shapes, and all three share the
+    # memoized depth pairs, so every one of them runs unpatched first
+    suite, module, name, broken = SUITE_MUTATIONS[mutation]
+    for warm in ("thm11", "thm16", "thm18"):
+        assert run_suite(warm, 4)["failed"] == 0
+    monkeypatch.setattr(module, name, broken)
+    assert run_suite(suite, 4)["failed"] > 0
+
+
 def test_matrix_suite_fails_when_sqrt_q_is_not_a_root_of_q(monkeypatch):
     # with s built from powers of 3 but u**q taken at q = 4, the relation
     # s u s^-1 = u**q fails exactly where an SL2 block of size >= 2 occurs

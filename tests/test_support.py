@@ -12,6 +12,7 @@ from hecke_atlas.params import (
     build_ld_parameter,
     is_discrete,
     normed_corpus,
+    supercuspidal_corpus,
 )
 from hecke_atlas.support import (
     SupportDatum,
@@ -359,6 +360,20 @@ def test_each_levi_shares_its_tail_parameters_ambient():
             assert p.levi.tail is p.phi_S.ambient
             count += 1
     assert count == 855
+
+
+def test_each_tail_is_the_shared_cuspidal_shape_of_the_corpus():
+    # thm11 counts the same parameters that thm16's tails are, so both reach one object per shape
+    corpus = supercuspidal_corpus(standard_inventory(), 8)
+    shapes = {phi: phi for phi in corpus}
+    assert len(shapes) == len(corpus)
+    count = 0
+    for phi0 in normed_corpus(standard_inventory(), 8):
+        for p in cuspidal_pairs(phi0):
+            if p.phi_S.summands:
+                assert shapes[p.phi_S] is p.phi_S
+                count += 1
+    assert count == 855 - 76  # the supports of all depths zero have the empty tail
 
 
 def reference_pairs(phi0, characters=lambda chars: chars):
