@@ -16,12 +16,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from . import CheckError
+from . import MATRIX_DIM_CAP, CheckError
 from .params import LDParameter, LDSummand, Orbit, build_ld_parameter, summand_type
 from .weil import (
     DualityType,
@@ -56,15 +55,13 @@ __all__ = [
 # descriptors
 
 
-@dataclass(frozen=True)
-class ClassicalGroupDescriptor:
+class ClassicalGroupDescriptor(NamedTuple):
     """Product of classical factors, each tagged by an eigenvalue block."""
 
     factors: tuple[tuple[str, int, str], ...]  # (family, size, block label)
 
 
-@dataclass(frozen=True)
-class ImageCentralizer:
+class ImageCentralizer(NamedTuple):
     """Centralizer of a parameter image, with the ambient GL companion."""
 
     descriptor: ClassicalGroupDescriptor
@@ -113,8 +110,7 @@ def centralizer_of_image(phi: LDParameter) -> ImageCentralizer:
     )
 
 
-@dataclass(frozen=True)
-class SemisimpleClassDescriptor:
+class SemisimpleClassDescriptor(NamedTuple):
     """Per orbit block, an eigenvalue multiset (value, multiplicity)."""
 
     blocks: tuple[tuple[str, tuple[tuple[UnitMonomial, int], ...]], ...]
@@ -158,8 +154,7 @@ def _family_at(orbit: Orbit, x: UnitMonomial) -> str:
     return "O" if orbit.types[x.sign == -1] else "Sp"
 
 
-@dataclass(frozen=True)
-class SCentralizerResult:
+class SCentralizerResult(NamedTuple):
     h: ClassicalGroupDescriptor
     h_prime: ClassicalGroupDescriptor
     c_prime: ClassicalGroupDescriptor
@@ -270,8 +265,7 @@ def enumerate_s_classes(phi0: LDParameter) -> list[SemisimpleClassDescriptor]:
 # (s, u) triples
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """Jordan data of a parameter: the semisimple class ``s``, the Jordan
     parts of each eigenblock, and the orbit blocks of its base parameter,
     from which ``component_group_of_triple`` reads families and dimensions."""
@@ -371,8 +365,7 @@ def triple_to_parameter(t: Triple, phi0: LDParameter) -> LDParameter:
     return phi
 
 
-@dataclass(frozen=True)
-class TripleComponentGroup:
+class TripleComponentGroup(NamedTuple):
     """Elementary abelian 2-group on eigenblock-partition generators."""
 
     generators: tuple[str, ...]
@@ -539,11 +532,9 @@ def _assemble(blocks: Sequence[Matrix | Block], den: int) -> list[list[Fraction 
 # the matrix oracle's value of q: a square, so half-integral q-powers stay rational
 SQRT_Q = 2
 Q = SQRT_Q * SQRT_Q
-MATRIX_DIM_CAP = 16  # largest ambient dimension the matrix oracle takes
 
 
-@dataclass(frozen=True)
-class CheckedBlocks:
+class CheckedBlocks(NamedTuple):
     """The summand blocks of s, u and the Gram matrix G, one per summand:
     s = diag(``s_diag``) / ``s_den``, u = U / ``u_den`` with U block
     diagonal on ``u_blocks``, and G block diagonal on ``g_blocks``."""

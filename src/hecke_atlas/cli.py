@@ -50,7 +50,8 @@ def _json_text(value, indent: str = "") -> str:
     builds the same text recursing only into containers, bools and None:
     the parent encodes its str and int elements inline, strings through the
     C ``encode_basestring_ascii``.  Dict keys must be str; values other than
-    dict, list, tuple, str, int, bool and None raise TypeError.
+    dict, list, tuple, str, int, bool and None raise TypeError, and so does a
+    subclass of list or tuple, such as a NamedTuple record.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -59,7 +60,7 @@ def _json_text(value, indent: str = "") -> str:
             for k, v in value.items()
         ]
         return _container(parts, indent, "{}")
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         parts = [_quote(v) if type(v) is str else repr(v) if type(v) is int else _json_text(v, inner) for v in value]
         return _container(parts, indent, "[]")
     if isinstance(value, str):

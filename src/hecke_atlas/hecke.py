@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .params import LDParameter, LDSummand, build_ld_parameter, staircase
 from .support import SupportDatum, cuspidal_pairs
@@ -45,8 +45,7 @@ __all__ = [
 UNIT_KINDS = ("so_odd", "sp", "o_even", "unitary")
 
 
-@dataclass(frozen=True, order=True)
-class HeckeFactor:
+class HeckeFactor(NamedTuple):
     """One factor: root datum, optional Z/2 extension, exact parameters.
 
     Exponents are Fractions; an equal-parameter factor has all three equal.
@@ -131,8 +130,7 @@ def sp_normalization(f: HeckeFactor) -> HeckeFactor:
 # explicit rank-by-rank tables
 
 
-@dataclass(frozen=True)
-class SpecialRow:
+class SpecialRow(NamedTuple):
     pair: tuple[int, int]
     factor: HeckeFactor
     bucket: int  # +1 / -1 sign bucket, 0 when the table is unbucketed

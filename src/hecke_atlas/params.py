@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .weil import (
     DualGroupDescriptor,
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: __post_init__ validates the dimensions
 class LDSummand:
     """One summand ``point (x) sp(sl2_dim)`` with a multiplicity."""
 
@@ -85,8 +85,7 @@ class LDSummand:
         return (*self.point.sort_key(), self.sl2_dim)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """One orbit of a parameter, a dual pair counting once.
 
     ``cls`` is the representative class, ``multiplicity`` the summed
@@ -99,7 +98,7 @@ class Orbit:
     types: tuple[bool, bool] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: it caches views of itself
 class LDParameter:
     """Canonicalized parameter: ambient group plus sorted summand tuple.
 
@@ -215,7 +214,7 @@ class LDParameter:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)  # a dataclass: it caches a view of itself
 class Staircase:
     """The summands of a parameter at one point, sorted by ``sl2_dim``; a
     staircase when the parameter has cuspidal shape."""
@@ -340,8 +339,7 @@ def is_discrete(phi: LDParameter) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
+class ComponentGroup(NamedTuple):
     """Free F2-vector space on summand generators; -id maps to all-ones."""
 
     generators: tuple[str, ...]
@@ -357,8 +355,7 @@ def component_group(phi: LDParameter) -> ComponentGroup:
     return ComponentGroup(tuple(phi.generator_labels()))
 
 
-@dataclass(frozen=True)
-class SignCharacter:
+class SignCharacter(NamedTuple):
     """A sign character of the summand component group."""
 
     values: tuple[tuple[str, int], ...]

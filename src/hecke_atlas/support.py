@@ -11,8 +11,7 @@ characters in turn.  An injectivity report checks the pairs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import CheckError
 from .params import (
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SupportDatum:
+class SupportDatum(NamedTuple):
     """Per self-dual orbit, staircase depths (a_plus, a_minus)."""
 
     entries: tuple[tuple[str, tuple[int, int]], ...]
@@ -50,8 +48,7 @@ class SupportDatum:
         return dict(self.entries)
 
 
-@dataclass(frozen=True)
-class SupportLevi:
+class SupportLevi(NamedTuple):
     """GL block sizes with multiplicities, plus the classical tail."""
 
     gl_factors: tuple[tuple[int, int], ...]
@@ -59,8 +56,7 @@ class SupportLevi:
     tail_rank: int
 
 
-@dataclass(frozen=True)
-class CuspidalSupport:
+class CuspidalSupport(NamedTuple):
     """A support with its tail data and the tail's alternating characters;
     each character makes one cuspidal pair (S, epsilon)."""
 

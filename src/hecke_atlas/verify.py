@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from . import CheckError
-from .centralizer import MATRIX_DIM_CAP, check_matrices, parameter_to_triple, triple_to_parameter
+from . import BRUTE_FORCE_CAP, MATRIX_DIM_CAP, CheckError
 from .hecke import derived_rows, epsilon_multiplicity, hecke_descriptor, specialize
 from .params import (
     alternating_characters,
@@ -29,13 +28,9 @@ from .params import (
 )
 from .support import cuspidal_pairs, injectivity_report, supports
 from .weil import DualityType, Inventory, NotSelfDual, SelfDual, make_inertial_class
-from .weyl import (
-    BRUTE_FORCE_CAP,
-    enumerate_decorations,
-    enumerate_levis,
-    orbit_stabilizers,
-    relative_weyl,
-)
+
+# centralizer and weyl are imported by the three suites that use them, so a
+# process that runs none of those never loads them
 
 
 def standard_inventory() -> Inventory:
@@ -190,6 +185,8 @@ def _suite_thm33(max_rank: int) -> list[dict]:
 
 
 def _suite_thm26_matrix(max_rank: int) -> list[dict]:
+    from .centralizer import check_matrices, parameter_to_triple, triple_to_parameter
+
     inv = standard_inventory()
 
     def check(phi):
@@ -216,6 +213,8 @@ def _levi_case_name(n: int, levi) -> str:
 def _suite_lemA3(max_rank: int) -> list[dict]:
     """Equality of the two relative Weyl groups holds exactly when the Levi
     has a tail or only even blocks."""
+    from .weyl import enumerate_levis, relative_weyl
+
     cases = []
     for n in range(1, max_rank + 1):
         for levi in enumerate_levis(n):
@@ -229,6 +228,8 @@ def _suite_lemA4(max_rank: int) -> list[dict]:
     """Decorated version: equality fails exactly for tailless Levis carrying
     a self-dual orbit on an odd block; the semidirect splitting is also
     checked on every case."""
+    from .weyl import enumerate_decorations, enumerate_levis, orbit_stabilizers, relative_weyl
+
     cases = []
     for n in range(1, max_rank + 1):
         for levi in enumerate_levis(n):

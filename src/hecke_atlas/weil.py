@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 __all__ = [
     "Family",
@@ -156,7 +156,7 @@ class DualityType(str, Enum):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: __post_init__ validates the dimension
 class DualGroupDescriptor:
     """Ambient (dual) group receiving parameters, with its standard embedding.
 
@@ -180,13 +180,11 @@ class DualGroupDescriptor:
         return self.family is Family.ORTHOGONAL and self.ambient_dim % 2 == 1
 
 
-@dataclass(frozen=True)
-class NotSelfDual:
+class NotSelfDual(NamedTuple):
     partner_label: str
 
 
-@dataclass(frozen=True)
-class SelfDual:
+class SelfDual(NamedTuple):
     type_at_plus: DualityType
     type_at_minus: DualityType
 
@@ -335,7 +333,7 @@ _ONE = UnitMonomial(Fraction(0), Fraction(0))
 _MINUS_ONE = UnitMonomial(Fraction(1, 2), Fraction(0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: __post_init__ sets the orbit data
 class InertialClass:
     """An inertial class of an irreducible Weil-group representation.
 
@@ -390,8 +388,7 @@ def make_inertial_class(
     return InertialClass(label, dim, torsion, duality, det_base)
 
 
-@dataclass(frozen=True)
-class InertialPoint:
+class InertialPoint(NamedTuple):
     """A point of the twisting orbit of an inertial class."""
 
     cls: InertialClass
@@ -456,7 +453,7 @@ def half_integer_str(e: Fraction) -> str:
     return f"{2 * e.numerator // e.denominator}/2"
 
 
-@dataclass
+@dataclass(repr=False, eq=False)  # a dataclass: a mutable registry
 class Inventory:
     """A registry of inertial classes, keyed by label."""
 

@@ -36,7 +36,9 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property, total_ordering
 from operator import itemgetter, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
+
+from . import BRUTE_FORCE_CAP
 
 __all__ = [
     "SignedPermutation",
@@ -50,12 +52,11 @@ __all__ = [
     "enumerate_decorations",
 ]
 
-BRUTE_FORCE_CAP = 6
 MAX_LABELS = 3  # orbit labels per decoration, up to renaming
 
 
 @total_ordering
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, repr=False)  # a dataclass: it validates (perm, signs); perfbench patches __mul__
 class SignedPermutation:
     """e_i |-> signs[i] * e_{perm[i]} on coordinates 1..n (0-indexed ``perm``).
 
@@ -162,7 +163,7 @@ def weyl_group(n: int, full: bool = True) -> list[SignedPermutation]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)  # a dataclass: __post_init__ validates the blocks
 class LeviDescriptor:
     """GL blocks (sizes, in coordinate order) followed by a classical tail.
 
@@ -207,10 +208,12 @@ def _min_lift_parity(move: tuple[int, ...], levi: LeviDescriptor) -> int:
     return sum(k for k, x in zip(levi.composition, move) if x < 0) % 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)  # a dataclass: it caches views of itself
 class RelativeWeyl:
-    # block moves = W^M cosets in N(M), as signed images of the blocks,
-    # sorted by ``_sort_key``; then those that an even element lifts
+    """The block moves of a Levi (the W^M cosets in N(M)) as signed images
+    of the blocks, in ``_sort_key`` order, as ``relative_weyl`` returns
+    them; then those that an even element lifts."""
+
     cosets: tuple[tuple[int, ...], ...]
     even_cosets: tuple[tuple[int, ...], ...]
 
@@ -221,11 +224,11 @@ class RelativeWeyl:
     @cached_property
     def by_block_perm(self) -> dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]:
         """The cosets by block permutation ``|img|``, each with the bit mask
-        of the blocks it negates.  The cosets are sorted by ``_sort_key``,
+        of the blocks it negates.  The cosets come in ``_sort_key`` order,
         which orders by ``|img|`` first, so the groups come in that order
         and any run of them, concatenated, stays sorted."""
         groups = {}
-        for m in sorted(self.cosets, key=_sort_key):
+        for m in self.cosets:
             negated = sum(1 << i for i, x in enumerate(m) if x < 0)
             groups.setdefault(tuple(map(abs, m)), []).append((negated, m))
         return groups
@@ -444,8 +447,7 @@ def _complement(q: Iterable[tuple[int, ...]], sigma_pos: Sequence[tuple[int, ...
     return kept
 
 
-@dataclass(frozen=True)
-class OrbitStabilizers:
+class OrbitStabilizers(NamedTuple):
     # each part as the signed images of its block moves, in ``_sort_key`` order
     group: tuple[tuple[int, ...], ...]  # W(M, O)
     even_group: tuple[tuple[int, ...], ...]  # W0(M, O)

@@ -169,6 +169,24 @@ def test_non_positive_rank_is_refused_before_any_work(suite, capsys):
         assert out == "" and err == f"error: {suite}: rank must be positive, got {rank}\n"
 
 
+# the lowest rank of each suite, written out rather than read from SUITES
+LOWEST_RANKS = {suite: 2 if suite == "thm33" else 1 for suite in SUITES}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_suite_runs_at_its_lowest_rank(suite, capsys):
+    rank = LOWEST_RANKS[suite]
+    report = run_suite(suite, rank)
+    assert report["cases"] and report["failed"] == 0
+    assert run(["verify", "--suite", suite, "--max-rank", str(rank), "--allow-flagged"]) == 0
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+
+def test_a_rank_below_the_lowest_is_refused_with_its_bound(capsys):
+    assert run(["verify", "--suite", "thm33", "--max-rank", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: thm33: ranks start at 2, got 1\n")
+
+
 # sha256 of each output, captured before a refactor that must leave every
 # output byte-identical: json.dumps(run_suite(suite), indent=2) at the default
 # rank; "enumerate:GROUP[:cuspidal]", the --out files of ranks 1-4 in order;

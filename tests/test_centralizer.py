@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -188,7 +187,7 @@ def test_round_trip_examples(extended_inventory):
     assert triple_to_parameter(t2, phi0) == phi2
 
     # the same Jordan data with s = 1: the ladder q**(3/2), ..., q**(-3/2) is missing
-    flat = dataclasses.replace(t, s=SemisimpleClassDescriptor.build({"triv": [(ONE, 4)]}))
+    flat = t._replace(s=SemisimpleClassDescriptor.build({"triv": [(ONE, 4)]}))
     with pytest.raises(ValueError, match="q-scaling relation"):
         triple_to_parameter(flat, phi0)
 
@@ -231,7 +230,7 @@ def test_jordan_data_errors_reach_both_directions(extended_inventory):
         )
 
     def with_parts(phi0, *u):
-        return dataclasses.replace(parameter_to_triple(phi0, phi0), u_by_eigenblock=u)
+        return parameter_to_triple(phi0, phi0)._replace(u_by_eigenblock=u)
 
     o = Family.ORTHOGONAL
     triv2 = unit_phi0(inv, "triv", o, 2)

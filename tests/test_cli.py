@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import dataclasses
 import io
 import json
 import subprocess
@@ -205,7 +204,10 @@ def test_emit_writes_the_stdlib_indent_2_text(value):
 
 @pytest.mark.parametrize(
     "value",
-    [1.5, {1, 2}, object(), {1: "a"}, {"a": [0, {"b": 0.5}]}, [{(1, 2): None}], {"a": {"b": frozenset()}}],
+    [
+        1.5, {1, 2}, object(), {1: "a"}, {"a": [0, {"b": 0.5}]}, [{(1, 2): None}], {"a": {"b": frozenset()}},
+        support.SupportDatum((("triv", (1, 0)),)),  # a record, though a tuple
+    ],
 )
 def test_emit_refuses_values_outside_the_emitted_types(value):
     with pytest.raises(TypeError):
@@ -610,7 +612,7 @@ def _first_epsilon_repeated(phi_S, epsilons=support._epsilons):
 
 def _so_factor_one_larger(*args, factor=hecke.hecke_factor):
     f = factor(*args)
-    return f if f.family != "SO" or f.extended else dataclasses.replace(f, size=f.size + 1)
+    return f if f.family != "SO" or f.extended else f._replace(size=f.size + 1)
 
 
 def _fixed_sign_negated(depth, of_type, fixed_block_sign=params._fixed_block_sign):
@@ -618,7 +620,7 @@ def _fixed_sign_negated(depth, of_type, fixed_block_sign=params._fixed_block_sig
 
 
 def _buckets_flipped(kind, rank, table=hecke.specialize):
-    return [dataclasses.replace(row, bucket=-row.bucket) for row in table(kind, rank)]
+    return [row._replace(bucket=-row.bucket) for row in table(kind, rank)]
 
 
 def _every_label_self_dual(decorations, by_block_perm, decorated_cosets=weyl._decorated_cosets):
@@ -709,6 +711,21 @@ def test_matrix_oracle_survives_optimized_mode(src_env):
     assert optimize == 1
     assert warm == 0
     assert failed == total > 0
+
+
+def test_the_cli_loads_centralizer_and_weyl_only_for_the_suites_that_use_them(src_env):
+    script = (
+        "import contextlib, io, sys\n"
+        "import hecke_atlas.cli as cli\n"
+        "loaded = lambda: ','.join(m for m in ('centralizer', 'weyl') if 'hecke_atlas.' + m in sys.modules) or '-'\n"
+        "print(loaded())\n"
+        "for suite in ('thm18', 'lemA3', 'thm26-matrix'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.run(['verify', '--suite', suite, '--max-rank', '1'])\n"
+        "    print(code, loaded())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env(), check=True)
+    assert done.stdout.split() == ["-", "0", "-", "0", "weyl", "0", "centralizer,weyl"]
 
 
 @pytest.mark.parametrize("command", ["supports", "hecke"])

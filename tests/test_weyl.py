@@ -394,6 +394,15 @@ def test_relative_weyl_matches_the_parent_scan():
             assert rel.even_cosets == ref.even_cosets
 
 
+def test_relative_weyl_returns_its_cosets_in_sort_key_order():
+    # RelativeWeyl.by_block_perm, and so every stabilizer part, keeps the order the cosets come in
+    levis = [(levi, n) for n in range(1, BRUTE_FORCE_CAP + 1) for levi in enumerate_levis(n)]
+    assert len(levis) == 126
+    for levi, n in levis:
+        cosets = relative_weyl(levi, n).cosets
+        assert list(cosets) == sorted(cosets, key=_sort_key)
+
+
 def test_relative_weyl_matches_closed_form():
     for n in range(1, 6):
         for levi in enumerate_levis(n):
@@ -493,11 +502,11 @@ def test_decoration_filter_matches_the_per_coset_reference():
                 cases += [(dec, rel) for dec in enumerate_decorations(levi)]
     b2 = [m.img for m in sorted(weyl_group(2))]
     one, s_e1 = SignedPermutation.identity(2).img, SignedPermutation((0, 1), (-1, 1)).img
-    # the hand-built group above, and the same with its cosets out of order
-    for cosets in (tuple(b2), tuple(reversed(b2))):
-        hand_built = RelativeWeyl(cosets, (one, s_e1))
-        cases += [(dec, hand_built) for dec in enumerate_decorations(LeviDescriptor((1, 1), 0))]
-    assert len(cases) == 862 + 2 * 6  # lemA4's cases up to rank 5, and six per hand-built group
+    # the hand-built group above; a RelativeWeyl takes its cosets in
+    # ``_sort_key`` order (test_relative_weyl_returns_its_cosets_in_sort_key_order)
+    hand_built = RelativeWeyl(tuple(b2), (one, s_e1))
+    cases += [(dec, hand_built) for dec in enumerate_decorations(LeviDescriptor((1, 1), 0))]
+    assert len(cases) == 862 + 6  # lemA4's cases up to rank 5, and six for the hand-built group
     for dec, rel in cases:
         st = orbit_stabilizers(dec, rel)
         q, q0 = _reference_decorated(dec, rel)
