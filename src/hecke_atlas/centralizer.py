@@ -1,24 +1,25 @@
-"""Centralizer calculus in products of complex classical groups.
+"""(s, u) triples of parameters, their component groups, and an exact
+matrix oracle.
 
-Everything is decided on canonical combinatorial forms — eigenvalue
-multisets and partitions — with an exact integer matrix oracle on the
-side.  One rule, ``_family_at``, names the family (O, Sp or GL) at an
-eigenvalue of an orbit block.  ``centralizer_of_s`` builds from it, in one
-pass, the two descriptors H and H' of a semisimple element (differing at
-eigenvalue -1 on orbits whose two sign points have different types) and
-the modified centralizer C'.  An (s, u) triple carries the orbit blocks of
-its base parameter, so its component group reads each block's family and
-class dimension from the triple.
+The triple of a parameter holds, per orbit block of its base parameter,
+the eigenvalue multiset of the semisimple part s and the Jordan parts of
+the unipotent part u at each eigenvalue; ``triple_to_parameter`` rebuilds
+the parameter from it.  Everything is decided on canonical combinatorial
+forms — eigenvalue multisets and partitions — with an exact integer
+matrix oracle on the side.  One rule, ``_family_at``, names the family
+(O, Sp or GL) of the centralizer factor at an eigenvalue of an orbit
+block: the partition parities and the component group read it.  A triple
+carries the orbit blocks of its base parameter, so its component group
+reads each block's family and class dimension from the triple.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import MATRIX_DIM_CAP, CheckError
 from .params import LDParameter, LDSummand, Orbit, build_ld_parameter, summand_type
@@ -32,16 +33,9 @@ from .weil import (
 )
 
 __all__ = [
-    "ClassicalGroupDescriptor",
-    "ImageCentralizer",
     "SemisimpleClassDescriptor",
-    "SCentralizerResult",
     "Triple",
     "TripleComponentGroup",
-    "centralizer_of_image",
-    "s_phi",
-    "enumerate_s_classes",
-    "centralizer_of_s",
     "parameter_to_triple",
     "triple_to_parameter",
     "component_group_of_triple",
@@ -52,97 +46,18 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# descriptors
-
-
-class ClassicalGroupDescriptor(NamedTuple):
-    """Product of classical factors, each tagged by an eigenvalue block."""
-
-    factors: tuple[tuple[str, int, str], ...]  # (family, size, block label)
-
-
-class ImageCentralizer(NamedTuple):
-    """Centralizer of a parameter image, with the ambient GL companion."""
-
-    descriptor: ClassicalGroupDescriptor
-    gl_descriptor: ClassicalGroupDescriptor
-    has_det_restriction: bool
+# (s, u) triples
 
 
 def _canonical_value(x: UnitMonomial) -> UnitMonomial:
     return min(x, x.inverse())
 
 
-def centralizer_of_image(phi: LDParameter) -> ImageCentralizer:
-    """Factor-by-factor centralizer of the image, per distinct summand.
-
-    Self-dual summands of the ambient type give an orthogonal factor,
-    self-dual summands of the other type a symplectic one; a summand and
-    its contragredient share one general-linear factor.
-    """
-    factors: list[tuple[str, int, str]] = []
-    gl_factors: list[tuple[str, int, str]] = []
-    seen: set[tuple] = set()
-    for s in phi.summands:
-        cls = s.point.cls
-        self_dual_pt = s.point.is_self_dual_point
-        if self_dual_pt:
-            key = (cls.label, s.point.f, s.sl2_dim)
-        else:
-            key = (cls.orbit_label, _canonical_value(s.point.f), s.sl2_dim)
-        if key in seen:
-            continue
-        seen.add(key)
-        label = f"{key[0]}@{key[1]}:sp{s.sl2_dim}"
-        m = s.multiplicity
-        if self_dual_pt:
-            fam = "O" if summand_type(s.point, s.sl2_dim, phi.ambient) else "Sp"
-            factors.append((fam, m, label))
-            gl_factors.append(("GL", m, label))
-        else:
-            factors.append(("GL", m, label))
-            gl_factors.append(("GL", m, label))
-            gl_factors.append(("GL", m, label + "*"))
-    return ImageCentralizer(
-        ClassicalGroupDescriptor(tuple(sorted(factors))),
-        ClassicalGroupDescriptor(tuple(sorted(gl_factors))),
-        has_det_restriction=phi.ambient.family is Family.ORTHOGONAL,
-    )
-
-
 class SemisimpleClassDescriptor(NamedTuple):
-    """Per orbit block, an eigenvalue multiset (value, multiplicity)."""
+    """Per orbit block, an eigenvalue multiset (value, multiplicity),
+    sorted by value: the semisimple part of a ``Triple``."""
 
     blocks: tuple[tuple[str, tuple[tuple[UnitMonomial, int], ...]], ...]
-
-    def block(self, label: str) -> tuple[tuple[UnitMonomial, int], ...]:
-        for lab, values in self.blocks:
-            if lab == label:
-                return values
-        return ()
-
-    @staticmethod
-    def build(raw: Mapping[str, Iterable[tuple[UnitMonomial, int]]]) -> "SemisimpleClassDescriptor":
-        blocks = []
-        for label in sorted(raw):
-            merged: dict[UnitMonomial, int] = {}
-            for x, m in raw[label]:
-                merged[x] = merged.get(x, 0) + m
-            blocks.append((label, tuple(sorted(merged.items(), key=itemgetter(0)))))
-        return SemisimpleClassDescriptor(tuple(blocks))
-
-
-def s_phi(phi: LDParameter) -> SemisimpleClassDescriptor:
-    """The semisimple class collecting the f-values of a Weil parameter."""
-    raw: dict[str, list[tuple[UnitMonomial, int]]] = {}
-    for s in phi.summands:
-        if s.sl2_dim != 1:
-            raise ValueError("s_phi expects a parameter trivial on the SL2 side")
-        cls = s.point.cls
-        if cls.label != cls.orbit_label:
-            continue  # only the representative side of a dual pair
-        raw.setdefault(cls.label, []).append((s.point.f, s.multiplicity))
-    return SemisimpleClassDescriptor.build(raw)
 
 
 def _family_at(orbit: Orbit, x: UnitMonomial) -> str:
@@ -154,121 +69,13 @@ def _family_at(orbit: Orbit, x: UnitMonomial) -> str:
     return "O" if orbit.types[x.sign == -1] else "Sp"
 
 
-class SCentralizerResult(NamedTuple):
-    h: ClassicalGroupDescriptor
-    h_prime: ClassicalGroupDescriptor
-    c_prime: ClassicalGroupDescriptor
-    mixed_blocks: tuple[str, ...]
-    m_minus_one_mixed: int
-
-    @property
-    def agree(self) -> bool:
-        return self.h == self.h_prime
-
-
-def centralizer_of_s(phi0: LDParameter, s: SemisimpleClassDescriptor) -> SCentralizerResult:
-    """Centralizer of a semisimple class inside the image centralizer.
-
-    ``h`` places at eigenvalue -1 the family of the -1 point of each orbit
-    (the centralizer of the twisted parameter's image); ``h_prime`` keeps
-    the ambient factor's family there.  They can only differ on orbits
-    whose two sign points have different types, and then exactly when -1
-    occurs as an eigenvalue.  ``c_prime`` is the modified centralizer: on
-    those mixed-type orbits the unitary-dual rule is substituted
-    (orthogonal at 1, symplectic at -1, general linear elsewhere); all
-    other orbits keep the factors of ``h``.
-    """
-    one, minus_one = UnitMonomial.one(), UnitMonomial.minus_one()
-    h: list[tuple[str, int, str]] = []
-    hp: list[tuple[str, int, str]] = []
-    cp: list[tuple[str, int, str]] = []
-    mixed: list[str] = []
-    m_minus_mixed = 0
-    for orbit in phi0.orbits:
-        label, m = orbit.cls.label, orbit.multiplicity
-        values = dict(s.block(label))
-        if sum(values.values()) != m:
-            raise ValueError(f"eigenvalue multiplicities at block {label!r} do not sum to {m}")
-        is_mixed = _family_at(orbit, one) != _family_at(orbit, minus_one)
-        if is_mixed:
-            mixed.append(label)
-            m_minus_mixed += values.get(minus_one, 0)
-        for x, mx in sorted(values.items()):
-            if orbit.types is not None and not x.is_sign:
-                if values.get(x.inverse(), 0) != mx:
-                    raise ValueError(
-                        f"eigenvalues at block {label!r} are not closed under inversion"
-                    )
-                if x != _canonical_value(x):
-                    continue  # counted with its inverse
-            fam = _family_at(orbit, x)
-            at = f"{label}@{x}"
-            h.append((fam, mx, at))
-            hp.append((_family_at(orbit, one) if x.is_sign else fam, mx, at))
-            if is_mixed and x.is_sign:
-                fam = "O" if x == one else "Sp"
-            cp.append((fam, mx, at))
-    return SCentralizerResult(
-        ClassicalGroupDescriptor(tuple(sorted(h))),
-        ClassicalGroupDescriptor(tuple(sorted(hp))),
-        ClassicalGroupDescriptor(tuple(sorted(cp))),
-        tuple(mixed),
-        m_minus_mixed,
-    )
-
-
-PAIR_PALETTE = (
-    UnitMonomial.of(0, Fraction(1, 2)),  # q**(1/2), paired with q**(-1/2)
-    UnitMonomial.of(Fraction(1, 4), 0),  # i, paired with -i
-)
-MAX_PAIR_MULT = 2  # most times each palette pair occurs in one block
-
-
-def enumerate_s_classes(phi0: LDParameter) -> list[SemisimpleClassDescriptor]:
-    """Deterministic family of semisimple classes centralizing the image.
-
-    Per orbit block the eigenvalue 1/-1 multiplicities and a few inverse
-    pairs from a fixed palette are enumerated exhaustively.
-    """
-    blocks = phi0.orbits
-
-    def block_choices(m: int) -> list[list[tuple[UnitMonomial, int]]]:
-        out = []
-        for p0 in range(0, min(MAX_PAIR_MULT, m // 2) + 1):
-            for p1 in range(0, min(MAX_PAIR_MULT, (m - 2 * p0) // 2) + 1):
-                rest = m - 2 * (p0 + p1)
-                for m1 in range(rest + 1):
-                    values: list[tuple[UnitMonomial, int]] = []
-                    if m1:
-                        values.append((UnitMonomial.one(), m1))
-                    if rest - m1:
-                        values.append((UnitMonomial.minus_one(), rest - m1))
-                    for k, pk in ((0, p0), (1, p1)):
-                        if pk:
-                            values.append((PAIR_PALETTE[k], pk))
-                            values.append((PAIR_PALETTE[k].inverse(), pk))
-                    out.append(values)
-        return out
-
-    per_block = [block_choices(orbit.multiplicity) for orbit in blocks]
-    out = []
-    for combo in itertools.product(*per_block):
-        out.append(
-            SemisimpleClassDescriptor.build(
-                {orbit.cls.label: values for orbit, values in zip(blocks, combo)}
-            )
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# (s, u) triples
-
-
 class Triple(NamedTuple):
-    """Jordan data of a parameter: the semisimple class ``s``, the Jordan
-    parts of each eigenblock, and the orbit blocks of its base parameter,
-    from which ``component_group_of_triple`` reads families and dimensions."""
+    """Jordan data of a parameter: the semisimple class ``s`` (the merged
+    eigenvalue ladders of each orbit block, against which
+    ``triple_to_parameter`` checks the ladders its Jordan parts imply), the
+    Jordan parts of each eigenblock, and the orbit blocks of its base
+    parameter, from which ``component_group_of_triple`` reads families and
+    dimensions.  Built by ``parameter_to_triple``."""
 
     s: SemisimpleClassDescriptor
     u_by_eigenblock: tuple[tuple[tuple[str, UnitMonomial], tuple[int, ...]], ...]

@@ -31,8 +31,11 @@ from .params import (
     parameter_from_json_dict,
 )
 from .support import SupportDatum, cuspidal_pairs, supports
-from .verify import SUITES, run_suite, standard_inventory  # standard_inventory: re-exported
+from .verify import SUITES, run_suite, standard_inventory
 from .weil import DualGroupDescriptor, Family, Inventory, half_integer_str, json_field, json_typed, read_json_file
+
+# standard_inventory is re-exported: the benchmark builds its inputs from it
+__all__ = ["GROUP_AMBIENTS", "build_parser", "run", "main", "standard_inventory"]
 
 GROUP_AMBIENTS = {
     "sp": lambda n: DualGroupDescriptor(Family.ORTHOGONAL, 2 * n + 1),

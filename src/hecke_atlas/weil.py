@@ -251,10 +251,6 @@ class UnitMonomial:
     def minus_one() -> "UnitMonomial":
         return _MINUS_ONE
 
-    @staticmethod
-    def of(root: Fraction | int | str = 0, qexp: Fraction | int | str = 0) -> "UnitMonomial":
-        return UnitMonomial(root, qexp)
-
     # -- arithmetic ---------------------------------------------------
     def __mul__(self, other: "UnitMonomial") -> "UnitMonomial":
         d, od = self.d, other.d

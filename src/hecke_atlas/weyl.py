@@ -20,14 +20,15 @@ of the right factor built once and reused.  ``RelativeWeyl.mirrors`` holds
 each coset's mirror, built once per Levi for all of its decorations; every
 result is turned back into signed images.
 
-What stays brute force: ``relative_weyl`` accepts or rejects every element
-of W (every permutation, by the least and greatest image of each block
-span, against the sign vectors that are constant on the blocks, found once
-per Levi by scanning all 2**n of them); a stabilizer is every coset that
-preserves the decorations; the reflection part is the closure of its
-reflections; normality of the reflection part is checked by conjugation on
-a generating set of the stabilizer, grown by right products; and each
-factorization is checked by forming every product.
+What stays brute force: ``relative_weyl`` accepts or rejects every
+permutation of W, by the least and greatest image of each block span (the
+sign vectors that pass are those constant on the blocks, one for each
+tuple of block signs, so the block signs are listed directly); a
+stabilizer is every coset that preserves the decorations; the reflection
+part is the closure of its reflections; normality of the reflection part
+is checked by conjugation on a generating set of the stabilizer, grown by
+right products; and each factorization is checked by forming every
+product.
 """
 
 from __future__ import annotations
@@ -248,17 +249,19 @@ class RelativeWeyl:
 def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
     """Normalizer cosets of a Levi, with their even-liftable part.
 
-    Brute force over all of W: an element normalizes the Levi when it maps
-    tail coordinates to tail coordinates and each block onto an equal-size
-    block with one sign; its coset is the induced signed permutation of the
-    blocks.  The test splits into a permutation part and a sign part: a
-    permutation that fails its part rejects all of its 2**n elements at
-    once, and the sign vectors that pass theirs (one sign per block) do not
-    depend on the permutation, so they are found once per Levi, with the
-    parity of each, which reads only the signs.  A permutation passes when
-    the least image of the tail lies in the tail and the least and greatest
-    images of each block span are the first and last coordinate of a block
-    of its size: the images are distinct, so they are then that block.
+    Brute force over the permutations of W: an element normalizes the Levi
+    when it maps tail coordinates to tail coordinates and each block onto
+    an equal-size block with one sign; its coset is the induced signed
+    permutation of the blocks.  The test splits into a permutation part and
+    a sign part: a permutation that fails its part rejects all of its 2**n
+    elements at once, and the sign vectors that pass theirs are those
+    constant on each block, whatever the permutation.  Each tuple of block
+    signs lifts to one of them, so the block signs are all of {±1}^blocks,
+    listed directly, with the parity of each, which reads only the signs.
+    A permutation passes when the least image of the tail lies in the tail
+    and the least and greatest images of each block span are the first and
+    last coordinate of a block of its size: the images are distinct, so
+    they are then that block.
     """
     if levi.rank != n:
         raise ValueError("Levi rank does not match n")
@@ -271,15 +274,6 @@ def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
         (blk.start, blk.stop, len(blk) - 1, {b.start: bj for bj, b in enumerate(blocks) if len(b) == len(blk)})
         for blk in blocks
     ]
-    # constant on the blocks: each block coordinate but the first has the
-    # sign before it (index 0 keeps both getters non-empty and alike)
-    inner = [c for blk in blocks for c in blk[1:]]
-    here, before = itemgetter(0, *inner), itemgetter(0, *[c - 1 for c in inner])
-    block_signs = {
-        tuple([signs[blk.start] for blk in blocks])
-        for signs in itertools.product((1, -1), repeat=n)
-        if here(signs) == before(signs)
-    }
     block_perms: set[tuple[int, ...]] = set()
     for perm in itertools.permutations(range(n)):
         if t0 < n and min(perm[t0:]) < t0:
@@ -293,9 +287,11 @@ def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
             targets.append(starts[lo])
         else:
             block_perms.add(tuple(targets))
-    # in the order of (perm, signs) pairs, which is the order of the moves;
-    # the parity is taken on the move with these signs that permutes no block
-    signs_in_order = sorted(block_signs)
+    # every tuple of block signs (each lifts to the sign vector constant on
+    # the blocks), in the order of (perm, signs) pairs, which is the order
+    # of the moves; the parity is taken on the move with these signs that
+    # permutes no block
+    signs_in_order = list(itertools.product((-1, 1), repeat=len(blocks)))
     lifts_evenly = [
         levi.tail_rank >= 1 or _min_lift_parity(tuple([s * i for i, s in enumerate(signs, 1)]), levi) == 0
         for signs in signs_in_order

@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from hecke_atlas.centralizer import centralizer_of_s, enumerate_s_classes
 from hecke_atlas.cli import run
 from hecke_atlas.params import (
     LDSummand,
@@ -86,46 +85,6 @@ def test_matrix_realization_and_round_trip_on_all_discrete_parameters():
         report = run_suite("thm26-matrix", 14)
         assert report["failed"] == 0 and report["flagged"] == 0
         assert len(report["cases"]) == 4049
-
-
-def test_descriptor_comparison_detects_type_and_minus_one():
-    with Budget(5):
-        inv = standard_inventory()
-
-        def unit(label, family, dim):
-            return build_ld_parameter(
-                [
-                    LDSummand(
-                        orbit_point(inv[label], UnitMonomial.one()), 1, dim // inv[label].dim
-                    )
-                ],
-                DualGroupDescriptor(family, dim),
-            )
-
-        settings = [
-            unit("triv", Family.ORTHOGONAL, 4),
-            unit("rho_mix", Family.ORTHOGONAL, 8),
-            unit("a", Family.SYMPLECTIC, 8),
-            unit("triv", Family.SYMPLECTIC, 6),
-            unit("rho_mix2", Family.ORTHOGONAL, 8),
-            build_ld_parameter(
-                [
-                    LDSummand(orbit_point(inv["triv"], UnitMonomial.one()), 1, 2),
-                    LDSummand(orbit_point(inv["rho_mix"], UnitMonomial.one()), 1, 2),
-                ],
-                DualGroupDescriptor(Family.ORTHOGONAL, 6),
-            ),
-        ]
-        total = 0
-        for phi0 in settings:
-            for s in enumerate_s_classes(phi0):
-                total += 1
-                res = centralizer_of_s(phi0, s)
-                if res.mixed_blocks:
-                    assert res.agree == (res.m_minus_one_mixed == 0)
-                else:
-                    assert res.agree
-        assert total >= 100
 
 
 @pytest.fixture(scope="session")

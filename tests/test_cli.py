@@ -498,7 +498,7 @@ def _decoder_base_files():
     inv = standard_inventory()
     inv_json = inv.to_json_list()
     phis = discrete_parameters(inv, DualGroupDescriptor(Family.ORTHOGONAL, 5))[:3]
-    f = UnitMonomial.of(Fraction(1, 3), Fraction(1, 2))
+    f = UnitMonomial(Fraction(1, 3), Fraction(1, 2))
     phis.append(
         build_ld_parameter(
             [

@@ -86,7 +86,7 @@ def test_build_parameter_validates(extended_inventory):
         build_ld_parameter([LDSummand(pt(inv, "triv"), 2)], SO5)
     with pytest.raises(ValueError):
         build_ld_parameter(
-            [LDSummand(orbit_point(inv["triv"], UnitMonomial.of(Fraction(1, 4))), 1)],
+            [LDSummand(orbit_point(inv["triv"], UnitMonomial(Fraction(1, 4), 0)), 1)],
             DualGroupDescriptor(Family.ORTHOGONAL, 1),
         )
 
@@ -319,8 +319,8 @@ def test_det_discrepancy_matches_the_per_call_formula_on_every_corpus_support():
 def test_det_discrepancy_matches_the_per_call_formula_on_pairs_that_do_not_cancel(extended_inventory):
     inv = extended_inventory
     O = functools.partial(DualGroupDescriptor, Family.ORTHOGONAL)
-    f = UnitMonomial.of(Fraction(1, 3), Fraction(1, 2))
-    half = UnitMonomial.of(0, Fraction(1, 2))
+    f = UnitMonomial(Fraction(1, 3), Fraction(1, 2))
+    half = UnitMonomial(0, Fraction(1, 2))
     phis = [
         *discrete_parameters(inv, O(4))[:12],
         build_ld_parameter([LDSummand(pt(inv, "alpha", f), 1), LDSummand(pt(inv, "beta", f.inverse()), 1)], O(2)),
@@ -457,7 +457,7 @@ def test_staircase_view_matches_the_grouping_it_replaced(extended_inventory):
     U = functools.partial(DualGroupDescriptor, Family.UNITARY_L)
     ambients = [*params.classical_ambients(8), *(U(n) for n in range(1, 7))]
     phis = [phi for ambient in ambients for phi in discrete_parameters(inv, ambient)]
-    half = UnitMonomial.of(0, Fraction(1, 2))
+    half = UnitMonomial(0, Fraction(1, 2))
     chi = LDSummand(pt(inv, "chi"), 1)
     others = [
         # a point that is not a sign: the shape test says no, t_invariants cannot type it
@@ -540,7 +540,7 @@ def test_the_cached_shape_test_matches_the_uncached_one(extended_inventory):
     phis = supercuspidal_corpus(inv, 9)
     phis += [build_phi_S(phi0, S)[0] for phi0 in normed_corpus(inv, 10) for S in supports(phi0)]
     O = functools.partial(DualGroupDescriptor, Family.ORTHOGONAL)
-    half = UnitMonomial.of(0, Fraction(1, 2))
+    half = UnitMonomial(0, Fraction(1, 2))
     e = extended_inventory
     not_cuspidal = [
         ([LDSummand(pt(e, "triv"), 1), LDSummand(pt(e, "triv"), 5)], O(6)),  # a step missing
@@ -587,6 +587,23 @@ def test_parameters_built_from_permuted_summand_lists_are_equal_and_hash_equal(p
     a, b = (build_ld_parameter(rng.sample(spelled, len(spelled)), phi.ambient) for _ in range(2))
     assert a == b == phi and a is not b
     assert hash(a) == hash(b) == hash(phi) == hash((phi.ambient, phi.summands))
+
+
+def test_a_pickled_parameter_keeps_its_cached_views_but_not_its_hash():
+    phi = normed_corpus(standard_inventory(), 6)[-1]
+    hash(phi)
+
+    def views(p):  # a Staircase compares by identity, so by its fields here
+        staircases = [(st.point, st.summands, st.ambient) for st in p.staircases]
+        return p.orbits, p.orbit_by_label, staircases, p._cuspidal_shape, p._determinant
+
+    cached = views(phi)
+    assert "_hash" in phi.__dict__
+    twin = pickle.loads(pickle.dumps(phi))
+    assert "_hash" not in twin.__dict__
+    assert set(twin.__dict__) == set(phi.__dict__) - {"_hash"}
+    assert views(twin) == cached
+    assert twin == phi and hash(twin) == hash(phi)
 
 
 PICKLED_IN_ANOTHER_PROCESS = """
