@@ -23,14 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import MATRIX_DIM_CAP, CheckError
 from .params import LDParameter, LDSummand, Orbit, build_ld_parameter, summand_type
-from .weil import (
-    DualityType,
-    Family,
-    SelfDual,
-    UnitMonomial,
-    _monomial,
-    orbit_point,
-)
+from .weil import DualityType, Family, UnitMonomial, _monomial, orbit_point
 
 __all__ = [
     "SemisimpleClassDescriptor",
@@ -405,8 +398,6 @@ def check_matrices(phi: LDParameter) -> CheckedBlocks:
         a = summand.sl2_dim
         if not summand.point.is_self_dual_point:
             raise ValueError("matrix oracle needs self-dual sign points")
-        if not isinstance(cls.duality, SelfDual):  # pragma: no cover - guarded above
-            raise ValueError("self-dual class required")
         f = summand.point.f.sign
         tag = cls.duality.type_at_plus if f == 1 else cls.duality.type_at_minus
         k = cls.dim * summand.multiplicity

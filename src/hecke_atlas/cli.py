@@ -22,7 +22,15 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
-from .hecke import HeckeFactor, factor_to_json_dict, hecke_descriptor, specialize, sp_normalization
+from .hecke import (
+    UNIT_AMBIENTS,
+    UNIT_KINDS,
+    HeckeFactor,
+    factor_to_json_dict,
+    hecke_descriptor,
+    sp_normalization,
+    specialize,
+)
 from .params import (
     LDParameter,
     discrete_parameters,
@@ -32,16 +40,14 @@ from .params import (
 )
 from .support import SupportDatum, cuspidal_pairs, supports
 from .verify import SUITES, run_suite, standard_inventory
-from .weil import DualGroupDescriptor, Family, Inventory, half_integer_str, json_field, json_typed, read_json_file
+from .weil import DualGroupDescriptor, Inventory, half_integer_str, json_field, json_typed, read_json_file
 
 # standard_inventory is re-exported: the benchmark builds its inputs from it
 __all__ = ["GROUP_AMBIENTS", "build_parser", "run", "main", "standard_inventory"]
 
+# enumerate's group names for the unit settings' dual ambients
 GROUP_AMBIENTS = {
-    "sp": lambda n: DualGroupDescriptor(Family.ORTHOGONAL, 2 * n + 1),
-    "so-odd": lambda n: DualGroupDescriptor(Family.SYMPLECTIC, 2 * n),
-    "o-even": lambda n: DualGroupDescriptor(Family.ORTHOGONAL, 2 * n),
-    "u": lambda n: DualGroupDescriptor(Family.UNITARY_L, n),
+    "u" if kind == "unitary" else kind.replace("_", "-"): ambient for kind, ambient in UNIT_AMBIENTS.items()
 }
 
 
@@ -257,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hecke)
 
     p = sub.add_parser("specialize", help="explicit table for a single-orbit setting")
-    p.add_argument("--kind", choices=("so-odd", "sp", "o-even", "unitary"), required=True)
+    p.add_argument("--kind", choices=[kind.replace("_", "-") for kind in UNIT_KINDS], required=True)
     p.add_argument("--rank", type=int, required=True)
     p.set_defaults(fn=_cmd_specialize)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .params import LDParameter, LDSummand, build_ld_parameter, staircase
 from .support import SupportDatum, cuspidal_pairs
@@ -42,7 +42,14 @@ __all__ = [
     "factor_to_json_dict",
 ]
 
-UNIT_KINDS = ("so_odd", "sp", "o_even", "unitary")
+# unit-setting kind -> its dual ambient at a rank
+UNIT_AMBIENTS = {
+    "so_odd": lambda rank: DualGroupDescriptor(Family.SYMPLECTIC, 2 * rank),
+    "sp": lambda rank: DualGroupDescriptor(Family.ORTHOGONAL, 2 * rank + 1),
+    "o_even": lambda rank: DualGroupDescriptor(Family.ORTHOGONAL, 2 * rank),
+    "unitary": lambda rank: DualGroupDescriptor(Family.UNITARY_L, rank),
+}
+UNIT_KINDS = tuple(UNIT_AMBIENTS)
 
 
 class HeckeFactor(NamedTuple):
@@ -137,23 +144,20 @@ class SpecialRow(NamedTuple):
     multiplicity: int
 
 
-def _consecutive_products(bound: int) -> list[tuple[int, int]]:
-    """(a, a(a+1)) with a(a+1) <= bound."""
-    out = []
-    a = 0
-    while a * (a + 1) <= bound:
-        out.append((a, a * (a + 1)))
-        a += 1
-    return out
+def _check_unit(kind: str, rank: int) -> None:
+    """The input check of both roads: a known kind and a rank of at least 1."""
+    if kind not in UNIT_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
 
 
-def _squares(bound: int) -> list[tuple[int, int]]:
-    out = []
+def _indices(bound: int, kappa: int) -> Iterator[tuple[int, int]]:
+    """(a, a(a+kappa)) with a(a+kappa) <= bound."""
     a = 0
-    while a * a <= bound:
-        out.append((a, a * a))
+    while a * (a + kappa) <= bound:
+        yield a, a * (a + kappa)
         a += 1
-    return out
 
 
 def epsilon_multiplicity(d_plus: int, d_minus: int, sign: int) -> int:
@@ -182,53 +186,36 @@ def epsilon_multiplicity(d_plus: int, d_minus: int, sign: int) -> int:
 
 def specialize(kind: str, rank: int) -> list[SpecialRow]:
     """Explicit table of one unit setting: pairs, factors, buckets, counts."""
-    if kind not in UNIT_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    rows: list[SpecialRow] = []
+    _check_unit(kind, rank)
 
+    def unequal(size: int, long, short) -> HeckeFactor:
+        return HeckeFactor("SO", size, False, 1, Fraction(1), Fraction(long), Fraction(short))
+
+    rows: list[SpecialRow] = []
     if kind == "so_odd":
         n = 2 * rank
-        for a_plus, d_plus in _consecutive_products(n):
-            for a_minus, d_minus in _consecutive_products(n - d_plus):
+        for a_plus, d_plus in _indices(n, 1):
+            for a_minus, d_minus in _indices(n - d_plus, 1):
                 s = d_plus + d_minus
                 if s == 0:
                     factor = _equal("Sp", n, 1)
                 else:
-                    factor = HeckeFactor(
-                        "SO",
-                        n + 1 - s,
-                        False,
-                        1,
-                        Fraction(1),
-                        Fraction(a_plus + a_minus + 1),
-                        Fraction(abs(a_plus - a_minus)),
-                    )
+                    factor = unequal(n + 1 - s, a_plus + a_minus + 1, abs(a_plus - a_minus))
                 bucket = 1 if (s // 2) % 2 == 0 else -1
                 rows.append(SpecialRow((d_plus, d_minus), factor, bucket, 1))
 
     elif kind in ("sp", "o_even"):
         n = 2 * rank + 1 if kind == "sp" else 2 * rank
-        want_parity = n % 2
-        for a_plus, d_plus in _squares(n):
-            for a_minus, d_minus in _squares(n - d_plus):
+        for a_plus, d_plus in _indices(n, 0):
+            for a_minus, d_minus in _indices(n - d_plus, 0):
                 s = d_plus + d_minus
-                if s % 2 != want_parity:
+                if s % 2 != n % 2:
                     continue
                 if kind == "o_even" and s == 0:
                     factor = _equal("SO", n, 1, extended=True)
                 else:
                     size = n + 1 - s if s % 2 == 0 else n + 2 - s
-                    factor = HeckeFactor(
-                        "SO",
-                        size,
-                        False,
-                        1,
-                        Fraction(1),
-                        Fraction(a_plus + a_minus),
-                        Fraction(abs(a_plus - a_minus)),
-                    )
+                    factor = unequal(size, a_plus + a_minus, abs(a_plus - a_minus))
                 if kind == "sp":
                     rows.append(SpecialRow((d_plus, d_minus), factor, 0, 2))
                 else:
@@ -239,31 +226,24 @@ def specialize(kind: str, rank: int) -> list[SpecialRow]:
 
     else:  # unitary, rank = m
         m = rank
-        for a_plus, d_plus in _squares(m):
+        for a_plus, d_plus in _indices(m, 0):
             if d_plus % 2 != m % 2:
                 continue
-            for a_minus, d_minus in _consecutive_products(m - d_plus):
+            for a_minus, d_minus in _indices(m - d_plus, 1):
                 s = d_plus + d_minus
                 # s has the parity of m, so this is SO of rank (m - s + 1) // 2
                 # in both the odd and the even case
-                size = m + 1 - s
-                factor = HeckeFactor(
-                    "SO",
-                    size,
-                    False,
-                    1,
-                    Fraction(1),
-                    Fraction(a_plus + a_minus) + Fraction(1, 2),
-                    abs(Fraction(a_plus - a_minus) - Fraction(1, 2)),
+                factor = unequal(
+                    m + 1 - s,
+                    Fraction(2 * (a_plus + a_minus) + 1, 2),
+                    Fraction(abs(2 * (a_plus - a_minus) - 1), 2),
                 )
                 if m % 2 == 1:
                     for sign in (1, -1):
                         rows.append(SpecialRow((d_plus, d_minus), factor, sign, 1))
                 else:
                     bucket = 1 if (d_plus // 2) % 2 == 0 else -1
-                    rows.append(
-                        SpecialRow((d_plus, d_minus), factor, bucket, 2 if d_plus else 1)
-                    )
+                    rows.append(SpecialRow((d_plus, d_minus), factor, bucket, 2 if d_plus else 1))
 
     rows.sort(key=lambda r: (r.pair, -r.bucket))
     return rows
@@ -275,25 +255,14 @@ def specialize(kind: str, rank: int) -> list[SpecialRow]:
 
 def unit_setting(kind: str, rank: int) -> LDParameter:
     """Normed parameter of a unit (trivial-class) setting."""
-    if kind not in UNIT_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if kind == "unitary":
-        m = rank
-        if m % 2 == 0:
-            duality = SelfDual(DualityType.CONJUGATE_SYMPLECTIC, DualityType.CONJUGATE_ORTHOGONAL)
-        else:
-            duality = SelfDual(DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC)
-        ambient = DualGroupDescriptor(Family.UNITARY_L, m)
-    else:
+    _check_unit(kind, rank)
+    if kind != "unitary":
         duality = SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL)
-        if kind == "so_odd":
-            ambient = DualGroupDescriptor(Family.SYMPLECTIC, 2 * rank)
-        elif kind == "sp":
-            ambient = DualGroupDescriptor(Family.ORTHOGONAL, 2 * rank + 1)
-        else:
-            ambient = DualGroupDescriptor(Family.ORTHOGONAL, 2 * rank)
+    elif rank % 2 == 0:
+        duality = SelfDual(DualityType.CONJUGATE_SYMPLECTIC, DualityType.CONJUGATE_ORTHOGONAL)
+    else:
+        duality = SelfDual(DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC)
+    ambient = UNIT_AMBIENTS[kind](rank)
     cls = make_inertial_class("1", 1, 1, duality, "1")
     return build_ld_parameter([LDSummand(orbit_point(cls, UnitMonomial.one()), 1, ambient.ambient_dim)], ambient)
 
@@ -305,11 +274,12 @@ def _support_pair(phi0: LDParameter, S: SupportDatum) -> tuple[int, int]:
     return staircase(a_plus, plus_type)[1], staircase(a_minus, minus_type)[1]
 
 
-def derived_rows(kind: str, rank: int) -> list[tuple[tuple[int, int], HeckeFactor, int, int]]:
-    """First-principles table: supports, normalized factors, sign buckets.
+def derived_rows(kind: str, rank: int) -> list[SpecialRow]:
+    """First-principles table of one unit setting, in ``specialize``'s rows.
 
-    Returns (pair, factor, eps_Z, count) with counts aggregated over the
-    alternating characters of each support's tail parameter.
+    One row per (pair, normalized factor, eps_Z) that some support's
+    alternating characters reach, its multiplicity the number of them;
+    sorted as tuples.
     """
     phi0 = unit_setting(kind, rank)
     counts: dict[tuple, int] = {}
@@ -319,7 +289,7 @@ def derived_rows(kind: str, rank: int) -> list[tuple[tuple[int, int], HeckeFacto
         for eps in p.epsilons:
             key = (pair, factor, eps.eps_Z)
             counts[key] = counts.get(key, 0) + 1
-    return sorted((pair, factor, sign, n) for (pair, factor, sign), n in counts.items())
+    return sorted(SpecialRow(pair, factor, sign, n) for (pair, factor, sign), n in counts.items())
 
 
 # ---------------------------------------------------------------------------

@@ -425,8 +425,6 @@ def count_supercuspidals(phi: LDParameter, form: int) -> int:
     else:
         fixed = 1
         for st in phi.staircases:
-            if st.of_type and len(st.summands) % 2 == 1:  # pragma: no cover - n_odd == 0 here
-                continue
             fixed *= _fixed_block_sign(len(st.summands), st.of_type)
         plus = total if fixed == 1 else 0
     return plus if form == 1 else total - plus

@@ -111,10 +111,10 @@ def _suite_thm18(max_rank: int) -> list[dict]:
 
 def _suite_thm31(max_rank: int) -> list[dict]:
     def check(d):
-        table = {
-            (r.pair, r.factor, r.bucket): r.multiplicity for r in specialize("so_odd", d)
-        }
-        derived = {(pair, f, sign): n for pair, f, sign, n in derived_rows("so_odd", d)}
+        table, derived = (
+            {(r.pair, r.factor, r.bucket): r.multiplicity for r in rows}
+            for rows in (specialize("so_odd", d), derived_rows("so_odd", d))
+        )
         same = table == derived
         return _case(
             f"so-odd:d={d}",
@@ -149,24 +149,21 @@ def _suite_thm32(max_rank: int) -> list[dict]:
 
 
 def _suite_thm33(max_rank: int) -> list[dict]:
+    def summary(rows, pair):
+        rows = [r for r in rows if r.pair == pair]
+        return {
+            "factors": sorted(str(r.factor) for r in rows),
+            "total": sum(r.multiplicity for r in rows),
+            "buckets": sorted((r.bucket, r.multiplicity) for r in rows),
+        }
+
     def check(m):
         table = specialize("unitary", m)
         derived = derived_rows("unitary", m)
         cases = []
-        for pair in sorted({r.pair for r in table} | {p for p, _, _, _ in derived}):
+        for pair in sorted({r.pair for r in (*table, *derived)}):
             name = f"u:m={m}:pair={pair[0]},{pair[1]}"
-            t_rows = [r for r in table if r.pair == pair]
-            d_rows = [r for r in derived if r[0] == pair]
-            expected = {
-                "factors": sorted(str(r.factor) for r in t_rows),
-                "total": sum(r.multiplicity for r in t_rows),
-                "buckets": sorted((r.bucket, r.multiplicity) for r in t_rows),
-            }
-            actual = {
-                "factors": sorted(str(f) for _, f, _, _ in d_rows),
-                "total": sum(n for _, _, _, n in d_rows),
-                "buckets": sorted((s, n) for _, _, s, n in d_rows),
-            }
+            expected, actual = summary(table, pair), summary(derived, pair)
             if expected == actual:
                 status = "pass"
             elif (
@@ -194,14 +191,10 @@ def _suite_thm26_matrix(max_rank: int) -> list[dict]:
             check_matrices(phi)
             phi0 = normed_parameter(phi)
             round_trip = triple_to_parameter(parameter_to_triple(phi, phi0), phi0) == phi
-            ok = round_trip
             actual = {"matrix_checks": True, "round_trip": round_trip}
         except (CheckError, ValueError) as exc:
-            ok = False
             actual = {"error": str(exc)}
-        return _case(
-            _parameter_case_name(phi), {"matrix_checks": True, "round_trip": True}, actual, "pass" if ok else "fail"
-        )
+        return _case(_parameter_case_name(phi), {"matrix_checks": True, "round_trip": True}, actual)
 
     return [check(phi) for ambient in classical_ambients(max_rank) for phi in discrete_parameters(inv, ambient)]
 

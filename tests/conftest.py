@@ -4,13 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from hecke_atlas.weil import (
-    DualityType,
-    Inventory,
-    NotSelfDual,
-    SelfDual,
-    make_inertial_class,
-)
+from hecke_atlas.verify import standard_inventory
+from hecke_atlas.weil import DualityType, Inventory, SelfDual, make_inertial_class
 
 # ``--hypothesis-profile=ci``: the parameter-file and record-writer fuzz tests of tests/test_cli.py
 # take max(150, max_examples) examples, so this runs them at five times their
@@ -24,16 +19,8 @@ settings.register_profile("ci", max_examples=750)
 
 @pytest.fixture(scope="session")
 def six_class_inventory():
-    """Six inertial classes hitting every duality-type combination."""
-    inv = Inventory()
-    inv.add(make_inertial_class("triv", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1"))
-    inv.add(make_inertial_class("a", 2, 1, SelfDual(DualityType.SYMPLECTIC, DualityType.SYMPLECTIC), "1"))
-    inv.add(make_inertial_class("rho_mix", 2, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.SYMPLECTIC), "eta"))
-    inv.add(make_inertial_class("rho_mix2", 2, 2, SelfDual(DualityType.SYMPLECTIC, DualityType.ORTHOGONAL), "eta2"))
-    inv.add(make_inertial_class("alpha", 1, 1, NotSelfDual("beta"), "alpha"))
-    inv.add(make_inertial_class("beta", 1, 1, NotSelfDual("alpha"), "beta"))
-    inv.validate()
-    return inv
+    """The six classes of ``standard_inventory``, hitting every duality-type combination."""
+    return standard_inventory()
 
 
 @pytest.fixture(scope="session")

@@ -214,7 +214,16 @@ def test_emit_refuses_values_outside_the_emitted_types(value):
         emitted(value)
 
 
-def test_thm32_enumerates_each_table_once(monkeypatch):
+@pytest.mark.parametrize(
+    "suite, tables",
+    [
+        ("thm31", [("so_odd", d) for d in range(1, 5)]),
+        ("thm32", [(kind, d) for kind in ("o_even", "sp") for d in range(1, 5)]),
+        ("thm33", [("unitary", m) for m in range(2, 5)]),
+    ],
+    ids=["thm31", "thm32", "thm33"],
+)
+def test_each_unit_suite_derives_each_table_once(monkeypatch, suite, tables):
     calls = []
 
     def counted(kind, rank):
@@ -222,8 +231,8 @@ def test_thm32_enumerates_each_table_once(monkeypatch):
         return derived_rows(kind, rank)
 
     monkeypatch.setattr(verify, "derived_rows", counted)
-    run_suite("thm32", 4)
-    assert sorted(calls) == [(kind, d) for kind in ("o_even", "sp") for d in range(1, 5)]
+    run_suite(suite, 4)
+    assert sorted(calls) == tables
 
 
 def _param_file(tmp_path, edit):

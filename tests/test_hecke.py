@@ -8,6 +8,7 @@ from hecke_atlas import hecke, params, support
 from hecke_atlas.hecke import (
     UNIT_KINDS,
     HeckeFactor,
+    SpecialRow,
     derived_rows,
     epsilon_multiplicity,
     factor_to_json_dict,
@@ -203,9 +204,10 @@ def test_derived_matches_epsilon_for_nonzero_products():
 
 def test_derived_rows_match_so_odd_table():
     for d in range(1, 5):
+        rows = derived_rows("so_odd", d)
+        assert rows and all(isinstance(r, SpecialRow) for r in rows)
         table = {(r.pair, r.factor, r.bucket): r.multiplicity for r in specialize("so_odd", d)}
-        derived = {(pair, factor, sign): n for pair, factor, sign, n in derived_rows("so_odd", d)}
-        assert derived == table
+        assert {(r.pair, r.factor, r.bucket): r.multiplicity for r in rows} == table
 
 
 def test_unit_setting_shapes():
@@ -254,28 +256,6 @@ def test_descriptor_and_json(extended_inventory):
         "endLong": "4/2",
         "endShort": "2/2",
     }
-
-
-def test_closed_form_road_does_not_use_the_staircase(monkeypatch):
-    # thm31-33 compare specialize against derived_rows, so only the derived
-    # road may build staircases
-    tables = {(kind, r): specialize(kind, r) for kind in UNIT_KINDS for r in range(1, 7)}
-
-    def broken(depth, of_type):
-        raise RuntimeError("staircase called")
-
-    patched = []
-    original = params.staircase
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hecke_atlas") and getattr(module, "staircase", None) is original:
-            monkeypatch.setattr(module, "staircase", broken)
-            patched.append(name)
-    assert {"hecke_atlas.params", "hecke_atlas.support", "hecke_atlas.hecke"} <= set(patched)
-    for (kind, r), rows in tables.items():
-        assert specialize(kind, r) == rows
-    for kind in UNIT_KINDS:
-        with pytest.raises(RuntimeError, match="staircase called"):
-            derived_rows(kind, 2)
 
 
 def reference_factor(m, t, types, a_plus, a_minus):
@@ -341,46 +321,54 @@ def test_hecke_descriptor_matches_the_reference_factors_on_the_normed_corpus():
     assert count > 1000
 
 
-def test_closed_form_road_does_not_use_the_cached_factors_or_orbit_map(monkeypatch):
-    # the Hecke factor core and the orbit map serve the derived road only
-    tables = {(kind, r): specialize(kind, r) for kind in UNIT_KINDS for r in range(1, 7)}
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("derived data used")
-
-    for owner, name, value in (
-        (hecke, "_self_dual_factor", broken),
-        (params.LDParameter, "orbit_by_label", property(broken)),
-    ):
-        with monkeypatch.context() as patch:
-            patch.setattr(owner, name, value)
-            assert {(k, r): specialize(k, r) for k, r in tables} == tables
-            for kind in UNIT_KINDS:
-                with pytest.raises(RuntimeError, match="derived data used"):
-                    derived_rows(kind, 2)
+def _derived_road_reached(*args, **kwargs):
+    raise RuntimeError("derived road reached")
 
 
-def test_closed_form_road_does_not_use_the_derived_hecke_road(monkeypatch):
-    # the closed forms (specialize, epsilon_multiplicity, count_supercuspidals)
-    # are checked against the derived road, so they must not call into it
-    tables = {(kind, r): specialize(kind, r) for kind in UNIT_KINDS for r in range(1, 7)}
-    eps = {(dp, dm, s): epsilon_multiplicity(dp, dm, s) for dp in (0, 1, 4, 9) for dm in (0, 1, 4, 9) for s in (1, -1)}
-    corpus = supercuspidal_corpus(standard_inventory(), 6)
-    counts = [(count_supercuspidals(phi, 1), count_supercuspidals(phi, -1)) for phi in corpus]
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("derived road called")
-
-    originals = [hecke.hecke_factor, hecke.sp_normalization, support._epsilons, support.cuspidal_pairs]
+def _rebind(monkeypatch, originals, replacement):
+    """Rebind, in every loaded package module, each name bound to one of
+    ``originals``; return the names of the modules patched."""
+    patched = set()
     for name, module in list(sys.modules.items()):
         if not name.startswith("hecke_atlas"):
             continue
         for attr, value in list(vars(module).items()):
             if any(value is original for original in originals):
-                monkeypatch.setattr(module, attr, broken)
+                monkeypatch.setattr(module, attr, replacement)
+                patched.add(name)
+    return patched
+
+
+@pytest.mark.parametrize(
+    "broken", ["staircase", "self_dual_factor", "orbit_by_label", "derived_hecke_road", "unit_ambients"]
+)
+def test_closed_form_road_does_not_reach_the_derived_road(monkeypatch, broken):
+    # thm31-33 compare specialize against derived_rows, and thm11/thm32 the
+    # closed counts (count_supercuspidals, epsilon_multiplicity) against the
+    # derived road, so no closed form may call into it: with any one piece of
+    # the derived road broken, each closed form gives what it gave before and
+    # derived_rows fails for every kind
+    tables = {(kind, r): specialize(kind, r) for kind in UNIT_KINDS for r in range(1, 7)}
+    eps = {(dp, dm, s): epsilon_multiplicity(dp, dm, s) for dp in (0, 1, 4, 9) for dm in (0, 1, 4, 9) for s in (1, -1)}
+    corpus = supercuspidal_corpus(standard_inventory(), 6)
+    counts = [(count_supercuspidals(phi, 1), count_supercuspidals(phi, -1)) for phi in corpus]
+
+    if broken == "staircase":
+        patched = _rebind(monkeypatch, [params.staircase], _derived_road_reached)
+        assert {"hecke_atlas.params", "hecke_atlas.support", "hecke_atlas.hecke"} <= patched
+    elif broken == "self_dual_factor":  # the cached Hecke factor core
+        monkeypatch.setattr(hecke, "_self_dual_factor", _derived_road_reached)
+    elif broken == "orbit_by_label":
+        monkeypatch.setattr(params.LDParameter, "orbit_by_label", property(_derived_road_reached))
+    elif broken == "derived_hecke_road":
+        originals = [hecke.hecke_factor, hecke.sp_normalization, support._epsilons, support.cuspidal_pairs]
+        _rebind(monkeypatch, originals, _derived_road_reached)
+    else:  # the dual ambients that unit_setting reads
+        _rebind(monkeypatch, [hecke.UNIT_AMBIENTS], dict.fromkeys(UNIT_KINDS, _derived_road_reached))
+
     assert {(k, r): specialize(k, r) for k, r in tables} == tables
     assert {key: epsilon_multiplicity(*key) for key in eps} == eps
     assert [(count_supercuspidals(phi, 1), count_supercuspidals(phi, -1)) for phi in corpus] == counts
     for kind in UNIT_KINDS:
-        with pytest.raises(RuntimeError, match="derived road called"):
+        with pytest.raises(RuntimeError, match="derived road reached"):
             derived_rows(kind, 2)
