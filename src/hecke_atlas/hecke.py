@@ -233,11 +233,7 @@ def specialize(kind: str, rank: int) -> list[SpecialRow]:
                 s = d_plus + d_minus
                 # s has the parity of m, so this is SO of rank (m - s + 1) // 2
                 # in both the odd and the even case
-                factor = unequal(
-                    m + 1 - s,
-                    Fraction(2 * (a_plus + a_minus) + 1, 2),
-                    Fraction(abs(2 * (a_plus - a_minus) - 1), 2),
-                )
+                factor = unequal(m + 1 - s, a_plus + a_minus + Fraction(1, 2), abs(a_plus - a_minus - Fraction(1, 2)))
                 if m % 2 == 1:
                     for sign in (1, -1):
                         rows.append(SpecialRow((d_plus, d_minus), factor, sign, 1))
