@@ -182,14 +182,14 @@ def _cmd_supports(args) -> int:
     phi0 = _load_param_file(args.param)
     items = []
     for p in cuspidal_pairs(phi0):
-        levi = p.levi
-        gl = [f"[\n          {d!r},\n          {m!r}\n        ]" for d, m in levi.gl_factors]
+        tail = p.phi_S.ambient
+        gl = [f"[\n          {d!r},\n          {m!r}\n        ]" for d, m in p.gl_factors]
         shared = (
             f'{{\n    "S": {_support_datum_text(p.S, "    ")},\n    "phiS": {_parameter_text(p.phi_S, "    ")},'
-            f'\n    "LS": {p.L_S!r},\n    "lS": {p.l_S!r},\n    "dS": "{"+" if p.d_S == 1 else "-"}",'
+            f'\n    "LS": {tail.ambient_dim!r},\n    "lS": {p.l_S!r},\n    "dS": "{"+" if p.d_S == 1 else "-"}",'
             f'\n    "levi": {{\n      "gl": {_container(gl, "      ", "[]")},\n      "tail": {{'
-            f'\n        "family": {_quote(levi.tail.family.value)},\n        "dim": {levi.tail.ambient_dim!r},'
-            f'\n        "rank": {levi.tail_rank!r}\n      }}\n    }},\n    "epsilon": '
+            f'\n        "family": {_quote(tail.family.value)},\n        "dim": {tail.ambient_dim!r},'
+            f'\n        "rank": {p.l_S!r}\n      }}\n    }},\n    "epsilon": '
         )
         for eps in p.epsilons:
             epsilon = _container([f"{_quote(gen)}: {v!r}" for gen, v in eps.values], "    ", "{}")

@@ -21,10 +21,10 @@ from .weil import (
     DualGroupDescriptor,
     DualityType,
     Family,
+    InertialClass,
     SelfDual,
     UnitMonomial,
     half_integer_str,
-    make_inertial_class,
     orbit_point,
 )
 
@@ -65,10 +65,6 @@ class HeckeFactor(NamedTuple):
     internal: Fraction
     end_long: Fraction
     end_short: Fraction
-
-    @property
-    def is_equal_parameter(self) -> bool:
-        return self.internal == self.end_long == self.end_short
 
 
 @functools.cache
@@ -259,13 +255,13 @@ def unit_setting(kind: str, rank: int) -> LDParameter:
     else:
         duality = SelfDual(DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC)
     ambient = UNIT_AMBIENTS[kind](rank)
-    cls = make_inertial_class("1", 1, 1, duality, "1")
+    cls = InertialClass("1", 1, 1, duality, "1")
     return build_ld_parameter([LDSummand(orbit_point(cls, UnitMonomial.one()), 1, ambient.ambient_dim)], ambient)
 
 
 def _support_pair(phi0: LDParameter, S: SupportDatum) -> tuple[int, int]:
     (orbit,) = phi0.orbits
-    a_plus, a_minus = S.as_dict[orbit.cls.label]
+    a_plus, a_minus = dict(S.entries)[orbit.cls.label]
     plus_type, minus_type = orbit.types
     return staircase(a_plus, plus_type)[1], staircase(a_minus, minus_type)[1]
 

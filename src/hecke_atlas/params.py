@@ -120,10 +120,6 @@ class LDParameter:
     def __getstate__(self) -> dict:
         return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
-    @property
-    def total_dim(self) -> int:
-        return sum(s.dim for s in self.summands)
-
     def generator_labels(self) -> list[str]:
         return [_summand_label(s) for s in self.summands]
 
@@ -361,18 +357,11 @@ class SignCharacter(NamedTuple):
     values: tuple[tuple[str, int], ...]
 
     @property
-    def value_map(self) -> dict[str, int]:
-        return dict(self.values)
-
-    @property
     def eps_Z(self) -> int:
         out = 1
         for _, v in self.values:
             out *= v
         return out
-
-    def __call__(self, generator: str) -> int:
-        return self.value_map[generator]
 
 
 def alternating_characters(phi: LDParameter) -> list[SignCharacter]:

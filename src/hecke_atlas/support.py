@@ -24,11 +24,10 @@ from .params import (
     parameter_to_json_dict,
     staircase,
 )
-from .weil import DualGroupDescriptor, Family
+from .weil import Family
 
 __all__ = [
     "SupportDatum",
-    "SupportLevi",
     "CuspidalSupport",
     "supports",
     "build_phi_S",
@@ -43,29 +42,21 @@ class SupportDatum(NamedTuple):
 
     entries: tuple[tuple[str, tuple[int, int]], ...]
 
-    @property
-    def as_dict(self) -> dict[str, tuple[int, int]]:
-        return dict(self.entries)
-
-
-class SupportLevi(NamedTuple):
-    """GL block sizes with multiplicities, plus the classical tail."""
-
-    gl_factors: tuple[tuple[int, int], ...]
-    tail: DualGroupDescriptor
-    tail_rank: int
-
 
 class CuspidalSupport(NamedTuple):
     """A support with its tail data and the tail's alternating characters;
-    each character makes one cuspidal pair (S, epsilon)."""
+    each character makes one cuspidal pair (S, epsilon).
+
+    The Levi is the GL blocks ``gl_factors`` (sizes with multiplicities)
+    times the classical tail ``phi_S.ambient``, of dimension L_S and rank
+    ``l_S``.
+    """
 
     S: SupportDatum
     phi_S: LDParameter
-    L_S: int
     l_S: int
     d_S: int
-    levi: SupportLevi
+    gl_factors: tuple[tuple[int, int], ...]
     epsilons: tuple[SignCharacter, ...]
 
 
@@ -119,10 +110,9 @@ def build_phi_S(phi0: LDParameter, S: SupportDatum) -> tuple[LDParameter, int, i
     return phi_S, L_S, l_S, det_discrepancy(phi_S, phi0)
 
 
-def _levi(phi0: LDParameter, phi_S: LDParameter, l_S: int) -> SupportLevi:
-    """GL factors with multiplicities plus the classical tail descriptor,
-    which is the tail parameter's own ambient; each orbit's share of the
-    tail is that orbit's multiplicity in the tail."""
+def _gl_factors(phi0: LDParameter, phi_S: LDParameter) -> tuple[tuple[int, int], ...]:
+    """The Levi's GL block sizes with multiplicities, sorted; each orbit's
+    share of the tail is that orbit's multiplicity in the tail."""
     gl: list[tuple[int, int]] = []
     for orbit in phi0.orbits:
         cls, m = orbit.cls, orbit.multiplicity
@@ -136,7 +126,7 @@ def _levi(phi0: LDParameter, phi_S: LDParameter, l_S: int) -> SupportLevi:
         if m > m_pm:
             gl.append((cls.dim, (m - m_pm) // 2))
     gl.sort()
-    return SupportLevi(tuple(gl), phi_S.ambient, l_S)
+    return tuple(gl)
 
 
 def _epsilons(phi_S: LDParameter) -> tuple[SignCharacter, ...]:
@@ -153,14 +143,14 @@ def cuspidal_pairs(phi0: LDParameter) -> list[CuspidalSupport]:
     each record's characters in turn."""
     out: list[CuspidalSupport] = []
     for S in supports(phi0):
-        phi_S, L_S, l_S, d_S = build_phi_S(phi0, S)
-        levi = _levi(phi0, phi_S, l_S)
-        out.append(CuspidalSupport(S, phi_S, L_S, l_S, d_S, levi, tuple(_epsilons(phi_S))))
+        phi_S, _, l_S, d_S = build_phi_S(phi0, S)
+        out.append(CuspidalSupport(S, phi_S, l_S, d_S, _gl_factors(phi0, phi_S), tuple(_epsilons(phi_S))))
     return out
 
 
 def injectivity_report(records: Sequence[CuspidalSupport]) -> dict:
-    """Duplicate (levi, tail parameter, epsilon) keys, and degenerate flags.
+    """Duplicate (GL factors, tail parameter, epsilon) keys, and degenerate
+    flags; the tail parameter carries the rest of the Levi.
 
     Indices count the pairs (S, epsilon) in support order, each support's
     characters in turn.  Every pair of a support is flagged when the tail
@@ -170,7 +160,7 @@ def injectivity_report(records: Sequence[CuspidalSupport]) -> dict:
     pairs = [(p, eps) for p in records for eps in p.epsilons]
     by_key: dict[tuple, list[int]] = {}
     for i, (p, eps) in enumerate(pairs):
-        by_key.setdefault((p.levi, p.phi_S, eps), []).append(i)
+        by_key.setdefault((p.gl_factors, p.phi_S, eps), []).append(i)
     duplicates = [idx for idx in by_key.values() if len(idx) > 1]
     flagged = [i for i, (p, _) in enumerate(pairs) if p.l_S == 0 and len(p.epsilons) > 1]
     flagged_set = set(flagged)
@@ -184,15 +174,16 @@ def injectivity_report(records: Sequence[CuspidalSupport]) -> dict:
 
 def support_to_json_dict(p: CuspidalSupport, epsilon: SignCharacter) -> dict:
     """The pair of support ``p`` and its character ``epsilon``."""
+    tail = p.phi_S.ambient
     return {
         "S": {label: list(pair) for label, pair in p.S.entries},
         "phiS": parameter_to_json_dict(p.phi_S),
-        "LS": p.L_S,
+        "LS": tail.ambient_dim,
         "lS": p.l_S,
         "dS": "+" if p.d_S == 1 else "-",
         "levi": {
-            "gl": [list(f) for f in p.levi.gl_factors],
-            "tail": {"family": p.levi.tail.family.value, "dim": p.levi.tail.ambient_dim, "rank": p.levi.tail_rank},
+            "gl": [list(f) for f in p.gl_factors],
+            "tail": {"family": tail.family.value, "dim": tail.ambient_dim, "rank": p.l_S},
         },
         "epsilon": {gen: v for gen, v in epsilon.values},
         "epsZ": epsilon.eps_Z,

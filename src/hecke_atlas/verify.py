@@ -27,7 +27,7 @@ from .params import (
     t_invariants,
 )
 from .support import cuspidal_pairs, injectivity_report, supports
-from .weil import DualityType, Inventory, NotSelfDual, SelfDual, make_inertial_class
+from .weil import DualityType, InertialClass, Inventory, NotSelfDual, SelfDual
 
 # centralizer and weyl are imported by the three suites that use them, so a
 # process that runs none of those never loads them
@@ -36,12 +36,12 @@ from .weil import DualityType, Inventory, NotSelfDual, SelfDual, make_inertial_c
 def standard_inventory() -> Inventory:
     """Six classes covering every duality-type combination."""
     inv = Inventory()
-    inv.add(make_inertial_class("triv", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1"))
-    inv.add(make_inertial_class("a", 2, 1, SelfDual(DualityType.SYMPLECTIC, DualityType.SYMPLECTIC), "1"))
-    inv.add(make_inertial_class("rho_mix", 2, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.SYMPLECTIC), "eta"))
-    inv.add(make_inertial_class("rho_mix2", 2, 2, SelfDual(DualityType.SYMPLECTIC, DualityType.ORTHOGONAL), "eta2"))
-    inv.add(make_inertial_class("alpha", 1, 1, NotSelfDual("beta"), "alpha"))
-    inv.add(make_inertial_class("beta", 1, 1, NotSelfDual("alpha"), "beta"))
+    inv.add(InertialClass("triv", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1"))
+    inv.add(InertialClass("a", 2, 1, SelfDual(DualityType.SYMPLECTIC, DualityType.SYMPLECTIC), "1"))
+    inv.add(InertialClass("rho_mix", 2, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.SYMPLECTIC), "eta"))
+    inv.add(InertialClass("rho_mix2", 2, 2, SelfDual(DualityType.SYMPLECTIC, DualityType.ORTHOGONAL), "eta2"))
+    inv.add(InertialClass("alpha", 1, 1, NotSelfDual("beta"), "alpha"))
+    inv.add(InertialClass("beta", 1, 1, NotSelfDual("alpha"), "beta"))
     inv.validate()
     return inv
 
@@ -86,7 +86,7 @@ def _suite_thm16(max_rank: int) -> list[dict]:
     def check(phi0):
         n = phi0.ambient.ambient_dim
         records = cuspidal_pairs(phi0)
-        parities = sorted({p.L_S % 2 for p in records if p.epsilons})
+        parities = sorted({p.phi_S.ambient.ambient_dim % 2 for p in records if p.epsilons})
         report = injectivity_report(records)
         ok = parities in ([], [n % 2]) and report["injective_outside_flagged"]
         status = "flagged" if ok and report["flagged"] else ("pass" if ok else "fail")

@@ -28,7 +28,6 @@ __all__ = [
     "UnitMonomial",
     "InertialPoint",
     "Inventory",
-    "make_inertial_class",
     "orbit_point",
     "is_of_type",
     "sign_types",
@@ -173,11 +172,6 @@ class DualGroupDescriptor:
             raise ValueError("ambient_dim must be >= 0")
         if self.family is Family.SYMPLECTIC and self.ambient_dim % 2 != 0:
             raise ValueError("symplectic ambient dimension must be even")
-
-    @property
-    def is_symplectic_base_group(self) -> bool:
-        """True when the group *under* this dual group is symplectic."""
-        return self.family is Family.ORTHOGONAL and self.ambient_dim % 2 == 1
 
 
 class NotSelfDual(NamedTuple):
@@ -329,7 +323,7 @@ _ONE = UnitMonomial(Fraction(0), Fraction(0))
 _MINUS_ONE = UnitMonomial(Fraction(1, 2), Fraction(0))
 
 
-@dataclass(frozen=True)  # a dataclass: __post_init__ sets the orbit data
+@dataclass(frozen=True)  # a dataclass: __post_init__ validates and sets the orbit data
 class InertialClass:
     """An inertial class of an irreducible Weil-group representation.
 
@@ -338,6 +332,9 @@ class InertialClass:
     opaque identifier for the inertial data of the determinant character,
     used only for determinant bookkeeping.
 
+    Construction checks the data: ``dim`` and ``torsion`` positive, a
+    partner label for a dual pair, type tags of one flavour for a self-dual
+    class, and a ``duality`` of one of the two kinds (else ``TypeError``).
     ``is_self_dual`` and ``orbit_label`` (the label of the orbit's
     representative: the class itself, or the smaller label of a dual pair)
     are set once at construction; they are not fields, so equality, hash
@@ -351,37 +348,26 @@ class InertialClass:
     det_base: str = ""
 
     def __post_init__(self) -> None:
-        is_self_dual = isinstance(self.duality, SelfDual)
-        orbit_label = self.label if is_self_dual else min(self.label, self.duality.partner_label)
+        if self.dim < 1:
+            raise ValueError("dim must be positive")
+        if self.torsion < 1:
+            raise ValueError("torsion must be positive")
+        duality = self.duality
+        if isinstance(duality, NotSelfDual):
+            if not duality.partner_label:
+                raise ValueError("a non-self-dual class needs a partner label")
+            is_self_dual, orbit_label = False, min(self.label, duality.partner_label)
+        elif isinstance(duality, SelfDual):
+            if duality.type_at_plus.conjugate_flavour is not duality.type_at_minus.conjugate_flavour:
+                raise ValueError("cannot mix conjugate-dual and plain self-dual type tags")
+            is_self_dual, orbit_label = True, self.label
+        else:
+            raise TypeError("duality must be NotSelfDual or SelfDual")
         object.__setattr__(self, "is_self_dual", is_self_dual)
         object.__setattr__(self, "orbit_label", orbit_label)
 
     def __hash__(self) -> int:
         return hash(self.label)
-
-
-def make_inertial_class(
-    label: str,
-    dim: int,
-    torsion: int,
-    duality: Duality,
-    det_base: str = "",
-) -> InertialClass:
-    """Validate and build an inertial class value."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    if torsion < 1:
-        raise ValueError("torsion must be positive")
-    if isinstance(duality, NotSelfDual):
-        if not duality.partner_label:
-            raise ValueError("a non-self-dual class needs a partner label")
-    elif isinstance(duality, SelfDual):
-        flavours = {duality.type_at_plus.conjugate_flavour, duality.type_at_minus.conjugate_flavour}
-        if len(flavours) != 1:
-            raise ValueError("cannot mix conjugate-dual and plain self-dual type tags")
-    else:  # pragma: no cover - defensive
-        raise TypeError("duality must be NotSelfDual or SelfDual")
-    return InertialClass(label, dim, torsion, duality, det_base)
 
 
 class InertialPoint(NamedTuple):
@@ -409,17 +395,13 @@ def orbit_point(cls: InertialClass, f: UnitMonomial) -> InertialPoint:
     return InertialPoint(cls, f)
 
 
-def _rep_type_at_sign(p: InertialPoint) -> DualityType:
+def is_of_type(p: InertialPoint, g: DualGroupDescriptor) -> bool:
+    """Whether the (self-dual) point has the same type as the ambient group."""
     if not isinstance(p.cls.duality, SelfDual):
         raise ValueError(f"point of class {p.cls.label!r} is not self-dual")
     if not p.f.is_sign:
         raise ValueError(f"point with f={p.f} is not self-dual")
-    return p.cls.duality.type_at_plus if p.f.sign == 1 else p.cls.duality.type_at_minus
-
-
-def is_of_type(p: InertialPoint, g: DualGroupDescriptor) -> bool:
-    """Whether the (self-dual) point has the same type as the ambient group."""
-    return _tag_is_of_type(_rep_type_at_sign(p), g)
+    return _tag_is_of_type(p.cls.duality.type_at_plus if p.f.sign == 1 else p.cls.duality.type_at_minus, g)
 
 
 def _tag_is_of_type(tag: DualityType, g: DualGroupDescriptor) -> bool:
@@ -530,7 +512,7 @@ class Inventory:
             else:
                 raise ValueError(f"inventory[{i}].duality.kind must be 'self_dual' or 'not_self_dual', got {kind!r}")
             inv.add(
-                make_inertial_class(
+                InertialClass(
                     json_typed(json_field(entry, "label", at), str, at, "label"),
                     json_value(json_field(entry, "dim", at), int, at, "dim"),
                     json_value(json_field(entry, "torsion", at), int, at, "torsion"),

@@ -204,9 +204,10 @@ class LeviDescriptor:
         return out
 
 
-def _min_lift_parity(move: tuple[int, ...], levi: LeviDescriptor) -> int:
-    """Parity of the least number of sign changes among lifts of a move."""
-    return sum(k for k, x in zip(levi.composition, move) if x < 0) % 2
+def _min_lift_parity(signs: tuple[int, ...], levi: LeviDescriptor) -> int:
+    """Parity of the least number of sign changes among lifts of a move
+    with block signs ``signs``: the summed size of the negated blocks."""
+    return sum(k for k, s in zip(levi.composition, signs) if s < 0) % 2
 
 
 @dataclass(frozen=True, repr=False, eq=False)  # a dataclass: it caches views of itself
@@ -289,13 +290,9 @@ def relative_weyl(levi: LeviDescriptor, n: int) -> RelativeWeyl:
             block_perms.add(tuple(targets))
     # every tuple of block signs (each lifts to the sign vector constant on
     # the blocks), in the order of (perm, signs) pairs, which is the order
-    # of the moves; the parity is taken on the move with these signs that
-    # permutes no block
+    # of the moves; the parity reads only the signs
     signs_in_order = list(itertools.product((-1, 1), repeat=len(blocks)))
-    lifts_evenly = [
-        levi.tail_rank >= 1 or _min_lift_parity(tuple([s * i for i, s in enumerate(signs, 1)]), levi) == 0
-        for signs in signs_in_order
-    ]
+    lifts_evenly = [levi.tail_rank >= 1 or _min_lift_parity(signs, levi) == 0 for signs in signs_in_order]
     cosets: list[tuple[int, ...]] = []
     even: list[tuple[int, ...]] = []
     for perm in sorted(block_perms):

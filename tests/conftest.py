@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from hecke_atlas.verify import standard_inventory
-from hecke_atlas.weil import DualityType, Inventory, SelfDual, make_inertial_class
+from hecke_atlas.weil import DualityType, InertialClass, Inventory, SelfDual
 
 # ``--hypothesis-profile=ci``: the parameter-file and record-writer fuzz tests of tests/test_cli.py
 # take max(150, max_examples) examples, so this runs them at five times their
@@ -27,7 +27,7 @@ def six_class_inventory():
 def extended_inventory(six_class_inventory):
     """The six classes plus a ramified quadratic character ``chi``."""
     inv = Inventory(dict(six_class_inventory.classes))
-    inv.add(make_inertial_class("chi", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "chi"))
+    inv.add(InertialClass("chi", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "chi"))
     inv.validate()
     return inv
 

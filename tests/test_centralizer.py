@@ -27,10 +27,10 @@ from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
     Family,
+    InertialClass,
     Inventory,
     SelfDual,
     UnitMonomial,
-    make_inertial_class,
     orbit_point,
 )
 
@@ -470,8 +470,8 @@ def _raised(f, phi):
 def test_check_matrices_raises_what_realize_matrices_raises(extended_inventory, monkeypatch):
     inv = Inventory(dict(extended_inventory.classes))
     co, cs = DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC
-    inv.add(make_inertial_class("u1", 1, 1, SelfDual(co, cs), "u1"))
-    inv.add(make_inertial_class("sp1", 1, 1, SelfDual(DualityType.SYMPLECTIC, DualityType.SYMPLECTIC), "sp1"))
+    inv.add(InertialClass("u1", 1, 1, SelfDual(co, cs), "u1"))
+    inv.add(InertialClass("sp1", 1, 1, SelfDual(DualityType.SYMPLECTIC, DualityType.SYMPLECTIC), "sp1"))
     half = UnitMonomial(0, Fraction(1, 2))
 
     def param(family, dim, *summands):

@@ -30,13 +30,13 @@ from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
     Family,
+    InertialClass,
     Inventory,
     NotSelfDual,
     SelfDual,
     UnitMonomial,
     json_field,
     json_typed,
-    make_inertial_class,
     orbit_point,
 )
 
@@ -434,7 +434,7 @@ def ref_inventory(data):
         else:
             raise ValueError(f"{path}.duality.kind must be 'self_dual' or 'not_self_dual', got {kind!r}")
         inv.add(
-            make_inertial_class(
+            InertialClass(
                 ref_typed(ref_field(entry, "label", path), str, f"{path}.label"),
                 ref_value(ref_field(entry, "dim", path), int, f"{path}.dim"),
                 ref_value(ref_field(entry, "torsion", path), int, f"{path}.torsion"),
@@ -562,13 +562,13 @@ def test_normed_corpus_is_normed():
     assert len(corpus) > 20
     for phi in corpus:
         assert all(s.point.f.is_one and s.sl2_dim == 1 for s in phi.summands)
-        assert phi.total_dim == phi.ambient.ambient_dim
+        assert sum(s.dim for s in phi.summands) == phi.ambient.ambient_dim
 
 
 def _inventory_with_a_unitary_class():
     inv = standard_inventory()
     co, cs = DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC
-    inv.add(make_inertial_class("u1", 1, 1, SelfDual(co, cs), "u1"))
+    inv.add(InertialClass("u1", 1, 1, SelfDual(co, cs), "u1"))
     inv.validate()
     return inv
 
@@ -632,6 +632,10 @@ def _buckets_flipped(kind, rank, table=hecke.specialize):
     return [row._replace(bucket=-row.bucket) for row in table(kind, rank)]
 
 
+def _factors_one_larger(kind, rank, table=hecke.specialize):
+    return [row._replace(factor=row.factor._replace(size=row.factor.size + 1)) for row in table(kind, rank)]
+
+
 def _every_label_self_dual(decorations, by_block_perm, decorated_cosets=weyl._decorated_cosets):
     return decorated_cosets([(label, True) for label, _ in decorations], by_block_perm)
 
@@ -639,8 +643,8 @@ def _every_label_self_dual(decorations, by_block_perm, decorated_cosets=weyl._de
 # suite -> (module, function, a broken replacement of it); the suite runs at rank 4
 SUITE_MUTATIONS = {
     # every block move liftable by an even element: W0(M) = W(M) on every Levi
-    "lemA3-even-lift": ("lemA3", weyl, "_min_lift_parity", lambda move, levi: 0),
-    "lemA4-even-lift": ("lemA4", weyl, "_min_lift_parity", lambda move, levi: 0),
+    "lemA3-even-lift": ("lemA3", weyl, "_min_lift_parity", lambda signs, levi: 0),
+    "lemA4-even-lift": ("lemA4", weyl, "_min_lift_parity", lambda signs, levi: 0),
     # a reflection part that is only the (mirrored) identity: the splitting check must fail
     "lemA4-closure": ("lemA4", weyl, "_closure", lambda generators, r: {weyl._mirror(tuple(range(1, r + 1)))}),
     # every move kept as a complement element: R(O) overlaps the reflection part
@@ -657,6 +661,8 @@ SUITE_MUTATIONS = {
     "thm18-so-size": ("thm18", hecke, "hecke_factor", _so_factor_one_larger),
     # the closed-form multiplicities route to the other sign
     "thm32-sign": ("thm32", verify, "epsilon_multiplicity", lambda dp, dm, s: hecke.epsilon_multiplicity(dp, dm, -s)),
+    # every stated unitary factor grows by one; a bucket flip would only be flagged (the thm33 hole)
+    "thm33-factor-size": ("thm33", verify, "specialize", _factors_one_larger),
 }
 
 
@@ -670,7 +676,8 @@ def test_suite_fails_under_a_mutation(mutation, monkeypatch, capsys):
     assert report["failed"] > 0
     for flags in ([], ["--allow-flagged"]):
         assert run(["verify", "--suite", suite, "--max-rank", "4", *flags]) == 1
-        assert json.loads(capsys.readouterr().out) == report
+        # byte for byte: a thm33 report holds tuples, which JSON reads back as lists
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("mutation", ["thm11-fixed-sign", "thm16-epsilons", "thm18-so-size"])

@@ -18,11 +18,11 @@ from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
     Family,
+    InertialClass,
     Inventory,
     NotSelfDual,
     SelfDual,
     UnitMonomial,
-    make_inertial_class,
     orbit_point,
     sign_types,
 )
@@ -174,10 +174,10 @@ def inventories(draw):
     for kind, dim, tags in entries:
         if kind == "pair":
             first, second = labels.pop(), labels.pop()
-            inv.add(make_inertial_class(first, dim, 1, NotSelfDual(second)))
-            inv.add(make_inertial_class(second, dim, 1, NotSelfDual(first)))
+            inv.add(InertialClass(first, dim, 1, NotSelfDual(second)))
+            inv.add(InertialClass(second, dim, 1, NotSelfDual(first)))
         else:
-            inv.add(make_inertial_class(labels.pop(), dim, 1, SelfDual(*tags)))
+            inv.add(InertialClass(labels.pop(), dim, 1, SelfDual(*tags)))
     inv.validate()
     return inv
 

@@ -26,9 +26,9 @@ from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
     Family,
+    InertialClass,
     SelfDual,
     UnitMonomial,
-    make_inertial_class,
     orbit_point,
 )
 
@@ -59,7 +59,7 @@ def gl_setting(inv):
 
 def test_hecke_factor_gl(extended_inventory):
     f = hecke_factor(gl_setting(extended_inventory), SupportDatum(()), "alpha")
-    assert f.family == "GL" and f.size == 3 and f.is_equal_parameter
+    assert f.family == "GL" and f.size == 3 and f.internal == f.end_long == f.end_short
     assert f.internal == Fraction(1)
 
 
@@ -87,7 +87,7 @@ def test_hecke_factor_sp4_case3(extended_inventory):
     f = hecke_factor(phi0, SupportDatum((("triv", (1, 0)),)), "triv")
     assert (f.family, f.size) == ("SO", 5)
     assert (f.internal, f.end_long, f.end_short) == (1, 1, 1)
-    assert f.is_equal_parameter
+    assert f.internal == f.end_long == f.end_short
 
 
 def test_hecke_factor_case2(extended_inventory):
@@ -97,7 +97,7 @@ def test_hecke_factor_case2(extended_inventory):
     )
     f = hecke_factor(phi0, SupportDatum((("triv", (0, 0)),)), "triv")
     assert (f.family, f.size, f.extended) == ("SO", 4, True)
-    assert f.is_equal_parameter
+    assert f.internal == f.end_long == f.end_short
 
 
 def test_sp_normalization(extended_inventory):
@@ -106,7 +106,7 @@ def test_sp_normalization(extended_inventory):
     assert (f.family, f.size, f.end_short) == ("SO", 7, 0)
     g = sp_normalization(f)
     assert (g.family, g.size) == ("Sp", 6)
-    assert g.is_equal_parameter and g.internal == 1
+    assert g.internal == g.end_long == g.end_short and g.internal == 1
     # identity on anything else
     h = hecke_factor(phi0, SupportDatum((("triv", (1, 0)),)), "triv")
     assert sp_normalization(h) == h
@@ -213,7 +213,7 @@ def test_derived_rows_match_so_odd_table():
 def test_unit_setting_shapes():
     phi0 = unit_setting("unitary", 4)
     assert phi0.ambient.family is Family.UNITARY_L
-    assert phi0.total_dim == 4
+    assert sum(s.dim for s in phi0.summands) == 4
     with pytest.raises(ValueError):
         unit_setting("nope", 2)
 
@@ -284,7 +284,7 @@ def reference_factor(m, t, types, a_plus, a_minus):
 def test_hecke_factor_matches_the_fraction_formula(t, types, a_plus, a_minus, spare):
     # the orbit's multiplicity m covers both staircases, with ``spare`` left over
     kinds = [DualityType.ORTHOGONAL if of_type else DualityType.SYMPLECTIC for of_type in types]
-    cls = make_inertial_class("c", 1, t, SelfDual(*kinds), "1")
+    cls = InertialClass("c", 1, t, SelfDual(*kinds), "1")
     m = max(1, sum(a * (a + (not of_type)) for a, of_type in zip((a_plus, a_minus), types)) + spare)
     phi0 = build_ld_parameter(
         [LDSummand(orbit_point(cls, UnitMonomial.one()), 1, m)], DualGroupDescriptor(Family.ORTHOGONAL, m)

@@ -1,7 +1,11 @@
 """The surface of each ``hecke_atlas`` module, read from its syntax tree
 with the stdlib ``ast``: every name its ``__all__`` lists is bound in it,
 and every name it imports is used in it or listed in its ``__all__``.
-A deletion that leaves an export or an import behind fails here."""
+A deletion that leaves an export or an import behind fails here.
+
+A reader census also checks that every top-level function and class, and
+every non-dunder method and property, is read somewhere in the package,
+or is listed with its reason in ``UNREAD_ALLOWED``."""
 
 import ast
 import pathlib
@@ -11,6 +15,19 @@ import pytest
 import hecke_atlas
 
 MODULES = sorted(pathlib.Path(hecke_atlas.__file__).parent.glob("*.py"))
+
+# members that nothing in the package reads, each with the reason it stays
+UNREAD_ALLOWED = {
+    "centralizer.realize_matrices": "test reference: the matrix tests compare check_matrices and a Fraction oracle with it",
+    "support.support_to_json_dict": "test reference: the supports writer is pinned to json.dumps of it",
+    "weyl.weyl_group": "test reference: the brute-force group of the Weyl tests",
+    "weyl.SignedPermutation.identity": "test reference: the Weyl tests check products against it",
+    "centralizer.component_group_of_triple": "two-road test: compared with params.component_group",
+    "centralizer.TripleComponentGroup.plus_order": "two-road test: read beside component_group_of_triple",
+    "params.is_discrete": "ROADMAP item 14 makes it a road",
+    "params.component_group": "ROADMAP item 14 makes it a road",
+    "hecke.unipotent_reduction": "ROADMAP item 8 makes it a road",
+}
 
 
 def _tree(path):
@@ -62,6 +79,33 @@ def _unused_imports(tree):
     return sorted(_imported(tree) - _used(tree) - set(_exported(tree)))
 
 
+def _members(stem, tree):
+    """``(dotted name, name)`` of each top-level function and class of module
+    ``stem``, and of each non-dunder method and property of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{stem}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        yield f"{stem}.{node.name}.{item.name}", item.name
+
+
+def _read(trees):
+    """The names the modules read, as a ``Name`` load or an attribute."""
+    attributes = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return attributes.union(*map(_used, trees))
+
+
+def _unread(trees):
+    """The dotted members of the modules ``trees`` (by stem) whose name no
+    module reads; a read of the bare name anywhere counts, whatever it names."""
+    read = _read(trees.values())
+    return sorted(dotted for stem, tree in trees.items() for dotted, name in _members(stem, tree) if name not in read)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_every_exported_name_is_bound(path):
     tree = _tree(path)
@@ -87,3 +131,23 @@ def test_the_surface_checks_see_leftovers():
     tree = ast.parse(source)
     assert _unused_imports(tree) == ["Mapping", "math", "os"]
     assert sorted(set(_exported(tree)) - _bound(tree)) == ["gone"]
+
+
+def test_every_member_is_read_in_the_package_or_allowed():
+    assert _unread({path.stem: _tree(path) for path in MODULES}) == sorted(UNREAD_ALLOWED)
+
+
+def test_the_reader_census_sees_unread_members():
+    trees = {
+        "a": ast.parse(
+            "class C:\n"
+            "    def __eq__(self, other): return True\n"
+            "    def used(self): return 1\n"
+            "    @property\n"
+            "    def unread(self): return 2\n"
+            "def f(): return C().used()\n"
+            "def g(): pass\n"
+        ),
+        "b": ast.parse("from a import f\nf()\n"),
+    }
+    assert _unread(trees) == ["a.C.unread", "a.g"]

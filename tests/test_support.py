@@ -16,7 +16,6 @@ from hecke_atlas.params import (
 )
 from hecke_atlas.support import (
     SupportDatum,
-    SupportLevi,
     build_phi_S,
     cuspidal_pairs,
     injectivity_report,
@@ -28,9 +27,9 @@ from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
     Family,
+    InertialClass,
     SelfDual,
     UnitMonomial,
-    make_inertial_class,
     orbit_point,
 )
 
@@ -54,7 +53,7 @@ def sp4_setting(extended_inventory):
 
 
 def depth_pairs(data):
-    return sorted(d.as_dict["triv"] for d in data)
+    return sorted(dict(d.entries)["triv"] for d in data)
 
 
 def test_supports_so7(so7_setting):
@@ -151,12 +150,12 @@ def power_parameter(cls, m):
 def test_the_tail_memo_tells_classes_of_one_label_apart():
     # the tail is built once per process; its key holds the classes by value, not by label
     O, Sp = DualityType.ORTHOGONAL, DualityType.SYMPLECTIC
-    base = make_inertial_class("c", 1, 1, SelfDual(O, O), "1")
+    base = InertialClass("c", 1, 1, SelfDual(O, O), "1")
     others = [
-        make_inertial_class("c", 2, 1, SelfDual(O, O), "1"),
-        make_inertial_class("c", 1, 1, SelfDual(O, Sp), "1"),
-        make_inertial_class("c", 1, 1, SelfDual(O, O), "eta"),
-        make_inertial_class("c", 1, 2, SelfDual(O, O), "1"),
+        InertialClass("c", 2, 1, SelfDual(O, O), "1"),
+        InertialClass("c", 1, 1, SelfDual(O, Sp), "1"),
+        InertialClass("c", 1, 1, SelfDual(O, O), "eta"),
+        InertialClass("c", 1, 2, SelfDual(O, O), "1"),
     ]
     S = SupportDatum((("c", (1, 0)),))
     first = build_phi_S(power_parameter(base, 3), S)
@@ -170,7 +169,7 @@ def test_the_tail_memo_tells_classes_of_one_label_apart():
     assert build_phi_S(power_parameter(base, 3), S) == first
     assert build_phi_S(power_parameter(base, 3), S)[0] is first[0]
     # an orbit of depths (0, 0) adds nothing, so the tail is the same one
-    other = make_inertial_class("d", 1, 1, SelfDual(O, O), "1")
+    other = InertialClass("d", 1, 1, SelfDual(O, O), "1")
     one = UnitMonomial.one()
     phi0 = build_ld_parameter(
         [LDSummand(orbit_point(base, one), 1, 3), LDSummand(orbit_point(other, one), 1, 2)],
@@ -180,7 +179,7 @@ def test_the_tail_memo_tells_classes_of_one_label_apart():
 
 
 def test_a_cached_tail_does_not_lift_the_bound_or_parity_check():
-    cls = make_inertial_class("c", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1")
+    cls = InertialClass("c", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1")
     S = SupportDatum((("c", (2, 0)),))  # staircase dims 1 and 3: cost 4
     phi_S, L_S, _, _ = build_phi_S(power_parameter(cls, 4), S)
     assert [s.sl2_dim for s in phi_S.summands] == [1, 3] and L_S == 4
@@ -191,22 +190,23 @@ def test_a_cached_tail_does_not_lift_the_bound_or_parity_check():
 
 
 def levi_of(phi0, S):
-    """The one Levi that ``cuspidal_pairs`` reports for the support ``S``."""
-    (levi,) = {p.levi for p in cuspidal_pairs(phi0) if p.S == S}
+    """The one Levi ``(gl_factors, tail, tail rank)`` that ``cuspidal_pairs``
+    reports for the support ``S``."""
+    (levi,) = {(p.gl_factors, p.phi_S.ambient, p.l_S) for p in cuspidal_pairs(phi0) if p.S == S}
     return levi
 
 
 def test_build_levi_so7(so7_setting):
-    levi = levi_of(so7_setting, SupportDatum((("triv", (1, 0)),)))
-    assert levi.gl_factors == ((1, 2),)
-    assert levi.tail.family is Family.SYMPLECTIC and levi.tail.ambient_dim == 2
-    assert levi.tail_rank == 1
+    gl_factors, tail, tail_rank = levi_of(so7_setting, SupportDatum((("triv", (1, 0)),)))
+    assert gl_factors == ((1, 2),)
+    assert tail.family is Family.SYMPLECTIC and tail.ambient_dim == 2
+    assert tail_rank == 1
 
 
 def test_build_levi_full_support(sp4_setting):
-    levi = levi_of(sp4_setting, SupportDatum((("triv", (2, 1)),)))
-    assert levi.gl_factors == ()
-    assert levi.tail.ambient_dim == 5 and levi.tail_rank == 2
+    gl_factors, tail, tail_rank = levi_of(sp4_setting, SupportDatum((("triv", (2, 1)),)))
+    assert gl_factors == ()
+    assert tail.ambient_dim == 5 and tail_rank == 2
 
 
 def test_build_levi_non_self_dual(extended_inventory):
@@ -219,9 +219,9 @@ def test_build_levi_non_self_dual(extended_inventory):
         ],
         g6,
     )
-    levi = levi_of(phi0, SupportDatum(()))
-    assert levi.gl_factors == ((1, 3),)
-    assert levi.tail.ambient_dim == 0
+    gl_factors, tail, _ = levi_of(phi0, SupportDatum(()))
+    assert gl_factors == ((1, 3),)
+    assert tail.ambient_dim == 0
 
 
 def test_cuspidal_pairs_so7(so7_setting):
@@ -238,14 +238,15 @@ def test_cuspidal_pairs_sp4(sp4_setting):
     # depth-1 supports carry 2 characters, depth-(2,1) supports carry 4
     counts = {}
     for p in records:
-        counts[p.S.as_dict["triv"]] = counts.get(p.S.as_dict["triv"], 0) + len(p.epsilons)
+        depths = dict(p.S.entries)["triv"]
+        counts[depths] = counts.get(depths, 0) + len(p.epsilons)
     assert counts == {(1, 0): 2, (0, 1): 2, (2, 1): 4, (1, 2): 4}
     pairs = [p for p in records for _ in p.epsilons]
     assert len(pairs) == 12
     report = injectivity_report(records)
     assert report["total"] == 12 and report["duplicates"] == []
     # the rank-zero tails with two surviving characters are flagged
-    flagged_supports = {pairs[i].S.as_dict["triv"] for i in report["flagged"]}
+    flagged_supports = {dict(pairs[i].S.entries)["triv"] for i in report["flagged"]}
     assert flagged_supports == {(1, 0), (0, 1)}
     assert report["injective_outside_flagged"]
 
@@ -287,7 +288,7 @@ def test_cuspidal_pairs_builds_each_tail_once(extended_inventory, monkeypatch):
     pairs = cuspidal_pairs(phi0)
     assert calls == data
     # each GL block and its dual plus the tail fill the ambient
-    assert all(2 * sum(d * k for d, k in p.levi.gl_factors) + p.levi.tail.ambient_dim == 7 for p in pairs)
+    assert all(2 * sum(d * k for d, k in p.gl_factors) + p.phi_S.ambient.ambient_dim == 7 for p in pairs)
 
 
 def flattened_tails(phi0, S):
@@ -328,7 +329,8 @@ def test_the_tail_shape_check_survives_optimized_mode(src_env):
 
 
 def summed_levi(phi0, phi_S, L_S, l_S):
-    """The Levi with each orbit's tail share summed over the tail's summands."""
+    """The Levi ``(gl_factors, tail, tail rank)``, each orbit's tail share
+    summed over the tail's summands."""
     gl = []
     for orbit in phi0.orbits:
         cls, m = orbit.cls, orbit.multiplicity
@@ -341,25 +343,17 @@ def summed_levi(phi0, phi_S, L_S, l_S):
         if m > m_pm:
             gl.append((cls.dim, (m - m_pm) // 2))
     gl.sort()
-    return SupportLevi(tuple(gl), DualGroupDescriptor(phi0.ambient.family, L_S), l_S)
+    return tuple(gl), DualGroupDescriptor(phi0.ambient.family, L_S), l_S
 
 
 def test_each_levi_matches_the_summed_tail_shares():
     count = 0
     for phi0 in normed_corpus(standard_inventory(), 10):
         for p in cuspidal_pairs(phi0):
-            assert p.levi == summed_levi(phi0, p.phi_S, p.L_S, p.l_S)
+            tail = p.phi_S.ambient
+            assert (p.gl_factors, tail, p.l_S) == summed_levi(phi0, p.phi_S, tail.ambient_dim, p.l_S)
             count += 1
     assert count > 1000
-
-
-def test_each_levi_shares_its_tail_parameters_ambient():
-    count = 0
-    for phi0 in normed_corpus(standard_inventory(), 8):
-        for p in cuspidal_pairs(phi0):
-            assert p.levi.tail is p.phi_S.ambient
-            count += 1
-    assert count == 855
 
 
 def test_each_tail_is_the_shared_cuspidal_shape_of_the_corpus():
@@ -405,7 +399,13 @@ def reference_injectivity_report(pairs):
 
 
 def flattened(records):
-    return [(p.S, p.phi_S, p.L_S, p.l_S, p.d_S, p.levi, eps) for p in records for eps in p.epsilons]
+    """The records as ``reference_pairs`` lists them, the Levi in full."""
+    out = []
+    for p in records:
+        tail = p.phi_S.ambient
+        levi = (p.gl_factors, tail, p.l_S)
+        out.extend((p.S, p.phi_S, tail.ambient_dim, p.l_S, p.d_S, levi, eps) for eps in p.epsilons)
+    return out
 
 
 def first_repeated(chars):

@@ -11,13 +11,13 @@ from hecke_atlas.weil import (
     DualGroupDescriptor,
     DualityType,
     Family,
+    InertialClass,
     InertialPoint,
     Inventory,
     NotSelfDual,
     SelfDual,
     UnitMonomial,
     is_of_type,
-    make_inertial_class,
     orbit_point,
 )
 
@@ -157,9 +157,9 @@ def test_monomial_compares_only_with_monomials():
 
 def test_inertial_values_hash_consistently_with_equality():
     tags = SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL)
-    cls = make_inertial_class("triv", 1, 1, tags, "1")
-    twin = make_inertial_class("triv", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1")
-    wide = make_inertial_class("triv", 2, 1, tags, "1")
+    cls = InertialClass("triv", 1, 1, tags, "1")
+    twin = InertialClass("triv", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1")
+    wide = InertialClass("triv", 2, 1, tags, "1")
     assert cls == twin and hash(cls) == hash(twin)
     assert cls != wide and {cls: "narrow", wide: "wide"} == {twin: "narrow", wide: "wide"}
     f = UnitMonomial("1/3", "1/2")
@@ -184,10 +184,10 @@ def test_point_sort_key_puts_whole_q_powers_before_halves():
 
 def small_inventory():
     inv = Inventory()
-    inv.add(make_inertial_class("triv", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1"))
-    inv.add(make_inertial_class("a", 2, 1, SelfDual(DualityType.SYMPLECTIC, DualityType.SYMPLECTIC), "1"))
-    inv.add(make_inertial_class("alpha", 1, 1, NotSelfDual("beta"), "alpha"))
-    inv.add(make_inertial_class("beta", 1, 1, NotSelfDual("alpha"), "beta"))
+    inv.add(InertialClass("triv", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1"))
+    inv.add(InertialClass("a", 2, 1, SelfDual(DualityType.SYMPLECTIC, DualityType.SYMPLECTIC), "1"))
+    inv.add(InertialClass("alpha", 1, 1, NotSelfDual("beta"), "alpha"))
+    inv.add(InertialClass("beta", 1, 1, NotSelfDual("alpha"), "beta"))
     inv.validate()
     return inv
 
@@ -229,10 +229,10 @@ def test_dual_point_partner_must_name_class_back():
     # a summand labelled like alpha's partner that does not pair back with alpha
     inv = small_inventory()
     alpha = orbit_point(inv["alpha"], UnitMonomial.one())
-    impostor = make_inertial_class("beta", 1, 1, NotSelfDual("gamma"), "beta")
+    impostor = InertialClass("beta", 1, 1, NotSelfDual("gamma"), "beta")
     with pytest.raises(ValueError, match="not closed under duality at alpha"):
         build_ld_parameter([LDSummand(alpha, 1), LDSummand(orbit_point(impostor, UnitMonomial.one()), 1)], O2)
-    self_dual = make_inertial_class("beta", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL))
+    self_dual = InertialClass("beta", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL))
     with pytest.raises(ValueError, match="not closed under duality at alpha"):
         build_ld_parameter([LDSummand(alpha, 1), LDSummand(orbit_point(self_dual, UnitMonomial.one()), 1)], O2)
 
@@ -257,7 +257,7 @@ def test_is_of_type_classical():
 
 
 def test_is_of_type_unitary():
-    rho = make_inertial_class(
+    rho = InertialClass(
         "u", 1, 1, SelfDual(DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC), "1"
     )
     p = orbit_point(rho, UnitMonomial.one())
@@ -285,16 +285,41 @@ def test_is_of_type_rejects_non_sign_point():
 
 def test_mixed_duality_tags_rejected():
     with pytest.raises(ValueError):
-        make_inertial_class(
+        InertialClass(
             "bad", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC)
         )
+
+
+_O = SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL)
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (("c", 0, 1, _O), ValueError, "dim must be positive"),
+        (("c", 1, 0, _O), ValueError, "torsion must be positive"),
+        (
+            ("c", 1, 1, SelfDual(DualityType.CONJUGATE_ORTHOGONAL, DualityType.SYMPLECTIC)),
+            ValueError,
+            "cannot mix conjugate-dual and plain self-dual type tags",
+        ),
+        (("c", 1, 1, NotSelfDual("")), ValueError, "a non-self-dual class needs a partner label"),
+        (("c", 1, 1, ("orthogonal", "orthogonal")), TypeError, "duality must be NotSelfDual or SelfDual"),
+    ],
+    ids=["dim", "torsion", "tag-flavours", "partner-label", "duality-kind"],
+)
+def test_a_directly_built_invalid_class_raises(args, error, message):
+    with pytest.raises(error, match=message):
+        InertialClass(*args)
 
 
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         DualGroupDescriptor(Family.SYMPLECTIC, 5)
-    assert DualGroupDescriptor(Family.ORTHOGONAL, 7).is_symplectic_base_group
-    assert not DualGroupDescriptor(Family.ORTHOGONAL, 6).is_symplectic_base_group
+    # the group under an odd orthogonal dual group is symplectic, under an even one it is not
+    for dim, symplectic_base in ((7, True), (6, False)):
+        g = DualGroupDescriptor(Family.ORTHOGONAL, dim)
+        assert (g.family is Family.ORTHOGONAL and g.ambient_dim % 2 == 1) is symplectic_base
 
 
 def test_inventory_json_round_trip(tmp_path):
@@ -315,15 +340,15 @@ def test_inventory_json_round_trip(tmp_path):
 
 def test_inventory_detects_asymmetric_partner():
     inv = Inventory()
-    inv.add(make_inertial_class("x", 1, 1, NotSelfDual("y")))
-    inv.add(make_inertial_class("y", 1, 1, NotSelfDual("x2")))
+    inv.add(InertialClass("x", 1, 1, NotSelfDual("y")))
+    inv.add(InertialClass("y", 1, 1, NotSelfDual("x2")))
     with pytest.raises((ValueError, KeyError)):
         inv.validate()
 
 
 def test_inventory_refuses_a_class_that_is_its_own_partner():
     inv = Inventory()
-    inv.add(make_inertial_class("alpha", 1, 1, NotSelfDual("alpha")))
+    inv.add(InertialClass("alpha", 1, 1, NotSelfDual("alpha")))
     with pytest.raises(ValueError, match="'alpha' names itself as its partner"):
         inv.validate()
 
@@ -338,4 +363,4 @@ def test_inventory_unknown_label_message():
 def test_inventory_rejects_duplicates():
     inv = small_inventory()
     with pytest.raises(ValueError):
-        inv.add(make_inertial_class("triv", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL)))
+        inv.add(InertialClass("triv", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL)))
