@@ -8,9 +8,9 @@ the parameter from it.  Everything is decided on canonical combinatorial
 forms — eigenvalue multisets and partitions — with an exact integer
 matrix oracle on the side.  One rule, ``_family_at``, names the family
 (O, Sp or GL) of the centralizer factor at an eigenvalue of an orbit
-block: the partition parities and the component group read it.  A triple
-carries the orbit blocks of its base parameter, so its component group
-reads each block's family and class dimension from the triple.
+block: the partition parities and the component group read it.  The
+component group reads each block's family and class dimension from the
+base parameter, as ``triple_to_parameter`` reads its classes there.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ import functools
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import MATRIX_DIM_CAP, CheckError
 from .params import LDParameter, LDSummand, Orbit, build_ld_parameter, summand_type
-from .weil import DualityType, Family, UnitMonomial, _monomial, orbit_point
+from .weil import DualityType, Family, InertialPoint, UnitMonomial, _monomial
 
 __all__ = [
-    "SemisimpleClassDescriptor",
     "Triple",
     "TripleComponentGroup",
     "parameter_to_triple",
@@ -46,13 +45,6 @@ def _canonical_value(x: UnitMonomial) -> UnitMonomial:
     return min(x, x.inverse())
 
 
-class SemisimpleClassDescriptor(NamedTuple):
-    """Per orbit block, an eigenvalue multiset (value, multiplicity),
-    sorted by value: the semisimple part of a ``Triple``."""
-
-    blocks: tuple[tuple[str, tuple[tuple[UnitMonomial, int], ...]], ...]
-
-
 def _family_at(orbit: Orbit, x: UnitMonomial) -> str:
     """Family of the centralizer factor at eigenvalue ``x`` of an orbit block:
     general linear on a dual pair and off the sign points, otherwise
@@ -63,16 +55,14 @@ def _family_at(orbit: Orbit, x: UnitMonomial) -> str:
 
 
 class Triple(NamedTuple):
-    """Jordan data of a parameter: the semisimple class ``s`` (the merged
-    eigenvalue ladders of each orbit block, against which
-    ``triple_to_parameter`` checks the ladders its Jordan parts imply), the
-    Jordan parts of each eigenblock, and the orbit blocks of its base
-    parameter, from which ``component_group_of_triple`` reads families and
-    dimensions.  Built by ``parameter_to_triple``."""
+    """Jordan data of a parameter: the semisimple class ``s``, per orbit
+    block ``(block label, ((eigenvalue, multiplicity), ...))`` sorted by
+    eigenvalue (the merged eigenvalue ladders, against which
+    ``triple_to_parameter`` checks the ladders its Jordan parts imply), and
+    the Jordan parts of each eigenblock.  Built by ``parameter_to_triple``."""
 
-    s: SemisimpleClassDescriptor
+    s: tuple[tuple[str, tuple[tuple[UnitMonomial, int], ...]], ...]
     u_by_eigenblock: tuple[tuple[tuple[str, UnitMonomial], tuple[int, ...]], ...]
-    orbits: tuple[Orbit, ...]  # the base parameter's orbit blocks
 
 
 def _partition_ok(parts: Sequence[int], family: str) -> bool:
@@ -82,18 +72,20 @@ def _partition_ok(parts: Sequence[int], family: str) -> bool:
     return all(parts.count(a) % 2 == 0 for a in set(parts) if a % 2 == bad_parity)
 
 
-def _jordan_data(
-    summands: Iterable[LDSummand], phi0: LDParameter
-) -> tuple[SemisimpleClassDescriptor, tuple]:
-    """The semisimple class and the ``u_by_eigenblock`` Jordan parts of a
-    summand list, validated against the orbit blocks of the base parameter
-    ``phi0``.  Each ladder is walked by its doubled q-exponents and merged
-    into its block's counts, keyed by the monomial's ints, as it is walked;
-    a monomial is built once per distinct eigenvalue of a block."""
+def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
+    """Collect eigenvalue ladders and Jordan parts of a parameter.
+
+    Per summand ``point (x) sp(a)`` the semisimple part receives the ladder
+    ``f*q**((a-1)/2 - j)`` and the unipotent part of the f-eigenblock a part
+    ``a``; block multiplicities and partition parities are validated against
+    the orbit blocks of the base parameter ``phi0``.  Each ladder is walked
+    by its doubled q-exponents and merged into its block's counts, keyed by
+    the monomial's ints, as it is walked; a monomial is built once per
+    distinct eigenvalue of a block."""
     blocks = phi0.orbit_by_label
     counts: dict[str, dict[tuple[int, int, int], int]] = {label: {} for label in blocks}
     raw_u: dict[tuple[str, UnitMonomial], list[int]] = {}
-    for s in summands:
+    for s in phi.summands:
         cls = s.point.cls
         label = cls.orbit_label
         if label not in blocks:
@@ -122,18 +114,7 @@ def _jordan_data(
     for (label, x), parts in u:
         if not _partition_ok(parts, _family_at(blocks[label], x)):
             raise ValueError(f"partition parity violated at block {label!r}, eigenvalue {x}")
-    return SemisimpleClassDescriptor(tuple(merged)), u
-
-
-def parameter_to_triple(phi: LDParameter, phi0: LDParameter) -> Triple:
-    """Collect eigenvalue ladders and Jordan parts of a parameter.
-
-    Per summand ``point (x) sp(a)`` the semisimple part receives the ladder
-    ``f*q**((a-1)/2 - j)`` and the unipotent part of the f-eigenblock a part
-    ``a``; partition parities are validated against the block families.
-    """
-    s, u = _jordan_data(phi.summands, phi0)
-    return Triple(s, u, phi0.orbits)
+    return Triple(tuple(merged), u)
 
 
 def triple_to_parameter(t: Triple, phi0: LDParameter) -> LDParameter:
@@ -145,22 +126,22 @@ def triple_to_parameter(t: Triple, phi0: LDParameter) -> LDParameter:
     its contragredient at ``x**-1``: on ``cls`` itself, or on the partner
     class of a dual pair, read from the summands of ``phi0``.  The rebuilt
     summands' ladders, multiplicities and partition parities are checked
-    as ``parameter_to_triple`` checks them."""
+    by ``parameter_to_triple``."""
     classes = {s.point.cls.label: s.point.cls for s in phi0.summands}
     summands: list[LDSummand] = []
     for (label, x), parts in t.u_by_eigenblock:
         cls = classes.get(label)
         if cls is None:
             raise ValueError(f"triple block {label!r} does not occur in the base parameter")
-        points = [orbit_point(cls, x)]
+        points = [InertialPoint(cls, x)]
         if not cls.is_self_dual:
-            points.append(orbit_point(classes[cls.duality.partner_label], x.inverse()))
+            points.append(InertialPoint(classes[cls.duality.partner_label], x.inverse()))
         elif not x.is_sign:
-            points.append(orbit_point(cls, x.inverse()))
+            points.append(InertialPoint(cls, x.inverse()))
         for a in sorted(set(parts)):
             summands += [LDSummand(point, a, parts.count(a)) for point in points]
     phi = build_ld_parameter(summands, phi0.ambient)
-    if _jordan_data(phi.summands, phi0)[0] != t.s:
+    if parameter_to_triple(phi, phi0).s != t.s:
         raise ValueError("semisimple part violates the q-scaling relation of the Jordan data")
     return phi
 
@@ -183,15 +164,16 @@ class TripleComponentGroup(NamedTuple):
         return self.order
 
 
-def component_group_of_triple(t: Triple) -> TripleComponentGroup:
+def component_group_of_triple(t: Triple, phi0: LDParameter) -> TripleComponentGroup:
     """One Z/2 per distinct part of the relevant parity in each O/Sp block.
 
     Orthogonal blocks contribute their distinct odd parts, symplectic
     blocks their distinct even parts; each generator carries the sign
     ``(-1)**(dim * part)`` used for the determinant-one restriction, with
-    ``dim`` the dimension of the block's class.
+    ``dim`` the dimension of the block's class.  The blocks are the orbit
+    blocks of the base parameter ``phi0`` the triple was built against.
     """
-    orbits = {orbit.cls.label: orbit for orbit in t.orbits}
+    orbits = phi0.orbit_by_label
     gens: list[str] = []
     dets: list[int] = []
     for (label, x), parts in t.u_by_eigenblock:

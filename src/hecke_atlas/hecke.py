@@ -18,14 +18,14 @@ from typing import Iterator, NamedTuple
 from .params import LDParameter, LDSummand, build_ld_parameter, staircase
 from .support import SupportDatum, cuspidal_pairs
 from .weil import (
+    ONE,
     DualGroupDescriptor,
     DualityType,
     Family,
     InertialClass,
+    InertialPoint,
     SelfDual,
-    UnitMonomial,
     half_integer_str,
-    orbit_point,
 )
 
 __all__ = [
@@ -256,7 +256,7 @@ def unit_setting(kind: str, rank: int) -> LDParameter:
         duality = SelfDual(DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC)
     ambient = UNIT_AMBIENTS[kind](rank)
     cls = InertialClass("1", 1, 1, duality, "1")
-    return build_ld_parameter([LDSummand(orbit_point(cls, UnitMonomial.one()), 1, ambient.ambient_dim)], ambient)
+    return build_ld_parameter([LDSummand(InertialPoint(cls, ONE), 1, ambient.ambient_dim)], ambient)
 
 
 def _support_pair(phi0: LDParameter, S: SupportDatum) -> tuple[int, int]:

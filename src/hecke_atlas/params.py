@@ -17,6 +17,8 @@ from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .weil import (
+    MINUS_ONE,
+    ONE,
     DualGroupDescriptor,
     Family,
     InertialClass,
@@ -28,7 +30,6 @@ from .weil import (
     json_field,
     json_typed,
     json_value,
-    orbit_point,
     sign_types,
 )
 
@@ -177,7 +178,7 @@ class LDParameter:
         """This parameter's share of ``det_discrepancy``: the unramified
         monomial and its inverse, and the ramified exponent per ``(orbit
         label, self_dual)`` in summand order; worked out once per parameter."""
-        unram = UnitMonomial.one()
+        unram = ONE
         ram: dict[tuple[str, bool], int] = {}
         for s in self.summands:
             cls = s.point.cls
@@ -304,7 +305,7 @@ def build_ld_parameter(summands: Iterable[LDSummand], ambient: DualGroupDescript
             partner = classes.get(cls.duality.partner_label)
             named_back = partner is not None and partner.duality == NotSelfDual(cls.label)
             cls = partner if named_back else None
-        dual = merged.get((orbit_point(cls, f.inverse()), s.sl2_dim)) if cls is not None else None
+        dual = merged.get((InertialPoint(cls, f.inverse()), s.sl2_dim)) if cls is not None else None
         if dual is None or dual.multiplicity != s.multiplicity:
             raise ValueError(f"multiset is not closed under duality at {_summand_label(LDSummand(s.point, s.sl2_dim))}")
 
@@ -430,7 +431,7 @@ def det_discrepancy(phi: LDParameter, phi0: LDParameter) -> int:
     """Compare determinants; ``+1`` iff the unramified parts agree.
 
     Each summand contributes ``f**(dim * a * mult)`` to the unramified part
-    and exponents of its determinant base label to the ramified bookkeeping.
+    and exponents of its orbit label to the ramified bookkeeping.
     Self-dual labels (determinant of order at most two) must cancel modulo
     two; a dual pair carries mutually inverse determinants, so its two sides
     enter with opposite orientations and must cancel exactly.  Each
@@ -554,8 +555,8 @@ def _staircase_summands(
     """One entry of a ``cuspidal_shape`` key as summands, built once per
     entry: many shapes share an orbit's depths."""
     return tuple(
-        LDSummand(orbit_point(cls, f), a)
-        for f, depth, of_type in zip((UnitMonomial.one(), UnitMonomial.minus_one()), (a_plus, a_minus), types)
+        LDSummand(InertialPoint(cls, f), a)
+        for f, depth, of_type in zip((ONE, MINUS_ONE), (a_plus, a_minus), types)
         for a in staircase(depth, of_type)[0]
     )
 
@@ -572,8 +573,8 @@ def discrete_parameters(inventory: Inventory, ambient: DualGroupDescriptor) -> l
     self-dual sign points tensored with SL2 factors of the ambient type."""
     slots = []  # per admissible summand: take it, or leave it out
     for cls in _self_dual_classes(inventory, ambient):
-        for f in (UnitMonomial.one(), UnitMonomial.minus_one()):
-            point = orbit_point(cls, f)
+        for f in (ONE, MINUS_ONE):
+            point = InertialPoint(cls, f)
             for a in range(1, ambient.ambient_dim // cls.dim + 1):
                 if summand_type(point, a, ambient):
                     s = LDSummand(point, a)
@@ -587,11 +588,11 @@ def normed_corpus(inventory: Inventory, max_ambient_dim: int) -> list[LDParamete
     pairs: dict[str, list[InertialPoint]] = {}  # dual pairs by orbit label, sides in label order
     for cls in sorted(inventory, key=lambda c: c.label):
         if not cls.is_self_dual:
-            pairs.setdefault(cls.orbit_label, []).append(orbit_point(cls, UnitMonomial.one()))
+            pairs.setdefault(cls.orbit_label, []).append(InertialPoint(cls, ONE))
     out: list[LDParameter] = []
     for ambient in classical_ambients(max_ambient_dim):
         n = ambient.ambient_dim
-        orbits = [[orbit_point(c, UnitMonomial.one())] for c in _self_dual_classes(inventory, ambient)]
+        orbits = [[InertialPoint(c, ONE)] for c in _self_dual_classes(inventory, ambient)]
         slots = []  # per orbit: (dimension, summands) for each multiplicity m
         for points in orbits + list(pairs.values()):
             d = sum(p.cls.dim for p in points)
@@ -608,7 +609,7 @@ def normed_parameter(phi: LDParameter) -> LDParameter:
     for s in phi.summands:
         label = s.point.cls.label
         if label not in bases:
-            bases[label] = s.point if s.point.f.is_one else orbit_point(s.point.cls, UnitMonomial.one())
+            bases[label] = s.point if s.point.f.is_one else InertialPoint(s.point.cls, ONE)
         counts[label] = counts.get(label, 0) + s.sl2_dim * s.multiplicity
     summands = [LDSummand(bases[label], 1, m) for label, m in counts.items()]
     return build_ld_parameter(summands, phi.ambient)
@@ -651,5 +652,5 @@ def parameter_from_json_dict(data: Mapping, inventory: Inventory) -> LDParameter
         f = UnitMonomial.from_json_dict(json_field(s, "f", at), ("parameter.summands", i, "f"))
         a = json_value(json_field(s, "a", at), int, at, "a")
         mult = json_value(s.get("mult", 1), int, at, "mult")
-        summands.append(LDSummand(orbit_point(cls, f), a, mult))
+        summands.append(LDSummand(InertialPoint(cls, f), a, mult))
     return build_ld_parameter(summands, ambient)

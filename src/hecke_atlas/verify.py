@@ -154,7 +154,7 @@ def _suite_thm33(max_rank: int) -> list[dict]:
         return {
             "factors": sorted(str(r.factor) for r in rows),
             "total": sum(r.multiplicity for r in rows),
-            "buckets": sorted((r.bucket, r.multiplicity) for r in rows),
+            "buckets": sorted([r.bucket, r.multiplicity] for r in rows),
         }
 
     def check(m):

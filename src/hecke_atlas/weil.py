@@ -28,7 +28,8 @@ __all__ = [
     "UnitMonomial",
     "InertialPoint",
     "Inventory",
-    "orbit_point",
+    "ONE",
+    "MINUS_ONE",
     "is_of_type",
     "sign_types",
     "half_integer_str",
@@ -236,15 +237,6 @@ class UnitMonomial:
             return NotImplemented
         return (self.rn * other.d, self.e2) < (other.rn * self.d, other.e2)
 
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def one() -> "UnitMonomial":
-        return _ONE
-
-    @staticmethod
-    def minus_one() -> "UnitMonomial":
-        return _MINUS_ONE
-
     # -- arithmetic ---------------------------------------------------
     def __mul__(self, other: "UnitMonomial") -> "UnitMonomial":
         d, od = self.d, other.d
@@ -318,9 +310,9 @@ def _monomial(n: int, d: int, e2: int) -> UnitMonomial:
     return m
 
 
-# shared because the class is immutable
-_ONE = UnitMonomial(Fraction(0), Fraction(0))
-_MINUS_ONE = UnitMonomial(Fraction(1, 2), Fraction(0))
+# +1 and -1, shared because the class is immutable
+ONE = UnitMonomial(Fraction(0), Fraction(0))
+MINUS_ONE = UnitMonomial(Fraction(1, 2), Fraction(0))
 
 
 @dataclass(frozen=True)  # a dataclass: __post_init__ validates and sets the orbit data
@@ -329,8 +321,10 @@ class InertialClass:
 
     ``dim`` is the dimension of any member, ``torsion`` the order of the
     stabilizer of the class under unramified twisting.  ``det_base`` is an
-    opaque identifier for the inertial data of the determinant character,
-    used only for determinant bookkeeping.
+    opaque identifier for the inertial data of the determinant character;
+    nothing in the package reads it.  It only passes through the inventory
+    JSON: the determinant bookkeeping (``LDParameter._determinant``) keys
+    the ramified exponents by orbit label.
 
     Construction checks the data: ``dim`` and ``torsion`` positive, a
     partner label for a dual pair, type tags of one flavour for a self-dual
@@ -371,7 +365,8 @@ class InertialClass:
 
 
 class InertialPoint(NamedTuple):
-    """A point of the twisting orbit of an inertial class."""
+    """A point of the twisting orbit of an inertial class: the unique orbit
+    element with twisting invariant ``f``."""
 
     cls: InertialClass
     f: UnitMonomial
@@ -388,11 +383,6 @@ class InertialPoint(NamedTuple):
         """Label, root and q-exponent as (numerator, denominator): q^1 sorts before q^(1/2)."""
         f, half = self.f, self.f.e2 % 2
         return (self.cls.label, f.rn, f.d, f.e2 if half else f.e2 // 2, 1 + half)
-
-
-def orbit_point(cls: InertialClass, f: UnitMonomial) -> InertialPoint:
-    """The unique orbit element with twisting invariant ``f``."""
-    return InertialPoint(cls, f)
 
 
 def is_of_type(p: InertialPoint, g: DualGroupDescriptor) -> bool:

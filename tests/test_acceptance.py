@@ -21,7 +21,7 @@ from hecke_atlas.params import (
     supercuspidal_corpus,
 )
 from hecke_atlas.verify import SUITES, run_suite, standard_inventory
-from hecke_atlas.weil import DualGroupDescriptor, Family, UnitMonomial, orbit_point
+from hecke_atlas.weil import ONE, DualGroupDescriptor, Family, InertialPoint
 
 
 class Budget:
@@ -141,6 +141,13 @@ def test_every_suite_runs_at_its_lowest_rank(suite, capsys):
     assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_report_equals_the_json_it_prints(suite):
+    # no tuple, no non-string key and no other value that JSON reads back as something else
+    report = run_suite(suite, LOWEST_RANKS[suite])
+    assert json.loads(json.dumps(report)) == report
+
+
 def test_a_rank_below_the_lowest_is_refused_with_its_bound(capsys):
     assert run(["verify", "--suite", "thm33", "--max-rank", "1"]) == 2
     assert capsys.readouterr() == ("", "error: thm33: ranks start at 2, got 1\n")
@@ -198,8 +205,8 @@ def _golden_output(key, request, tmp_path, capsys, inv) -> str:
     if command in ("supports", "hecke"):
         phi0 = build_ld_parameter(
             [
-                LDSummand(orbit_point(inv["triv"], UnitMonomial.one()), 1, 3),
-                LDSummand(orbit_point(inv["a"], UnitMonomial.one()), 1, 2),
+                LDSummand(InertialPoint(inv["triv"], ONE), 1, 3),
+                LDSummand(InertialPoint(inv["a"], ONE), 1, 2),
             ],
             DualGroupDescriptor(Family.ORTHOGONAL, 7),
         )

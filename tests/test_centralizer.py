@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from hecke_atlas import CheckError, centralizer
 
 from hecke_atlas.centralizer import (
-    SemisimpleClassDescriptor,
     component_group_of_triple,
     parameter_to_triple,
     realize_matrices,
@@ -24,25 +23,25 @@ from hecke_atlas.params import (
 )
 from hecke_atlas.verify import standard_inventory
 from hecke_atlas.weil import (
+    MINUS_ONE,
+    ONE,
     DualGroupDescriptor,
     DualityType,
     Family,
     InertialClass,
+    InertialPoint,
     Inventory,
     SelfDual,
     UnitMonomial,
-    orbit_point,
 )
 
-ONE = UnitMonomial.one()
-MINUS = UnitMonomial.minus_one()
 Q_HALF = UnitMonomial(0, Fraction(1, 2))
 I_UNIT = UnitMonomial(Fraction(1, 4), 0)
 
 
 def unit_phi0(inv, label, family, dim):
     return build_ld_parameter(
-        [LDSummand(orbit_point(inv[label], ONE), 1, dim // inv[label].dim)],
+        [LDSummand(InertialPoint(inv[label], ONE), 1, dim // inv[label].dim)],
         DualGroupDescriptor(family, dim),
     )
 
@@ -50,10 +49,10 @@ def unit_phi0(inv, label, family, dim):
 def test_round_trip_examples(extended_inventory):
     inv = extended_inventory
     sp4 = DualGroupDescriptor(Family.SYMPLECTIC, 4)
-    phi = build_ld_parameter([LDSummand(orbit_point(inv["triv"], ONE), 4)], sp4)
+    phi = build_ld_parameter([LDSummand(InertialPoint(inv["triv"], ONE), 4)], sp4)
     phi0 = normed_parameter(phi)
     t = parameter_to_triple(phi, phi0)
-    ladder = dict(t.s.blocks)["triv"]
+    ladder = dict(t.s)["triv"]
     assert {x.q_exponent for x, _ in ladder} == {
         Fraction(3, 2),
         Fraction(1, 2),
@@ -65,17 +64,17 @@ def test_round_trip_examples(extended_inventory):
 
     phi2 = build_ld_parameter(
         [
-            LDSummand(orbit_point(inv["triv"], ONE), 2),
-            LDSummand(orbit_point(inv["triv"], MINUS), 2),
+            LDSummand(InertialPoint(inv["triv"], ONE), 2),
+            LDSummand(InertialPoint(inv["triv"], MINUS_ONE), 2),
         ],
         sp4,
     )
     t2 = parameter_to_triple(phi2, phi0)
-    assert dict(t2.u_by_eigenblock) == {("triv", ONE): (2,), ("triv", MINUS): (2,)}
+    assert dict(t2.u_by_eigenblock) == {("triv", ONE): (2,), ("triv", MINUS_ONE): (2,)}
     assert triple_to_parameter(t2, phi0) == phi2
 
     # the same Jordan data with s = 1: the ladder q**(3/2), ..., q**(-3/2) is missing
-    flat = t._replace(s=SemisimpleClassDescriptor((("triv", ((ONE, 4),)),)))
+    flat = t._replace(s=(("triv", ((ONE, 4),)),))
     with pytest.raises(ValueError, match="q-scaling relation"):
         triple_to_parameter(flat, phi0)
 
@@ -103,7 +102,7 @@ def test_round_trip_dual_pairs(extended_inventory):
         (Family.SYMPLECTIC, 6, [(alpha, I_UNIT, 3), (beta, I_UNIT.inverse(), 3)]),
     ]
     for family, dim, points in cases:
-        summands = [LDSummand(orbit_point(cls, f), a) for cls, f, a in points]
+        summands = [LDSummand(InertialPoint(cls, f), a) for cls, f, a in points]
         phi = build_ld_parameter(summands, DualGroupDescriptor(family, dim))
         phi0 = normed_parameter(phi)
         assert triple_to_parameter(parameter_to_triple(phi, phi0), phi0) == phi
@@ -114,7 +113,7 @@ def test_jordan_data_errors_reach_both_directions(extended_inventory):
 
     def param(family, dim, *summands):
         return build_ld_parameter(
-            [LDSummand(orbit_point(inv[c], f), a, m) for c, f, a, m in summands], DualGroupDescriptor(family, dim)
+            [LDSummand(InertialPoint(inv[c], f), a, m) for c, f, a, m in summands], DualGroupDescriptor(family, dim)
         )
 
     def with_parts(phi0, *u):
@@ -179,7 +178,7 @@ def _reference_build(raw):
         for x, m in raw[label]:
             merged[x] = merged.get(x, 0) + m
         blocks.append((label, tuple(sorted(merged.items(), key=lambda item: item[0]))))
-    return SemisimpleClassDescriptor(tuple(blocks))
+    return tuple(blocks)
 
 
 def _reference_jordan_data(summands, phi0):
@@ -211,7 +210,7 @@ def _reference_jordan_data(summands, phi0):
 
 DRAWN_INVENTORY = standard_inventory()
 # the sign points, q**(1/2) and i, and a point that is both twisted and scaled
-DRAWN_VALUES = (ONE, MINUS, Q_HALF, I_UNIT, MINUS * Q_HALF, I_UNIT * Q_HALF.inverse())
+DRAWN_VALUES = (ONE, MINUS_ONE, Q_HALF, I_UNIT, MINUS_ONE * Q_HALF, I_UNIT * Q_HALF.inverse())
 
 
 @st.composite
@@ -226,11 +225,11 @@ def drawn_parameters(draw):
     )
     for label, f, a, m in draw(st.lists(entries, min_size=1, max_size=4)):
         cls = DRAWN_INVENTORY[label]
-        summands.append(LDSummand(orbit_point(cls, f), a, m))
+        summands.append(LDSummand(InertialPoint(cls, f), a, m))
         if not cls.is_self_dual:
-            summands.append(LDSummand(orbit_point(DRAWN_INVENTORY[cls.duality.partner_label], f.inverse()), a, m))
+            summands.append(LDSummand(InertialPoint(DRAWN_INVENTORY[cls.duality.partner_label], f.inverse()), a, m))
         elif not f.is_sign:
-            summands.append(LDSummand(orbit_point(cls, f.inverse()), a, m))
+            summands.append(LDSummand(InertialPoint(cls, f.inverse()), a, m))
     dim = sum(s.dim for s in summands)
     family = draw(st.sampled_from([Family.ORTHOGONAL, Family.SYMPLECTIC][: 2 - dim % 2]))
     return build_ld_parameter(summands, DualGroupDescriptor(family, dim))
@@ -247,11 +246,11 @@ def _outcome(f, *args):
 @given(drawn_parameters())
 @example(build_ld_parameter(  # a dual pair off the sign points, with an SL2 part, next to the pair i, -i twice
     [
-        LDSummand(orbit_point(DRAWN_INVENTORY["alpha"], Q_HALF), 3, 2),
-        LDSummand(orbit_point(DRAWN_INVENTORY["beta"], Q_HALF.inverse()), 3, 2),
-        LDSummand(orbit_point(DRAWN_INVENTORY["rho_mix"], I_UNIT), 2, 2),
-        LDSummand(orbit_point(DRAWN_INVENTORY["rho_mix"], I_UNIT.inverse()), 2, 2),
-        LDSummand(orbit_point(DRAWN_INVENTORY["triv"], MINUS), 2, 2),
+        LDSummand(InertialPoint(DRAWN_INVENTORY["alpha"], Q_HALF), 3, 2),
+        LDSummand(InertialPoint(DRAWN_INVENTORY["beta"], Q_HALF.inverse()), 3, 2),
+        LDSummand(InertialPoint(DRAWN_INVENTORY["rho_mix"], I_UNIT), 2, 2),
+        LDSummand(InertialPoint(DRAWN_INVENTORY["rho_mix"], I_UNIT.inverse()), 2, 2),
+        LDSummand(InertialPoint(DRAWN_INVENTORY["triv"], MINUS_ONE), 2, 2),
     ],
     DualGroupDescriptor(Family.SYMPLECTIC, 32),
 ))
@@ -262,7 +261,7 @@ def test_triples_match_the_reference_jordan_data(phi):
     if isinstance(expected, str):
         assert t == expected
         return
-    assert (t.s, t.u_by_eigenblock, t.orbits) == (*expected, phi0.orbits)
+    assert (t.s, t.u_by_eigenblock) == expected
     assert triple_to_parameter(t, phi0) == phi
 
 
@@ -270,44 +269,46 @@ def test_component_group_of_triple(extended_inventory):
     inv = extended_inventory
     sp4 = DualGroupDescriptor(Family.SYMPLECTIC, 4)
     # connected centralizer: regular unipotent has one even part
-    phi = build_ld_parameter([LDSummand(orbit_point(inv["triv"], ONE), 4)], sp4)
+    phi = build_ld_parameter([LDSummand(InertialPoint(inv["triv"], ONE), 4)], sp4)
     phi0 = normed_parameter(phi)
-    g = component_group_of_triple(parameter_to_triple(phi, phi0))
+    g = component_group_of_triple(parameter_to_triple(phi, phi0), phi0)
     assert g.order == 2
 
-    trivial_u = build_ld_parameter([LDSummand(orbit_point(inv["triv"], ONE), 1, 4)], sp4)
-    g0 = component_group_of_triple(parameter_to_triple(trivial_u, phi0))
+    trivial_u = build_ld_parameter([LDSummand(InertialPoint(inv["triv"], ONE), 1, 4)], sp4)
+    g0 = component_group_of_triple(parameter_to_triple(trivial_u, phi0), phi0)
     assert g0.order == 1  # Sp block, no even parts
 
     o6 = DualGroupDescriptor(Family.ORTHOGONAL, 6)
     phi51 = build_ld_parameter(
         [
-            LDSummand(orbit_point(inv["triv"], ONE), 5),
-            LDSummand(orbit_point(inv["triv"], ONE), 1),
+            LDSummand(InertialPoint(inv["triv"], ONE), 5),
+            LDSummand(InertialPoint(inv["triv"], ONE), 1),
         ],
         o6,
     )
     phi0_o6 = normed_parameter(phi51)
-    g2 = component_group_of_triple(parameter_to_triple(phi51, phi0_o6))
+    g2 = component_group_of_triple(parameter_to_triple(phi51, phi0_o6), phi0_o6)
     assert g2.order == 4
     assert g2.det_signs == (-1, -1)
     assert g2.plus_order == 2
 
     # a class of dimension 2: the generator of the odd part 3 has determinant 1
-    mix3 = build_ld_parameter([LDSummand(orbit_point(inv["rho_mix"], ONE), 3)], o6)
-    g3 = component_group_of_triple(parameter_to_triple(mix3, normed_parameter(mix3)))
+    mix3 = build_ld_parameter([LDSummand(InertialPoint(inv["rho_mix"], ONE), 3)], o6)
+    phi0_mix3 = normed_parameter(mix3)
+    g3 = component_group_of_triple(parameter_to_triple(mix3, phi0_mix3), phi0_mix3)
     assert g3.det_signs == (1,)
     assert g3.plus_order == 2
 
 
 def test_component_group_matches_summand_model(extended_inventory):
     # every discrete parameter up to dimension 10, orthogonal and symplectic;
-    # the triple's base-parameter orbits are all its component group reads
+    # the base parameter's orbit blocks are all the triple's component group reads
     checked = 0
     for ambient in classical_ambients(10):
         for phi in discrete_parameters(extended_inventory, ambient):
-            t = parameter_to_triple(phi, normed_parameter(phi))
-            assert component_group_of_triple(t).order == component_group(phi).order, phi
+            phi0 = normed_parameter(phi)
+            t = parameter_to_triple(phi, phi0)
+            assert component_group_of_triple(t, phi0).order == component_group(phi).order, phi
             checked += 1
     assert checked == 3438
 
@@ -315,7 +316,7 @@ def test_component_group_matches_summand_model(extended_inventory):
 def test_realize_matrices_sp2(extended_inventory):
     inv = extended_inventory
     phi = build_ld_parameter(
-        [LDSummand(orbit_point(inv["triv"], ONE), 2)],
+        [LDSummand(InertialPoint(inv["triv"], ONE), 2)],
         DualGroupDescriptor(Family.SYMPLECTIC, 2),
     )
     s, u, g = realize_matrices(phi)
@@ -329,7 +330,7 @@ def test_realize_matrices_checks_that_s_preserves_the_gram_form(six_class_invent
     # a (2-dim symplectic class) x SL2(2), twice: k = 4 copies of each
     # ladder step, at s entries j*4 + c, with the alternating form on the copies
     phi = build_ld_parameter(
-        [LDSummand(orbit_point(six_class_inventory["a"], ONE), 2, 2)],
+        [LDSummand(InertialPoint(six_class_inventory["a"], ONE), 2, 2)],
         DualGroupDescriptor(Family.ORTHOGONAL, 8),
     )
     realize_matrices(phi)
@@ -451,7 +452,7 @@ def test_mat_mul_matches_a_triple_loop(ab):
 def test_realize_matrices_caps_dimension(extended_inventory):
     inv = extended_inventory
     phi = build_ld_parameter(
-        [LDSummand(orbit_point(inv["triv"], ONE), 17)],
+        [LDSummand(InertialPoint(inv["triv"], ONE), 17)],
         DualGroupDescriptor(Family.ORTHOGONAL, 17),
     )
     with pytest.raises(ValueError):
@@ -475,14 +476,14 @@ def test_check_matrices_raises_what_realize_matrices_raises(extended_inventory, 
     half = UnitMonomial(0, Fraction(1, 2))
 
     def param(family, dim, *summands):
-        return build_ld_parameter([LDSummand(orbit_point(inv[c], f), a, m) for c, f, a, m in summands], DualGroupDescriptor(family, dim))
+        return build_ld_parameter([LDSummand(InertialPoint(inv[c], f), a, m) for c, f, a, m in summands], DualGroupDescriptor(family, dim))
 
     o, sp = Family.ORTHOGONAL, Family.SYMPLECTIC
-    sl2_pair = param(o, 6, ("triv", ONE, 3, 1), ("triv", MINUS, 3, 1))
+    sl2_pair = param(o, 6, ("triv", ONE, 3, 1), ("triv", MINUS_ONE, 3, 1))
     odd_ladder = param(sp, 6, ("a", ONE, 3, 1))
     # parameters of the wrong tensor type, which build_ld_parameter leaves to the oracle
-    symplectic_in_o = param(o, 4, ("triv", ONE, 2, 1), ("triv", MINUS, 2, 1))
-    orthogonal_in_sp = param(sp, 2, ("triv", ONE, 1, 1), ("triv", MINUS, 1, 1))
+    symplectic_in_o = param(o, 4, ("triv", ONE, 2, 1), ("triv", MINUS_ONE, 2, 1))
+    orthogonal_in_sp = param(sp, 2, ("triv", ONE, 1, 1), ("triv", MINUS_ONE, 1, 1))
     cases = [
         (param(o, 17, ("triv", ONE, 17, 1)), "matrix oracle capped at ambient dimension 16"),
         (param(Family.UNITARY_L, 1, ("u1", ONE, 1, 1)), "matrix oracle covers the classical ambients only"),
@@ -516,16 +517,16 @@ def test_a_summand_off_the_ambient_type_gets_a_hyperbolic_form(six_class_invento
     cases = [
         (o, 4, "triv", ONE, 2, 2),  # symplectic summand in O4
         (sp, 2, "triv", ONE, 1, 2),  # orthogonal summand in Sp2
-        (o, 8, "triv", MINUS, 2, 4),
+        (o, 8, "triv", MINUS_ONE, 2, 4),
         (o, 8, "a", ONE, 1, 4),  # a symplectic class of dimension 2
-        (sp, 8, "rho_mix", MINUS, 2, 2),
+        (sp, 8, "rho_mix", MINUS_ONE, 2, 2),
         # ambient-type summands of multiplicity above 1, which passed before
         (o, 2, "triv", ONE, 1, 2),
         (sp, 4, "a", ONE, 1, 2),
         (sp, 6, "triv", ONE, 3, 2),
     ]
     for family, dim, label, f, a, mult in cases:
-        phi = build_ld_parameter([LDSummand(orbit_point(inv[label], f), a, mult)], DualGroupDescriptor(family, dim))
+        phi = build_ld_parameter([LDSummand(InertialPoint(inv[label], f), a, mult)], DualGroupDescriptor(family, dim))
         s, u, g = realize_matrices(phi)
         sign = 1 if family is o else -1
         assert [list(col) for col in zip(*g)] == [[sign * v for v in row] for row in g]
@@ -544,9 +545,9 @@ def test_realize_matrices_returns_new_matrices_on_every_call(six_class_inventory
     inv = six_class_inventory
     phi = build_ld_parameter(
         [
-            LDSummand(orbit_point(inv["a"], ONE), 2, 1),
-            LDSummand(orbit_point(inv["rho_mix"], MINUS), 2, 1),
-            LDSummand(orbit_point(inv["triv"], ONE), 3, 1),
+            LDSummand(InertialPoint(inv["a"], ONE), 2, 1),
+            LDSummand(InertialPoint(inv["rho_mix"], MINUS_ONE), 2, 1),
+            LDSummand(InertialPoint(inv["triv"], ONE), 3, 1),
         ],
         DualGroupDescriptor(Family.ORTHOGONAL, 11),
     )

@@ -27,17 +27,18 @@ from hecke_atlas.params import (
 from hecke_atlas.support import cuspidal_pairs, support_to_json_dict, supports
 from hecke_atlas.verify import run_suite, standard_inventory
 from hecke_atlas.weil import (
+    MINUS_ONE,
     DualGroupDescriptor,
     DualityType,
     Family,
     InertialClass,
+    InertialPoint,
     Inventory,
     NotSelfDual,
     SelfDual,
     UnitMonomial,
     json_field,
     json_typed,
-    orbit_point,
 )
 
 
@@ -466,7 +467,7 @@ def ref_parameter(data, inventory):
         label = ref_typed(ref_field(s, "class", path), str, f"{path}.class")
         if label not in inventory:
             raise ValueError(f"{path}.class names no registered class: {label!r}")
-        point = orbit_point(inventory[label], ref_monomial(ref_field(s, "f", path), f"{path}.f"))
+        point = InertialPoint(inventory[label], ref_monomial(ref_field(s, "f", path), f"{path}.f"))
         a = ref_value(ref_field(s, "a", path), int, f"{path}.a")
         summands.append(LDSummand(point, a, ref_value(s.get("mult", 1), int, f"{path}.mult")))
     return build_ld_parameter(summands, ambient)
@@ -511,9 +512,9 @@ def _decoder_base_files():
     phis.append(
         build_ld_parameter(
             [
-                LDSummand(orbit_point(inv["alpha"], f), 1),
-                LDSummand(orbit_point(inv["beta"], f.inverse()), 1),
-                LDSummand(orbit_point(inv["a"], UnitMonomial.minus_one()), 2),
+                LDSummand(InertialPoint(inv["alpha"], f), 1),
+                LDSummand(InertialPoint(inv["beta"], f.inverse()), 1),
+                LDSummand(InertialPoint(inv["a"], MINUS_ONE), 2),
             ],
             DualGroupDescriptor(Family.ORTHOGONAL, 6),
         )
@@ -676,7 +677,7 @@ def test_suite_fails_under_a_mutation(mutation, monkeypatch, capsys):
     assert report["failed"] > 0
     for flags in ([], ["--allow-flagged"]):
         assert run(["verify", "--suite", suite, "--max-rank", "4", *flags]) == 1
-        # byte for byte: a thm33 report holds tuples, which JSON reads back as lists
+        # byte for byte, which also pins the key order and the indentation
         assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
 

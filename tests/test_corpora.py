@@ -15,15 +15,16 @@ from hecke_atlas import params
 from hecke_atlas.params import LDSummand, build_ld_parameter, staircase, summand_type
 from hecke_atlas.verify import standard_inventory
 from hecke_atlas.weil import (
+    MINUS_ONE,
+    ONE,
     DualGroupDescriptor,
     DualityType,
     Family,
     InertialClass,
+    InertialPoint,
     Inventory,
     NotSelfDual,
     SelfDual,
-    UnitMonomial,
-    orbit_point,
     sign_types,
 )
 
@@ -58,8 +59,8 @@ def reference_supercuspidal_shapes(inventory, ambient):
             continue
         if cls.duality.type_at_plus.conjugate_flavour != conjugate:
             continue
-        for f, of_type in zip((UnitMonomial.one(), UnitMonomial.minus_one()), sign_types(cls, ambient)):
-            point = orbit_point(cls, f)
+        for f, of_type in zip((ONE, MINUS_ONE), sign_types(cls, ambient)):
+            point = InertialPoint(cls, f)
             options = []
             for depth in itertools.count():
                 dims, cost = staircase(depth, of_type)
@@ -90,8 +91,8 @@ def reference_discrete_parameters(inventory, ambient):
             continue
         if cls.duality.type_at_plus.conjugate_flavour != conjugate:
             continue
-        for f in (UnitMonomial.one(), UnitMonomial.minus_one()):
-            point = orbit_point(cls, f)
+        for f in (ONE, MINUS_ONE):
+            point = InertialPoint(cls, f)
             a = 1
             while cls.dim * a <= ambient.ambient_dim:
                 if summand_type(point, a, ambient):
@@ -109,7 +110,7 @@ def reference_discrete_parameters(inventory, ambient):
 def reference_normed_corpus(inventory, max_ambient_dim):
     self_dual = sorted((c.label,) for c in inventory if c.is_self_dual)
     pairs = sorted({tuple(sorted((c.label, c.duality.partner_label))) for c in inventory if not c.is_self_dual})
-    orbits = [[orbit_point(inventory[label], UnitMonomial.one()) for label in labels] for labels in self_dual + pairs]
+    orbits = [[InertialPoint(inventory[label], ONE) for label in labels] for labels in self_dual + pairs]
     out = []
     for ambient in reference_classical_ambients(max_ambient_dim):
         n = ambient.ambient_dim

@@ -23,25 +23,25 @@ from hecke_atlas.params import LDSummand, build_ld_parameter, count_supercuspida
 from hecke_atlas.support import SupportDatum, supports
 from hecke_atlas.verify import standard_inventory
 from hecke_atlas.weil import (
+    ONE,
     DualGroupDescriptor,
     DualityType,
     Family,
     InertialClass,
+    InertialPoint,
     SelfDual,
-    UnitMonomial,
-    orbit_point,
 )
 
 
 def so7_setting(inv):
-    point = orbit_point(inv["triv"], UnitMonomial.one())
+    point = InertialPoint(inv["triv"], ONE)
     return build_ld_parameter(
         [LDSummand(point, 1, 6)], DualGroupDescriptor(Family.SYMPLECTIC, 6)
     )
 
 
 def sp4_setting(inv):
-    point = orbit_point(inv["triv"], UnitMonomial.one())
+    point = InertialPoint(inv["triv"], ONE)
     return build_ld_parameter(
         [LDSummand(point, 1, 5)], DualGroupDescriptor(Family.ORTHOGONAL, 5)
     )
@@ -50,8 +50,8 @@ def sp4_setting(inv):
 def gl_setting(inv):
     return build_ld_parameter(
         [
-            LDSummand(orbit_point(inv["alpha"], UnitMonomial.one()), 1, 3),
-            LDSummand(orbit_point(inv["beta"], UnitMonomial.one()), 1, 3),
+            LDSummand(InertialPoint(inv["alpha"], ONE), 1, 3),
+            LDSummand(InertialPoint(inv["beta"], ONE), 1, 3),
         ],
         DualGroupDescriptor(Family.ORTHOGONAL, 6),
     )
@@ -92,7 +92,7 @@ def test_hecke_factor_sp4_case3(extended_inventory):
 
 def test_hecke_factor_case2(extended_inventory):
     phi0 = build_ld_parameter(
-        [LDSummand(orbit_point(extended_inventory["triv"], UnitMonomial.one()), 1, 4)],
+        [LDSummand(InertialPoint(extended_inventory["triv"], ONE), 1, 4)],
         DualGroupDescriptor(Family.ORTHOGONAL, 4),
     )
     f = hecke_factor(phi0, SupportDatum((("triv", (0, 0)),)), "triv")
@@ -222,10 +222,10 @@ def test_unipotent_reduction(extended_inventory):
     inv = extended_inventory
     phi0 = build_ld_parameter(
         [
-            LDSummand(orbit_point(inv["alpha"], UnitMonomial.one()), 1, 3),
-            LDSummand(orbit_point(inv["beta"], UnitMonomial.one()), 1, 3),
-            LDSummand(orbit_point(inv["triv"], UnitMonomial.one()), 1, 5),
-            LDSummand(orbit_point(inv["rho_mix"], UnitMonomial.one()), 1, 2),
+            LDSummand(InertialPoint(inv["alpha"], ONE), 1, 3),
+            LDSummand(InertialPoint(inv["beta"], ONE), 1, 3),
+            LDSummand(InertialPoint(inv["triv"], ONE), 1, 5),
+            LDSummand(InertialPoint(inv["rho_mix"], ONE), 1, 2),
         ],
         DualGroupDescriptor(Family.ORTHOGONAL, 15),
     )
@@ -235,7 +235,7 @@ def test_unipotent_reduction(extended_inventory):
     assert unipotent_reduction(phi1) == [("SO", 7, 1)]
     # both of type with even multiplicity
     phi2 = build_ld_parameter(
-        [LDSummand(orbit_point(inv["triv"], UnitMonomial.one()), 1, 4)],
+        [LDSummand(InertialPoint(inv["triv"], ONE), 1, 4)],
         DualGroupDescriptor(Family.ORTHOGONAL, 4),
     )
     assert unipotent_reduction(phi2) == [("O", 4, 1)]
@@ -287,7 +287,7 @@ def test_hecke_factor_matches_the_fraction_formula(t, types, a_plus, a_minus, sp
     cls = InertialClass("c", 1, t, SelfDual(*kinds), "1")
     m = max(1, sum(a * (a + (not of_type)) for a, of_type in zip((a_plus, a_minus), types)) + spare)
     phi0 = build_ld_parameter(
-        [LDSummand(orbit_point(cls, UnitMonomial.one()), 1, m)], DualGroupDescriptor(Family.ORTHOGONAL, m)
+        [LDSummand(InertialPoint(cls, ONE), 1, m)], DualGroupDescriptor(Family.ORTHOGONAL, m)
     )
     assert phi0.orbits[0].types == types
     S = SupportDatum((("c", (a_plus, a_minus)),))

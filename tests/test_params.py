@@ -39,6 +39,8 @@ from hecke_atlas.params import (
 from hecke_atlas.support import build_phi_S, supports
 from hecke_atlas.verify import standard_inventory
 from hecke_atlas.weil import (
+    MINUS_ONE,
+    ONE,
     DualGroupDescriptor,
     DualityType,
     Family,
@@ -48,11 +50,8 @@ from hecke_atlas.weil import (
     SelfDual,
     UnitMonomial,
     is_of_type,
-    orbit_point,
 )
 
-ONE = UnitMonomial.one()
-MINUS = UnitMonomial.minus_one()
 
 SO5 = DualGroupDescriptor(Family.ORTHOGONAL, 5)
 SP6 = DualGroupDescriptor(Family.SYMPLECTIC, 6)
@@ -60,7 +59,7 @@ SP2 = DualGroupDescriptor(Family.SYMPLECTIC, 2)
 
 
 def pt(inv, label, f=ONE):
-    return orbit_point(inv[label], f)
+    return InertialPoint(inv[label], f)
 
 
 def test_summand_type_flips_with_even_sl2(extended_inventory):
@@ -86,7 +85,7 @@ def test_build_parameter_validates(extended_inventory):
         build_ld_parameter([LDSummand(pt(inv, "triv"), 2)], SO5)
     with pytest.raises(ValueError):
         build_ld_parameter(
-            [LDSummand(orbit_point(inv["triv"], UnitMonomial(Fraction(1, 4), 0)), 1)],
+            [LDSummand(InertialPoint(inv["triv"], UnitMonomial(Fraction(1, 4), 0)), 1)],
             DualGroupDescriptor(Family.ORTHOGONAL, 1),
         )
 
@@ -255,7 +254,7 @@ def test_det_discrepancy(extended_inventory):
         [
             LDSummand(pt(inv, "triv"), 1),
             LDSummand(pt(inv, "triv"), 3),
-            LDSummand(pt(inv, "chi", MINUS), 1),
+            LDSummand(pt(inv, "chi", MINUS_ONE), 1),
         ],
         SO5,
     )
@@ -263,7 +262,7 @@ def test_det_discrepancy(extended_inventory):
     # a dim-2 class at f=-1 contributes (-1)**2 = +1
     g4 = DualGroupDescriptor(Family.ORTHOGONAL, 4)
     base = build_ld_parameter([LDSummand(pt(inv, "a"), 2)], g4)
-    twisted = build_ld_parameter([LDSummand(pt(inv, "a", MINUS), 2)], g4)
+    twisted = build_ld_parameter([LDSummand(pt(inv, "a", MINUS_ONE), 2)], g4)
     assert det_discrepancy(twisted, base) == 1
     # odd exponent difference on a ramified determinant base is an error
     bad = build_ld_parameter([LDSummand(pt(inv, "chi"), 1), LDSummand(pt(inv, "triv"), 3)], g4)
@@ -274,7 +273,7 @@ def test_det_discrepancy(extended_inventory):
 
 def reference_det_discrepancy(phi, phi0):
     """``det_discrepancy`` as it was, worked out afresh from both parameters' summands."""
-    unram = UnitMonomial.one()
+    unram = ONE
     ram = {}
     for parameter, expo_sign in ((phi, 1), (phi0, -1)):
         for s in parameter.summands:
@@ -328,7 +327,7 @@ def test_det_discrepancy_matches_the_per_call_formula_on_pairs_that_do_not_cance
         build_ld_parameter(
             [LDSummand(pt(inv, "alpha"), 2), LDSummand(pt(inv, "beta"), 2), LDSummand(pt(inv, "chi"), 1)], O(5)
         ),
-        build_ld_parameter([LDSummand(pt(inv, "rho_mix2", MINUS), 1), LDSummand(pt(inv, "chi"), 1, 3)], O(5)),
+        build_ld_parameter([LDSummand(pt(inv, "rho_mix2", MINUS_ONE), 1), LDSummand(pt(inv, "chi"), 1, 3)], O(5)),
         # built without the duality check, so the unramified part need not be a sign
         LDParameter(O(1), (LDSummand(pt(inv, "triv", half), 1),)),
         LDParameter(O(2), (LDSummand(pt(inv, "triv", half), 1, 2),)),

@@ -24,19 +24,19 @@ from hecke_atlas.support import (
 )
 from hecke_atlas.verify import standard_inventory
 from hecke_atlas.weil import (
+    ONE,
     DualGroupDescriptor,
     DualityType,
     Family,
     InertialClass,
+    InertialPoint,
     SelfDual,
-    UnitMonomial,
-    orbit_point,
 )
 
 
 def triv_parameter(inv, family, dim):
     ambient = DualGroupDescriptor(family, dim)
-    point = orbit_point(inv["triv"], UnitMonomial.one())
+    point = InertialPoint(inv["triv"], ONE)
     return build_ld_parameter([LDSummand(point, 1, dim)], ambient)
 
 
@@ -69,8 +69,8 @@ def test_supports_empty(extended_inventory):
     g2 = DualGroupDescriptor(Family.ORTHOGONAL, 2)
     phi0 = build_ld_parameter(
         [
-            LDSummand(orbit_point(inv["alpha"], UnitMonomial.one()), 1),
-            LDSummand(orbit_point(inv["beta"], UnitMonomial.one()), 1),
+            LDSummand(InertialPoint(inv["alpha"], ONE), 1),
+            LDSummand(InertialPoint(inv["beta"], ONE), 1),
         ],
         g2,
     )
@@ -82,7 +82,7 @@ def test_supports_empty(extended_inventory):
 def test_supports_rejects_unnormed(extended_inventory):
     inv = extended_inventory
     phi = build_ld_parameter(
-        [LDSummand(orbit_point(inv["triv"], UnitMonomial.one()), 2)],
+        [LDSummand(InertialPoint(inv["triv"], ONE), 2)],
         DualGroupDescriptor(Family.SYMPLECTIC, 2),
     )
     with pytest.raises(ValueError):
@@ -131,9 +131,8 @@ def test_build_phi_S_rejects_bad_support(so7_setting):
 
 def test_build_phi_S_names_a_label_that_is_no_self_dual_orbit(extended_inventory):
     inv = extended_inventory
-    one = UnitMonomial.one()
     phi0 = build_ld_parameter(
-        [LDSummand(orbit_point(inv[label], one), 1, 2) for label in ("alpha", "beta", "triv")],
+        [LDSummand(InertialPoint(inv[label], ONE), 1, 2) for label in ("alpha", "beta", "triv")],
         DualGroupDescriptor(Family.ORTHOGONAL, 6),
     )
     for label in ("alpha", "beta", "a"):  # a dual pair, its partner side, a class phi0 lacks
@@ -143,7 +142,7 @@ def test_build_phi_S_names_a_label_that_is_no_self_dual_orbit(extended_inventory
 
 def power_parameter(cls, m):
     """``m`` copies of the base point of ``cls``, filling an orthogonal ambient."""
-    point = orbit_point(cls, UnitMonomial.one())
+    point = InertialPoint(cls, ONE)
     return build_ld_parameter([LDSummand(point, 1, m)], DualGroupDescriptor(Family.ORTHOGONAL, m * cls.dim))
 
 
@@ -161,7 +160,7 @@ def test_the_tail_memo_tells_classes_of_one_label_apart():
     first = build_phi_S(power_parameter(base, 3), S)
     for cls in others:
         phi_S, L_S, l_S, _ = build_phi_S(power_parameter(cls, 3), S)
-        point = orbit_point(cls, UnitMonomial.one())
+        point = InertialPoint(cls, ONE)
         expected = build_ld_parameter([LDSummand(point, 1)], DualGroupDescriptor(Family.ORTHOGONAL, cls.dim))
         assert phi_S == expected != first[0]
         assert (L_S, l_S) == (cls.dim, cls.dim // 2)
@@ -170,9 +169,8 @@ def test_the_tail_memo_tells_classes_of_one_label_apart():
     assert build_phi_S(power_parameter(base, 3), S)[0] is first[0]
     # an orbit of depths (0, 0) adds nothing, so the tail is the same one
     other = InertialClass("d", 1, 1, SelfDual(O, O), "1")
-    one = UnitMonomial.one()
     phi0 = build_ld_parameter(
-        [LDSummand(orbit_point(base, one), 1, 3), LDSummand(orbit_point(other, one), 1, 2)],
+        [LDSummand(InertialPoint(base, ONE), 1, 3), LDSummand(InertialPoint(other, ONE), 1, 2)],
         DualGroupDescriptor(Family.ORTHOGONAL, 5),
     )
     assert build_phi_S(phi0, SupportDatum((("c", (1, 0)), ("d", (0, 0)))))[0] is first[0]
@@ -214,8 +212,8 @@ def test_build_levi_non_self_dual(extended_inventory):
     g6 = DualGroupDescriptor(Family.ORTHOGONAL, 6)
     phi0 = build_ld_parameter(
         [
-            LDSummand(orbit_point(inv["alpha"], UnitMonomial.one()), 1, 3),
-            LDSummand(orbit_point(inv["beta"], UnitMonomial.one()), 1, 3),
+            LDSummand(InertialPoint(inv["alpha"], ONE), 1, 3),
+            LDSummand(InertialPoint(inv["beta"], ONE), 1, 3),
         ],
         g6,
     )
@@ -271,8 +269,8 @@ def test_cuspidal_pairs_builds_each_tail_once(extended_inventory, monkeypatch):
     ambient = DualGroupDescriptor(Family.ORTHOGONAL, 7)
     phi0 = build_ld_parameter(
         [
-            LDSummand(orbit_point(inv["triv"], UnitMonomial.one()), 1, 3),
-            LDSummand(orbit_point(inv["a"], UnitMonomial.one()), 1, 2),
+            LDSummand(InertialPoint(inv["triv"], ONE), 1, 3),
+            LDSummand(InertialPoint(inv["a"], ONE), 1, 2),
         ],
         ambient,
     )
@@ -314,7 +312,7 @@ def test_the_tail_shape_check_survives_optimized_mode(src_env):
             "from hecke_atlas.params import LDSummand, build_ld_parameter",
             "from hecke_atlas.support import build_phi_S",
             "from hecke_atlas.verify import standard_inventory",
-            "from hecke_atlas.weil import DualGroupDescriptor, Family, UnitMonomial, orbit_point",
+            "from hecke_atlas.weil import ONE, DualGroupDescriptor, Family, InertialPoint",
             inspect.getsource(triv_parameter),
             inspect.getsource(flattened_tails),
             "support.build_phi_S = flattened_tails",

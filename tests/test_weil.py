@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from hecke_atlas.params import LDSummand, build_ld_parameter
 from hecke_atlas.weil import (
+    MINUS_ONE,
+    ONE,
     DualGroupDescriptor,
     DualityType,
     Family,
@@ -18,7 +20,6 @@ from hecke_atlas.weil import (
     SelfDual,
     UnitMonomial,
     is_of_type,
-    orbit_point,
 )
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -28,7 +29,7 @@ monomials = st.builds(UnitMonomial, fractions, halves)
 
 @given(monomials)
 def test_monomial_inverse_round_trip(m):
-    assert m * m.inverse() == UnitMonomial.one()
+    assert m * m.inverse() == ONE
     assert m.inverse().inverse() == m
 
 
@@ -71,8 +72,8 @@ def test_monomial_kernel_matches_fraction_definition(r, e, shift):
 
 
 def test_shared_sign_constants():
-    assert UnitMonomial.one() == UnitMonomial(Fraction(0), Fraction(0))
-    assert UnitMonomial.minus_one() == UnitMonomial("-1/2", 0)
+    assert ONE == UnitMonomial(Fraction(0), Fraction(0))
+    assert MINUS_ONE == UnitMonomial("-1/2", 0)
 
 
 @given(monomials)
@@ -83,13 +84,13 @@ def test_monomial_json_round_trip(m):
 def test_monomial_json_shape():
     d = UnitMonomial(Fraction(1, 2), Fraction(3, 2)).to_json_dict()
     assert d == {"root": "1/2", "qexp": "3/2"}
-    assert UnitMonomial.one().to_json_dict() == {"root": "0/1", "qexp": "0/2"}
+    assert ONE.to_json_dict() == {"root": "0/1", "qexp": "0/2"}
 
 
 def test_signs():
-    assert UnitMonomial.one().sign == 1
-    assert UnitMonomial.minus_one().sign == -1
-    assert (UnitMonomial.minus_one() * UnitMonomial.minus_one()).is_one
+    assert ONE.sign == 1
+    assert MINUS_ONE.sign == -1
+    assert (MINUS_ONE * MINUS_ONE).is_one
     with pytest.raises(ValueError):
         UnitMonomial(Fraction(1, 4), 0).sign
 
@@ -126,7 +127,7 @@ def test_integer_kernel_matches_fraction_reference(x, y, n):
     assert str(a) == reference_str(ra, ea)
     assert repr(a) == f"UnitMonomial(root={ra!r}, q_exponent={ea!r})"
     assert a.to_json_dict() == {"root": f"{ra.numerator}/{ra.denominator}", "qexp": f"{int(2 * ea)}/2"}
-    point = orbit_point(small_inventory()["triv"], a)
+    point = InertialPoint(small_inventory()["triv"], a)
     assert point.sort_key() == ("triv", ra.numerator, ra.denominator, ea.numerator, ea.denominator)
 
 
@@ -149,7 +150,7 @@ def test_monomial_copies_round_trip_and_refuse_mutation(m):
 
 
 def test_monomial_compares_only_with_monomials():
-    m = UnitMonomial.one()
+    m = ONE
     assert m != (m.root, m.q_exponent) and m != 1
     with pytest.raises(TypeError):
         m < Fraction(1)
@@ -163,9 +164,9 @@ def test_inertial_values_hash_consistently_with_equality():
     assert cls == twin and hash(cls) == hash(twin)
     assert cls != wide and {cls: "narrow", wide: "wide"} == {twin: "narrow", wide: "wide"}
     f = UnitMonomial("1/3", "1/2")
-    p, q = orbit_point(cls, f), orbit_point(twin, UnitMonomial("-2/3", "1/2"))
+    p, q = InertialPoint(cls, f), InertialPoint(twin, UnitMonomial("-2/3", "1/2"))
     assert p == q and hash(p) == hash(q)
-    other = orbit_point(wide, f)
+    other = InertialPoint(wide, f)
     assert p != other and len({p: 0, other: 1}) == 2
     s, t = LDSummand(p, 2, 3), LDSummand(q, 2, 3)
     assert s == t and hash(s) == hash(t)
@@ -174,7 +175,7 @@ def test_inertial_values_hash_consistently_with_equality():
 
 def test_point_sort_key_puts_whole_q_powers_before_halves():
     cls = small_inventory()["triv"]
-    whole, half = orbit_point(cls, UnitMonomial(0, 1)), orbit_point(cls, UnitMonomial(0, Fraction(1, 2)))
+    whole, half = InertialPoint(cls, UnitMonomial(0, 1)), InertialPoint(cls, UnitMonomial(0, Fraction(1, 2)))
     assert (whole.sort_key(), half.sort_key()) == (("triv", 0, 1, 1, 1), ("triv", 0, 1, 1, 2))
     assert sorted([half, whole], key=InertialPoint.sort_key) == [whole, half]
 
@@ -198,8 +199,8 @@ O2 = DualGroupDescriptor(Family.ORTHOGONAL, 2)
 def test_dual_point_involution_self_dual():
     # the dual of a twisted self-dual point is its inverse on the same class
     inv = small_inventory()
-    p = orbit_point(inv["triv"], UnitMonomial(Fraction(1, 3), Fraction(1, 2)))
-    q = orbit_point(inv["triv"], p.f.inverse())
+    p = InertialPoint(inv["triv"], UnitMonomial(Fraction(1, 3), Fraction(1, 2)))
+    q = InertialPoint(inv["triv"], p.f.inverse())
     with pytest.raises(ValueError, match="not closed under duality"):
         build_ld_parameter([LDSummand(p, 1, 2)], O2)
     phi = build_ld_parameter([LDSummand(p, 1), LDSummand(q, 1)], O2)
@@ -209,18 +210,18 @@ def test_dual_point_involution_self_dual():
 def test_dual_point_swaps_partner():
     # alpha's partner is read from the summands: no inventory is needed
     inv = small_inventory()
-    p = orbit_point(inv["alpha"], UnitMonomial.minus_one())
-    q = orbit_point(inv["beta"], UnitMonomial.minus_one())
+    p = InertialPoint(inv["alpha"], MINUS_ONE)
+    q = InertialPoint(inv["beta"], MINUS_ONE)
     phi = build_ld_parameter([LDSummand(p, 1), LDSummand(q, 1)], O2)
     assert [s.point.cls.label for s in phi.summands] == ["alpha", "beta"]
-    twisted = orbit_point(inv["alpha"], UnitMonomial(0, Fraction(1, 2)))
+    twisted = InertialPoint(inv["alpha"], UnitMonomial(0, Fraction(1, 2)))
     with pytest.raises(ValueError, match="not closed under duality"):
         build_ld_parameter([LDSummand(twisted, 1), LDSummand(q, 1)], O2)
 
 
 def test_dual_point_needs_partner_summand():
     inv = small_inventory()
-    p = orbit_point(inv["alpha"], UnitMonomial.one())
+    p = InertialPoint(inv["alpha"], ONE)
     with pytest.raises(ValueError, match="not closed under duality at alpha"):
         build_ld_parameter([LDSummand(p, 1, 2)], O2)
 
@@ -228,19 +229,19 @@ def test_dual_point_needs_partner_summand():
 def test_dual_point_partner_must_name_class_back():
     # a summand labelled like alpha's partner that does not pair back with alpha
     inv = small_inventory()
-    alpha = orbit_point(inv["alpha"], UnitMonomial.one())
+    alpha = InertialPoint(inv["alpha"], ONE)
     impostor = InertialClass("beta", 1, 1, NotSelfDual("gamma"), "beta")
     with pytest.raises(ValueError, match="not closed under duality at alpha"):
-        build_ld_parameter([LDSummand(alpha, 1), LDSummand(orbit_point(impostor, UnitMonomial.one()), 1)], O2)
+        build_ld_parameter([LDSummand(alpha, 1), LDSummand(InertialPoint(impostor, ONE), 1)], O2)
     self_dual = InertialClass("beta", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL))
     with pytest.raises(ValueError, match="not closed under duality at alpha"):
-        build_ld_parameter([LDSummand(alpha, 1), LDSummand(orbit_point(self_dual, UnitMonomial.one()), 1)], O2)
+        build_ld_parameter([LDSummand(alpha, 1), LDSummand(InertialPoint(self_dual, ONE), 1)], O2)
 
 
 @given(monomials)
 def test_only_sign_points_are_self_dual(f):
     inv = small_inventory()
-    p = orbit_point(inv["triv"], f)
+    p = InertialPoint(inv["triv"], f)
     assert p.is_self_dual_point == (f.is_sign)
 
 
@@ -248,8 +249,8 @@ def test_is_of_type_classical():
     inv = small_inventory()
     so_odd = DualGroupDescriptor(Family.ORTHOGONAL, 5)
     sp = DualGroupDescriptor(Family.SYMPLECTIC, 4)
-    triv_plus = orbit_point(inv["triv"], UnitMonomial.one())
-    a_minus = orbit_point(inv["a"], UnitMonomial.minus_one())
+    triv_plus = InertialPoint(inv["triv"], ONE)
+    a_minus = InertialPoint(inv["a"], MINUS_ONE)
     assert is_of_type(triv_plus, so_odd)
     assert not is_of_type(triv_plus, sp)
     assert is_of_type(a_minus, sp)
@@ -260,8 +261,8 @@ def test_is_of_type_unitary():
     rho = InertialClass(
         "u", 1, 1, SelfDual(DualityType.CONJUGATE_ORTHOGONAL, DualityType.CONJUGATE_SYMPLECTIC), "1"
     )
-    p = orbit_point(rho, UnitMonomial.one())
-    m = orbit_point(rho, UnitMonomial.minus_one())
+    p = InertialPoint(rho, ONE)
+    m = InertialPoint(rho, MINUS_ONE)
     u_odd = DualGroupDescriptor(Family.UNITARY_L, 3)
     u_even = DualGroupDescriptor(Family.UNITARY_L, 4)
     assert is_of_type(p, u_odd)
@@ -271,14 +272,14 @@ def test_is_of_type_unitary():
     # plain classical tags in a unitary ambient are a usage error
     inv = small_inventory()
     with pytest.raises(ValueError):
-        is_of_type(orbit_point(inv["triv"], UnitMonomial.one()), u_odd)
+        is_of_type(InertialPoint(inv["triv"], ONE), u_odd)
     with pytest.raises(ValueError):
         is_of_type(p, DualGroupDescriptor(Family.ORTHOGONAL, 5))
 
 
 def test_is_of_type_rejects_non_sign_point():
     inv = small_inventory()
-    p = orbit_point(inv["triv"], UnitMonomial(Fraction(1, 3), 0))
+    p = InertialPoint(inv["triv"], UnitMonomial(Fraction(1, 3), 0))
     with pytest.raises(ValueError):
         is_of_type(p, DualGroupDescriptor(Family.ORTHOGONAL, 5))
 

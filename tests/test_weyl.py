@@ -411,6 +411,41 @@ def test_relative_weyl_matches_closed_form():
             assert list(rel.cosets) == sorted(rel.cosets, key=_sort_key)
 
 
+def _induced_block_moves(levi, group):
+    """The block moves induced by the elements of ``group`` that normalize
+    the Levi: each block goes onto an equal-size block with one sign, and
+    the tail into the tail."""
+    blocks = levi.blocks()
+    block_at = {blk.start: bj for bj, blk in enumerate(blocks)}
+    t0 = levi.rank - levi.tail_rank
+    moves = set()
+    for w in group:
+        if any(abs(x) <= t0 for x in w.img[t0:]):
+            continue
+        move = []
+        for blk in blocks:
+            images = [w.img[c] for c in blk]
+            targets = sorted(abs(x) - 1 for x in images)
+            bj = block_at.get(targets[0])
+            if bj is None or targets != list(blocks[bj]) or len({x > 0 for x in images}) != 1:
+                break
+            move.append(bj + 1 if images[0] > 0 else -(bj + 1))
+        else:
+            moves.add(tuple(move))
+    return moves
+
+
+def test_even_cosets_are_the_block_moves_of_w0():
+    # lemA3's even cosets come from a parity rule; here they come from the
+    # elements of W0 themselves, and the cosets from those of W
+    for n in range(1, 6):
+        full, even = weyl_group(n), weyl_group(n, full=False)
+        for levi in enumerate_levis(n):
+            rel = relative_weyl(levi, n)
+            assert _induced_block_moves(levi, full) == set(rel.cosets)
+            assert _induced_block_moves(levi, even) == set(rel.even_cosets)
+
+
 def _two_sided_closure(generators, r):
     """The earlier closure: products on both sides with every element found
     so far, on elements written as tuples of signed images e_i -> +-e_j."""
