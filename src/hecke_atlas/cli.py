@@ -177,8 +177,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_supports(args) -> int:
-    # _emit([support_to_json_dict(p, eps) for p in cuspidal_pairs(phi0) for eps in p.epsilons]),
-    # with a support's shared members written once
+    # _emit([support_to_json_dict(p, eps) for p in cuspidal_pairs(phi0) for eps in p.epsilons])
+    # with the reference dict of tests/test_support.py, a support's shared members written once
     phi0 = _load_param_file(args.param)
     items = []
     for p in cuspidal_pairs(phi0):

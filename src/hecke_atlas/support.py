@@ -21,7 +21,6 @@ from .params import (
     depth_pairs,
     det_discrepancy,
     is_supercuspidal_shape,
-    parameter_to_json_dict,
     staircase,
 )
 from .weil import Family
@@ -33,7 +32,6 @@ __all__ = [
     "build_phi_S",
     "cuspidal_pairs",
     "injectivity_report",
-    "support_to_json_dict",
 ]
 
 
@@ -169,22 +167,4 @@ def injectivity_report(records: Sequence[CuspidalSupport]) -> dict:
         "duplicates": duplicates,
         "flagged": flagged,
         "injective_outside_flagged": not any(set(idx) - flagged_set for idx in duplicates),
-    }
-
-
-def support_to_json_dict(p: CuspidalSupport, epsilon: SignCharacter) -> dict:
-    """The pair of support ``p`` and its character ``epsilon``."""
-    tail = p.phi_S.ambient
-    return {
-        "S": {label: list(pair) for label, pair in p.S.entries},
-        "phiS": parameter_to_json_dict(p.phi_S),
-        "LS": tail.ambient_dim,
-        "lS": p.l_S,
-        "dS": "+" if p.d_S == 1 else "-",
-        "levi": {
-            "gl": [list(f) for f in p.gl_factors],
-            "tail": {"family": tail.family.value, "dim": tail.ambient_dim, "rank": p.l_S},
-        },
-        "epsilon": {gen: v for gen, v in epsilon.values},
-        "epsZ": epsilon.eps_Z,
     }

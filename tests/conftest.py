@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+import pins
 from hecke_atlas.verify import standard_inventory
-from hecke_atlas.weil import DualityType, InertialClass, Inventory, SelfDual
 
 # ``--hypothesis-profile=ci``: the parameter-file and record-writer fuzz tests of tests/test_cli.py
 # take max(150, max_examples) examples, so this runs them at five times their
@@ -24,12 +24,9 @@ def six_class_inventory():
 
 
 @pytest.fixture(scope="session")
-def extended_inventory(six_class_inventory):
+def extended_inventory():
     """The six classes plus a ramified quadratic character ``chi``."""
-    inv = Inventory(dict(six_class_inventory.classes))
-    inv.add(InertialClass("chi", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "chi"))
-    inv.validate()
-    return inv
+    return pins.extended_inventory()
 
 
 @pytest.fixture(scope="session")

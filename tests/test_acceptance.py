@@ -7,21 +7,19 @@ so there are no tolerances anywhere.
 
 import hashlib
 import json
+import pathlib
+import re
+import shutil
 import subprocess
 import sys
 import time
 
 import pytest
 
+import pins
 from hecke_atlas.cli import run
-from hecke_atlas.params import (
-    LDSummand,
-    build_ld_parameter,
-    parameter_to_json_dict,
-    supercuspidal_corpus,
-)
+from hecke_atlas.params import supercuspidal_corpus
 from hecke_atlas.verify import SUITES, run_suite, standard_inventory
-from hecke_atlas.weil import ONE, DualGroupDescriptor, Family, InertialPoint
 
 
 class Budget:
@@ -71,8 +69,9 @@ def test_unitary_table_matches_derived_enumeration():
         assert report["failed"] == 0
         for case in report["cases"]:
             if case["status"] == "flagged":
-                # bucket routing differs only on one-sided supports; the
-                # index sets, algebra factors and total counts all agree
+                # bucket routing differs only on one-sided supports up to
+                # m = 14 (from m = 16 on two-sided ones too, such as (4, 12));
+                # the index sets, algebra factors and total counts all agree
                 pair = case["input"].split(":")[-1].removeprefix("pair=")
                 d_plus, d_minus = map(int, pair.split(","))
                 assert d_plus * d_minus == 0
@@ -153,79 +152,52 @@ def test_a_rank_below_the_lowest_is_refused_with_its_bound(capsys):
     assert capsys.readouterr() == ("", "error: thm33: ranks start at 2, got 1\n")
 
 
-# sha256 of each output, captured before a refactor that must leave every
-# output byte-identical: json.dumps(run_suite(suite), indent=2) at the default
-# rank; "enumerate:GROUP[:cuspidal]", the --out files of ranks 1-4 in order;
-# "specialize:KIND", stdout of ranks 1-6 in order; "supports:..." and
-# "hecke:...", stdout on a two-orbit parameter in SO7
-GOLDEN_REPORTS = {
-    "enumerate:o-even": "27e5acdbcb08117cbc468caf553ed6ab970cdbc4a44dddf672da0aeb173e414c",
-    "enumerate:o-even:cuspidal": "a49afe9af60f30edd7c6641c18126c2508d337f6eb45216c74254bd8c067a5e0",
-    "enumerate:so-odd": "accba0eee2061573c119988a9954a9992fae18a968b391813948cb63ab5dae16",
-    "enumerate:so-odd:cuspidal": "fef04ba58bb2d308649ede2c8255df976be9182d1e7599168cd4cc9ba89a3570",
-    "enumerate:sp": "eda2d7769c3f259577f6ec17e7b960a104c17dcea1ee2c523b1d2d2cf6bead58",
-    "enumerate:sp:cuspidal": "a5c59a54004376badb56adbd08939f08f0a405d9a8cf71a2c688d4ddcae5f6fd",
-    "enumerate:u": "4a2e4a1ac9ba898692976407d94639ae1f6f836f04f65b476e8d5a47332bb2c7",
-    "enumerate:u:cuspidal": "4a2e4a1ac9ba898692976407d94639ae1f6f836f04f65b476e8d5a47332bb2c7",
-    "hecke:so7-two-orbit": "e8aa75b496cb2802426d7d1e4063725c850bd26205c5c76d56a0a373fdce1557",
-    "lemA3": "80098633480119fb759cb7703f55692054ac50627818b2a08042005ccaede9bd",
-    "lemA4": "bbda5d413aa03c98a7ff2b44a994ca75306a6fbd32073b68e1fb0e6d5b0cc8c8",
-    "specialize:o-even": "8d2ce9569079b8277d8dde0026aa7802a7196b7aea18372d932a053d27b8bf5a",
-    "specialize:so-odd": "28b739b2174ea03b67c29a82a1b4108bfb894ab80f681144208ee0e9a720020b",
-    "specialize:sp": "57c0e4f097e0497474fade89fe662a09e918c15bb1b3e8fafeb6b616209b926f",
-    "specialize:unitary": "453e47da014ae95cd657c2cf5679198595fc2d0a447a0c514890c0a426f0b24b",
-    "supports:so7-two-orbit": "ca96ff703d33fe57b63550aac17010438d493f514ff4c6a3f1aae567b1b9aeda",
-    "thm11": "a1f99685a5405cc93627e64b7e1cf1ddf7714fcef2a3e32d64620ea4894409f7",
-    "thm16": "d433d34a38e11603a86e9d00cc10b3eb87eb7ca88d57adac5823e8ad614429ff",
-    "thm18": "5e75491280d3e7c2bce882e905e71b83245ccbd1fe92448cb6dcf933b1004d38",
-    "thm26-matrix": "789707290a9a5414aa69bb0fc5e333510d4d45beee956d6f28b081a5bed5f0ae",
-    "thm31": "f62062c50e39092922cc98603b55734bc6a2dd891630d4011e3075005cee55f4",
-    "thm32": "6deba4a5bdf9d91de77440aa8f91c6bc6e00670a6ccf5a66fa02885c8059eec5",
-    "thm33": "ace92327d4861ade8353e4e35706f585e31f317f1cbec1674dbe096af0a8a104",
-}
+# the fast tier of tests/pins.json, checked in this process; CI runs the
+# stretch tier with tests/pins.py
+FAST_PINS = [entry["key"] for entry in pins.load() if entry["tier"] == "fast"]
 
 
-def _golden_output(key, request, tmp_path, capsys, inv) -> str:
-    command, _, arg = key.partition(":")
-    if command == "specialize":
-        capsys.readouterr()
-        for rank in range(1, 7):
-            assert run(["specialize", "--kind", arg, "--rank", str(rank)]) == 0
-        return capsys.readouterr().out
-    if command == "enumerate":
-        group, _, flag = arg.partition(":")
-        classes, out = tmp_path / "inv.json", tmp_path / "out.json"
-        standard_inventory().dump(classes)
-        texts = []
-        for rank in range(1, 5):
-            argv = ["enumerate", "--group", group, "--rank", str(rank), "--classes", str(classes)]
-            assert run(argv + ["--out", str(out)] + ([f"--{flag}"] if flag else [])) == 0
-            texts.append(out.read_text())
-        return "".join(texts)
-    if command in ("supports", "hecke"):
-        phi0 = build_ld_parameter(
-            [
-                LDSummand(InertialPoint(inv["triv"], ONE), 1, 3),
-                LDSummand(InertialPoint(inv["a"], ONE), 1, 2),
-            ],
-            DualGroupDescriptor(Family.ORTHOGONAL, 7),
-        )
-        param = tmp_path / "p.json"
-        param.write_text(
-            json.dumps({"inventory": inv.to_json_list(), "parameter": parameter_to_json_dict(phi0)})
-        )
-        capsys.readouterr()
-        assert run([command, "--param", str(param)]) == 0
-        return capsys.readouterr().out
-    if command in ("lemA3", "lemA4"):
-        return json.dumps(request.getfixturevalue("levi_reports")[command], indent=2)
-    return json.dumps(run_suite(key), indent=2)
+@pytest.mark.parametrize("key", FAST_PINS)
+def test_report_bytes_match_golden_digest(key):
+    assert pins.check([key]) == []
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN_REPORTS))
-def test_report_bytes_match_golden_digest(key, request, tmp_path, capsys, extended_inventory):
-    text = _golden_output(key, request, tmp_path, capsys, extended_inventory)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[key]
+def test_the_pin_runner_fails_loudly_under_optimized_mode(tmp_path, src_env):
+    # a wrong digest and a command that exits 2 each make it exit non-zero,
+    # naming the key, and it never hashes an empty or partial output
+    entries = {entry["key"]: entry for entry in pins.load()}
+    kept, flipped, refused = (dict(entries[key]) for key in ("thm18-r10", "thm31-r12", "thm33-r30"))
+    flipped["sha256"] = format(int(flipped["sha256"], 16) ^ 1, "064x")
+    refused["argv"] = [["verify", "--suite", "thm33", "--max-rank", "1"]]
+    shutil.copy(pins.__file__, tmp_path / "pins.py")
+    (tmp_path / "pins.json").write_text(json.dumps([kept, flipped, refused]))
+    done = subprocess.run(
+        [sys.executable, "-O", str(tmp_path / "pins.py")], capture_output=True, text=True, env=src_env()
+    )
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert f"thm31-r12 {flipped['sha256']} {entries['thm31-r12']['sha256']}" in lines
+    assert "thm33-r30: verify --suite thm33 --max-rank 1 exited 2" in lines
+    assert not any(line.startswith("thm18-r10") for line in lines)
+    assert hashlib.sha256(b"").hexdigest() not in done.stdout
+
+
+def test_every_pin_lives_in_the_manifest():
+    workflow = (pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    assert re.search(r"\b[0-9a-f]{64}\b", workflow) is None
+    assert "sha256sum" not in workflow and "<<" not in workflow
+    assert [line.strip() for line in workflow.splitlines() if "pins.py" in line] == [
+        "run: PYTHONPATH=src python -O tests/pins.py"
+    ]
+    entries = pins.load()
+    keys = [entry["key"] for entry in entries]
+    assert len(set(keys)) == len(keys)
+    assert {entry["tier"] for entry in entries} <= {"fast", "stretch"}
+    for entry in entries:
+        assert ("argv" in entry) != ("producer" in entry)
+        assert "argv" in entry or entry["producer"][0] in pins.PRODUCERS
+    stretch = {entry["key"] for entry in entries if entry["tier"] == "stretch"}
+    assert set(pins.ONE_PROCESS) <= stretch
 
 
 REPORT_DIGESTS = """

@@ -24,7 +24,7 @@ from hecke_atlas.params import (
     parameter_from_json_dict,
     parameter_to_json_dict,
 )
-from hecke_atlas.support import cuspidal_pairs, support_to_json_dict, supports
+from hecke_atlas.support import cuspidal_pairs, supports
 from hecke_atlas.verify import run_suite, standard_inventory
 from hecke_atlas.weil import (
     MINUS_ONE,
@@ -40,6 +40,7 @@ from hecke_atlas.weil import (
     json_field,
     json_typed,
 )
+from test_support import support_to_json_dict
 
 
 def out_json(capsys):

@@ -20,10 +20,10 @@ MODULES = sorted(pathlib.Path(hecke_atlas.__file__).parent.glob("*.py"))
 # members that nothing in the package reads, each with the reason it stays
 UNREAD_ALLOWED = {
     "centralizer.realize_matrices": "test reference: the matrix tests compare check_matrices and a Fraction oracle with it",
-    "support.support_to_json_dict": "test reference: the supports writer is pinned to json.dumps of it",
     "weyl.weyl_group": "test reference: the brute-force group of the Weyl tests",
     "weyl.SignedPermutation.identity": "test reference: the Weyl tests check products against it",
-    "weil.Inventory.dump": "tests and the CI enumerate step write inventory files with it",
+    "params.parameter_to_json_dict": "perfbench and the pin runner write parameter files with it; the enumerate writer is pinned to json.dumps of it",
+    "weil.Inventory.dump": "tests and the pin runner tests/pins.py write inventory files with it",
     "centralizer.component_group_of_triple": "two-road test: compared with params.component_group",
     "centralizer.TripleComponentGroup.plus_order": "two-road test: read beside component_group_of_triple",
     "params.is_discrete": "ROADMAP item 14 makes it a road",

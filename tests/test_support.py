@@ -12,6 +12,7 @@ from hecke_atlas.params import (
     build_ld_parameter,
     is_discrete,
     normed_corpus,
+    parameter_to_json_dict,
     supercuspidal_corpus,
 )
 from hecke_atlas.support import (
@@ -19,7 +20,6 @@ from hecke_atlas.support import (
     build_phi_S,
     cuspidal_pairs,
     injectivity_report,
-    support_to_json_dict,
     supports,
 )
 from hecke_atlas.verify import standard_inventory
@@ -254,6 +254,25 @@ def test_L_S_parity(so7_setting, sp4_setting):
         for S in supports(phi0):
             _, L_S, _, _ = build_phi_S(phi0, S)
             assert L_S % 2 == phi0.ambient.ambient_dim % 2
+
+
+def support_to_json_dict(p, epsilon) -> dict:
+    """The pair of support ``p`` and its character ``epsilon``: the reference
+    dict that the ``supports`` writer is pinned to (tests/test_cli.py)."""
+    tail = p.phi_S.ambient
+    return {
+        "S": {label: list(pair) for label, pair in p.S.entries},
+        "phiS": parameter_to_json_dict(p.phi_S),
+        "LS": tail.ambient_dim,
+        "lS": p.l_S,
+        "dS": "+" if p.d_S == 1 else "-",
+        "levi": {
+            "gl": [list(f) for f in p.gl_factors],
+            "tail": {"family": tail.family.value, "dim": tail.ambient_dim, "rank": p.l_S},
+        },
+        "epsilon": {gen: v for gen, v in epsilon.values},
+        "epsZ": epsilon.eps_Z,
+    }
 
 
 def test_support_json(so7_setting):
