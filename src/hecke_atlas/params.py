@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from . import cached_view
 from .weil import (
     MINUS_ONE,
     ONE,
@@ -114,7 +115,7 @@ class LDParameter:
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
+    @cached_view
     def _hash(self) -> int:
         return hash((self.ambient, self.summands))
 
@@ -124,7 +125,7 @@ class LDParameter:
     def generator_labels(self) -> list[str]:
         return [_summand_label(s) for s in self.summands]
 
-    @cached_property
+    @cached_view
     def orbits(self) -> tuple[Orbit, ...]:
         """The orbits of the summands, sorted by representative label;
         worked out once per parameter."""
@@ -140,13 +141,13 @@ class LDParameter:
             for label, cls in sorted(classes.items())
         )
 
-    @cached_property
+    @cached_view
     def orbit_by_label(self) -> dict[str, Orbit]:
         """The orbits keyed by representative label, in ``orbits`` order;
         worked out once per parameter."""
         return {orbit.cls.label: orbit for orbit in self.orbits}
 
-    @cached_property
+    @cached_view
     def staircases(self) -> tuple[Staircase, ...]:
         """The summands grouped by point, in point order, each group sorted
         by ``sl2_dim``; worked out once per parameter."""
@@ -158,7 +159,7 @@ class LDParameter:
             for point in sorted(groups, key=InertialPoint.sort_key)
         )
 
-    @cached_property
+    @cached_view
     def _cuspidal_shape(self) -> bool:
         """``is_supercuspidal_shape`` of this parameter, worked out once; a
         test that raises caches nothing and raises again on the next call."""
@@ -173,7 +174,7 @@ class LDParameter:
                 return False
         return True
 
-    @cached_property
+    @cached_view
     def _determinant(self) -> tuple[UnitMonomial, UnitMonomial, dict[tuple[str, bool], int]]:
         """This parameter's share of ``det_discrepancy``: the unramified
         monomial and its inverse, and the ramified exponent per ``(orbit
@@ -193,7 +194,7 @@ class LDParameter:
             ram[key] = ram.get(key, 0) + orient * e
         return unram, unram.inverse(), ram
 
-    @cached_property
+    @cached_view
     def _characters(self) -> tuple[SignCharacter, ...]:
         """The alternating characters of a cuspidal-shape parameter,
         enumerated once per parameter (see ``alternating_characters``)."""
@@ -220,7 +221,7 @@ class Staircase:
     summands: tuple[LDSummand, ...]
     ambient: DualGroupDescriptor
 
-    @cached_property
+    @cached_view
     def of_type(self) -> bool:
         """``is_of_type`` of the point, asked once; it raises as that does."""
         return is_of_type(self.point, self.ambient)
@@ -516,15 +517,6 @@ def _self_dual_classes(inventory: Inventory, ambient: DualGroupDescriptor) -> li
     )
 
 
-def _parameters(slots: Sequence[Sequence[tuple[int, list]]], ambient: DualGroupDescriptor) -> Iterator[LDParameter]:
-    """One parameter per nonempty choice of ``_bounded_choices`` that fills
-    ``ambient``; each option's value is a list of summands."""
-    for choice in _bounded_choices(slots, ambient.ambient_dim):
-        summands = [s for group in choice for s in group]
-        if summands:
-            yield build_ld_parameter(summands, ambient)
-
-
 def supercuspidal_shapes(inventory: Inventory, ambient: DualGroupDescriptor) -> Iterator[LDParameter]:
     """All cuspidal-shape parameters in ``ambient`` over ``inventory``, each
     the shared ``cuspidal_shape`` object of its depths."""
@@ -579,12 +571,18 @@ def discrete_parameters(inventory: Inventory, ambient: DualGroupDescriptor) -> l
                 if summand_type(point, a, ambient):
                     s = LDSummand(point, a)
                     slots.append(((s.dim, [s]), (0, [])))
-    return list(_parameters(slots, ambient))
+    out = []
+    for choice in _bounded_choices(slots, ambient.ambient_dim):
+        if summands := [s for group in choice for s in group]:
+            out.append(build_ld_parameter(summands, ambient))
+    return out
 
 
 def normed_corpus(inventory: Inventory, max_ambient_dim: int) -> list[LDParameter]:
     """All base-point-only parameters (every factor at f=1, no internal
-    twisting) over the inventory, for every classical ambient group."""
+    twisting) over the inventory, for every classical ambient group.  Each
+    is the shared ``_normed`` object of its value, the one
+    ``normed_parameter`` returns for it."""
     pairs: dict[str, list[InertialPoint]] = {}  # dual pairs by orbit label, sides in label order
     for cls in sorted(inventory, key=lambda c: c.label):
         if not cls.is_self_dual:
@@ -593,17 +591,21 @@ def normed_corpus(inventory: Inventory, max_ambient_dim: int) -> list[LDParamete
     for ambient in classical_ambients(max_ambient_dim):
         n = ambient.ambient_dim
         orbits = [[InertialPoint(c, ONE)] for c in _self_dual_classes(inventory, ambient)]
-        slots = []  # per orbit: (dimension, summands) for each multiplicity m
+        slots = []  # per orbit: (dimension, key entries) for each multiplicity m
         for points in orbits + list(pairs.values()):
             d = sum(p.cls.dim for p in points)
-            slots.append([(m * d, [LDSummand(p, 1, m) for p in points if m]) for m in range(n // d + 1)])
-        out.extend(_parameters(slots, ambient))
+            slots.append([(m * d, [(p, m) for p in points if m]) for m in range(n // d + 1)])
+        for choice in _bounded_choices(slots, n):
+            if entries := [entry for group in choice for entry in group]:
+                out.append(_normed(ambient, tuple(sorted(entries, key=lambda entry: entry[0].cls.label))))
     return out
 
 
 def normed_parameter(phi: LDParameter) -> LDParameter:
     """The associated normed Weil parameter: per class, the base point with
-    the dimension-weighted orbit multiplicity, trivial on the SL2 side."""
+    the dimension-weighted orbit multiplicity, trivial on the SL2 side.  It
+    is the shared ``_normed`` object of its value, so a ``normed_corpus``
+    entry is its own normed parameter."""
     bases: dict[str, InertialPoint] = {}
     counts: dict[str, int] = {}
     for s in phi.summands:
@@ -611,8 +613,16 @@ def normed_parameter(phi: LDParameter) -> LDParameter:
         if label not in bases:
             bases[label] = s.point if s.point.f.is_one else InertialPoint(s.point.cls, ONE)
         counts[label] = counts.get(label, 0) + s.sl2_dim * s.multiplicity
-    summands = [LDSummand(bases[label], 1, m) for label, m in counts.items()]
-    return build_ld_parameter(summands, phi.ambient)
+    # the summands are sorted by point, so the labels come in label order
+    return _normed(phi.ambient, tuple((bases[label], m) for label, m in counts.items()))
+
+
+@cache
+def _normed(ambient: DualGroupDescriptor, key: tuple[tuple[InertialPoint, int], ...]) -> LDParameter:
+    """The normed parameter in ``ambient`` whose key holds, per class in
+    label order, ``(base point, multiplicity)``.  One object per key and
+    process, with its cached views: many parameters share one."""
+    return build_ld_parameter([LDSummand(point, 1, m) for point, m in key], ambient)
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property, total_ordering
+from functools import cache, total_ordering
 from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from . import BRUTE_FORCE_CAP
+from . import BRUTE_FORCE_CAP, cached_view
 
 __all__ = [
     "SignedPermutation",
@@ -223,7 +223,7 @@ class RelativeWeyl:
     def equal(self) -> bool:
         return set(self.cosets) == self.even_imgs
 
-    @cached_property
+    @cached_view
     def by_block_perm(self) -> dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]:
         """The cosets by block permutation ``|img|``, each with the bit mask
         of the blocks it negates.  The cosets come in ``_sort_key`` order,
@@ -235,12 +235,12 @@ class RelativeWeyl:
             groups.setdefault(tuple(map(abs, m)), []).append((negated, m))
         return groups
 
-    @cached_property
+    @cached_view
     def even_imgs(self) -> frozenset[tuple[int, ...]]:
         """The even cosets, as a set."""
         return frozenset(self.even_cosets)
 
-    @cached_property
+    @cached_view
     def mirrors(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Each coset's mirror (see ``_mirror``), the form the stabilizer
         checks compute on."""

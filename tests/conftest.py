@@ -10,8 +10,8 @@ from hecke_atlas.verify import standard_inventory
 # ``--hypothesis-profile=ci``: the parameter-file and record-writer fuzz tests of tests/test_cli.py
 # take max(150, max_examples) examples, so this runs them at five times their
 # local count; the signed-permutation and mirrored-product property tests of
-# tests/test_weyl.py, the drawn-inventory enumerator and pruned-walk tests
-# of tests/test_corpora.py, the drawn-parameter Jordan data test of
+# tests/test_weyl.py, the drawn-inventory enumerator, normed-memo and
+# pruned-walk tests of tests/test_corpora.py, the drawn-parameter Jordan data test of
 # tests/test_centralizer.py and the monomial kernel test of tests/test_weil.py
 # take the default 100 locally, so this runs them at 7.5 times that
 settings.register_profile("ci", max_examples=750)

@@ -682,12 +682,13 @@ def test_suite_fails_under_a_mutation(mutation, monkeypatch, capsys):
         assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("mutation", ["thm11-fixed-sign", "thm16-epsilons", "thm18-so-size"])
+@pytest.mark.parametrize("mutation", sorted(SUITE_MUTATIONS))
 def test_another_suites_warm_up_cannot_hide_a_mutation(mutation, monkeypatch):
-    # thm11 and thm16 share their cuspidal shapes, and all three share the
-    # memoized depth pairs, so every one of them runs unpatched first
+    # thm11 and thm16 share their cuspidal shapes, thm16, thm18 and
+    # thm26-matrix their normed parameters, and the first three the memoized
+    # depth pairs, so every one of them runs unpatched first
     suite, module, name, broken = SUITE_MUTATIONS[mutation]
-    for warm in ("thm11", "thm16", "thm18"):
+    for warm in ("thm11", "thm16", "thm18", "thm26-matrix"):
         assert run_suite(warm, 4)["failed"] == 0
     monkeypatch.setattr(module, name, broken)
     assert run_suite(suite, 4)["failed"] > 0

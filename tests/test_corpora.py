@@ -189,6 +189,18 @@ def test_enumerators_match_the_reference_on_drawn_inventories(inv):
     assert_enumerators_match(inv, 6, range(1, 7))
 
 
+@settings(deadline=None)
+@given(inventories())
+def test_normed_parameters_are_the_corpus_objects_on_drawn_inventories(inv):
+    corpus = {phi0: phi0 for phi0 in params.normed_corpus(inv, 6)}
+    for phi0 in corpus:
+        assert params.normed_parameter(phi0) is phi0
+    for ambient in params.classical_ambients(6):
+        for phi in params.discrete_parameters(inv, ambient):
+            phi0 = params.normed_parameter(phi)
+            assert corpus[phi0] is phi0
+
+
 @st.composite
 def slot_lists(draw):
     """0-5 slots of 0-4 options with costs 0-4, so empty slots, zero costs

@@ -632,3 +632,75 @@ def test_a_parameter_pickled_under_another_hash_seed_hashes_afresh(src_env):
     assert "_hash" not in twin.__dict__
     assert twin == fresh and hash(twin) == hash(fresh)
     assert {fresh: "found"}[twin] == "found" and {twin: "found"}[fresh] == "found"
+
+
+def test_every_normed_parameter_of_the_corpus_is_its_own():
+    for phi0 in normed_corpus(standard_inventory(), 8):
+        assert params.normed_parameter(phi0) is phi0
+
+
+def test_the_normed_parameter_of_a_discrete_parameter_is_the_corpus_object_of_its_value():
+    inv = standard_inventory()
+    corpus = {phi0: phi0 for phi0 in normed_corpus(inv, 10)}
+    count = 0
+    for ambient in params.classical_ambients(10):
+        for phi in discrete_parameters(inv, ambient):
+            phi0 = params.normed_parameter(phi)
+            assert corpus[phi0] is phi0
+            count += 1
+    assert count == 887
+
+
+class Counted:
+    """A class with one view that counts its computations, and one that
+    raises until ``ready`` is set."""
+
+    def __init__(self):
+        self.calls = 0
+        self.ready = False
+
+    @hecke_atlas.cached_view
+    def view(self):
+        """The number of computations so far, this one included."""
+        self.calls += 1
+        return self.calls
+
+    @hecke_atlas.cached_view
+    def refusing(self):
+        self.calls += 1
+        if not self.ready:
+            raise ValueError("not ready")
+        return "ready"
+
+
+def test_a_cached_view_is_worked_out_once_per_instance_then_read_from_the_instance_dict():
+    a, b = Counted(), Counted()
+    assert (a.view, a.view, a.calls) == (1, 1, 1)
+    assert a.__dict__["view"] == 1
+    a.__dict__["view"] = "stored"  # a later read finds the instance dict first
+    assert a.view == "stored" and a.calls == 1
+    assert (b.view, b.calls) == (1, 1)  # each instance works out its own
+    assert Counted.view.__doc__ == "The number of computations so far, this one included."
+    assert isinstance(Counted.view, hecke_atlas.cached_view)
+
+
+def test_a_cached_view_that_raises_stores_nothing_and_raises_again():
+    c = Counted()
+    for calls in (1, 2):
+        with pytest.raises(ValueError, match="not ready"):
+            c.refusing
+        assert "refusing" not in c.__dict__ and c.calls == calls
+    c.ready = True
+    assert (c.refusing, c.refusing, c.calls) == ("ready", "ready", 3)
+
+
+def test_every_cached_view_of_the_package_is_the_lock_free_descriptor():
+    from hecke_atlas.weyl import RelativeWeyl
+
+    for cls in (LDParameter, params.Staircase, RelativeWeyl):
+        views = [v for v in vars(cls).values() if isinstance(v, (hecke_atlas.cached_view, functools.cached_property))]
+        assert views and all(isinstance(v, hecke_atlas.cached_view) for v in views)
+    # a frozen dataclass takes the value into its instance dict
+    phi = fresh(normed_corpus(standard_inventory(), 4)[-1])
+    assert "orbits" not in phi.__dict__
+    assert phi.orbits is phi.__dict__["orbits"] is phi.orbits

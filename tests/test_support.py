@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from hecke_atlas.params import (
     build_ld_parameter,
     is_discrete,
     normed_corpus,
+    normed_parameter,
     parameter_to_json_dict,
     supercuspidal_corpus,
 )
@@ -146,16 +148,20 @@ def power_parameter(cls, m):
     return build_ld_parameter([LDSummand(point, 1, m)], DualGroupDescriptor(Family.ORTHOGONAL, m * cls.dim))
 
 
+ORTHOGONAL_TAGS = SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL)
+ONE_LABEL_BASE = InertialClass("c", 1, 1, ORTHOGONAL_TAGS, "1")
+# classes under the label of ONE_LABEL_BASE, each differing from it in one field
+ONE_LABEL_OTHERS = (
+    InertialClass("c", 2, 1, ORTHOGONAL_TAGS, "1"),
+    InertialClass("c", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.SYMPLECTIC), "1"),
+    InertialClass("c", 1, 1, ORTHOGONAL_TAGS, "eta"),
+    InertialClass("c", 1, 2, ORTHOGONAL_TAGS, "1"),
+)
+
+
 def test_the_tail_memo_tells_classes_of_one_label_apart():
     # the tail is built once per process; its key holds the classes by value, not by label
-    O, Sp = DualityType.ORTHOGONAL, DualityType.SYMPLECTIC
-    base = InertialClass("c", 1, 1, SelfDual(O, O), "1")
-    others = [
-        InertialClass("c", 2, 1, SelfDual(O, O), "1"),
-        InertialClass("c", 1, 1, SelfDual(O, Sp), "1"),
-        InertialClass("c", 1, 1, SelfDual(O, O), "eta"),
-        InertialClass("c", 1, 2, SelfDual(O, O), "1"),
-    ]
+    base, others = ONE_LABEL_BASE, ONE_LABEL_OTHERS
     S = SupportDatum((("c", (1, 0)),))
     first = build_phi_S(power_parameter(base, 3), S)
     for cls in others:
@@ -168,12 +174,25 @@ def test_the_tail_memo_tells_classes_of_one_label_apart():
     assert build_phi_S(power_parameter(base, 3), S) == first
     assert build_phi_S(power_parameter(base, 3), S)[0] is first[0]
     # an orbit of depths (0, 0) adds nothing, so the tail is the same one
-    other = InertialClass("d", 1, 1, SelfDual(O, O), "1")
+    other = InertialClass("d", 1, 1, ORTHOGONAL_TAGS, "1")
     phi0 = build_ld_parameter(
         [LDSummand(InertialPoint(base, ONE), 1, 3), LDSummand(InertialPoint(other, ONE), 1, 2)],
         DualGroupDescriptor(Family.ORTHOGONAL, 5),
     )
     assert build_phi_S(phi0, SupportDatum((("c", (1, 0)), ("d", (0, 0)))))[0] is first[0]
+
+
+def test_the_normed_memo_tells_classes_of_one_label_apart():
+    # the normed parameter is built once per process; its key holds the points by value, not by label
+    normed = []
+    for cls in (ONE_LABEL_BASE, *ONE_LABEL_OTHERS):
+        ambient = DualGroupDescriptor(Family.ORTHOGONAL, 3 * cls.dim)
+        phi0 = normed_parameter(build_ld_parameter([LDSummand(InertialPoint(cls, ONE), 3)], ambient))
+        fresh = power_parameter(cls, 3)
+        assert phi0 == fresh and phi0 is not fresh
+        assert normed_parameter(fresh) is phi0
+        normed.append(phi0)
+    assert all(a != b for a, b in itertools.combinations(normed, 2))
 
 
 def test_a_cached_tail_does_not_lift_the_bound_or_parity_check():
