@@ -82,8 +82,9 @@ def supports(phi0: LDParameter) -> list[SupportDatum]:
     return [SupportDatum(tuple(zip(per_orbit, combo))) for combo in itertools.product(*per_orbit.values())]
 
 
-def build_phi_S(phi0: LDParameter, S: SupportDatum) -> tuple[LDParameter, int, int, int]:
-    """The discrete tail parameter of a support, with (L_S, l_S, d_S).
+def build_phi_S(phi0: LDParameter, S: SupportDatum) -> tuple[LDParameter, int, int]:
+    """The discrete tail parameter of a support, with (l_S, d_S); L_S is
+    ``phi_S.ambient.ambient_dim``.
 
     The tail depends only on the family and, per orbit of nonzero depth, on
     the class, its sign types and the depths: it is that key's
@@ -105,7 +106,7 @@ def build_phi_S(phi0: LDParameter, S: SupportDatum) -> tuple[LDParameter, int, i
     phi_S = cuspidal_shape(phi0.ambient.family, tuple(key))
     L_S = phi_S.ambient.ambient_dim
     l_S = L_S if phi0.ambient.family is Family.UNITARY_L else L_S // 2  # the rank of the tail group
-    return phi_S, L_S, l_S, det_discrepancy(phi_S, phi0)
+    return phi_S, l_S, det_discrepancy(phi_S, phi0)
 
 
 def _gl_factors(phi0: LDParameter, phi_S: LDParameter) -> tuple[tuple[int, int], ...]:
@@ -141,7 +142,7 @@ def cuspidal_pairs(phi0: LDParameter) -> list[CuspidalSupport]:
     each record's characters in turn."""
     out: list[CuspidalSupport] = []
     for S in supports(phi0):
-        phi_S, _, l_S, d_S = build_phi_S(phi0, S)
+        phi_S, l_S, d_S = build_phi_S(phi0, S)
         out.append(CuspidalSupport(S, phi_S, l_S, d_S, _gl_factors(phi0, phi_S), tuple(_epsilons(phi_S))))
     return out
 

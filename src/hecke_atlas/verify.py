@@ -1,17 +1,27 @@
 """Verification suites: each compares a closed form with an independent
-oracle over an exhaustive corpus, one report case per input.  The parameter
-corpora come from ``hecke_atlas.params``.
+oracle over an exhaustive corpus.  The parameter corpora come from
+``hecke_atlas.params``.
 
-``run_suite(suite, max_rank)`` runs one suite of ``SUITES`` at a rank (the
+A suite is one ``Suite`` record of ``SUITES``: ``inputs(rank)`` lists its
+corpus up to a rank, ``cases(input)`` returns the report cases of one input,
+each built by ``_case``, and the record gives the default, lowest and
+largest rank.  ``run_suite(suite, max_rank)`` runs one suite at a rank (the
 suite's default rank when None); a rank outside the suite's range raises
-``ValueError`` before any work.  The report lists the cases, each with its
-input, expected and actual values and a status (pass, fail or flagged),
-followed by the count of each status.
+``ValueError`` before any work.  The report lists the cases of every input
+in turn, each with its input, expected and actual values and a status (pass,
+fail or flagged), followed by the count of each status.
+
+To add a suite, write its ``inputs`` (or reuse one: thm16 and thm18 share
+the normed corpus, lemA3 and lemA4 the Levis) and its ``cases`` here, add
+its record with its ranks to ``SUITES``, add a mutation that it must fail to
+``SUITE_MUTATIONS`` in ``tests/test_cli.py``, and pin its report in
+``tests/pins.json``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from collections import Counter
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import BRUTE_FORCE_CAP, MATRIX_DIM_CAP, CheckError
 from .hecke import derived_rows, epsilon_multiplicity, hecke_descriptor, specialize
@@ -52,25 +62,6 @@ def _case(name: str, expected, actual, status: str | None = None) -> dict:
     return {"input": name, "expected": expected, "actual": actual, "status": status}
 
 
-def _suite_thm11(max_rank: int) -> list[dict]:
-    inv = standard_inventory()
-    corpus = supercuspidal_corpus(inv, max_rank)
-
-    def check(phi):
-        plus = count_supercuspidals(phi, 1)
-        minus = count_supercuspidals(phi, -1)
-        n_odd, n_even = t_invariants(phi)
-        expected = {
-            "plus": brute_force_supercuspidals(phi, 1),
-            "minus": brute_force_supercuspidals(phi, -1),
-            "total": len(alternating_characters(phi)),
-        }
-        actual = {"plus": plus, "minus": minus, "total": 2 ** (n_odd + n_even)}
-        return _case(_parameter_case_name(phi), expected, actual)
-
-    return [check(phi) for phi in corpus]
-
-
 def _parameter_case_name(phi) -> str:
     """Family, dimension, then the generator labels."""
     return f"{phi.ambient.family.value}{phi.ambient.ambient_dim}:" + "+".join(phi.generator_labels())
@@ -82,202 +73,216 @@ def _orbit_case_name(phi0) -> str:
     )
 
 
-def _suite_thm16(max_rank: int) -> list[dict]:
-    def check(phi0):
-        n = phi0.ambient.ambient_dim
-        records = cuspidal_pairs(phi0)
-        parities = sorted({p.phi_S.ambient.ambient_dim % 2 for p in records if p.epsilons})
-        report = injectivity_report(records)
-        ok = parities in ([], [n % 2]) and report["injective_outside_flagged"]
-        status = "flagged" if ok and report["flagged"] else ("pass" if ok else "fail")
-        expected = {"tail_parity": [n % 2] if report["total"] else [], "injective": True}
-        actual = {"tail_parity": parities, "injective": report["injective_outside_flagged"]}
-        return _case(_orbit_case_name(phi0), expected, actual, status)
-
-    return [check(phi0) for phi0 in normed_corpus(standard_inventory(), max_rank)]
-
-
-def _suite_thm18(max_rank: int) -> list[dict]:
-    def check(phi0):
-        bad = []
-        for S in supports(phi0):
-            for label, f in hecke_descriptor(phi0, S):
-                if f.family == "SO" and not f.extended and f.size % 2 == 0:
-                    bad.append([label, f.size])
-        return _case(_orbit_case_name(phi0), {"even_rank_cases": []}, {"even_rank_cases": bad})
-
-    return [check(phi0) for phi0 in normed_corpus(standard_inventory(), max_rank)]
-
-
-def _suite_thm31(max_rank: int) -> list[dict]:
-    def check(d):
-        table, derived = (
-            {(r.pair, r.factor, r.bucket): r.multiplicity for r in rows}
-            for rows in (specialize("so_odd", d), derived_rows("so_odd", d))
-        )
-        same = table == derived
-        return _case(
-            f"so-odd:d={d}",
-            {"rows": len(table)},
-            {"rows": len(derived), "match": same},
-            "pass" if same else "fail",
-        )
-
-    return [check(d) for d in range(1, max_rank + 1)]
-
-
-def _suite_thm32(max_rank: int) -> list[dict]:
-    cases = []
-    for kind in ("sp", "o_even"):
-        for d in range(1, max_rank + 1):
-            # (S, epsilon) counts per table cell (pair, eps_Z), summed over factors
-            cells: dict[tuple[tuple[int, int], int], int] = {}
-            for pair, _factor, eps_Z, n in derived_rows(kind, d):
-                cells[pair, eps_Z] = cells.get((pair, eps_Z), 0) + n
-            for pair in sorted({r.pair for r in specialize(kind, d)}):
-                name = f"{kind}:d={d}:pair={pair[0]},{pair[1]}"
-                if pair[0] * pair[1] == 0 and kind == "sp":
-                    # the uniform multiplicity-2 statement does not separate the
-                    # two sign buckets when one side of the support is empty
-                    derived = [cells.get((pair, s), 0) for s in (1, -1)]
-                    cases.append(_case(name, {"documented": True}, {"derived": derived}, "flagged"))
-                    continue
-                expected = {str(s): epsilon_multiplicity(*pair, s) for s in (1, -1)}
-                actual = {str(s): cells.get((pair, s), 0) for s in (1, -1)}
-                cases.append(_case(name, expected, actual))
-    return cases
-
-
-def _suite_thm33(max_rank: int) -> list[dict]:
-    def summary(rows, pair):
-        rows = [r for r in rows if r.pair == pair]
-        return {
-            "factors": sorted(str(r.factor) for r in rows),
-            "total": sum(r.multiplicity for r in rows),
-            "buckets": sorted([r.bucket, r.multiplicity] for r in rows),
-        }
-
-    def check(m):
-        table = specialize("unitary", m)
-        derived = derived_rows("unitary", m)
-        cases = []
-        for pair in sorted({r.pair for r in (*table, *derived)}):
-            name = f"u:m={m}:pair={pair[0]},{pair[1]}"
-            expected, actual = summary(table, pair), summary(derived, pair)
-            if expected == actual:
-                status = "pass"
-            elif (
-                expected["factors"] == actual["factors"]
-                and expected["total"] == actual["total"]
-            ):
-                # bucket routing of the stated table disagrees, up to m = 14
-                # only on pairs with an empty side, from m = 16 also on
-                # two-sided pairs such as (4, 12); the index set and sizes
-                # still match
-                status = "flagged"
-            else:
-                status = "fail"
-            cases.append(_case(name, expected, actual, status))
-        return cases
-
-    return [c for m in range(2, max_rank + 1) for c in check(m)]
-
-
-def _suite_thm26_matrix(max_rank: int) -> list[dict]:
-    from .centralizer import check_matrices, parameter_to_triple, triple_to_parameter
-
-    inv = standard_inventory()
-
-    def check(phi):
-        try:
-            check_matrices(phi)
-            phi0 = normed_parameter(phi)
-            round_trip = triple_to_parameter(parameter_to_triple(phi, phi0), phi0) == phi
-            actual = {"matrix_checks": True, "round_trip": round_trip}
-        except (CheckError, ValueError) as exc:
-            actual = {"error": str(exc)}
-        return _case(_parameter_case_name(phi), {"matrix_checks": True, "round_trip": True}, actual)
-
-    return [check(phi) for ambient in classical_ambients(max_rank) for phi in discrete_parameters(inv, ambient)]
-
-
 def _levi_case_name(n: int, levi) -> str:
     return f"n={n}:blocks={','.join(map(str, levi.composition)) or '-'}:tail={levi.tail_rank}"
 
 
-def _suite_lemA3(max_rank: int) -> list[dict]:
+def _supercuspidal_inputs(max_rank: int):
+    return supercuspidal_corpus(standard_inventory(), max_rank)
+
+
+def _thm11_cases(phi) -> list[dict]:
+    plus = count_supercuspidals(phi, 1)
+    minus = count_supercuspidals(phi, -1)
+    n_odd, n_even = t_invariants(phi)
+    expected = {
+        "plus": brute_force_supercuspidals(phi, 1),
+        "minus": brute_force_supercuspidals(phi, -1),
+        "total": len(alternating_characters(phi)),
+    }
+    actual = {"plus": plus, "minus": minus, "total": 2 ** (n_odd + n_even)}
+    return [_case(_parameter_case_name(phi), expected, actual)]
+
+
+def _normed_inputs(max_rank: int):
+    return normed_corpus(standard_inventory(), max_rank)
+
+
+def _thm16_cases(phi0) -> list[dict]:
+    n = phi0.ambient.ambient_dim
+    records = cuspidal_pairs(phi0)
+    parities = sorted({p.phi_S.ambient.ambient_dim % 2 for p in records if p.epsilons})
+    report = injectivity_report(records)
+    ok = parities in ([], [n % 2]) and report["injective_outside_flagged"]
+    status = "flagged" if ok and report["flagged"] else ("pass" if ok else "fail")
+    expected = {"tail_parity": [n % 2] if report["total"] else [], "injective": True}
+    actual = {"tail_parity": parities, "injective": report["injective_outside_flagged"]}
+    return [_case(_orbit_case_name(phi0), expected, actual, status)]
+
+
+def _thm18_cases(phi0) -> list[dict]:
+    bad = [
+        [label, f.size]
+        for S in supports(phi0)
+        for label, f in hecke_descriptor(phi0, S)
+        if f.family == "SO" and not f.extended and f.size % 2 == 0
+    ]
+    return [_case(_orbit_case_name(phi0), {"even_rank_cases": []}, {"even_rank_cases": bad})]
+
+
+def _thm31_cases(d: int) -> list[dict]:
+    table, derived = (
+        {(r.pair, r.factor, r.bucket): r.multiplicity for r in rows}
+        for rows in (specialize("so_odd", d), derived_rows("so_odd", d))
+    )
+    same = table == derived
+    return [
+        _case(f"so-odd:d={d}", {"rows": len(table)}, {"rows": len(derived), "match": same}, "pass" if same else "fail")
+    ]
+
+
+def _thm32_inputs(max_rank: int):
+    return [(kind, d) for kind in ("sp", "o_even") for d in range(1, max_rank + 1)]
+
+
+def _thm32_cases(kind_d) -> list[dict]:
+    kind, d = kind_d
+    # (S, epsilon) counts per table cell (pair, eps_Z), summed over factors
+    cells: Counter[tuple[tuple[int, int], int]] = Counter()
+    for pair, _factor, eps_Z, n in derived_rows(kind, d):
+        cells[pair, eps_Z] += n
+    cases = []
+    for pair in sorted({r.pair for r in specialize(kind, d)}):
+        name = f"{kind}:d={d}:pair={pair[0]},{pair[1]}"
+        if pair[0] * pair[1] == 0 and kind == "sp":
+            # the uniform multiplicity-2 statement does not separate the
+            # two sign buckets when one side of the support is empty
+            derived = [cells[pair, s] for s in (1, -1)]
+            cases.append(_case(name, {"documented": True}, {"derived": derived}, "flagged"))
+        else:
+            cases.append(
+                _case(
+                    name,
+                    {str(s): epsilon_multiplicity(*pair, s) for s in (1, -1)},
+                    {str(s): cells[pair, s] for s in (1, -1)},
+                )
+            )
+    return cases
+
+
+def _unitary_summary(rows, pair) -> dict:
+    rows = [r for r in rows if r.pair == pair]
+    return {
+        "factors": sorted(str(r.factor) for r in rows),
+        "total": sum(r.multiplicity for r in rows),
+        "buckets": sorted([r.bucket, r.multiplicity] for r in rows),
+    }
+
+
+def _thm33_cases(m: int) -> list[dict]:
+    table = specialize("unitary", m)
+    derived = derived_rows("unitary", m)
+    cases = []
+    for pair in sorted({r.pair for r in (*table, *derived)}):
+        expected, actual = _unitary_summary(table, pair), _unitary_summary(derived, pair)
+        # bucket routing of the stated table disagrees, up to m = 14 only on
+        # pairs with an empty side, from m = 16 also on two-sided pairs such
+        # as (4, 12); the index set and sizes still match
+        flagged = expected != actual and all(expected[k] == actual[k] for k in ("factors", "total"))
+        cases.append(_case(f"u:m={m}:pair={pair[0]},{pair[1]}", expected, actual, "flagged" if flagged else None))
+    return cases
+
+
+def _discrete_inputs(max_rank: int):
+    inv = standard_inventory()
+    return (phi for ambient in classical_ambients(max_rank) for phi in discrete_parameters(inv, ambient))
+
+
+def _thm26_matrix_cases(phi) -> list[dict]:
+    from . import centralizer
+
+    try:
+        centralizer.check_matrices(phi)
+        phi0 = normed_parameter(phi)
+        round_trip = centralizer.triple_to_parameter(centralizer.parameter_to_triple(phi, phi0), phi0) == phi
+        actual = {"matrix_checks": True, "round_trip": round_trip}
+    except (CheckError, ValueError) as exc:
+        actual = {"error": str(exc)}
+    return [_case(_parameter_case_name(phi), {"matrix_checks": True, "round_trip": True}, actual)]
+
+
+def _levi_inputs(max_rank: int):
+    from . import weyl
+
+    return ((n, levi) for n in range(1, max_rank + 1) for levi in weyl.enumerate_levis(n))
+
+
+def _lemA3_cases(n_levi) -> list[dict]:
     """Equality of the two relative Weyl groups holds exactly when the Levi
     has a tail or only even blocks."""
-    from .weyl import enumerate_levis, relative_weyl
+    from . import weyl
 
-    cases = []
-    for n in range(1, max_rank + 1):
-        for levi in enumerate_levis(n):
-            predicted = levi.tail_rank >= 1 or all(k % 2 == 0 for k in levi.composition)
-            equal = relative_weyl(levi, n).equal
-            cases.append(_case(_levi_case_name(n, levi), {"equal": predicted}, {"equal": equal}))
-    return cases
+    n, levi = n_levi
+    predicted = levi.tail_rank >= 1 or all(k % 2 == 0 for k in levi.composition)
+    return [_case(_levi_case_name(n, levi), {"equal": predicted}, {"equal": weyl.relative_weyl(levi, n).equal})]
 
 
-def _suite_lemA4(max_rank: int) -> list[dict]:
+def _lemA4_cases(n_levi) -> list[dict]:
     """Decorated version: equality fails exactly for tailless Levis carrying
     a self-dual orbit on an odd block; the semidirect splitting is also
-    checked on every case."""
-    from .weyl import enumerate_decorations, enumerate_levis, orbit_stabilizers, relative_weyl
+    checked on every case.  A Levi with no blocks has no decoration."""
+    from . import weyl
 
+    n, levi = n_levi
+    if not levi.composition:
+        return []
+    rel = weyl.relative_weyl(levi, n)
     cases = []
-    for n in range(1, max_rank + 1):
-        for levi in enumerate_levis(n):
-            if not levi.composition:
-                continue
-            rel = relative_weyl(levi, n)
-            for dec in enumerate_decorations(levi):
-                st = orbit_stabilizers(dec, rel)
-                odd_self_dual = any(
-                    k % 2 == 1 and sd for k, (_, sd) in zip(dec.composition, dec.decorations)
-                )
-                predicted = dec.tail_rank >= 1 or not odd_self_dual
-                name = _levi_case_name(n, dec) + ":dec=" + ";".join(
-                    f"{label}{'*' if sd else ''}" for label, sd in dec.decorations
-                )
-                cases.append(
-                    _case(
-                        name,
-                        {"equal": predicted, "semidirect": True},
-                        {"equal": st.equal, "semidirect": st.semidirect_ok},
-                    )
-                )
+    for dec in weyl.enumerate_decorations(levi):
+        st = weyl.orbit_stabilizers(dec, rel)
+        odd_self_dual = any(k % 2 == 1 and sd for k, (_, sd) in zip(dec.composition, dec.decorations))
+        predicted = dec.tail_rank >= 1 or not odd_self_dual
+        name = _levi_case_name(n, dec) + ":dec=" + ";".join(
+            f"{label}{'*' if sd else ''}" for label, sd in dec.decorations
+        )
+        cases.append(
+            _case(name, {"equal": predicted, "semidirect": True}, {"equal": st.equal, "semidirect": st.semidirect_ok})
+        )
     return cases
 
 
-# suite name -> (runner over ranks up to max_rank, default rank, lowest valid
-# rank, largest valid rank or None when unbounded)
-SUITES: dict[str, tuple[Callable[[int], list[dict]], int, int, int | None]] = {
-    "thm11": (_suite_thm11, 9, 1, None),
-    "thm16": (_suite_thm16, 6, 1, None),
-    "thm18": (_suite_thm18, 6, 1, None),
-    "thm31": (_suite_thm31, 6, 1, None),
-    "thm32": (_suite_thm32, 6, 1, None),
-    "thm33": (_suite_thm33, 12, 2, None),
-    "thm26-matrix": (_suite_thm26_matrix, 10, 1, MATRIX_DIM_CAP),
-    "lemA3": (_suite_lemA3, 5, 1, BRUTE_FORCE_CAP),
-    "lemA4": (_suite_lemA4, 5, 1, BRUTE_FORCE_CAP),
+class Suite(NamedTuple):
+    """One verification suite: ``inputs(rank)`` is its corpus up to a rank,
+    ``cases(input)`` the report cases of one input, each built by ``_case``,
+    and its ranks run from ``lowest`` to ``cap`` (None: unbounded).
+
+    Both functions are defined in this module and look every library
+    function up when called, in this module's globals or on the module
+    ``centralizer`` or ``weyl``, never holding one: the tests patch
+    ``verify.specialize`` and the like, and the benchmark's tracer rebinds
+    module attributes."""
+
+    inputs: Callable[[int], Iterable]
+    cases: Callable[[Any], list[dict]]
+    default_rank: int
+    lowest: int = 1
+    cap: int | None = None
+
+
+SUITES: dict[str, Suite] = {
+    "thm11": Suite(_supercuspidal_inputs, _thm11_cases, 9),
+    "thm16": Suite(_normed_inputs, _thm16_cases, 6),
+    "thm18": Suite(_normed_inputs, _thm18_cases, 6),
+    "thm31": Suite(lambda rank: range(1, rank + 1), _thm31_cases, 6),
+    "thm32": Suite(_thm32_inputs, _thm32_cases, 6),
+    "thm33": Suite(lambda rank: range(2, rank + 1), _thm33_cases, 12, lowest=2),
+    "thm26-matrix": Suite(_discrete_inputs, _thm26_matrix_cases, 10, cap=MATRIX_DIM_CAP),
+    "lemA3": Suite(_levi_inputs, _lemA3_cases, 5, cap=BRUTE_FORCE_CAP),
+    "lemA4": Suite(_levi_inputs, _lemA4_cases, 5, cap=BRUTE_FORCE_CAP),
 }
 
 
 def run_suite(suite: str, max_rank: int | None = None) -> dict:
-    runner, default_rank, lowest, cap = SUITES[suite]
-    rank = default_rank if max_rank is None else max_rank
+    s = SUITES[suite]
+    rank = s.default_rank if max_rank is None else max_rank
     if rank < 1:
         raise ValueError(f"{suite}: rank must be positive, got {rank}")
-    if rank < lowest:
-        raise ValueError(f"{suite}: ranks start at {lowest}, got {rank}")
-    if cap is not None and rank > cap:
-        raise ValueError(f"{suite}: rank capped at {cap}, got {rank}")
-    cases = runner(rank)
-    counts = {"pass": 0, "fail": 0, "flagged": 0}
-    for c in cases:
-        counts[c["status"]] += 1
+    if rank < s.lowest:
+        raise ValueError(f"{suite}: ranks start at {s.lowest}, got {rank}")
+    if s.cap is not None and rank > s.cap:
+        raise ValueError(f"{suite}: rank capped at {s.cap}, got {rank}")
+    cases = [c for x in s.inputs(rank) for c in s.cases(x)]
+    counts = Counter(c["status"] for c in cases)
     return {
         "suite": suite,
         "cases": cases,

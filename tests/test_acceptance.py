@@ -6,6 +6,7 @@ so there are no tolerances anywhere.
 """
 
 import hashlib
+import inspect
 import json
 import pathlib
 import re
@@ -136,6 +137,8 @@ def test_every_suite_runs_at_its_lowest_rank(suite, capsys):
     rank = LOWEST_RANKS[suite]
     report = run_suite(suite, rank)
     assert report["cases"] and report["failed"] == 0
+    names = [case["input"] for case in report["cases"]]
+    assert len(set(names)) == len(names)
     assert run(["verify", "--suite", suite, "--max-rank", str(rank), "--allow-flagged"]) == 0
     assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
@@ -145,6 +148,17 @@ def test_every_report_equals_the_json_it_prints(suite):
     # no tuple, no non-string key and no other value that JSON reads back as something else
     report = run_suite(suite, LOWEST_RANKS[suite])
     assert json.loads(json.dumps(report)) == report
+
+
+def test_every_suite_holds_only_functions_of_verify():
+    # a library function held by a record would escape the mutation tests
+    # and the benchmark's tracer, which rebind module attributes; the tracer
+    # also binds run_suite's arguments by name
+    for suite in SUITES.values():
+        for field in suite:
+            if callable(field):
+                assert field.__module__ == "hecke_atlas.verify"
+    assert list(inspect.signature(run_suite).parameters) == ["suite", "max_rank"]
 
 
 def test_a_rank_below_the_lowest_is_refused_with_its_bound(capsys):

@@ -93,26 +93,26 @@ def test_supports_rejects_unnormed(extended_inventory):
 
 def test_build_phi_S_so7(so7_setting):
     S = SupportDatum((("triv", (1, 0)),))
-    phi_S, L_S, l_S, d_S = build_phi_S(so7_setting, S)
-    assert L_S == 2 and l_S == 1 and d_S == 1
+    phi_S, l_S, d_S = build_phi_S(so7_setting, S)
+    assert phi_S.ambient.ambient_dim == 2 and l_S == 1 and d_S == 1
     assert [(s.point.cls.label, s.sl2_dim) for s in phi_S.summands] == [("triv", 2)]
     assert is_discrete(phi_S)
 
 
 def test_build_phi_S_sp4(sp4_setting):
     S = SupportDatum((("triv", (1, 0)),))
-    phi_S, L_S, l_S, d_S = build_phi_S(sp4_setting, S)
-    assert L_S == 1 and l_S == 0 and d_S == 1
+    phi_S, l_S, d_S = build_phi_S(sp4_setting, S)
+    assert phi_S.ambient.ambient_dim == 1 and l_S == 0 and d_S == 1
     assert [(s.point.cls.label, s.sl2_dim) for s in phi_S.summands] == [("triv", 1)]
 
 
 def test_build_phi_S_minus_point_flips_det(so7_setting, extended_inventory):
     S = SupportDatum((("triv", (0, 1)),))
-    phi_S, L_S, l_S, d_S = build_phi_S(so7_setting, S)
-    assert L_S == 2 and d_S == 1  # f=-1 with sl2-dim 2 contributes (-1)**2
+    phi_S, l_S, d_S = build_phi_S(so7_setting, S)
+    assert phi_S.ambient.ambient_dim == 2 and d_S == 1  # f=-1 with sl2-dim 2 contributes (-1)**2
     S2 = SupportDatum((("triv", (0, 1)),))
-    phi_S2, L_S2, _, d_S2 = build_phi_S(sp4_setting_param(extended_inventory), S2)
-    assert L_S2 == 1
+    phi_S2, _, d_S2 = build_phi_S(sp4_setting_param(extended_inventory), S2)
+    assert phi_S2.ambient.ambient_dim == 1
     assert d_S2 == -1  # f=-1 with sl2-dim 1 contributes (-1)**1
 
 
@@ -122,8 +122,8 @@ def sp4_setting_param(inv):
 
 def test_build_phi_S_all_zero(so7_setting):
     S = SupportDatum((("triv", (0, 0)),))
-    phi_S, L_S, l_S, d_S = build_phi_S(so7_setting, S)
-    assert phi_S.summands == () and L_S == 0 and l_S == 0 and d_S == 1
+    phi_S, l_S, d_S = build_phi_S(so7_setting, S)
+    assert phi_S.summands == () and phi_S.ambient.ambient_dim == 0 and l_S == 0 and d_S == 1
 
 
 def test_build_phi_S_rejects_bad_support(so7_setting):
@@ -165,11 +165,11 @@ def test_the_tail_memo_tells_classes_of_one_label_apart():
     S = SupportDatum((("c", (1, 0)),))
     first = build_phi_S(power_parameter(base, 3), S)
     for cls in others:
-        phi_S, L_S, l_S, _ = build_phi_S(power_parameter(cls, 3), S)
+        phi_S, l_S, _ = build_phi_S(power_parameter(cls, 3), S)
         point = InertialPoint(cls, ONE)
         expected = build_ld_parameter([LDSummand(point, 1)], DualGroupDescriptor(Family.ORTHOGONAL, cls.dim))
         assert phi_S == expected != first[0]
-        assert (L_S, l_S) == (cls.dim, cls.dim // 2)
+        assert (phi_S.ambient.ambient_dim, l_S) == (cls.dim, cls.dim // 2)
         assert build_phi_S(power_parameter(cls, 3), S)[0] is phi_S
     assert build_phi_S(power_parameter(base, 3), S) == first
     assert build_phi_S(power_parameter(base, 3), S)[0] is first[0]
@@ -198,8 +198,8 @@ def test_the_normed_memo_tells_classes_of_one_label_apart():
 def test_a_cached_tail_does_not_lift_the_bound_or_parity_check():
     cls = InertialClass("c", 1, 1, SelfDual(DualityType.ORTHOGONAL, DualityType.ORTHOGONAL), "1")
     S = SupportDatum((("c", (2, 0)),))  # staircase dims 1 and 3: cost 4
-    phi_S, L_S, _, _ = build_phi_S(power_parameter(cls, 4), S)
-    assert [s.sl2_dim for s in phi_S.summands] == [1, 3] and L_S == 4
+    phi_S, _, _ = build_phi_S(power_parameter(cls, 4), S)
+    assert [s.sl2_dim for s in phi_S.summands] == [1, 3] and phi_S.ambient.ambient_dim == 4
     for m in (1, 2, 3, 5):  # cost above m, or of the other parity
         with pytest.raises(ValueError, match="support violates the bound or parity at orbit 'c'"):
             build_phi_S(power_parameter(cls, m), S)
@@ -271,8 +271,8 @@ def test_cuspidal_pairs_sp4(sp4_setting):
 def test_L_S_parity(so7_setting, sp4_setting):
     for phi0 in (so7_setting, sp4_setting):
         for S in supports(phi0):
-            _, L_S, _, _ = build_phi_S(phi0, S)
-            assert L_S % 2 == phi0.ambient.ambient_dim % 2
+            phi_S, _, _ = build_phi_S(phi0, S)
+            assert phi_S.ambient.ambient_dim % 2 == phi0.ambient.ambient_dim % 2
 
 
 def support_to_json_dict(p, epsilon) -> dict:
@@ -330,9 +330,9 @@ def test_cuspidal_pairs_builds_each_tail_once(extended_inventory, monkeypatch):
 def flattened_tails(phi0, S):
     """``build_phi_S`` with each tail summand ``p (x) sp(a)`` replaced by ``a``
     copies of ``p``: a staircase of even steps is then no staircase at all."""
-    phi_S, L_S, l_S, d_S = build_phi_S(phi0, S)
+    phi_S, l_S, d_S = build_phi_S(phi0, S)
     flat = [LDSummand(s.point, 1, s.sl2_dim * s.multiplicity) for s in phi_S.summands]
-    return build_ld_parameter(flat, phi_S.ambient), L_S, l_S, d_S
+    return build_ld_parameter(flat, phi_S.ambient), l_S, d_S
 
 
 def test_a_tail_of_the_wrong_shape_fails_the_check(so7_setting, monkeypatch):
@@ -411,7 +411,8 @@ def reference_pairs(phi0, characters=lambda chars: chars):
     per-pair loop lists them, each tail's characters passed through ``characters``."""
     out = []
     for S in supports(phi0):
-        phi_S, L_S, l_S, d_S = build_phi_S(phi0, S)
+        phi_S, l_S, d_S = build_phi_S(phi0, S)
+        L_S = phi_S.ambient.ambient_dim
         levi = summed_levi(phi0, phi_S, L_S, l_S)
         chars = alternating_characters(phi_S) if phi_S.summands else [SignCharacter(())]
         out.extend((S, phi_S, L_S, l_S, d_S, levi, eps) for eps in characters(chars))
